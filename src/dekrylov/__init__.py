@@ -11,7 +11,7 @@ correlator chi(tau).
 
 Module map:
 
-  lintri   symmetric tridiagonal eigensolver, exp(-tau T) e_0, Gram-Schmidt
+  lintri   LAPACK tridiagonal eigensolver, batched exp(-tau T) e_0, Gram-Schmidt
   doubled  Choi vectorization, Pauli-Kraus channels, parity reduction
   models   the two noise models (NN bonds, infinite range) and closed forms
   lanczos  Lanczos recursion with full reorthogonalization
@@ -24,7 +24,6 @@ Module map:
 
 from .errors import (
     ArgumentError,
-    ConvergenceError,
     DomainError,
     LinearDependenceError,
 )
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError",
-    "ConvergenceError",
     "DomainError",
     "LinearDependenceError",
     "EigenDecomposition",

@@ -160,15 +160,14 @@ def check_nn_closed_forms(quick=False):
     plateau_dev = 0.0
     for length in lengths:
         spec = analytic_lanczos(ModelSpec(kind=ModelKind.NN, length=length))
-        dec = lintri.eig_tridiag(spec.tridiag)
-        for tau in taus:
-            state = lintri.expm_from_eig(dec, float(tau))
-            closed = models.psi_nn_analytic(length, float(tau))
+        states = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), [*taus, 5.0])
+        for state in states[:-1]:
+            closed = models.psi_nn_analytic(length, state.tau)
             worst_psi = max(worst_psi, float(np.max(np.abs(state.psi - closed.psi))))
             worst_k = max(
-                worst_k, abs(complexity(state) - models.k_nn_analytic(length, float(tau)))
+                worst_k, abs(complexity(state) - models.k_nn_analytic(length, state.tau))
             )
-        plateau = complexity(lintri.expm_from_eig(dec, 5.0)) / (length - 1)
+        plateau = complexity(states[-1]) / (length - 1)
         plateau_dev = max(plateau_dev, abs(plateau - 0.5))
     passed = worst_psi <= 1e-10 and worst_k <= 1e-8 and plateau_dev <= 1e-3
     return passed, (
@@ -179,23 +178,33 @@ def check_nn_closed_forms(quick=False):
 
 
 def check_ir_exact_amplitudes(quick=False):
-    """Signed-log exact IR amplitudes equal tridiagonal propagation."""
-    lengths = (8, 40) if quick else (8, 40, 100)
-    taus = np.linspace(0.0, 3.0, 31)
+    """Signed-log exact IR amplitudes equal tridiagonal propagation.
+
+    The L = 500 and 600 points guard the eigensolver: there the seed's
+    overlap with the ground state is ~1e-76 to 1e-91, which LAPACK's
+    ``stemr`` and ``stebz`` drivers lose (errors 1e-2 to 0.6) and
+    ``stev`` keeps.
+    """
+    grid = np.linspace(0.0, 3.0, 31)
+    large = (0.5, 2.0, 10.0)
+    cases = [(8, grid), (40, grid)] + ([] if quick else [(100, grid)])
+    cases += [(500, large), (600, large)]
     passed = True
     parts = []
-    for length in lengths:
+    for length, taus in cases:
         spec = analytic_lanczos(ModelSpec(kind=ModelKind.IR, length=length))
-        dec = lintri.eig_tridiag(spec.tridiag)
-        dev = 0.0
-        for tau in taus:
-            psi_tri = lintri.expm_from_eig(dec, float(tau)).psi
-            psi_exact = wigner.psi_ir_exact_profile(length, float(tau))
-            dev = max(dev, float(np.max(np.abs(psi_tri - psi_exact))))
+        states = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
+        dev = max(
+            float(np.max(np.abs(state.psi - wigner.psi_ir_exact_profile(length, state.tau))))
+            for state in states
+        )
         tol = 1e-6 if length >= 100 else 1e-8
         passed = passed and dev <= tol
         parts.append(f"L={length}: {dev:.2e} (tol {tol:g})")
-    return passed, "max |psi_tridiag - psi_exact| over tau in [0,3]: " + ", ".join(parts)
+    return passed, (
+        "max |psi_tridiag - psi_exact| over tau in [0,3] for L <= 100 and "
+        "tau in {0.5, 2, 10} for L >= 500: " + ", ".join(parts)
+    )
 
 
 def check_area_law_convergence(quick=False):
@@ -298,17 +307,15 @@ def check_renyi2_diagnostics(quick=False):
     for length in route_lengths:
         model = ModelSpec(kind=ModelKind.IR, length=length)
         spec = analytic_lanczos(model)
-        dec = lintri.eig_tridiag(spec.tridiag)
-        for tau in np.linspace(0.0, 5.0, 26):
-            chi_tri = renyi2_tridiag(spec, lintri.expm_from_eig(dec, float(tau)))
-            worst_route = max(worst_route, abs(chi_tri - renyi2_dense(model, float(tau))))
+        taus = np.linspace(0.0, 5.0, 26)
+        states = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
+        for state, chi_dense in zip(states, renyi2_dense(model, taus)):
+            worst_route = max(worst_route, abs(renyi2_tridiag(spec, state) - chi_dense))
 
     lengths = (8, 10, 12) if quick else (8, 10, 12, 14)
     taus_ir = np.linspace(0.0, 5.0, 201 if quick else 501)
     ir_curves = {
-        length: np.array(
-            [renyi2_dense(ModelSpec(kind=ModelKind.IR, length=length), float(t)) for t in taus_ir]
-        )
+        length: renyi2_dense(ModelSpec(kind=ModelKind.IR, length=length), taus_ir)
         for length in lengths
     }
     crossings_ok = True
@@ -330,9 +337,7 @@ def check_renyi2_diagnostics(quick=False):
 
     taus_nn = np.linspace(0.0, 3.0, 301)
     nn_curves = {
-        length: np.array(
-            [renyi2_dense(ModelSpec(kind=ModelKind.NN, length=length), float(t)) for t in taus_nn]
-        )
+        length: renyi2_dense(ModelSpec(kind=ModelKind.NN, length=length), taus_nn)
         for length in lengths
     }
     min_gap = math.inf

@@ -9,27 +9,28 @@ Subcommands map one observable to one plot-ready file:
   moments     survival moments mu_n from the tridiagonal representation
   verify      run the verification suite (quick | full)
 
-Output is bitwise deterministic across runs and thread counts: scan
-points are pure functions of precomputed per-L eigendecompositions, the
-worker pool preserves submission order, and floats are written with 17
-significant digits (binary64 round-trip exact).  Exit codes: 0 success,
-1 verification failure, 2 invalid arguments or config.
+Each scan runs one pass per length on the calling thread: one LAPACK
+eigendecomposition and one batched propagation serve every tau of that
+length, so there is no worker pool; ``--threads`` is accepted for
+compatibility and has no effect.  Output is bitwise deterministic across
+runs, and floats are written with 17 significant digits (binary64
+round-trip exact).  Exit codes: 0 success, 1 verification failure,
+2 invalid arguments or config, 3 numerical failure (a LAPACK error or a
+numerically dependent vector set).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import checks, lintri
-from .errors import ArgumentError
+from .errors import ArgumentError, LinearDependenceError
 from .evolve import moments_from_tridiag, renyi2_dense, renyi2_tridiag, scan_point
 from .models import ModelKind, ModelSpec, analytic_lanczos
 
@@ -57,7 +58,6 @@ class RunConfig:
     explicit_taus: bool
     out: Optional[str]
     format: str
-    threads: int
     nmax: int
 
     def __post_init__(self):
@@ -70,8 +70,6 @@ class RunConfig:
                 raise ArgumentError(f"tau: values must be finite and >= 0, got {tau!r}")
         if self.format not in ("csv", "json"):
             raise ArgumentError(f"format: expected csv or json, got {self.format!r}")
-        if self.threads < 1:
-            raise ArgumentError(f"threads: must be >= 1, got {self.threads!r}")
         if self.nmax < 0:
             raise ArgumentError(f"nmax: must be >= 0, got {self.nmax!r}")
 
@@ -199,9 +197,10 @@ def resolve_config(args, command):
             taus = taus + IR_PLATEAU_TAUS
         explicit = False
 
+    # --threads is accepted and validated for compatibility; it has no effect.
     threads = pick("threads")
-    if threads is None:
-        threads = os.cpu_count() or 1
+    if threads is not None and int(threads) < 1:
+        raise ArgumentError(f"threads: must be >= 1, got {threads!r}")
     nmax = pick("nmax")
     return RunConfig(
         model=model,
@@ -210,7 +209,6 @@ def resolve_config(args, command):
         explicit_taus=explicit,
         out=pick("out"),
         format=pick("format") or "csv",
-        threads=int(threads),
         nmax=DEFAULT_NMAX if nmax is None else int(nmax),
     )
 
@@ -245,21 +243,11 @@ def write_rows(out, fmt, header, rows):
             handle.write(text.encode("utf-8"))
 
 
-def _parallel_map(fn, items, threads):
-    """Map preserving input order; a thread pool only sizes the execution."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _decompositions(config):
-    """Per-length Krylov spec and eigendecomposition, built sequentially."""
-    table = {}
+    """Yield (length, spec, eigendecomposition) for each distinct length."""
     for length in sorted(set(config.lengths)):
         spec = analytic_lanczos(ModelSpec(kind=config.model, length=length))
-        table[length] = (spec, lintri.eig_tridiag(spec.tridiag))
-    return table
+        yield length, spec, lintri.eig_tridiag(spec.tridiag)
 
 
 def cmd_coeffs(config):
@@ -284,18 +272,11 @@ def cmd_coeffs(config):
 
 def cmd_evolve(config):
     """K, K_norm and chi over the (L, tau) grid, sorted by (L, tau)."""
-    table = _decompositions(config)
     taus = sorted(set(config.taus))
-    items = [(length, tau) for length in sorted(table) for tau in taus]
-
-    def worker(item):
-        length, tau = item
-        spec, dec = table[length]
-        return scan_point(spec, dec, tau)
-
     rows = [
         (config.model.value, row.length, row.tau, row.k, row.k_norm, row.chi)
-        for row in _parallel_map(worker, items, config.threads)
+        for _, spec, dec in _decompositions(config)
+        for row in scan_point(spec, dec, taus)
     ]
     write_rows(
         config.out, config.format, ("model", "L", "tau", "K", "K_norm", "chi"), rows
@@ -309,23 +290,13 @@ def cmd_wavepacket(config):
         raise ArgumentError(
             "tau: wavepacket requires an explicit tau list (--tau-list or --tau)"
         )
-    table = _decompositions(config)
     taus = sorted(set(config.taus))
-    items = [(length, tau) for length in sorted(table) for tau in taus]
-
-    def worker(item):
-        length, tau = item
-        _, dec = table[length]
-        return lintri.expm_from_eig(dec, tau)
-
     rows = []
-    for (length, tau), state in zip(
-        items, _parallel_map(worker, items, config.threads)
-    ):
-        for n, amp in enumerate(state.psi):
-            rows.append(
-                (config.model.value, length, tau, n, float(amp), float(amp * amp))
-            )
+    for length, _, dec in _decompositions(config):
+        for state in lintri.expm_from_eig(dec, taus):
+            for n, amp in enumerate(state.psi):
+                psi_row = (n, float(amp), float(amp * amp))
+                rows.append((config.model.value, length, state.tau) + psi_row)
     write_rows(
         config.out, config.format, ("model", "L", "tau", "n", "psi", "psi2"), rows
     )
@@ -335,27 +306,20 @@ def cmd_wavepacket(config):
 def cmd_renyi2(config):
     """chi over the (L, tau) grid: dense for NN (L <= 14), tridiagonal for IR."""
     taus = sorted(set(config.taus))
-    lengths = sorted(set(config.lengths))
+    rows = []
     if config.model is ModelKind.IR:
-        table = _decompositions(config)
-
-        def worker(item):
-            length, tau = item
-            spec, dec = table[length]
-            return renyi2_tridiag(spec, lintri.expm_from_eig(dec, tau))
-
+        for length, spec, dec in _decompositions(config):
+            for state in lintri.expm_from_eig(dec, taus):
+                rows.append(
+                    (config.model.value, length, state.tau, renyi2_tridiag(spec, state))
+                )
     else:
-
-        def worker(item):
-            length, tau = item
-            return renyi2_dense(ModelSpec(kind=config.model, length=length), tau)
-
-    items = [(length, tau) for length in lengths for tau in taus]
-    values = _parallel_map(worker, items, config.threads)
-    rows = [
-        (config.model.value, length, tau, chi)
-        for (length, tau), chi in zip(items, values)
-    ]
+        for length in sorted(set(config.lengths)):
+            chis = renyi2_dense(ModelSpec(kind=config.model, length=length), taus)
+            rows.extend(
+                (config.model.value, length, tau, float(chi))
+                for tau, chi in zip(taus, chis)
+            )
     write_rows(config.out, config.format, ("model", "L", "tau", "chi"), rows)
     return 0
 
@@ -407,7 +371,7 @@ def build_parser():
             p.add_argument("--tau-list", dest="tau_list", help="comma list of tau values")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--threads", type=int, help="worker threads (default: all cores)")
+        p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
         p.add_argument("--config", help="flat JSON config file; flags override it")
 
     add_scan_flags(
@@ -451,6 +415,9 @@ def main(argv=None):
     except ArgumentError as err:  # DomainError included
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (np.linalg.LinAlgError, LinearDependenceError) as err:
+        print(f"error: numerical failure: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,18 +9,6 @@ class DomainError(ArgumentError):
     """Raised when a parameter lies outside the validity domain of a formula."""
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when an iterative eigensolver exhausts its sweep budget.
-
-    Carries the index of the eigenvalue that failed to converge in the
-    ``index`` attribute.
-    """
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index
-
-
 class LinearDependenceError(RuntimeError):
     """Raised when a vector set turns out to be numerically dependent.
 

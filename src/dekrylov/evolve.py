@@ -13,9 +13,9 @@ a functional of the normalized wavepacket psi:
   * survival moments mu_n = <rho_init| H^n |rho_init>, cross-checkable
     against the tridiagonal representation.
 
-Scan evaluation over (L, tau) grids is embarrassingly parallel: every
-function here is pure, and rows carry their own (L, tau) key so callers
-can emit them in deterministic order regardless of execution order.
+Scans run one length at a time: one eigendecomposition and one batched
+propagation serve every tau of that length.  Every function here is pure,
+and rows carry their own (L, tau) key.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import lintri
 from .errors import ArgumentError
 from .lintri import KrylovState, TridiagonalOperator
-from .models import ModelKind, ModelSpec, reduced_diagonal
+from .models import REDUCED_MAX_LENGTH, ModelKind, reduced_diagonal
 
 __all__ = [
     "KrylovState",
@@ -105,7 +105,7 @@ def renyi2_tridiag(spec, state):
     return 1.0 - 2.0 * expectation / spec.model.length
 
 
-def renyi2_dense(model, tau):
+def renyi2_dense(model, taus):
     """Renyi-2 correlator by exact dense evolution (L <= 14, both models).
 
     The reduced Hamiltonian is diagonal, so e^{-tau H} acts elementwise;
@@ -115,20 +115,27 @@ def renyi2_dense(model, tau):
 
     where v = e^{-tau H} applied to the uniform initial vector.  The
     i = j identity terms are included, giving chi(0) = 1/L.
+
+    ``taus`` is a float or a sequence of floats; the result is a float or
+    an array of the same shape.  The diagonal and the magnetization are
+    built once per call, whatever the number of taus.
     """
-    if tau < 0:
+    tau_arr = np.asarray(taus, dtype=float)
+    if np.any(tau_arr < 0):
         raise ArgumentError("tau must be nonnegative")
     length = model.length
     diag = reduced_diagonal(model)  # enforces the L <= 14 cap
     states = np.arange(2**length)
     bits = (states[:, None] >> np.arange(length)) & 1
-    magnetization = (length - 2 * bits.sum(axis=1)).astype(float)
+    magnetization_sq = (length - 2 * bits.sum(axis=1)).astype(float) ** 2
     # Uniform initial amplitudes cancel in the ratio; shift the diagonal
     # so the elementwise exponential cannot overflow at large tau.
-    weights = np.exp(-2.0 * tau * (diag - diag.min()))
-    return float(
-        (weights @ magnetization**2) / (length**2 * weights.sum())
-    )
+    shifted = diag - diag.min()
+    chi = np.empty(tau_arr.shape)
+    for index, tau in np.ndenumerate(tau_arr):
+        weights = np.exp(-2.0 * tau * shifted)
+        chi[index] = (weights @ magnetization_sq) / (length**2 * weights.sum())
+    return float(chi) if chi.ndim == 0 else chi
 
 
 def survival_moments_nn(length, n_max):
@@ -165,28 +172,34 @@ def moments_from_tridiag(tri, n_max):
     return np.array(moments[: n_max + 1])
 
 
-def scan_point(spec, decomposition, tau, with_chi=True):
-    """Evaluate one scan row from a precomputed eigendecomposition.
+def scan_point(spec, decomposition, taus, with_chi=True):
+    """Scan rows of one length over ``taus``, from one batched propagation.
 
-    Pure function of (spec, decomposition, tau); thread-safe.  chi uses
-    the tridiagonal formula for IR and dense evolution for NN at
-    L <= 14; otherwise it is None.
+    Pure function of (spec, decomposition, taus); rows come in the order
+    of ``taus``.  chi uses the tridiagonal formula for IR and dense
+    evolution for NN at L <= 14; otherwise it is None.
     """
-    state = lintri.expm_from_eig(decomposition, tau)
-    k = complexity(state)
     model = spec.model
+    states = lintri.expm_from_eig(decomposition, taus)
     if model.kind is ModelKind.NN:
-        k_norm = k / (model.length - 1)
-        chi = renyi2_dense(model, tau) if with_chi and model.length <= 14 else None
+        norm = model.length - 1
+        dense = with_chi and model.length <= REDUCED_MAX_LENGTH
+        chis = renyi2_dense(model, taus) if dense else [None] * len(states)
     else:
-        k_norm = k / model.length
-        chi = renyi2_tridiag(spec, state) if with_chi else None
-    return ScanRow(
-        kind=model.kind,
-        length=model.length,
-        tau=float(tau),
-        k=k,
-        k_norm=k_norm,
-        chi=chi,
-        krylov_dim=spec.krylov_dim,
-    )
+        norm = model.length
+        chis = [renyi2_tridiag(spec, state) if with_chi else None for state in states]
+    rows = []
+    for state, chi in zip(states, chis):
+        k = complexity(state)
+        rows.append(
+            ScanRow(
+                kind=model.kind,
+                length=model.length,
+                tau=state.tau,
+                k=k,
+                k_norm=k / norm,
+                chi=None if chi is None else float(chi),
+                krylov_dim=spec.krylov_dim,
+            )
+        )
+    return rows

@@ -35,7 +35,7 @@ def test_criterion_03_nn_wavepacket_and_complexity_closed_forms():
 
 
 def test_criterion_04_ir_exact_amplitudes_match_tridiagonal_route():
-    """Log-domain rotation amplitudes track propagation at L = 8, 40, 100."""
+    """Log-domain rotation amplitudes track propagation at L = 8, 40, 100, 500, 600."""
     run_criterion(4)
 
 

@@ -5,12 +5,14 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dekrylov import checks, cli
+from dekrylov import checks, cli, lintri
+from dekrylov.errors import LinearDependenceError
 from dekrylov.lintri import TridiagonalOperator
 from dekrylov.models import (
     KrylovSpec,
@@ -125,6 +127,59 @@ def test_evolve_tau_grid_spec(tmp_path):
     assert code == 0
     taus = [float(r["tau"]) for r in rows_of(text)]
     assert_allclose(taus, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
+
+
+def test_evolve_ir_default_grid_at_large_length(tmp_path):
+    """L = 1200 puts ground-state overlaps near 1e-181; the log-shifted
+    kernel keeps every default-grid point normalized."""
+    code, text = run_cli(["evolve", "--model", "ir", "--lengths", "1200"], tmp_path)
+    assert code == 0
+    assert len(rows_of(text)) == 403
+
+
+def test_evolve_ir_late_taus_reach_the_plateau(tmp_path):
+    code, text = run_cli(
+        ["evolve", "--model", "ir", "--lengths", "1200", "--tau-list", "0.7,1,2,5,10"],
+        tmp_path,
+    )
+    assert code == 0
+    rows = rows_of(text)
+    assert [float(r["tau"]) for r in rows] == [0.7, 1.0, 2.0, 5.0, 10.0]
+    assert float(rows[-1]["K_norm"]) == pytest.approx(0.25, abs=1e-6)
+
+
+def test_threads_flag_starts_no_threads(tmp_path, monkeypatch):
+    """--threads is accepted but every scan point runs on the calling thread."""
+    before = threading.active_count()
+    seen = []
+    original = cli.scan_point
+
+    def probe(*args, **kwargs):
+        seen.append(threading.active_count())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "scan_point", probe)
+    code, _ = run_cli(
+        ["evolve", "--model", "ir", "--lengths", "100", "--threads", "8"], tmp_path
+    )
+    assert code == 0 and seen
+    assert max(seen) == before
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "error",
+    [np.linalg.LinAlgError("stev failed to converge"), LinearDependenceError("dependent", 3)],
+)
+def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsys):
+    def failing(op):
+        raise error
+
+    monkeypatch.setattr(lintri, "eig_tridiag", failing)
+    assert cli.main(["evolve", "--model", "ir", "--lengths", "8"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------- wavepacket

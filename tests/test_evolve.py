@@ -62,7 +62,7 @@ def test_nn_normalized_complexity_is_length_free(l1, l2, tau):
     rows = []
     for length in (l1, l2):
         kspec = analytic_lanczos(ModelSpec(ModelKind.NN, length))
-        rows.append(scan_point(kspec, eig_tridiag(kspec.tridiag), tau, with_chi=False))
+        rows += scan_point(kspec, eig_tridiag(kspec.tridiag), [tau], with_chi=False)
     assert rows[0].k_norm == pytest.approx(rows[1].k_norm, abs=1e-11)
     assert rows[0].k_norm == pytest.approx(nn_lambda(tau), abs=1e-11)
 
@@ -161,21 +161,21 @@ def test_nn_moments_agree_between_exact_and_tridiagonal_routes():
 def test_scan_point_normalizations():
     """k_norm divides by the bond count for NN and by L for IR."""
     nn = analytic_lanczos(ModelSpec(ModelKind.NN, 10))
-    row = scan_point(nn, eig_tridiag(nn.tridiag), 0.8)
+    (row,) = scan_point(nn, eig_tridiag(nn.tridiag), [0.8])
     assert row.k_norm == pytest.approx(row.k / 9, rel=1e-15)
     assert row.chi is not None
     ir = analytic_lanczos(ModelSpec(ModelKind.IR, 8))
-    row = scan_point(ir, eig_tridiag(ir.tridiag), 0.8)
+    (row,) = scan_point(ir, eig_tridiag(ir.tridiag), [0.8])
     assert row.k_norm == pytest.approx(row.k / 8, rel=1e-15)
 
 
 def test_scan_point_chi_handling():
     big = analytic_lanczos(ModelSpec(ModelKind.NN, 20))
     dec = eig_tridiag(big.tridiag)
-    assert scan_point(big, dec, 0.5).chi is None  # dense route capped
-    assert scan_point(big, dec, 0.5, with_chi=False).chi is None
+    assert scan_point(big, dec, [0.5])[0].chi is None  # dense route capped
+    assert scan_point(big, dec, [0.5], with_chi=False)[0].chi is None
     small = analytic_lanczos(ModelSpec(ModelKind.NN, 8))
-    assert scan_point(small, eig_tridiag(small.tridiag), 0.5).chi is not None
+    assert scan_point(small, eig_tridiag(small.tridiag), [0.5])[0].chi is not None
 
 
 def test_scan_row_validation():

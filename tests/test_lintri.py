@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from dekrylov.errors import ArgumentError, LinearDependenceError
 from dekrylov.lintri import (
+    TAU_BLOCK,
     KrylovState,
     TridiagonalOperator,
     eig_tridiag,
@@ -17,6 +18,8 @@ from dekrylov.lintri import (
     expm_from_eig,
     orthonormalize,
 )
+from dekrylov.models import ModelKind, ModelSpec, analytic_lanczos
+from dekrylov.wigner import psi_ir_exact_profile
 
 
 def tridiagonals(max_dim=10):
@@ -95,6 +98,17 @@ def test_eig_matches_scipy_and_reconstructs(op):
     assert_allclose(recon, op.to_dense(), atol=1e-9 * scale)
 
 
+def test_eigenvectors_keep_exponentially_small_ground_overlap():
+    """At IR L = 500 the seed overlaps the ground state at ~1e-76; the
+    eigensolver must keep that component for propagation to match the
+    exact Wigner profile."""
+    spec = analytic_lanczos(ModelSpec(ModelKind.IR, 500))
+    dec = eig_tridiag(spec.tridiag)
+    assert 1e-80 < abs(dec.vectors[0, 0]) < 1e-70
+    (state,) = expm_from_eig(dec, [2.0])
+    assert_allclose(state.psi, psi_ir_exact_profile(500, 2.0), rtol=0, atol=1e-10)
+
+
 # --------------------------------------------------------------- propagators
 
 
@@ -127,8 +141,37 @@ def test_normalized_propagation_is_shift_invariant(op, tau, shift):
 @settings(max_examples=50)
 def test_eig_route_equals_direct_route(op, tau):
     assert_allclose(
-        expm_from_eig(eig_tridiag(op), tau).psi, expm_action(op, tau).psi, atol=1e-12
+        expm_from_eig(eig_tridiag(op), [tau])[0].psi, expm_action(op, tau).psi, atol=1e-12
     )
+
+
+@given(
+    tridiagonals(max_dim=8),
+    st.lists(st.floats(0.0, 3.0), min_size=1, max_size=TAU_BLOCK + 16),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_kernel_matches_per_tau_expm(op, taus):
+    states = expm_from_eig(eig_tridiag(op), taus)
+    assert [state.tau for state in states] == taus
+    for state in states:
+        dense = scipy.linalg.expm(-state.tau * op.to_dense())[:, 0]
+        assert_allclose(state.psi, dense / np.linalg.norm(dense), atol=1e-11)
+        assert np.log(np.linalg.norm(dense)) == pytest.approx(state.log_norm, abs=1e-10)
+
+
+@given(tridiagonals(max_dim=8), st.floats(1.0, 10.0))
+@settings(max_examples=60)
+def test_batched_kernel_relaxes_onto_ground_state(op, margin):
+    """Once e^{-tau (lambda_1 - lambda_0)} < 1e-16, relative to the seed's
+    ground-state overlap, psi is the ground-state eigenvector up to sign."""
+    values, vectors = np.linalg.eigh(op.to_dense())
+    gap = values[1] - values[0]
+    ground = vectors[:, 0]
+    tau = (margin + 16 * np.log(10) - np.log(abs(ground[0]))) / gap
+    assert np.exp(-tau * gap) < 1e-16
+    (state,) = expm_from_eig(eig_tridiag(op), [tau])
+    sign = np.sign(state.psi @ ground)
+    assert_allclose(state.psi, sign * ground, atol=1e-9 * (1 + 1 / gap))
 
 
 def test_scaled_propagation_splits_scale():
