@@ -13,7 +13,8 @@ Module map:
 
   lintri   LAPACK tridiagonal eigensolver, batched exp(-tau T) e_0, Gram-Schmidt
   doubled  Choi vectorization, Pauli-Kraus channels, parity reduction
-  models   the two noise models (NN bonds, infinite range) and closed forms
+  models   the two noise models (NN bonds, infinite range), closed forms,
+           and the spin-decoding and log-binomial helpers shared by all
   lanczos  Lanczos recursion with full reorthogonalization
   evolve   K(tau), chi(tau), survival moments over (L, tau) grids
   wigner   Wigner d-matrices and exact log-domain IR amplitudes (L <= 600)
@@ -61,15 +62,12 @@ from .evolve import (
     ScanRow,
     complexity,
     moments_from_tridiag,
-    propagate,
     renyi2_dense,
     renyi2_tridiag,
     scan_point,
     survival_moments_nn,
 )
 from .wigner import (
-    psi_ir_asymptotic,
-    psi_ir_exact,
     psi_ir_exact_profile,
     wigner_column_stable,
     wigner_d,
@@ -111,13 +109,10 @@ __all__ = [
     "ScanRow",
     "complexity",
     "moments_from_tridiag",
-    "propagate",
     "renyi2_dense",
     "renyi2_tridiag",
     "scan_point",
     "survival_moments_nn",
-    "psi_ir_asymptotic",
-    "psi_ir_exact",
     "psi_ir_exact_profile",
     "wigner_column_stable",
     "wigner_d",

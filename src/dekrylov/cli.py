@@ -11,11 +11,11 @@ Subcommands map one observable to one plot-ready file:
 
 Each scan runs one pass per length on the calling thread: one LAPACK
 eigendecomposition and one batched propagation serve every tau of that
-length, so there is no worker pool; ``--threads`` is accepted for
-compatibility and has no effect.  Output is bitwise deterministic across
-runs, and floats are written with 17 significant digits (binary64
-round-trip exact).  Exit codes: 0 success, 1 verification failure,
-2 invalid arguments or config, 3 numerical failure (a LAPACK error or a
+length.  Output is bitwise deterministic across runs, and floats are
+written with 17 significant digits (binary64 round-trip exact).  Config
+file values pass the same checks as flags.  Exit codes: 0 success,
+1 verification failure, 2 invalid arguments or config or an --out path
+that cannot be written, 3 numerical failure (a LAPACK error or a
 numerically dependent vector set).
 """
 
@@ -44,7 +44,7 @@ RENYI2_DEFAULT_LENGTHS = (8, 10, 12, 14)
 DEFAULT_NMAX = 10
 
 _CONFIG_KEYS = frozenset(
-    {"model", "lengths", "tau", "tau_list", "out", "format", "threads", "nmax"}
+    {"model", "lengths", "tau", "tau_list", "out", "format", "nmax"}
 )
 
 
@@ -74,22 +74,44 @@ class RunConfig:
             raise ArgumentError(f"nmax: must be >= 0, got {self.nmax!r}")
 
 
-def parse_lengths(value):
-    """Parse "100,200,500" (or a JSON list) into a tuple of ints."""
+def _as_int(value, key):
+    """An int from a flag string or a JSON integer; anything else is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ArgumentError(f"{key}: {value!r} is not an integer")
+    try:
+        return int(value)
+    except ValueError:
+        raise ArgumentError(f"{key}: {value!r} is not an integer") from None
+
+
+def _as_float(value, key):
+    """A float from a flag string or a JSON number; anything else is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ArgumentError(f"{key}: could not parse {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ArgumentError(f"{key}: could not parse {value!r}") from None
+
+
+def _comma_list(value, key):
+    """Tokens of "a,b,c" or of a JSON list; there must be at least one."""
     if isinstance(value, str):
         tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
     elif isinstance(value, (list, tuple)):
         tokens = value
     else:
-        raise ArgumentError(f"lengths: expected a comma list, got {value!r}")
+        raise ArgumentError(f"{key}: expected a comma list, got {value!r}")
     if not tokens:
-        raise ArgumentError("lengths: need at least one length")
+        raise ArgumentError(f"{key}: need at least one value")
+    return tokens
+
+
+def parse_lengths(value):
+    """Parse "100,200,500" (or a JSON list) into a tuple of ints."""
     out = []
-    for tok in tokens:
-        try:
-            length = int(tok)
-        except (TypeError, ValueError):
-            raise ArgumentError(f"lengths: {tok!r} is not an integer") from None
+    for tok in _comma_list(value, "lengths"):
+        length = _as_int(tok, "lengths")
         if length < 2:
             raise ArgumentError(f"lengths: must be >= 2, got {length}")
         out.append(length)
@@ -106,10 +128,10 @@ def parse_tau_grid(value):
         parts = value
     else:
         raise ArgumentError(f"tau: expected start:stop:count, got {value!r}")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except (TypeError, ValueError):
-        raise ArgumentError(f"tau: could not parse {value!r}") from None
+    start, stop = _as_float(parts[0], "tau"), _as_float(parts[1], "tau")
+    count = _as_int(parts[2], "tau count")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ArgumentError(f"tau: start and stop must be finite, got {value!r}")
     if start < 0:
         raise ArgumentError(f"tau: start must be >= 0, got {start}")
     if stop < start:
@@ -121,19 +143,7 @@ def parse_tau_grid(value):
 
 def parse_tau_list(value):
     """Parse "0.1,0.5,2" (or a JSON list) into a tuple of floats."""
-    if isinstance(value, str):
-        tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-    elif isinstance(value, (list, tuple)):
-        tokens = value
-    else:
-        raise ArgumentError(f"tau_list: expected a comma list, got {value!r}")
-    if not tokens:
-        raise ArgumentError("tau_list: need at least one value")
-    try:
-        taus = tuple(float(tok) for tok in tokens)
-    except (TypeError, ValueError):
-        raise ArgumentError(f"tau_list: could not parse {value!r}") from None
-    return taus
+    return tuple(_as_float(tok, "tau_list") for tok in _comma_list(value, "tau_list"))
 
 
 def grid_taus(grid):
@@ -197,24 +207,19 @@ def resolve_config(args, command):
             taus = taus + IR_PLATEAU_TAUS
         explicit = False
 
-    # --threads is accepted and validated for compatibility; it has no effect.
-    threads = pick("threads")
-    if threads is not None and int(threads) < 1:
-        raise ArgumentError(f"threads: must be >= 1, got {threads!r}")
+    out = pick("out")
+    if out is not None and not isinstance(out, str):
+        raise ArgumentError(f"out: expected a path, got {out!r}")
     nmax = pick("nmax")
     return RunConfig(
         model=model,
         lengths=lengths,
         taus=taus,
         explicit_taus=explicit,
-        out=pick("out"),
+        out=out,
         format=pick("format") or "csv",
-        nmax=DEFAULT_NMAX if nmax is None else int(nmax),
+        nmax=DEFAULT_NMAX if nmax is None else _as_int(nmax, "nmax"),
     )
-
-
-def _format_float(value):
-    return f"{value:.17g}"
 
 
 def _csv_cell(value):
@@ -224,11 +229,14 @@ def _csv_cell(value):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return _format_float(float(value))
+    return f"{float(value):.17g}"
 
 
 def write_rows(out, fmt, header, rows):
-    """Write rows as CSV (17-digit floats, \\n endings) or JSON objects."""
+    """Write rows as CSV (17-digit floats, \\n endings) or JSON objects.
+
+    A path that cannot be written raises ArgumentError (exit code 2).
+    """
     if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_csv_cell(value) for value in row) for row in rows)
@@ -238,9 +246,12 @@ def write_rows(out, fmt, header, rows):
         text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "wb") as handle:
             handle.write(text.encode("utf-8"))
+    except OSError as err:
+        raise ArgumentError(f"out: cannot write {out!r}: {err.strerror or err}") from None
 
 
 def _decompositions(config):
@@ -371,7 +382,6 @@ def build_parser():
             p.add_argument("--tau-list", dest="tau_list", help="comma list of tau values")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
         p.add_argument("--config", help="flat JSON config file; flags override it")
 
     add_scan_flags(

@@ -29,13 +29,10 @@ import numpy as np
 
 from . import lintri
 from .errors import ArgumentError
-from .lintri import KrylovState, TridiagonalOperator
-from .models import REDUCED_MAX_LENGTH, ModelKind, reduced_diagonal
+from .models import REDUCED_MAX_LENGTH, ModelKind, reduced_diagonal, site_spins
 
 __all__ = [
-    "KrylovState",
     "ScanRow",
-    "propagate",
     "complexity",
     "renyi2_tridiag",
     "renyi2_dense",
@@ -66,11 +63,6 @@ class ScanRow:
             raise ArgumentError("K must be nonnegative")
         if self.chi is not None and not -1e-10 <= self.chi <= 1.0 + 1e-10:
             raise ArgumentError(f"chi out of [0, 1]: {self.chi!r}")
-
-
-def propagate(spec, tau):
-    """Normalized Krylov wavepacket at imaginary time tau."""
-    return lintri.expm_action(spec.tridiag, tau)
 
 
 def complexity(state):
@@ -125,9 +117,7 @@ def renyi2_dense(model, taus):
         raise ArgumentError("tau must be nonnegative")
     length = model.length
     diag = reduced_diagonal(model)  # enforces the L <= 14 cap
-    states = np.arange(2**length)
-    bits = (states[:, None] >> np.arange(length)) & 1
-    magnetization_sq = (length - 2 * bits.sum(axis=1)).astype(float) ** 2
+    magnetization_sq = site_spins(length).sum(axis=1) ** 2
     # Uniform initial amplitudes cancel in the ratio; shift the diagonal
     # so the elementwise exponential cannot overflow at large tau.
     shifted = diag - diag.min()
@@ -172,7 +162,7 @@ def moments_from_tridiag(tri, n_max):
     return np.array(moments[: n_max + 1])
 
 
-def scan_point(spec, decomposition, taus, with_chi=True):
+def scan_point(spec, decomposition, taus):
     """Scan rows of one length over ``taus``, from one batched propagation.
 
     Pure function of (spec, decomposition, taus); rows come in the order
@@ -183,11 +173,11 @@ def scan_point(spec, decomposition, taus, with_chi=True):
     states = lintri.expm_from_eig(decomposition, taus)
     if model.kind is ModelKind.NN:
         norm = model.length - 1
-        dense = with_chi and model.length <= REDUCED_MAX_LENGTH
+        dense = model.length <= REDUCED_MAX_LENGTH
         chis = renyi2_dense(model, taus) if dense else [None] * len(states)
     else:
         norm = model.length
-        chis = [renyi2_tridiag(spec, state) if with_chi else None for state in states]
+        chis = [renyi2_tridiag(spec, state) for state in states]
     rows = []
     for state, chi in zip(states, chis):
         k = complexity(state)

@@ -8,14 +8,14 @@ recurrence
 
 builds an orthonormal Krylov basis in which H is tridiagonal.  Full
 reorthogonalization (projecting each new vector against every stored
-basis vector, twice) is the default: the models used here have clustered
+basis vector, twice) is always on: the models used here have clustered
 spectra for which plain Lanczos loses orthogonality within a few steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class OperatorHandle:
 
 @dataclass(frozen=True)
 class LanczosResult:
-    """Lanczos coefficients, optional stored basis, and termination flag.
+    """Lanczos coefficients, Krylov basis, and termination flag.
 
     ``b`` excludes b_0 (identically zero); when the recursion terminates,
     len(a) = len(b) + 1.
@@ -48,7 +48,7 @@ class LanczosResult:
 
     a: np.ndarray
     b: np.ndarray
-    basis: Optional[list]
+    basis: list
     terminated: bool
 
 
@@ -68,34 +68,21 @@ def operator_from_diagonal(diagonal):
     return OperatorHandle(dim=diagonal.size, apply=lambda v: diagonal * v)
 
 
-def check_operator_symmetry(op, probes=8, seed=0):
-    """Max asymmetry |<u, H v> - <H u, v>| over random unit probe pairs."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(probes):
-        u = rng.standard_normal(op.dim)
-        v = rng.standard_normal(op.dim)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        worst = max(worst, abs(u @ op.apply(v) - op.apply(u) @ v))
-    return worst
-
-
-def run_lanczos(op, v0, max_steps=None, reorth=True, store_basis=True):
+def run_lanczos(op, v0):
     """Run the Lanczos recursion from a unit seed vector.
+
+    Every new vector is projected against the whole stored basis twice
+    (full reorthogonalization), and the recursion runs until the Krylov
+    space closes or reaches op.dim vectors.
 
     Args:
         op: OperatorHandle (symmetric).
         v0: unit seed vector (within 1e-12).
-        max_steps: cap on the number of basis vectors (default: op.dim).
-        reorth: project each new vector against the stored basis twice
-            (full reorthogonalization).  Requires basis storage.
-        store_basis: keep the Krylov vectors in the result.
 
     Returns:
-        LanczosResult; ``terminated`` is True when some b_n fell below
-        TERMINATION_RTOL relative to the running spectral scale, i.e. the
-        Krylov space closed before max_steps.
+        LanczosResult with the Krylov basis; ``terminated`` is True when
+        some b_n fell below TERMINATION_RTOL relative to the running
+        spectral scale, i.e. the Krylov space closed.
 
     Raises:
         ArgumentError: on dimension mismatch or a non-unit seed.
@@ -107,44 +94,35 @@ def run_lanczos(op, v0, max_steps=None, reorth=True, store_basis=True):
         )
     if abs(np.linalg.norm(v0) - 1.0) > 1e-12:
         raise ArgumentError("seed vector must have unit norm (1e-12)")
-    if max_steps is None:
-        max_steps = op.dim
-    if not 1 <= max_steps <= op.dim:
-        raise ArgumentError(f"max_steps must lie in [1, {op.dim}]")
-    if reorth and not store_basis:
-        raise ArgumentError("full reorthogonalization requires basis storage")
 
     a = []
     b = []
-    basis = [v0.copy()] if store_basis else None
+    basis = [v0.copy()]
     current = v0.copy()
     previous = np.zeros_like(v0)
     beta = 0.0
     scale = 1.0
     terminated = False
 
-    for step in range(max_steps):
+    for step in range(op.dim):
         w = np.asarray(op.apply(current), dtype=float)
         alpha = float(current @ w)
         a.append(alpha)
         w = w - alpha * current - beta * previous
-        if reorth:
-            stack = np.array(basis)
-            for _ in range(2):
-                w -= stack.T @ (stack @ w)
+        stack = np.array(basis)
+        for _ in range(2):
+            w -= stack.T @ (stack @ w)
         beta = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha), beta)
-        if step == max_steps - 1:
-            terminated = beta < TERMINATION_RTOL * scale
-            break
         if beta < TERMINATION_RTOL * scale:
             terminated = True
+            break
+        if step == op.dim - 1:
             break
         b.append(beta)
         previous = current
         current = w / beta
-        if store_basis:
-            basis.append(current)
+        basis.append(current)
 
     return LanczosResult(
         a=np.array(a), b=np.array(b), basis=basis, terminated=terminated

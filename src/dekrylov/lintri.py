@@ -25,6 +25,9 @@ from .errors import ArgumentError, LinearDependenceError
 # Taus per matrix product in expm_from_eig: one product per block keeps
 # the (dim, block) work arrays small whatever the length of the tau grid.
 TAU_BLOCK = 64
+# Relative residual norm under which orthonormalize declares a vector
+# dependent on its predecessors.
+DEPENDENCE_RTOL = 1e-12
 
 
 def _readonly(arr):
@@ -99,10 +102,6 @@ class EigenDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
         object.__setattr__(self, "vectors", _readonly(self.vectors))
-
-    @property
-    def dim(self):
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -207,18 +206,7 @@ def expm_action(op, tau):
     return expm_from_eig(eig_tridiag(op), [tau])[0]
 
 
-def expm_e0_scaled(op, tau):
-    """Unnormalized propagation, split into a vector and a log scale.
-
-    Returns (vec, log_scale) such that exp(-tau T) e_0 = e^{log_scale} vec
-    with vec the unit-norm state.  The split form avoids overflow and is
-    what the finite-difference consistency test uses.
-    """
-    state = expm_action(op, tau)
-    return state.psi, state.log_norm
-
-
-def orthonormalize(vectors, dependence_tol=1e-12):
+def orthonormalize(vectors):
     """Two-pass classical Gram-Schmidt orthonormalization.
 
     Each vector is projected against the already-accepted basis twice
@@ -226,9 +214,9 @@ def orthonormalize(vectors, dependence_tol=1e-12):
     1e-12 level even for badly scaled inputs.
 
     Args:
-        vectors: sequence of equal-length real vectors.
-        dependence_tol: a vector whose post-projection norm falls below
-            dependence_tol times its original norm is declared dependent.
+        vectors: sequence of equal-length real vectors.  A vector whose
+            post-projection norm falls below DEPENDENCE_RTOL times its
+            original norm is declared dependent.
 
     Returns:
         List of orthonormal vectors spanning the same space.
@@ -253,7 +241,7 @@ def orthonormalize(vectors, dependence_tol=1e-12):
             for q in basis:
                 w -= (q @ w) * q
         norm = np.linalg.norm(w)
-        if norm <= dependence_tol * original_norm or norm == 0.0:
+        if norm <= DEPENDENCE_RTOL * original_norm or norm == 0.0:
             raise LinearDependenceError(
                 f"vector {idx} is linearly dependent on its predecessors "
                 f"(residual {norm:.3e} vs original {original_norm:.3e})",

@@ -85,7 +85,7 @@ def _check_reduced_length(length):
         )
 
 
-def _site_spins(length):
+def site_spins(length):
     """(2^L, L) array of tau^z = +/-1 values per basis state and site."""
     states = np.arange(2**length)
     bits = (states[:, None] >> np.arange(length)) & 1
@@ -96,17 +96,12 @@ def reduced_diagonal(model):
     """Diagonal of the reduced Hamiltonian in the tau^z product basis."""
     _check_reduced_length(model.length)
     length = model.length
-    spins = _site_spins(length)
+    spins = site_spins(length)
     if model.kind is ModelKind.NN:
         return -np.sum(spins[:, :-1] * spins[:, 1:], axis=1)
     total = spins.sum(axis=1)
     pair_sum = 0.5 * (total**2 - length)  # Sum_{i<j} z_i z_j
     return -(pair_sum - length * (length - 1) / 2.0) / length
-
-
-def build_reduced_hamiltonian(model):
-    """Dense reduced Hamiltonian (diagonal matrix, 2^L x 2^L)."""
-    return np.diag(reduced_diagonal(model))
 
 
 def reduced_initial_state(model):
@@ -116,6 +111,11 @@ def reduced_initial_state(model):
     return DoubledState(
         length=length, sector=Sector.PARITY_REDUCED, amplitudes=amps
     )
+
+
+def log_binomial(n, k):
+    """log C(n, k) via log-gamma, elementwise over integer values 0 <= k <= n."""
+    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
 def kw_transform_nn(length):
@@ -191,10 +191,11 @@ def psi_nn_analytic(length, tau):
         psi[0] = 1.0
         return KrylovState(tau=float(tau), psi=psi)
     n = np.arange(length)
-    log_binom = (
-        gammaln(length) - gammaln(n + 1.0) - gammaln(length - n.astype(float))
+    log_psi2 = (
+        log_binomial(length - 1, n)
+        + n * math.log(lam)
+        + (length - 1 - n) * math.log1p(-lam)
     )
-    log_psi2 = log_binom + n * math.log(lam) + (length - 1 - n) * math.log1p(-lam)
     psi = (-1.0) ** n * np.exp(0.5 * log_psi2)
     psi /= np.linalg.norm(psi)
     return KrylovState(tau=float(tau), psi=psi)

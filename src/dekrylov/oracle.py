@@ -9,8 +9,6 @@ here is performance-sensitive; the caps (4^L path at L <= 6, reduced
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
 
@@ -24,31 +22,23 @@ from .models import (
     build_nn_channel,
     reduced_diagonal,
     reduced_initial_state,
+    site_spins,
 )
 
 DENSE_MAX_LENGTH = 6
 KRYLOV_MAX_LENGTH = 12
 ERROR_STATE_MAX_LENGTH = 8
+ERROR_STATE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class DenseSuperoperator:
-    """A channel as an explicit dense matrix on the doubled space."""
+def _layer_agreement_spins(length):
+    """(4^L, L) array of z_i^u z_i^l = +/-1, +1 where the two layers agree.
 
-    length: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.length > DENSE_MAX_LENGTH:
-            raise ArgumentError(
-                f"dense superoperators are capped at L <= {DENSE_MAX_LENGTH}"
-            )
-        matrix = np.array(self.matrix, dtype=float)
-        size = 4**self.length
-        if matrix.shape != (size, size):
-            raise ArgumentError(f"matrix shape {matrix.shape} != ({size}, {size})")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+    Doubled index i = upper + 2^L lower; the product is the tau^z value of
+    the bit string upper xor lower.
+    """
+    indices = np.arange(4**length)
+    return site_spins(length)[(indices & (2**length - 1)) ^ (indices >> length)]
 
 
 def doubled_hamiltonian_diagonal(model):
@@ -61,11 +51,7 @@ def doubled_hamiltonian_diagonal(model):
     length = model.length
     if length > DENSE_MAX_LENGTH:
         raise ArgumentError(f"doubled dense path is capped at L <= {DENSE_MAX_LENGTH}")
-    indices = np.arange(4**length)
-    upper = (indices[:, None] >> np.arange(length)) & 1
-    lower = (indices[:, None] >> (np.arange(length) + length)) & 1
-    # z_i^u z_i^l per site: +1 when the two layers agree.
-    zz = 1.0 - 2.0 * ((upper + lower) % 2)
+    zz = _layer_agreement_spins(length)
     if model.kind is ModelKind.NN:
         return -np.sum(zz[:, :-1] * zz[:, 1:], axis=1)
     total = zz.sum(axis=1)
@@ -81,10 +67,7 @@ def _per_factor_diagonals(model, p_or_tau):
     these diagonals.
     """
     length = model.length
-    indices = np.arange(4**length)
-    upper = (indices[:, None] >> np.arange(length)) & 1
-    lower = (indices[:, None] >> (np.arange(length) + length)) & 1
-    zz = 1.0 - 2.0 * ((upper + lower) % 2)
+    zz = _layer_agreement_spins(length)
     factors = []
     if model.kind is ModelKind.NN:
         p = p_or_tau
@@ -131,19 +114,21 @@ def channel_vs_exponential(model, p_or_tau):
 
 
 def dense_superoperator(model, p_or_tau):
-    """The full channel matrix, built from the flattened Kraus expansion.
+    """The full 4^L x 4^L channel matrix, from the flattened Kraus expansion.
 
     Independent of channel_vs_exponential's per-factor product: this
     route goes through the explicit Kraus terms and the doubled sign
     rule, so the two constructions validate each other.
     """
+    if model.length > DENSE_MAX_LENGTH:
+        raise ArgumentError(
+            f"dense superoperators are capped at L <= {DENSE_MAX_LENGTH}"
+        )
     if model.kind is ModelKind.NN:
         channel = build_nn_channel(model.length, p_or_tau)
     else:
         channel = build_ir_channel(model.length, p_or_tau)
-    return DenseSuperoperator(
-        length=model.length, matrix=doubled.channel_matrix(channel)
-    )
+    return doubled.channel_matrix(channel)
 
 
 def expm_elementwise_vs_generic(model, tau):
@@ -218,7 +203,7 @@ def _reachable_supports(masks, steps):
     return reached
 
 
-def error_state_interpretation_check(model, n, tol=1e-8):
+def error_state_interpretation_check(model, n):
     """Verify |K_n> is an n-error state with lower errors projected out.
 
     Applying a product of ZZ error operators to the uniform initial
@@ -226,7 +211,7 @@ def error_state_interpretation_check(model, n, tol=1e-8):
     supports, so the span of <= n errors is spanned by the Walsh vectors
     of the supports reachable in <= n steps.  The check passes when the
     residual of |K_n> outside the <= n span and its projection onto the
-    <= n-1 span both have norm below ``tol``.
+    <= n-1 span both have norm below ERROR_STATE_TOL.
     """
     length = model.length
     if length > ERROR_STATE_MAX_LENGTH:
@@ -251,5 +236,6 @@ def error_state_interpretation_check(model, n, tol=1e-8):
         np.linalg.norm([walsh(s) @ kn for s in lower]) if lower else 0.0
     )
     return (
-        float(np.linalg.norm(residual)) < tol and float(lower_overlap) < tol
+        float(np.linalg.norm(residual)) < ERROR_STATE_TOL
+        and float(lower_overlap) < ERROR_STATE_TOL
     )

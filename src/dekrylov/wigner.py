@@ -42,53 +42,30 @@ from scipy.special import gammaln
 
 from .errors import ArgumentError, DomainError
 from .lintri import TridiagonalOperator, eig_tridiag
+from .models import log_binomial
 
 DIRECT_SUM_MAX_TWO_S = 40  # s <= 20 for the factorial k-sum route
 STABLE_MAX_TWO_S = 600  # s <= 300, matrix dimension 601
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number as (sign, log|value|); sign 0 encodes exact zero."""
-
-    sign: int
-    log_magnitude: float
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ArgumentError("sign must be -1, 0 or +1")
-
-    @classmethod
-    def from_float(cls, value):
-        if value == 0.0:
-            return cls(sign=0, log_magnitude=-math.inf)
-        return cls(sign=1 if value > 0 else -1, log_magnitude=math.log(abs(value)))
-
-    def to_float(self):
-        return 0.0 if self.sign == 0 else self.sign * math.exp(self.log_magnitude)
 
 
 def signed_logsumexp(log_magnitudes, signs):
     """Sum of signed log-domain terms under a single max-exponent shift.
 
     Summation order is the array order (fixed, bitwise deterministic).
-    Returns a SignedLogValue.
+    Returns (sign, log_magnitude) of the sum; sign 0 encodes exact zero.
     """
     log_magnitudes = np.asarray(log_magnitudes, dtype=float)
     signs = np.asarray(signs, dtype=float)
     live = (signs != 0) & np.isfinite(log_magnitudes)
     if not np.any(live):
-        return SignedLogValue(sign=0, log_magnitude=-math.inf)
+        return 0, -math.inf
     shift = float(np.max(log_magnitudes[live]))
     total = float(
         np.sum(np.where(live, signs * np.exp(log_magnitudes - shift), 0.0))
     )
     if total == 0.0:
-        return SignedLogValue(sign=0, log_magnitude=-math.inf)
-    return SignedLogValue(
-        sign=1 if total > 0 else -1,
-        log_magnitude=shift + math.log(abs(total)),
-    )
+        return 0, -math.inf
+    return (1 if total > 0 else -1), shift + math.log(abs(total))
 
 
 def _twice(value, name):
@@ -96,11 +73,6 @@ def _twice(value, name):
     if abs(2.0 * value - doubled) > 1e-9:
         raise ArgumentError(f"{name} must be integer or half-integer, got {value!r}")
     return int(doubled)
-
-
-def log_binomial(n, k):
-    """log C(n, k) via log-gamma (n, k integers, 0 <= k <= n)."""
-    return float(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -181,15 +153,14 @@ def wigner_d(s, m_prime, m, theta):
             sign *= (-1) ** sin_power
         logs.append(log_mag)
         signs.append(sign)
-    return signed_logsumexp(logs, signs).to_float()
+    sign, log_mag = signed_logsumexp(logs, signs)
+    return 0.0 if sign == 0 else sign * math.exp(log_mag)
 
 
 @functools.lru_cache(maxsize=16)
 def _sy_decomposition(two_s):
     """Eigendecomposition of the real symmetric image of S_y (cached)."""
     dim = two_s + 1
-    if dim == 1:
-        return eig_tridiag(TridiagonalOperator(diag=np.zeros(1), offdiag=np.zeros(0)))
     k = np.arange(dim - 1, dtype=float)
     beta = 0.5 * np.sqrt((k + 1.0) * (two_s - k))
     return eig_tridiag(TridiagonalOperator(diag=np.zeros(dim), offdiag=beta))
@@ -249,11 +220,7 @@ def _ir_amplitude_data(length):
     with np.errstate(divide="ignore"):
         log_d = np.log(np.abs(dmat))
     m_prime = length / 2.0 - np.arange(length + 1)
-    log_binom = (
-        gammaln(length + 1.0)
-        - gammaln(length / 2.0 + m_prime + 1.0)
-        - gammaln(length / 2.0 - m_prime + 1.0)
-    )
+    log_binom = log_binomial(length, length / 2.0 + m_prime)
     m_prime_sq = m_prime**2
     for arr in (signs, log_d, log_binom, m_prime_sq):
         arr.setflags(write=False)
@@ -267,26 +234,14 @@ def psi_ir_exact_profile(length, tau):
         raise ArgumentError("tau must be nonnegative")
     signs, log_d, log_binom, msq = _ir_amplitude_data(length)
     tau_weight = 2.0 * msq * tau / length
-    denominator = signed_logsumexp(log_binom + 2.0 * tau_weight, np.ones(length + 1))
-    half_log_den = 0.5 * denominator.log_magnitude
+    _, log_den = signed_logsumexp(log_binom + 2.0 * tau_weight, np.ones(length + 1))
+    half_log_den = 0.5 * log_den
     term_logs = log_d + (0.5 * log_binom + tau_weight)[:, None]
     out = np.empty(length // 2 + 1)
     for n in range(length // 2 + 1):
-        numerator = signed_logsumexp(term_logs[:, n], signs[:, n])
-        out[n] = (
-            (-1.0) ** n
-            * numerator.sign
-            * math.exp(numerator.log_magnitude - half_log_den)
-        )
+        sign, log_num = signed_logsumexp(term_logs[:, n], signs[:, n])
+        out[n] = (-1.0) ** n * sign * math.exp(log_num - half_log_den)
     return out
-
-
-def psi_ir_exact(length, n, tau):
-    """Exact IR amplitude psi_n(tau) (even L <= 600)."""
-    _check_ir_length(length)
-    if not 0 <= n <= length // 2:
-        raise ArgumentError(f"n must lie in [0, {length // 2}]")
-    return float(psi_ir_exact_profile(length, tau)[n])
 
 
 def psi_ir_asymptotic_profile(length):
@@ -294,18 +249,5 @@ def psi_ir_asymptotic_profile(length):
     if length % 2 or length < 2:
         raise DomainError("asymptotic IR amplitudes require even L >= 2")
     n = np.arange(length // 2 + 1)
-    log_binom = (
-        gammaln(length + 1.0)
-        - gammaln(2.0 * n + 1.0)
-        - gammaln(length - 2.0 * n + 1.0)
-    )
+    log_binom = log_binomial(length, 2.0 * n)
     return (-1.0) ** n * np.exp(0.5 * (log_binom + (1.0 - length) * math.log(2.0)))
-
-
-def psi_ir_asymptotic(length, n):
-    """Asymptotic amplitude (-1)^n sqrt(C(L, 2n) 2^{1-L})."""
-    if length % 2 or length < 2:
-        raise DomainError("asymptotic IR amplitudes require even L >= 2")
-    if not 0 <= n <= length // 2:
-        raise ArgumentError(f"n must lie in [0, {length // 2}]")
-    return float(psi_ir_asymptotic_profile(length)[n])

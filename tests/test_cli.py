@@ -148,8 +148,8 @@ def test_evolve_ir_late_taus_reach_the_plateau(tmp_path):
     assert float(rows[-1]["K_norm"]) == pytest.approx(0.25, abs=1e-6)
 
 
-def test_threads_flag_starts_no_threads(tmp_path, monkeypatch):
-    """--threads is accepted but every scan point runs on the calling thread."""
+def test_evolve_starts_no_threads(tmp_path, monkeypatch):
+    """Every scan point runs on the calling thread."""
     before = threading.active_count()
     seen = []
     original = cli.scan_point
@@ -159,9 +159,7 @@ def test_threads_flag_starts_no_threads(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "scan_point", probe)
-    code, _ = run_cli(
-        ["evolve", "--model", "ir", "--lengths", "100", "--threads", "8"], tmp_path
-    )
+    code, _ = run_cli(["evolve", "--model", "ir", "--lengths", "100"], tmp_path)
     assert code == 0 and seen
     assert max(seen) == before
     assert threading.active_count() == before
@@ -250,6 +248,22 @@ def test_renyi2_starts_at_one_over_l(tmp_path):
             assert float(row["chi"]) == pytest.approx(1 / int(row["L"]), abs=1e-12)
 
 
+@pytest.mark.parametrize("model, lengths", [("ir", "8,12"), ("nn", "8,14")])
+def test_renyi2_and_evolve_write_the_same_chi_bytes(model, lengths, tmp_path):
+    """The two commands keep separate chi loops; their bytes must agree."""
+    grid = ["--model", model, "--lengths", lengths, "--tau", "0:3:31"]
+    code, evolve_text = run_cli(["evolve"] + grid, tmp_path, "evolve.csv")
+    assert code == 0
+    code, renyi2_text = run_cli(["renyi2"] + grid, tmp_path, "renyi2.csv")
+    assert code == 0
+
+    def chi_cells(text):
+        return [(r["L"], r["tau"], r["chi"]) for r in rows_of(text)]
+
+    assert len(chi_cells(renyi2_text)) == 62
+    assert chi_cells(evolve_text) == chi_cells(renyi2_text)
+
+
 def test_renyi2_dense_cap_is_a_clean_error(capsys):
     assert cli.main(["renyi2", "--model", "nn", "--lengths", "16"]) == 2
     assert "14" in capsys.readouterr().err
@@ -261,7 +275,7 @@ def test_renyi2_dense_cap_is_a_clean_error(capsys):
 def test_config_file_merges_under_flags(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(
-        json.dumps({"model": "nn", "lengths": [4, 6], "tau_list": [0.5], "threads": 2})
+        json.dumps({"model": "nn", "lengths": [4, 6], "tau_list": [0.5]})
     )
     out = tmp_path / "a.csv"
     code = cli.main(["evolve", "--config", str(config), "--out", str(out)])
@@ -281,6 +295,44 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     config.write_text(json.dumps({"model": "nn", "taus": [0.5]}))
     assert cli.main(["evolve", "--config", str(config)]) == 2
     assert "taus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, options, flags",
+    [
+        ("moments", {"model": "nn", "lengths": [4], "nmax": "x"}, []),
+        ("moments", {"model": "nn", "lengths": [4], "nmax": 1.7}, []),
+        ("evolve", {"model": "nn", "lengths": [4.5], "tau_list": [0.5]}, []),
+        ("evolve", {"model": "nn", "lengths": [4], "tau_list": [0.5], "out": 7}, []),
+        ("evolve", {"model": "nn", "lengths": [4]}, ["--tau", "0:1e400:3"]),
+        ("evolve", {"model": "nn", "lengths": [4], "tau_list": [True]}, []),
+    ],
+    ids=[
+        "nmax-string",
+        "nmax-fraction",
+        "lengths-fraction",
+        "out-number",
+        "tau-overflow",
+        "tau-boolean",
+    ],
+)
+def test_config_values_get_the_flag_checks(command, options, flags, tmp_path, capsys):
+    """Wrong-typed, fractional and non-finite values are one clean error."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(options))
+    assert cli.main([command, "--config", str(config)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_unwritable_out_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert cli.main(["coeffs", "--model", "nn", "--lengths", "4", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out: ")
+    assert not out.exists()
 
 
 def test_malformed_grid_arguments(capsys):

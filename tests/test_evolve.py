@@ -11,13 +11,12 @@ from dekrylov.evolve import (
     ScanRow,
     complexity,
     moments_from_tridiag,
-    propagate,
     renyi2_dense,
     renyi2_tridiag,
     scan_point,
     survival_moments_nn,
 )
-from dekrylov.lintri import KrylovState, TridiagonalOperator, eig_tridiag
+from dekrylov.lintri import KrylovState, TridiagonalOperator, eig_tridiag, expm_action
 from dekrylov.models import ModelKind, ModelSpec, analytic_lanczos, nn_lambda
 
 
@@ -39,7 +38,7 @@ def test_complexity_counts_mean_position():
 
 def test_propagation_starts_at_the_seed():
     spec = analytic_lanczos(ModelSpec(ModelKind.IR, 8))
-    state = propagate(spec, 0.0)
+    state = expm_action(spec.tridiag, 0.0)
     assert_allclose(state.psi, np.eye(spec.krylov_dim)[0], atol=1e-14)
 
 
@@ -49,7 +48,7 @@ def test_complexity_is_nondecreasing_in_tau(spec):
     """Imaginary-time cooling never moves the packet back toward the seed."""
     kspec = analytic_lanczos(spec)
     taus = np.linspace(0.0, 10.0, 101)
-    values = [complexity(propagate(kspec, t)) for t in taus]
+    values = [complexity(expm_action(kspec.tridiag, t)) for t in taus]
     assert np.all(np.diff(values) >= -1e-10)
 
 
@@ -62,7 +61,7 @@ def test_nn_normalized_complexity_is_length_free(l1, l2, tau):
     rows = []
     for length in (l1, l2):
         kspec = analytic_lanczos(ModelSpec(ModelKind.NN, length))
-        rows += scan_point(kspec, eig_tridiag(kspec.tridiag), [tau], with_chi=False)
+        rows += scan_point(kspec, eig_tridiag(kspec.tridiag), [tau])
     assert rows[0].k_norm == pytest.approx(rows[1].k_norm, abs=1e-11)
     assert rows[0].k_norm == pytest.approx(nn_lambda(tau), abs=1e-11)
 
@@ -75,7 +74,7 @@ def test_nn_normalized_complexity_is_length_free(l1, l2, tau):
 def test_renyi2_routes_agree_for_ir(length, tau):
     spec = ModelSpec(ModelKind.IR, length)
     kspec = analytic_lanczos(spec)
-    tri = renyi2_tridiag(kspec, propagate(kspec, tau))
+    tri = renyi2_tridiag(kspec, expm_action(kspec.tridiag, tau))
     dense = renyi2_dense(spec, tau)
     assert tri == pytest.approx(dense, abs=1e-12)
 
@@ -96,7 +95,7 @@ def test_renyi2_is_bounded_and_starts_at_one_over_l(kind, length, tau):
 def test_renyi2_tridiag_rejects_nn():
     kspec = analytic_lanczos(ModelSpec(ModelKind.NN, 6))
     with pytest.raises(ArgumentError):
-        renyi2_tridiag(kspec, propagate(kspec, 0.5))
+        renyi2_tridiag(kspec, expm_action(kspec.tridiag, 0.5))
 
 
 def test_renyi2_dense_length_cap():
@@ -173,7 +172,6 @@ def test_scan_point_chi_handling():
     big = analytic_lanczos(ModelSpec(ModelKind.NN, 20))
     dec = eig_tridiag(big.tridiag)
     assert scan_point(big, dec, [0.5])[0].chi is None  # dense route capped
-    assert scan_point(big, dec, [0.5], with_chi=False)[0].chi is None
     small = analytic_lanczos(ModelSpec(ModelKind.NN, 8))
     assert scan_point(small, eig_tridiag(small.tridiag), [0.5])[0].chi is not None
 

@@ -8,8 +8,6 @@ from numpy.testing import assert_allclose
 
 from dekrylov.errors import ArgumentError
 from dekrylov.lanczos import (
-    OperatorHandle,
-    check_operator_symmetry,
     operator_from_dense,
     operator_from_diagonal,
     run_lanczos,
@@ -79,35 +77,6 @@ def test_seed_aligned_with_eigenvector_terminates_immediately():
     assert_allclose(result.a, [1.0])
 
 
-def test_max_steps_truncates_the_recursion():
-    matrix, v0 = random_problem(8, 7)
-    result = run_lanczos(operator_from_dense(matrix), v0, max_steps=3)
-    assert len(result.a) == 3
-    assert len(result.b) == 2
-    assert len(result.basis) == 3
-
-
-def test_store_basis_false_drops_vectors():
-    matrix, v0 = random_problem(5, 3)
-    result = run_lanczos(
-        operator_from_dense(matrix), v0, reorth=False, store_basis=False
-    )
-    assert result.basis is None
-    with_basis = run_lanczos(operator_from_dense(matrix), v0, reorth=False)
-    assert_allclose(result.a, with_basis.a, atol=0)
-    assert_allclose(result.b, with_basis.b, atol=0)
-    with pytest.raises(ArgumentError):  # reorthogonalization needs the basis
-        run_lanczos(operator_from_dense(matrix), v0, store_basis=False)
-
-
-def test_reorthogonalization_is_a_refinement_not_a_change():
-    matrix, v0 = random_problem(6, 11)
-    loose = run_lanczos(operator_from_dense(matrix), v0, reorth=False)
-    tight = run_lanczos(operator_from_dense(matrix), v0, reorth=True)
-    assert_allclose(loose.a, tight.a, atol=1e-8)
-    assert_allclose(loose.b, tight.b, atol=1e-8)
-
-
 def test_seed_validation():
     op = operator_from_diagonal(np.zeros(4))
     with pytest.raises(ArgumentError):
@@ -123,10 +92,3 @@ def test_operator_handles_apply_their_maps():
     assert_allclose(op.apply(np.ones(3)), diag)
     dense = operator_from_dense(np.diag(diag))
     assert_allclose(dense.apply(np.ones(3)), diag)
-
-
-def test_symmetry_probe_separates_symmetric_from_not():
-    matrix, _ = random_problem(5, 19)
-    assert check_operator_symmetry(operator_from_dense(matrix)) < 1e-12
-    shear = OperatorHandle(3, lambda v: np.array([v[1], 0.0, v[2]]))
-    assert check_operator_symmetry(shear) > 0.1

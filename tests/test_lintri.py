@@ -14,7 +14,6 @@ from dekrylov.lintri import (
     TridiagonalOperator,
     eig_tridiag,
     expm_action,
-    expm_e0_scaled,
     expm_from_eig,
     orthonormalize,
 )
@@ -177,7 +176,8 @@ def test_batched_kernel_relaxes_onto_ground_state(op, margin):
 def test_scaled_propagation_splits_scale():
     op = TridiagonalOperator(diag=np.array([-3.0, 2.0]), offdiag=np.array([0.7]))
     for tau in (0.0, 0.5, 2.0):
-        vec, log_scale = expm_e0_scaled(op, tau)
+        state = expm_action(op, tau)
+        vec, log_scale = state.psi, state.log_norm
         full = scipy.linalg.expm(-tau * op.to_dense())[:, 0]
         assert_allclose(np.exp(log_scale) * vec, full, rtol=1e-12, atol=1e-14)
         assert np.max(np.abs(vec)) <= 1.0 + 1e-12
@@ -188,9 +188,9 @@ def test_scaled_propagation_splits_scale():
 def test_propagation_satisfies_imaginary_time_ode(op, tau):
     """Central difference of exp(-tau T) e0 equals -T exp(-tau T) e0."""
     h = 1e-4
-    states = [expm_e0_scaled(op, t) for t in (tau - h, tau, tau + h)]
-    base = states[1][1]
-    g = [np.exp(ls - base) * vec for vec, ls in states]
+    states = [expm_action(op, t) for t in (tau - h, tau, tau + h)]
+    base = states[1].log_norm
+    g = [np.exp(s.log_norm - base) * s.psi for s in states]
     deriv = (g[2] - g[0]) / (2 * h)
     rhs = -op.matvec(g[1])
     norm = 1.0 + np.linalg.norm(op.to_dense(), ord=2)

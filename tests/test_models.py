@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov.errors import ArgumentError, DomainError
-from dekrylov.evolve import complexity, propagate
+from dekrylov.evolve import complexity
+from dekrylov.lintri import expm_action
 from dekrylov.lanczos import operator_from_dense, run_lanczos
 from dekrylov.models import (
     ModelKind,
@@ -17,7 +18,6 @@ from dekrylov.models import (
     area_law_psi,
     build_ir_channel,
     build_nn_channel,
-    build_reduced_hamiltonian,
     k_nn_analytic,
     kw_transform_nn,
     nn_lambda,
@@ -61,12 +61,6 @@ def test_reduced_diagonal_hand_values():
     assert_allclose(nn3, [-2.0, 0.0, 2.0, 0.0, 0.0, 2.0, 0.0, -2.0])
     ir2 = reduced_diagonal(ModelSpec(ModelKind.IR, 2))
     assert_allclose(ir2, [0.0, 1.0, 1.0, 0.0])
-
-
-def test_reduced_hamiltonian_is_diagonal_matrix():
-    spec = ModelSpec(ModelKind.NN, 3)
-    ham = build_reduced_hamiltonian(spec)
-    assert_allclose(ham, np.diag(reduced_diagonal(spec)))
 
 
 def test_reduced_initial_state_is_uniform():
@@ -181,7 +175,7 @@ def test_nn_complexity_is_binomial_mean(length, tau):
 @settings(max_examples=40)
 def test_nn_complexity_matches_tridiagonal_propagation(length, tau):
     spec = analytic_lanczos(ModelSpec(ModelKind.NN, length))
-    assert complexity(propagate(spec, tau)) == pytest.approx(
+    assert complexity(expm_action(spec.tridiag, tau)) == pytest.approx(
         k_nn_analytic(length, tau), abs=1e-9
     )
 

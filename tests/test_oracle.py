@@ -55,13 +55,13 @@ def test_dense_superoperator_action_matches_gather_route(half, p, seed):
     """The assembled 4^L matrix and the per-term action agree on random states."""
     length = 2 * half
     spec = ModelSpec(ModelKind.NN, length)
-    dense = dense_superoperator(spec, p)
+    matrix = dense_superoperator(spec, p)
     channel = build_nn_channel(length, p)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((2**length, 2**length))
     state = vectorize((raw + raw.T) / 2)
     assert_allclose(
-        dense.matrix @ state.amplitudes,
+        matrix @ state.amplitudes,
         apply_channel(channel, state).amplitudes,
         atol=1e-12,
     )
