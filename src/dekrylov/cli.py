@@ -12,11 +12,10 @@ Subcommands map one observable to one plot-ready file:
 Each scan runs one pass per length on the calling thread: one LAPACK
 eigendecomposition and one batched propagation serve every tau of that
 length.  Output is bitwise deterministic across runs, and floats are
-written with 17 significant digits (binary64 round-trip exact).  Config
-file values pass the same checks as flags.  Exit codes: 0 success,
-1 verification failure, 2 invalid arguments or config or an --out path
-that cannot be written, 3 numerical failure (a LAPACK error or a
-numerically dependent vector set).
+written with 17 significant digits (binary64 round-trip exact).  Flags
+are the only input.  Exit codes: 0 success, 1 verification failure,
+2 invalid arguments or an --out path that cannot be written,
+3 numerical failure (a LAPACK error).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import checks, lintri
-from .errors import ArgumentError, LinearDependenceError
+from .errors import ArgumentError
 from .evolve import moments_from_tridiag, renyi2_dense, renyi2_tridiag, scan_point
 from .models import ModelKind, ModelSpec, analytic_lanczos
 
@@ -42,11 +41,6 @@ IR_PLATEAU_TAUS = (5.0, 10.0)
 # Dense-method default lengths for the Renyi-2 crossing plots.
 RENYI2_DEFAULT_LENGTHS = (8, 10, 12, 14)
 DEFAULT_NMAX = 10
-
-_CONFIG_KEYS = frozenset(
-    {"model", "lengths", "tau", "tau_list", "out", "format", "nmax"}
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -68,49 +62,36 @@ class RunConfig:
         for tau in self.taus:
             if not (np.isfinite(tau) and tau >= 0):
                 raise ArgumentError(f"tau: values must be finite and >= 0, got {tau!r}")
-        if self.format not in ("csv", "json"):
-            raise ArgumentError(f"format: expected csv or json, got {self.format!r}")
         if self.nmax < 0:
             raise ArgumentError(f"nmax: must be >= 0, got {self.nmax!r}")
 
 
-def _as_int(value, key):
-    """An int from a flag string or a JSON integer; anything else is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ArgumentError(f"{key}: {value!r} is not an integer")
+def _as_int(text, key):
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise ArgumentError(f"{key}: {value!r} is not an integer") from None
+        raise ArgumentError(f"{key}: {text!r} is not an integer") from None
 
 
-def _as_float(value, key):
-    """A float from a flag string or a JSON number; anything else is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ArgumentError(f"{key}: could not parse {value!r}")
+def _as_float(text, key):
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        raise ArgumentError(f"{key}: could not parse {value!r}") from None
+        raise ArgumentError(f"{key}: could not parse {text!r}") from None
 
 
-def _comma_list(value, key):
-    """Tokens of "a,b,c" or of a JSON list; there must be at least one."""
-    if isinstance(value, str):
-        tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-    elif isinstance(value, (list, tuple)):
-        tokens = value
-    else:
-        raise ArgumentError(f"{key}: expected a comma list, got {value!r}")
+def _comma_list(text, key):
+    """Tokens of "a,b,c"; there must be at least one."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ArgumentError(f"{key}: need at least one value")
     return tokens
 
 
-def parse_lengths(value):
-    """Parse "100,200,500" (or a JSON list) into a tuple of ints."""
+def parse_lengths(text):
+    """Parse "100,200,500" into a tuple of ints."""
     out = []
-    for tok in _comma_list(value, "lengths"):
+    for tok in _comma_list(text, "lengths"):
         length = _as_int(tok, "lengths")
         if length < 2:
             raise ArgumentError(f"lengths: must be >= 2, got {length}")
@@ -118,20 +99,15 @@ def parse_lengths(value):
     return tuple(out)
 
 
-def parse_tau_grid(value):
-    """Parse "start:stop:count" (or a JSON triple) into a grid tuple."""
-    if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ArgumentError(f"tau: expected start:stop:count, got {value!r}")
-    elif isinstance(value, (list, tuple)) and len(value) == 3:
-        parts = value
-    else:
-        raise ArgumentError(f"tau: expected start:stop:count, got {value!r}")
+def parse_tau_grid(text):
+    """Parse "start:stop:count" into a grid tuple."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ArgumentError(f"tau: expected start:stop:count, got {text!r}")
     start, stop = _as_float(parts[0], "tau"), _as_float(parts[1], "tau")
     count = _as_int(parts[2], "tau count")
     if not (np.isfinite(start) and np.isfinite(stop)):
-        raise ArgumentError(f"tau: start and stop must be finite, got {value!r}")
+        raise ArgumentError(f"tau: start and stop must be finite, got {text!r}")
     if start < 0:
         raise ArgumentError(f"tau: start must be >= 0, got {start}")
     if stop < start:
@@ -141,9 +117,9 @@ def parse_tau_grid(value):
     return start, stop, count
 
 
-def parse_tau_list(value):
-    """Parse "0.1,0.5,2" (or a JSON list) into a tuple of floats."""
-    return tuple(_as_float(tok, "tau_list") for tok in _comma_list(value, "tau_list"))
+def parse_tau_list(text):
+    """Parse "0.1,0.5,2" into a tuple of floats."""
+    return tuple(_as_float(tok, "tau_list") for tok in _comma_list(text, "tau_list"))
 
 
 def grid_taus(grid):
@@ -153,53 +129,26 @@ def grid_taus(grid):
     return tuple(float(t) for t in np.linspace(start, stop, count))
 
 
-def _load_config_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as err:
-        raise ArgumentError(f"config: cannot read {path!r}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ArgumentError(f"config: {path!r} is not valid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ArgumentError("config: expected a flat JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ArgumentError(f"config: unknown keys {sorted(unknown)}")
-    return raw
-
-
 def resolve_config(args, command):
-    """Merge config file and flags (flags win) into a RunConfig."""
-    options = _load_config_file(args.config) if args.config else {}
-
-    def pick(key):
-        flag = getattr(args, key, None)
-        return flag if flag is not None else options.get(key)
-
-    model_name = pick("model")
-    if model_name is None:
+    """Turn the parsed flags into a RunConfig, filling in the default grids."""
+    if args.model is None:
         raise ArgumentError("model: required (--model nn|ir)")
-    try:
-        model = ModelKind(model_name)
-    except ValueError:
-        raise ArgumentError(f"model: expected nn or ir, got {model_name!r}") from None
+    model = ModelKind(args.model)
 
-    raw_lengths = pick("lengths")
-    if raw_lengths is not None:
-        lengths = parse_lengths(raw_lengths)
+    if args.lengths is not None:
+        lengths = parse_lengths(args.lengths)
     elif command == "renyi2":
         lengths = RENYI2_DEFAULT_LENGTHS
     else:
         lengths = DEFAULT_LENGTHS[model]
 
-    raw_list = pick("tau_list")
-    raw_grid = pick("tau")
-    if raw_list is not None:
-        taus = parse_tau_list(raw_list)
+    tau_list = getattr(args, "tau_list", None)
+    tau_grid = getattr(args, "tau", None)
+    if tau_list is not None:
+        taus = parse_tau_list(tau_list)
         explicit = True
-    elif raw_grid is not None:
-        taus = grid_taus(parse_tau_grid(raw_grid))
+    elif tau_grid is not None:
+        taus = grid_taus(parse_tau_grid(tau_grid))
         explicit = True
     else:
         taus = grid_taus(DEFAULT_TAU_GRID[model])
@@ -207,18 +156,15 @@ def resolve_config(args, command):
             taus = taus + IR_PLATEAU_TAUS
         explicit = False
 
-    out = pick("out")
-    if out is not None and not isinstance(out, str):
-        raise ArgumentError(f"out: expected a path, got {out!r}")
-    nmax = pick("nmax")
+    nmax = getattr(args, "nmax", None)
     return RunConfig(
         model=model,
         lengths=lengths,
         taus=taus,
         explicit_taus=explicit,
-        out=out,
-        format=pick("format") or "csv",
-        nmax=DEFAULT_NMAX if nmax is None else _as_int(nmax, "nmax"),
+        out=args.out,
+        format=args.format or "csv",
+        nmax=DEFAULT_NMAX if nmax is None else nmax,
     )
 
 
@@ -254,24 +200,22 @@ def write_rows(out, fmt, header, rows):
         raise ArgumentError(f"out: cannot write {out!r}: {err.strerror or err}") from None
 
 
-def _decompositions(config):
-    """Yield (length, spec, eigendecomposition) for each distinct length."""
+def _specs(config):
+    """Yield the closed-form Krylov spec of each distinct length, in order."""
     for length in sorted(set(config.lengths)):
-        spec = analytic_lanczos(ModelSpec(kind=config.model, length=length))
-        yield length, spec, lintri.eig_tridiag(spec.tridiag)
+        yield analytic_lanczos(ModelSpec(kind=config.model, length=length))
 
 
 def cmd_coeffs(config):
     """Lanczos coefficients; b_0 is written as an empty field."""
     rows = []
-    for length in sorted(set(config.lengths)):
-        spec = analytic_lanczos(ModelSpec(kind=config.model, length=length))
+    for spec in _specs(config):
         diag, offdiag = spec.tridiag.diag, spec.tridiag.offdiag
         for n in range(spec.krylov_dim):
             rows.append(
                 (
                     config.model.value,
-                    length,
+                    spec.model.length,
                     n,
                     float(diag[n]),
                     None if n == 0 else float(offdiag[n - 1]),
@@ -286,8 +230,8 @@ def cmd_evolve(config):
     taus = sorted(set(config.taus))
     rows = [
         (config.model.value, row.length, row.tau, row.k, row.k_norm, row.chi)
-        for _, spec, dec in _decompositions(config)
-        for row in scan_point(spec, dec, taus)
+        for spec in _specs(config)
+        for row in scan_point(spec, lintri.eig_tridiag(spec.tridiag), taus)
     ]
     write_rows(
         config.out, config.format, ("model", "L", "tau", "K", "K_norm", "chi"), rows
@@ -303,11 +247,12 @@ def cmd_wavepacket(config):
         )
     taus = sorted(set(config.taus))
     rows = []
-    for length, _, dec in _decompositions(config):
+    for spec in _specs(config):
+        dec = lintri.eig_tridiag(spec.tridiag)
         for state in lintri.expm_from_eig(dec, taus):
             for n, amp in enumerate(state.psi):
                 psi_row = (n, float(amp), float(amp * amp))
-                rows.append((config.model.value, length, state.tau) + psi_row)
+                rows.append((config.model.value, spec.model.length, state.tau) + psi_row)
     write_rows(
         config.out, config.format, ("model", "L", "tau", "n", "psi", "psi2"), rows
     )
@@ -318,19 +263,16 @@ def cmd_renyi2(config):
     """chi over the (L, tau) grid: dense for NN (L <= 14), tridiagonal for IR."""
     taus = sorted(set(config.taus))
     rows = []
-    if config.model is ModelKind.IR:
-        for length, spec, dec in _decompositions(config):
-            for state in lintri.expm_from_eig(dec, taus):
-                rows.append(
-                    (config.model.value, length, state.tau, renyi2_tridiag(spec, state))
-                )
-    else:
-        for length in sorted(set(config.lengths)):
-            chis = renyi2_dense(ModelSpec(kind=config.model, length=length), taus)
-            rows.extend(
-                (config.model.value, length, tau, float(chi))
-                for tau, chi in zip(taus, chis)
-            )
+    for spec in _specs(config):
+        length = spec.model.length
+        if config.model is ModelKind.IR:
+            states = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
+            chis = [renyi2_tridiag(spec, state) for state in states]
+        else:  # the diagonal reduced Hamiltonian needs no propagation pass
+            chis = renyi2_dense(spec.model, taus)
+        rows.extend(
+            (config.model.value, length, tau, float(chi)) for tau, chi in zip(taus, chis)
+        )
     write_rows(config.out, config.format, ("model", "L", "tau", "chi"), rows)
     return 0
 
@@ -338,11 +280,10 @@ def cmd_renyi2(config):
 def cmd_moments(config):
     """Survival moments mu_n from the analytic tridiagonal representation."""
     rows = []
-    for length in sorted(set(config.lengths)):
-        spec = analytic_lanczos(ModelSpec(kind=config.model, length=length))
+    for spec in _specs(config):
         mu = moments_from_tridiag(spec.tridiag, config.nmax)
         for n, value in enumerate(mu):
-            rows.append((config.model.value, length, n, float(value)))
+            rows.append((config.model.value, spec.model.length, n, float(value)))
     write_rows(config.out, config.format, ("model", "L", "n", "mu_n"), rows)
     return 0
 
@@ -382,7 +323,6 @@ def build_parser():
             p.add_argument("--tau-list", dest="tau_list", help="comma list of tau values")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--config", help="flat JSON config file; flags override it")
 
     add_scan_flags(
         sub.add_parser("coeffs", help="Lanczos coefficients a_n, b_n"), with_tau=False
@@ -425,7 +365,7 @@ def main(argv=None):
     except ArgumentError as err:  # DomainError included
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, LinearDependenceError) as err:
+    except np.linalg.LinAlgError as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -36,11 +36,6 @@ PAULI_LETTERS = "IXYZ"
 
 FULL_SPACE_MAX_LENGTH = 7
 
-# Parity of the popcount of every 14-bit word; covers indices up to 4^7.
-_PARITY = np.zeros(1 << 14, dtype=np.int8)
-for _bit in range(14):
-    _PARITY[1 << _bit : 2 << _bit] = _PARITY[: 1 << _bit] ^ 1
-
 
 class Sector(enum.Enum):
     """Basis sector a DoubledState lives in."""
@@ -197,7 +192,7 @@ def apply_channel(channel, state):
         flip, sign = _term_masks(op)
         both_flip = flip | (flip << length)
         both_sign = sign | (sign << length)
-        signs = 1.0 - 2.0 * _PARITY[indices & both_sign]
+        signs = 1.0 - 2.0 * (np.bitwise_count(indices & both_sign) & 1)
         # out[idx ^ F] += w * sign(idx) * vec[idx], gathered form
         out += (weight * signs * vec)[indices ^ both_flip]
     return DoubledState(length=length, sector=Sector.FULL, amplitudes=out)
@@ -214,7 +209,7 @@ def channel_matrix(channel):
         flip, sign = _term_masks(op)
         both_flip = flip | (flip << length)
         both_sign = sign | (sign << length)
-        signs = 1.0 - 2.0 * _PARITY[indices & both_sign]
+        signs = 1.0 - 2.0 * (np.bitwise_count(indices & both_sign) & 1)
         np.add.at(mat, (indices ^ both_flip, indices), weight * signs)
     return mat
 

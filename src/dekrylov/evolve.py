@@ -44,19 +44,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One (model, L, tau) scan point with its observables.
+    """One (L, tau) scan point of a model with its observables.
 
     ``k_norm`` is K/(L-1) for the NN model and K/L for the IR model;
     ``chi`` is None where no exact method applies (NN beyond L = 14).
     """
 
-    kind: ModelKind
     length: int
     tau: float
     k: float
     k_norm: float
     chi: Optional[float]
-    krylov_dim: int
 
     def __post_init__(self):
         if self.k < 0:
@@ -183,13 +181,11 @@ def scan_point(spec, decomposition, taus):
         k = complexity(state)
         rows.append(
             ScanRow(
-                kind=model.kind,
                 length=model.length,
                 tau=state.tau,
                 k=k,
                 k_norm=k / norm,
                 chi=None if chi is None else float(chi),
-                krylov_dim=spec.krylov_dim,
             )
         )
     return rows

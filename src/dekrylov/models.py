@@ -70,12 +70,12 @@ class KrylovSpec:
     """Krylov-space data of a model: dimension and tridiagonal operator."""
 
     model: ModelSpec
-    krylov_dim: int
     tridiag: TridiagonalOperator
 
-    def __post_init__(self):
-        if self.tridiag.dim != self.krylov_dim:
-            raise ArgumentError("tridiag dimension must equal krylov_dim")
+    @property
+    def krylov_dim(self):
+        """Dimension of the Krylov space, the size of the tridiagonal."""
+        return self.tridiag.dim
 
 
 def _check_reduced_length(length):
@@ -153,7 +153,7 @@ def analytic_lanczos(model):
         tridiag = TridiagonalOperator(
             diag=np.zeros(length), offdiag=np.sqrt(steps * (length - steps))
         )
-        return KrylovSpec(model=model, krylov_dim=length, tridiag=tridiag)
+        return KrylovSpec(model=model, tridiag=tridiag)
     n = np.arange(0.0, length // 2 + 1)
     diag = -2.0 * n + 4.0 * n**2 / length - 0.5 + length / 2.0
     m = np.arange(1.0, length // 2 + 1)
@@ -161,7 +161,7 @@ def analytic_lanczos(model):
         2.0 * m * (length - 2.0 * m + 1.0) * (2.0 * m - 1.0) * (length - 2.0 * m + 2.0)
     ) / (2.0 * length)
     tridiag = TridiagonalOperator(diag=diag, offdiag=offdiag)
-    return KrylovSpec(model=model, krylov_dim=length // 2 + 1, tridiag=tridiag)
+    return KrylovSpec(model=model, tridiag=tridiag)
 
 
 def nn_lambda(tau):

@@ -1,4 +1,4 @@
-"""Command-line surface: schemas, golden output, config merge, verify gate."""
+"""Command-line surface: schemas, golden output, argument checks, verify gate."""
 
 import csv
 import io
@@ -12,7 +12,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dekrylov import checks, cli, lintri
-from dekrylov.errors import LinearDependenceError
 from dekrylov.lintri import TridiagonalOperator
 from dekrylov.models import (
     KrylovSpec,
@@ -165,10 +164,7 @@ def test_evolve_starts_no_threads(tmp_path, monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize(
-    "error",
-    [np.linalg.LinAlgError("stev failed to converge"), LinearDependenceError("dependent", 3)],
-)
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("stev failed to converge")])
 def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsys):
     def failing(op):
         raise error
@@ -269,62 +265,7 @@ def test_renyi2_dense_cap_is_a_clean_error(capsys):
     assert "14" in capsys.readouterr().err
 
 
-# ------------------------------------------------------------------- config
-
-
-def test_config_file_merges_under_flags(tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text(
-        json.dumps({"model": "nn", "lengths": [4, 6], "tau_list": [0.5]})
-    )
-    out = tmp_path / "a.csv"
-    code = cli.main(["evolve", "--config", str(config), "--out", str(out)])
-    assert code == 0
-    assert sorted({r["L"] for r in rows_of(out.read_text())}) == ["4", "6"]
-    # an explicit flag wins over the file
-    out2 = tmp_path / "b.csv"
-    code = cli.main(
-        ["evolve", "--config", str(config), "--lengths", "8", "--out", str(out2)]
-    )
-    assert code == 0
-    assert {r["L"] for r in rows_of(out2.read_text())} == {"8"}
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"model": "nn", "taus": [0.5]}))
-    assert cli.main(["evolve", "--config", str(config)]) == 2
-    assert "taus" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "command, options, flags",
-    [
-        ("moments", {"model": "nn", "lengths": [4], "nmax": "x"}, []),
-        ("moments", {"model": "nn", "lengths": [4], "nmax": 1.7}, []),
-        ("evolve", {"model": "nn", "lengths": [4.5], "tau_list": [0.5]}, []),
-        ("evolve", {"model": "nn", "lengths": [4], "tau_list": [0.5], "out": 7}, []),
-        ("evolve", {"model": "nn", "lengths": [4]}, ["--tau", "0:1e400:3"]),
-        ("evolve", {"model": "nn", "lengths": [4], "tau_list": [True]}, []),
-    ],
-    ids=[
-        "nmax-string",
-        "nmax-fraction",
-        "lengths-fraction",
-        "out-number",
-        "tau-overflow",
-        "tau-boolean",
-    ],
-)
-def test_config_values_get_the_flag_checks(command, options, flags, tmp_path, capsys):
-    """Wrong-typed, fractional and non-finite values are one clean error."""
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps(options))
-    assert cli.main([command, "--config", str(config)] + flags) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+# ---------------------------------------------------------------- arguments
 
 
 def test_unwritable_out_is_exit_2(tmp_path, capsys):
@@ -336,10 +277,27 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
 
 
 def test_malformed_grid_arguments(capsys):
-    assert cli.main(["evolve", "--model", "nn", "--tau", "0:2"]) == 2
-    assert cli.main(["evolve", "--model", "nn", "--lengths", "abc"]) == 2
-    assert cli.main(["evolve", "--model", "nn", "--tau-list", "-1"]) == 2
-    capsys.readouterr()
+    """Malformed, fractional and non-finite values are one clean error."""
+    for flags in (
+        ["--tau", "0:2"],
+        ["--tau", "0:1e400:3"],
+        ["--lengths", "abc"],
+        ["--lengths", "4.5"],
+        ["--tau-list", "-1"],
+    ):
+        assert cli.main(["evolve", "--model", "nn"] + flags) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), flags
+
+
+def test_config_flag_is_a_usage_error(capsys):
+    """Flags are the only input; there is no config file."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["evolve", "--model", "nn", "--config", "run.json"])
+    assert info.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -369,7 +327,7 @@ def test_verify_names_failing_check_on_tampered_coefficients(capsys, monkeypatch
             tri = TridiagonalOperator(
                 diag=spec.tridiag.diag, offdiag=spec.tridiag.offdiag * (1 + 1e-6)
             )
-            return KrylovSpec(model=spec.model, krylov_dim=spec.krylov_dim, tridiag=tri)
+            return KrylovSpec(model=spec.model, tridiag=tri)
         return spec
 
     monkeypatch.setattr(checks, "analytic_lanczos", tampered)

@@ -178,6 +178,6 @@ def test_scan_point_chi_handling():
 
 def test_scan_row_validation():
     with pytest.raises(ArgumentError):
-        ScanRow(ModelKind.NN, 4, 0.1, k=-0.2, k_norm=-0.05, chi=None, krylov_dim=4)
+        ScanRow(4, 0.1, k=-0.2, k_norm=-0.05, chi=None)
     with pytest.raises(ArgumentError):
-        ScanRow(ModelKind.NN, 4, 0.1, k=0.2, k_norm=0.05, chi=1.5, krylov_dim=4)
+        ScanRow(4, 0.1, k=0.2, k_norm=0.05, chi=1.5)
