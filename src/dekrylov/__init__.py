@@ -11,7 +11,7 @@ correlator chi(tau).
 
 Module map:
 
-  lintri   LAPACK tridiagonal eigensolver, batched exp(-tau T) e_0, Gram-Schmidt
+  lintri   O(d^2) tridiagonal eigensolver, batched exp(-tau T) e_0, Gram-Schmidt
   doubled  Choi vectorization, Pauli-Kraus channels, parity reduction
   models   the two noise models (NN bonds, infinite range), closed forms,
            and the spin-decoding and log-binomial helpers shared by all

@@ -176,13 +176,39 @@ def check_nn_closed_forms(quick=False):
     )
 
 
+def _seed_overlap_log_error(kind, length):
+    """max_k |log|V[0,k]| - log|c_k|| against the closed-form seed overlaps.
+
+    T is a collective-spin operator, so the overlaps of e_0 with its
+    eigenvectors are binomial: NN, c_k^2 = C(L-1, k) / 2^(L-1); IR, the
+    k-th ascending eigenvalue is L/2 - 2 m^2 / L with m = L/2 - k and
+    c_k^2 = C(L, L/2 + m) (2 - delta_{m0}) / 2^L.
+    """
+    spec = analytic_lanczos(ModelSpec(kind=kind, length=length))
+    seed = lintri.eig_tridiag(spec.tridiag).vectors[0]
+    if kind is ModelKind.NN:
+        log_sq = models.log_binomial(length - 1, np.arange(length)) - (length - 1) * math.log(2.0)
+    else:
+        m = length // 2 - np.arange(length // 2 + 1)
+        log_sq = (
+            models.log_binomial(length, length / 2 + m)
+            + np.log(2.0 - (m == 0))
+            - length * math.log(2.0)
+        )
+    with np.errstate(divide="ignore"):
+        return float(np.max(np.abs(np.log(np.abs(seed)) - 0.5 * log_sq)))
+
+
 def check_ir_exact_amplitudes(quick=False):
     """Signed-log exact IR amplitudes equal tridiagonal propagation.
 
     The L = 500 and 600 points guard the eigensolver: there the seed's
     overlap with the ground state is ~1e-76 to 1e-91, which LAPACK's
-    ``stemr`` and ``stebz`` drivers lose (errors 1e-2 to 0.6) and
-    ``stev`` keeps.
+    ``stemr`` and ``stebz`` drivers lose (errors 1e-2 to 0.6).  Past the
+    Wigner cap, the closed-form seed overlaps guard it without another
+    eigensolver: at IR L = 1200 and 2000 (ground-state overlap ~1e-301)
+    and NN L = 1000, every log|V[0, k]| must match to 1e-8, where
+    ``stemr`` returns exact zeros and ``stebz`` is off by O(100).
     """
     grid = np.linspace(0.0, 3.0, 31)
     large = (0.5, 2.0, 10.0)
@@ -200,9 +226,16 @@ def check_ir_exact_amplitudes(quick=False):
         tol = 1e-6 if length >= 100 else 1e-8
         passed = passed and dev <= tol
         parts.append(f"L={length}: {dev:.2e} (tol {tol:g})")
+    overlap_parts = []
+    for kind, length in ((ModelKind.IR, 1200), (ModelKind.IR, 2000), (ModelKind.NN, 1000)):
+        err = _seed_overlap_log_error(kind, length)
+        passed = passed and err <= 1e-8
+        overlap_parts.append(f"{kind.value.upper()} L={length}: {err:.2e}")
     return passed, (
         "max |psi_tridiag - psi_exact| over tau in [0,3] for L <= 100 and "
         "tau in {0.5, 2, 10} for L >= 500: " + ", ".join(parts)
+        + "; max |log|V[0,k]| - closed-form log overlap| (tol 1e-8): "
+        + ", ".join(overlap_parts)
     )
 
 

@@ -9,19 +9,20 @@ Subcommands map one observable to one plot-ready file:
   moments     survival moments mu_n from the tridiagonal representation
   verify      run the verification suite (quick | full)
 
-Each scan runs one pass per length on the calling thread: one LAPACK
+Each scan runs one pass per length on the calling thread: one O(d^2)
 eigendecomposition and one batched propagation serve every tau of that
 length.  Output is bitwise deterministic across runs, and floats are
 written with 17 significant digits (binary64 round-trip exact).  Flags
 are the only input.  Exit codes: 0 success, 1 verification failure,
 2 invalid arguments or an --out path that cannot be written,
-3 numerical failure (a LAPACK error).
+3 numerical failure (a LAPACK error or a non-finite eigendecomposition).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -348,8 +349,25 @@ def build_parser():
     return parser
 
 
+def _attach_negative_values(argv):
+    """Write ``--tau -1:2:3`` as ``--tau=-1:2:3``.
+
+    argparse takes a token that starts with '-' for an option unless it is
+    a plain number, so a negative grid or list would end in a usage error
+    instead of reaching parse_tau_grid, parse_tau_list or parse_lengths.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--tau", "--tau-list", "--lengths") and re.match(r"-[\d.]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         if args.command == "verify":
             return cmd_verify(args.level)

@@ -17,7 +17,6 @@ from .errors import ArgumentError, LinearDependenceError
 from .lanczos import LanczosResult
 from .models import (
     ModelKind,
-    ModelSpec,
     build_ir_channel,
     build_nn_channel,
     reduced_diagonal,

@@ -16,7 +16,6 @@ from dekrylov.lintri import TridiagonalOperator
 from dekrylov.models import (
     KrylovSpec,
     ModelKind,
-    ModelSpec,
     k_nn_analytic,
     nn_lambda,
     psi_nn_analytic,
@@ -284,12 +283,18 @@ def test_malformed_grid_arguments(capsys):
         ["--lengths", "abc"],
         ["--lengths", "4.5"],
         ["--tau-list", "-1"],
+        ["--tau-list", "-0.5,1"],
+        ["--tau", "-1:2:3"],
+        ["--lengths", "-4,6"],
     ):
         assert cli.main(["evolve", "--model", "nn"] + flags) == 2, flags
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), flags
+    # A negative-looking value reaches the grid parser, not argparse.
+    assert cli.main(["evolve", "--model", "nn", "--tau", "-1:2:3"]) == 2
+    assert capsys.readouterr().err == "error: tau: start must be >= 0, got -1.0\n"
 
 
 def test_config_flag_is_a_usage_error(capsys):

@@ -1,5 +1,7 @@
 """Tridiagonal eigensolver, propagators, and Gram-Schmidt layer."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -106,6 +108,83 @@ def test_eigenvectors_keep_exponentially_small_ground_overlap():
     assert 1e-80 < abs(dec.vectors[0, 0]) < 1e-70
     (state,) = expm_from_eig(dec, [2.0])
     assert_allclose(state.psi, psi_ir_exact_profile(500, 2.0), rtol=0, atol=1e-10)
+
+
+def _assert_orthonormal_eigenpairs(op, dec):
+    assert np.all(np.diff(dec.values) >= 0)
+    assert_allclose(dec.vectors.T @ dec.vectors, np.eye(op.dim), atol=1e-10)
+    scale = 1.0 + np.max(np.abs(dec.values))
+    recon = dec.vectors @ (dec.values[:, None] * dec.vectors.T)
+    assert_allclose(recon, op.to_dense(), atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("dim", [21, 101])
+def test_clustered_wilkinson_spectrum_keeps_orthonormal_vectors(dim):
+    """W_dim+ has eigenvalue pairs that agree to ~1e-14 and beyond;
+    twisted-recursion vectors of such pairs are not orthogonal."""
+    half = dim // 2
+    op = TridiagonalOperator(diag=np.abs(np.arange(-half, half + 1.0)), offdiag=np.ones(dim - 1))
+    _assert_orthonormal_eigenpairs(op, eig_tridiag(op))
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag",
+    [
+        # hypothesis examples: without a floor, b^2 / pivot overflows ...
+        ([4.33409798e-118, 3.16015625, 1.11253693e-308], [0.05078125, 1.5]),
+        # ... and with a floor for exact zeros only, a subnormal pivot does
+        ([0.0, 0.0, 5e-324], [0.5, 0.25]),
+        # the middle eigenvalue, ~1e-17, puts the first pivot under the floor
+        ([0.0] * 5, [1.0, 1.5, 1.5, 1.0]),
+        # a subnormal norm is scaled up by 2^1073 without forming 2^1073
+        ([1e-310, -1e-310, 0.0], [3e-311, 2e-310]),
+    ],
+)
+def test_tiny_and_zero_pivots_stay_finite_and_warning_free(diag, offdiag):
+    op = TridiagonalOperator(diag=np.array(diag), offdiag=np.array(offdiag))
+    _assert_orthonormal_eigenpairs(op, eig_tridiag(op))
+
+
+def test_non_finite_decomposition_is_a_linalg_error():
+    """Finite entries whose eigenvalue overflows must not reach propagation."""
+    op = TridiagonalOperator(diag=np.array([1e308, 1e308]), offdiag=np.array([1e308]))
+    with pytest.raises(np.linalg.LinAlgError):
+        eig_tridiag(op)
+
+
+@pytest.mark.parametrize(
+    "kind, length", [(ModelKind.IR, 1200), (ModelKind.IR, 2000), (ModelKind.NN, 1000)]
+)
+def test_production_operators_skip_the_cubic_eigensolver(monkeypatch, kind, length):
+    """Only the eigenvalue-only LAPACK call runs; the O(dim^3) call with
+    vectors is reserved for clustered spectra."""
+    plain = scipy.linalg.eigh_tridiagonal
+
+    def values_only(diag, offdiag, eigvals_only=False, **kwargs):
+        if not eigvals_only:
+            raise AssertionError("stev with eigenvectors was called")
+        return plain(diag, offdiag, eigvals_only=True, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", values_only)
+    op = analytic_lanczos(ModelSpec(kind, length)).tridiag
+    dec = eig_tridiag(op)
+    assert_allclose(dec.vectors.T @ dec.vectors, np.eye(op.dim), atol=1e-10)
+
+
+def test_ir_seed_overlaps_match_closed_form_at_length_2000():
+    """c_k^2 = C(L, L/2 + m) (2 - delta_m0) / 2^L with m = L/2 - k, down to
+    the ground-state overlap of ~1e-301."""
+    length = 2000
+    dec = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, length)).tridiag)
+    expected = []
+    for k in range(length // 2 + 1):
+        m = length // 2 - k
+        log_binom = (
+            math.lgamma(length + 1) - math.lgamma(length // 2 + m + 1) - math.lgamma(length // 2 - m + 1)
+        )
+        expected.append(0.5 * (log_binom + math.log(2 - (m == 0)) - length * math.log(2)))
+    assert 1e-303 < abs(dec.vectors[0, 0]) < 1e-299
+    assert np.max(np.abs(np.log(np.abs(dec.vectors[0])) - expected)) <= 1e-8
 
 
 # --------------------------------------------------------------- propagators

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov.doubled import (
-    Sector,
     apply_channel,
     restrict_to_parity_sector,
     tau_from_p,
