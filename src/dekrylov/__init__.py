@@ -12,10 +12,11 @@ correlator chi(tau).
 Module map:
 
   lintri   O(d^2) tridiagonal eigensolver, batched exp(-tau T) e_0, Gram-Schmidt
-  doubled  Choi vectorization, Pauli-Kraus channels, parity reduction
+  doubled  Choi vectorization, Pauli-Kraus channels, parity reduction:
+           the rho -> |rho>> map that criterion 1 checks
   models   the two noise models (NN bonds, infinite range), closed forms,
            and the spin-decoding and log-binomial helpers shared by all
-  lanczos  Lanczos recursion with full reorthogonalization
+  lanczos  Lanczos recursion on a matvec callable, full reorthogonalization
   evolve   K(tau), chi(tau), survival moments over (L, tau) grids
   wigner   Wigner d-matrices and exact log-domain IR amplitudes (L <= 600)
   oracle   dense brute-force ground truth at small L
@@ -42,7 +43,6 @@ from .doubled import (
     PauliString,
     Sector,
     apply_channel,
-    classify_symmetry,
     tau_from_p,
     vectorize,
 )
@@ -57,7 +57,7 @@ from .models import (
     psi_nn_analytic,
     volume_law_k,
 )
-from .lanczos import LanczosResult, OperatorHandle, run_lanczos
+from .lanczos import LanczosResult, run_lanczos
 from .evolve import (
     ScanRow,
     complexity,
@@ -91,7 +91,6 @@ __all__ = [
     "PauliString",
     "Sector",
     "apply_channel",
-    "classify_symmetry",
     "tau_from_p",
     "vectorize",
     "KrylovSpec",
@@ -104,7 +103,6 @@ __all__ = [
     "psi_nn_analytic",
     "volume_law_k",
     "LanczosResult",
-    "OperatorHandle",
     "run_lanczos",
     "ScanRow",
     "complexity",

@@ -50,22 +50,28 @@ def _profile_complexity(psi):
 def check_channel_exponential(quick=False):
     """Composed channels equal prefactor * exp(-tau H) on the doubled space.
 
-    Three routes: per-bond/per-pair diagonal products, the explicit Kraus
-    expansion as a dense superoperator, and a generic matrix exponential.
+    Four routes: per-bond/per-pair diagonal products; the paper's map,
+    which vectorizes |+><+|^{(x)L}, applies the Kraus channel and
+    restricts to the parity sector; the explicit Kraus expansion as a
+    dense superoperator; and a generic matrix exponential.
     """
     max_len = 4 if quick else 6
     worst = 0.0
-    cases = 0
+    mapped = 0
+    grid = [(ModelKind.NN, p) for p in (0.0, 0.1, 0.2, 0.3, 0.45)]
+    grid += [(ModelKind.IR, tau) for tau in (0.0, 0.3, 0.7, 1.2, 2.0)]
     for length in range(2, max_len + 1):
-        nn = ModelSpec(kind=ModelKind.NN, length=length)
-        for p in (0.0, 0.1, 0.2, 0.3, 0.45):
-            worst = max(worst, oracle.channel_vs_exponential(nn, p))
-            cases += 1
-        if length % 2 == 0:
-            ir = ModelSpec(kind=ModelKind.IR, length=length)
-            for tau in (0.0, 0.3, 0.7, 1.2, 2.0):
-                worst = max(worst, oracle.channel_vs_exponential(ir, tau))
-                cases += 1
+        for kind, p_or_tau in grid:
+            if kind is ModelKind.IR and length % 2:
+                continue
+            spec = ModelSpec(kind=kind, length=length)
+            worst = max(
+                worst,
+                oracle.channel_vs_exponential(spec, p_or_tau),
+                oracle.vectorized_map_vs_exponential(spec, p_or_tau),
+            )
+            mapped += 1
+    cases = 2 * mapped
     for length in range(2, 5):
         nn = ModelSpec(kind=ModelKind.NN, length=length)
         tau = doubled.tau_from_p(0.3)
@@ -96,7 +102,8 @@ def check_channel_exponential(quick=False):
         cases += 1
     return worst <= 1e-12, (
         f"max |channel - prefactor exp(-tau H)| = {worst:.2e} "
-        f"over {cases} channel instances (tol 1e-12)"
+        f"over {cases} channel instances, {mapped} of them through "
+        "vectorize -> apply_channel -> restrict_to_parity_sector (tol 1e-12)"
     )
 
 
@@ -119,9 +126,9 @@ def check_lanczos_closed_forms(quick=False):
                 float(np.max(np.abs(dense.a - expected.tridiag.diag))),
                 float(np.max(np.abs(dense.b - expected.tridiag.offdiag))),
             )
-            op = lanczos.operator_from_diagonal(models.reduced_diagonal(spec))
+            diagonal = models.reduced_diagonal(spec)
             seed = models.reduced_initial_state(spec).amplitudes
-            iterative = lanczos.run_lanczos(op, seed)
+            iterative = lanczos.run_lanczos(lambda v: diagonal * v, seed)
             if not iterative.terminated or len(iterative.a) != expected.krylov_dim:
                 return False, (
                     f"{kind.value} L={length}: recursion closed at dimension "
@@ -135,7 +142,7 @@ def check_lanczos_closed_forms(quick=False):
             )
         # Third route for NN: the dual transverse-field image on L-1 links.
         ham, seed = models.kw_transform_nn(length)
-        dual = lanczos.run_lanczos(lanczos.operator_from_dense(ham), seed)
+        dual = lanczos.run_lanczos(lambda v: ham @ v, seed)
         expected = analytic_lanczos(ModelSpec(kind=ModelKind.NN, length=length))
         if not dual.terminated or len(dual.a) != length:
             return False, f"dual image at L={length} closed at {len(dual.a)} != {length}"
@@ -240,27 +247,39 @@ def check_ir_exact_amplitudes(quick=False):
 
 
 def check_area_law_convergence(quick=False):
-    """Finite-L complexity converges to tau^2/(2(1-2 tau)) below the transition."""
+    """Finite-L complexity and wavepacket converge to the area-law limits.
+
+    Below the transition K_L tends to tau^2/(2(1-2 tau)) and psi_L(n) to
+    area_law_psi(n, tau); both gaps must shrink strictly with L.
+    """
     lengths = (100, 200, 500)
     passed = True
-    parts = []
-    pinned = None
+    parts = {"K": [], "psi": []}
+    pinned = {}
     for tau in (0.1, 0.2, 0.3, 0.4):
-        target = models.area_law_k(tau)
-        gaps = [
-            abs(_profile_complexity(wigner.psi_ir_exact_profile(length, tau)) - target)
-            for length in lengths
-        ]
-        if not all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1)):
-            passed = False
-        if tau == 0.3:
-            pinned = gaps[-1]
-        parts.append(f"tau={tau:g}: {gaps[0]:.1e} > {gaps[1]:.1e} > {gaps[2]:.1e}")
-    passed = passed and pinned is not None and pinned <= 2e-3
+        k_gaps = []
+        psi_gaps = []
+        for length in lengths:
+            profile = wigner.psi_ir_exact_profile(length, tau)
+            limit = np.array([models.area_law_psi(n, tau) for n in range(profile.size)])
+            k_gaps.append(abs(_profile_complexity(profile) - models.area_law_k(tau)))
+            psi_gaps.append(float(np.max(np.abs(profile - limit))))
+        for key, gaps in (("K", k_gaps), ("psi", psi_gaps)):
+            if not all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1)):
+                passed = False
+            if tau == 0.3:
+                pinned[key] = gaps[-1]
+            parts[key].append(
+                f"tau={tau:g}: {gaps[0]:.1e} > {gaps[1]:.1e} > {gaps[2]:.1e}"
+            )
+    passed = passed and all(pinned[key] <= 2e-3 for key in ("K", "psi"))
     return passed, (
         "gaps |K_L - K_area| over L=(100,200,500): "
-        + "; ".join(parts)
-        + f"; pinned gap at (L=500, tau=0.3) = {pinned:.2e} (tol 2e-3)"
+        + "; ".join(parts["K"])
+        + f"; pinned gap at (L=500, tau=0.3) = {pinned['K']:.2e} (tol 2e-3); "
+        "profile gaps max_n |psi_L(n) - psi_area(n)|: "
+        + "; ".join(parts["psi"])
+        + f"; pinned profile gap at (L=500, tau=0.3) = {pinned['psi']:.2e} (tol 2e-3)"
     )
 
 
@@ -431,10 +450,7 @@ def check_wigner_layer(quick=False):
     for s in spins:
         two_s = int(round(2 * s))
         dmat = np.stack(
-            [
-                wigner.wigner_column_stable(s, s - c, theta).entries
-                for c in range(two_s + 1)
-            ],
+            [wigner.wigner_column_stable(s, s - c, theta) for c in range(two_s + 1)],
             axis=1,
         )
         gram = dmat.T @ dmat
@@ -449,7 +465,7 @@ def check_wigner_layer(quick=False):
             cos_half = math.cos(0.5 * angle)
             sin_half = math.sin(0.5 * angle)
             for c in range(two_s + 1):
-                column = wigner.wigner_column_stable(s, s - c, angle).entries
+                column = wigner.wigner_column_stable(s, s - c, angle)
                 for r in range(two_s + 1):
                     direct = wigner.wigner_d(s, s - r, s - c, angle)
                     worst_route = max(worst_route, abs(direct - column[r]))

@@ -18,6 +18,11 @@ real arithmetic: X and Y flip the addressed bit in both layers, while Z
 and Y each contribute a sign (-1)^(upper bit + lower bit) at their site.
 The dense complex oracle in the test-suite validates this shortcut.
 
+The paper's mapping is the chain vectorize -> apply_channel ->
+restrict_to_parity_sector: |+><+|^{(x)L} becomes the uniform
+positive-parity seed, and the composed dephasing channel becomes
+prefactor * exp(-tau h) on it.  Criterion 1 checks that chain for L <= 6.
+
 Full-space operations are capped at L <= 7 (4^7 = 16384 amplitudes); they
 exist to validate the parity-reduced code paths, not for production scans.
 """
@@ -111,20 +116,6 @@ class DoubledState:
         self.amplitudes = amps
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Strong/weak symmetry classification of a channel under a generator."""
-
-    strong: bool
-    weak: bool
-    generator: PauliString
-    phases: tuple
-
-    def __post_init__(self):
-        if self.strong and not self.weak:
-            raise ArgumentError("strong symmetry implies weak symmetry")
-
-
 def _check_full_length(length):
     if length > FULL_SPACE_MAX_LENGTH:
         raise ArgumentError(
@@ -153,14 +144,6 @@ def vectorize(rho):
         raise ArgumentError("rho must be real within 1e-12 in this basis")
     amps = np.real(rho).reshape(-1, order="F").copy()
     return DoubledState(length=length, sector=Sector.FULL, amplitudes=amps)
-
-
-def devectorize(state):
-    """Inverse of vectorize: reshape a full-sector state back to a matrix."""
-    if state.sector is not Sector.FULL:
-        raise ArgumentError("devectorize needs a full-sector state")
-    dim = 2**state.length
-    return state.amplitudes.reshape((dim, dim), order="F").copy()
 
 
 def _term_masks(op):
@@ -240,65 +223,6 @@ def tau_from_p(p):
     return -0.5 * math.log1p(-2.0 * p)
 
 
-def _letters_commute(a, b):
-    return a == "I" or b == "I" or a == b
-
-
-def classify_symmetry(channel, generator):
-    """Classify a Pauli channel as strongly/weakly symmetric.
-
-    Purely symbolic Pauli algebra, no floating point.  Every Pauli string
-    either commutes or anticommutes with the generator, so the channel is
-    always weakly symmetric; it is strongly symmetric iff every Kraus
-    string commutes (phase +1).  The per-term phase pattern is reported.
-    """
-    if generator.length != channel.length:
-        raise ArgumentError(
-            f"generator length {generator.length} != channel length "
-            f"{channel.length}"
-        )
-    phases = []
-    for _, op in channel.terms:
-        anticommuting_sites = sum(
-            not _letters_commute(a, g)
-            for a, g in zip(op.letters, generator.letters)
-        )
-        phases.append(-1 if anticommuting_sites % 2 else 1)
-    strong = all(phase == 1 for phase in phases)
-    return SymmetryReport(
-        strong=strong, weak=True, generator=generator, phases=tuple(phases)
-    )
-
-
-def trace_functional(state):
-    """Trace of the density matrix a full-sector state represents.
-
-    Sums the amplitudes at doubled indices with equal upper and lower
-    labels; apply_channel preserves this value for any Kraus channel.
-    """
-    if state.sector is not Sector.FULL:
-        raise ArgumentError("trace_functional needs a full-sector state")
-    dim = 2**state.length
-    return float(np.sum(state.amplitudes[np.arange(dim) * (dim + 1)]))
-
-
-def parity_symmetrize(state):
-    """Project a full-sector state onto the positive-parity sector.
-
-    Averages over the group generated by the per-site layer-swap parities
-    g_i = X_i^u X_i^l (flip bit i in both layers); idempotent.
-    """
-    if state.sector is not Sector.FULL:
-        raise ArgumentError("parity_symmetrize needs a full-sector state")
-    length = state.length
-    vec = state.amplitudes.copy()
-    indices = np.arange(4**length)
-    for site in range(length):
-        mask = (1 << site) | (1 << (site + length))
-        vec = 0.5 * (vec + vec[indices ^ mask])
-    return DoubledState(length=length, sector=Sector.FULL, amplitudes=vec)
-
-
 def restrict_to_parity_sector(state):
     """Overlaps of a full-sector state with the parity-sector basis.
 
@@ -318,18 +242,3 @@ def restrict_to_parity_sector(state):
     return DoubledState(
         length=length, sector=Sector.PARITY_REDUCED, amplitudes=reduced
     )
-
-
-def embed_parity_sector(state):
-    """Embed a parity-reduced state back into the full doubled basis."""
-    if state.sector is not Sector.PARITY_REDUCED:
-        raise ArgumentError("embed_parity_sector needs a parity-reduced state")
-    length = state.length
-    _check_full_length(length)
-    dim = 2**length
-    upper = np.arange(dim)
-    full = np.zeros(4**length)
-    for r in range(dim):
-        full[upper + dim * (upper ^ r)] = state.amplitudes[r]
-    full *= 2.0 ** (-length / 2.0)
-    return DoubledState(length=length, sector=Sector.FULL, amplitudes=full)

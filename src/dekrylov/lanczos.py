@@ -1,7 +1,7 @@
-"""Lanczos recursion over an abstract symmetric operator.
+"""Lanczos recursion over a symmetric operator given by its matvec.
 
-Given a linear symmetric map H and a unit seed vector v0, the three-term
-recurrence
+Given the map v -> H v of a symmetric H and a unit seed vector v0, the
+three-term recurrence
 
     b_{n+1} |K_{n+1}> = (H - a_n) |K_n> - b_n |K_{n-1}>,
     a_n = <K_n| H |K_n>,  b_n = || (H - a_n)|K_n> - b_n |K_{n-1}> ||
@@ -15,7 +15,6 @@ spectra for which plain Lanczos loses orthogonality within a few steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,18 +23,6 @@ from .errors import ArgumentError
 # Relative floor under which an off-diagonal coefficient is treated as an
 # exact zero, i.e. the Krylov space has closed.
 TERMINATION_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class OperatorHandle:
-    """A symmetric linear operator given by its dimension and apply map."""
-
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ArgumentError("operator dimension must be positive")
 
 
 @dataclass(frozen=True)
@@ -52,32 +39,16 @@ class LanczosResult:
     terminated: bool
 
 
-def operator_from_dense(matrix):
-    """Wrap a dense symmetric matrix as an OperatorHandle."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ArgumentError("matrix must be square")
-    return OperatorHandle(dim=matrix.shape[0], apply=lambda v: matrix @ v)
-
-
-def operator_from_diagonal(diagonal):
-    """Wrap a diagonal (given as a vector) as an OperatorHandle."""
-    diagonal = np.asarray(diagonal, dtype=float)
-    if diagonal.ndim != 1:
-        raise ArgumentError("diagonal must be a vector")
-    return OperatorHandle(dim=diagonal.size, apply=lambda v: diagonal * v)
-
-
-def run_lanczos(op, v0):
+def run_lanczos(apply, v0):
     """Run the Lanczos recursion from a unit seed vector.
 
     Every new vector is projected against the whole stored basis twice
     (full reorthogonalization), and the recursion runs until the Krylov
-    space closes or reaches op.dim vectors.
+    space closes or reaches len(v0) vectors.
 
     Args:
-        op: OperatorHandle (symmetric).
-        v0: unit seed vector (within 1e-12).
+        apply: the matvec v -> H v of a symmetric operator H.
+        v0: unit seed vector (within 1e-12); its length is the dimension.
 
     Returns:
         LanczosResult with the Krylov basis; ``terminated`` is True when
@@ -85,13 +56,12 @@ def run_lanczos(op, v0):
         spectral scale, i.e. the Krylov space closed.
 
     Raises:
-        ArgumentError: on dimension mismatch or a non-unit seed.
+        ArgumentError: on a seed that is not a unit vector, or a matvec
+            whose output does not have the seed's shape.
     """
     v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (op.dim,):
-        raise ArgumentError(
-            f"seed length {v0.size} does not match operator dim {op.dim}"
-        )
+    if v0.ndim != 1:
+        raise ArgumentError("seed must be a vector")
     if abs(np.linalg.norm(v0) - 1.0) > 1e-12:
         raise ArgumentError("seed vector must have unit norm (1e-12)")
 
@@ -104,8 +74,12 @@ def run_lanczos(op, v0):
     scale = 1.0
     terminated = False
 
-    for step in range(op.dim):
-        w = np.asarray(op.apply(current), dtype=float)
+    for step in range(v0.size):
+        w = np.asarray(apply(current), dtype=float)
+        if w.shape != v0.shape:
+            raise ArgumentError(
+                f"matvec maps a length-{v0.size} vector to shape {w.shape}"
+            )
         alpha = float(current @ w)
         a.append(alpha)
         w = w - alpha * current - beta * previous
@@ -117,7 +91,7 @@ def run_lanczos(op, v0):
         if beta < TERMINATION_RTOL * scale:
             terminated = True
             break
-        if step == op.dim - 1:
+        if step == v0.size - 1:
             break
         b.append(beta)
         previous = current

@@ -275,16 +275,30 @@ def expm_from_eig(dec, taus):
     ground-state overlap is ~1e-180 (IR L = 1200).  The taus are evaluated
     TAU_BLOCK at a time, one matrix product per block.
 
+    A seed component below the smallest normal float (IR and NN past
+    L ~ 2045, where the extreme overlap 2^{-(L-1)/2} leaves the normal
+    range) has lost its value, and its eigenstate would silently drop
+    out of the propagation, so it is an error instead.
+
     Returns:
         One KrylovState per tau, in input order; ``log_norm`` holds
         log ||exp(-tau T) e_0||.
+
+    Raises:
+        numpy.linalg.LinAlgError: if a seed overlap |V[0, k]| is zero or
+            subnormal.
     """
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if np.any(taus < 0):
         raise ArgumentError("tau must be nonnegative")
     seed = dec.vectors[0]
-    with np.errstate(divide="ignore"):
-        log_seed = np.log(np.abs(seed))
+    magnitudes = np.abs(seed)
+    if magnitudes.min() < np.finfo(float).tiny:
+        raise np.linalg.LinAlgError(
+            f"seed overlap |V[0, k]| = {magnitudes.min():.3g} underflows "
+            f"binary64 at Krylov dimension {seed.size}"
+        )
+    log_seed = np.log(magnitudes)
     # Measuring from lambda_0 keeps tau * lambda small before the shift.
     gaps = dec.values - dec.values[0]
     states = []

@@ -102,32 +102,43 @@ def channel_vs_exponential(model, p_or_tau):
     product = np.ones(4**length)
     for factor in _per_factor_diagonals(model, p_or_tau):
         product = product * factor
-    if model.kind is ModelKind.NN:
-        tau = doubled.tau_from_p(p_or_tau)
-        prefactor = np.exp(-(length - 1) * tau)
-    else:
-        tau = p_or_tau
-        prefactor = 1.0
+    tau, prefactor = _tau_and_prefactor(model, p_or_tau)
     target = prefactor * np.exp(-tau * doubled_hamiltonian_diagonal(model))
     return float(np.max(np.abs(product - target)))
 
 
-def dense_superoperator(model, p_or_tau):
-    """The full 4^L x 4^L channel matrix, from the flattened Kraus expansion.
-
-    Independent of channel_vs_exponential's per-factor product: this
-    route goes through the explicit Kraus terms and the doubled sign
-    rule, so the two constructions validate each other.
-    """
-    if model.length > DENSE_MAX_LENGTH:
-        raise ArgumentError(
-            f"dense superoperators are capped at L <= {DENSE_MAX_LENGTH}"
-        )
+def _tau_and_prefactor(model, p_or_tau):
+    """(tau, prefactor) of the channel = prefactor * exp(-tau H) mapping."""
     if model.kind is ModelKind.NN:
-        channel = build_nn_channel(model.length, p_or_tau)
+        tau = doubled.tau_from_p(p_or_tau)
+        return tau, np.exp(-(model.length - 1) * tau)
+    return p_or_tau, 1.0
+
+
+def vectorized_map_vs_exponential(model, p_or_tau):
+    """Max-abs deviation of the literal rho -> |rho>> route from exp(-tau h).
+
+    Vectorizes rho_init = |+><+|^{(x)L}, applies the composed Kraus
+    channel (build_nn_channel / build_ir_channel) in the doubled space,
+    restricts the image to the positive-parity sector, and compares it
+    with prefactor * exp(-tau h) on the uniform seed, h the reduced
+    diagonal; tau and the prefactor are those of channel_vs_exponential.
+    """
+    length = model.length
+    if length > DENSE_MAX_LENGTH:
+        raise ArgumentError(f"oracle dense path is capped at L <= {DENSE_MAX_LENGTH}")
+    if model.kind is ModelKind.NN:
+        channel = build_nn_channel(length, p_or_tau)
     else:
-        channel = build_ir_channel(model.length, p_or_tau)
-    return doubled.channel_matrix(channel)
+        channel = build_ir_channel(length, p_or_tau)
+    rho_init = np.full((2**length, 2**length), 2.0**-length)
+    image = doubled.restrict_to_parity_sector(
+        doubled.apply_channel(channel, doubled.vectorize(rho_init))
+    )
+    tau, prefactor = _tau_and_prefactor(model, p_or_tau)
+    seed = reduced_initial_state(model).amplitudes
+    target = prefactor * np.exp(-tau * reduced_diagonal(model)) * seed
+    return float(np.max(np.abs(image.amplitudes - target)))
 
 
 def expm_elementwise_vs_generic(model, tau):

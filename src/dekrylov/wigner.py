@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -73,23 +72,6 @@ def _twice(value, name):
     if abs(2.0 * value - doubled) > 1e-9:
         raise ArgumentError(f"{name} must be integer or half-integer, got {value!r}")
     return int(doubled)
-
-
-@dataclass(frozen=True)
-class WignerColumn:
-    """One column of d^s(theta): fixed m = n_col, entries over m' = s - row."""
-
-    s: float
-    n_col: float
-    theta: float
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        entries.setflags(write=False)
-        if abs(entries @ entries - 1.0) > 1e-10:
-            raise ArgumentError("column of a rotation matrix must be unit norm")
-        object.__setattr__(self, "entries", entries)
 
 
 def wigner_d(s, m_prime, m, theta):
@@ -185,9 +167,13 @@ def _rotation_columns(two_s, theta, cols):
 
 
 def wigner_column_stable(s, n_col, theta):
-    """One column of d^s(theta), stable to s = 300.
+    """One column of d^s(theta), stable to s = 300, as a read-only array.
 
     Entries are indexed by the row r = 0..2s with m' = s - r.
+
+    Raises:
+        ArgumentError: on invalid indices, or if the column is not unit
+            norm within 1e-10.
     """
     two_s = _twice(s, "s")
     two_n = _twice(n_col, "n_col")
@@ -197,7 +183,10 @@ def wigner_column_stable(s, n_col, theta):
         raise ArgumentError("n_col must satisfy |n_col| <= s with s - n_col integer")
     col = (two_s - two_n) // 2
     entries = _rotation_columns(two_s, theta, [col])[:, 0]
-    return WignerColumn(s=s, n_col=n_col, theta=theta, entries=entries)
+    if abs(entries @ entries - 1.0) > 1e-10:
+        raise ArgumentError("column of a rotation matrix must be unit norm")
+    entries.setflags(write=False)
+    return entries
 
 
 def _check_ir_length(length):

@@ -20,7 +20,8 @@ def run_criterion(number):
 
 
 def test_criterion_01_channel_equals_imaginary_time_propagator():
-    """Kraus sums reproduce rescaled exp(-tau H_eff) to 1e-12 for L <= 6."""
+    """Kraus sums reproduce rescaled exp(-tau H_eff) to 1e-12 for L <= 6, also
+    through the paper's map: vectorize, apply the channel, restrict to parity."""
     run_criterion(1)
 
 
@@ -41,7 +42,8 @@ def test_criterion_04_ir_exact_amplitudes_match_tridiagonal_route():
 
 
 def test_criterion_05_area_law_complexity_converges_with_length():
-    """K_norm gaps shrink monotonically toward the area-law limit up to L = 500."""
+    """K and wavepacket-profile gaps to the area-law limits shrink strictly with
+    L up to L = 500."""
     run_criterion(5)
 
 

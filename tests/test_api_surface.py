@@ -1,0 +1,71 @@
+"""Static checks of the source tree: no dead public API, no unused imports.
+
+Both checks parse the files with the standard-library ``ast`` module and
+import nothing from the package.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dekrylov"
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def python_files(*dirs):
+    return sorted(path for d in dirs for path in (ROOT / d).rglob("*.py"))
+
+
+def referenced_names(tree):
+    """Every identifier used as a name or an attribute in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_reached_outside_tests():
+    """Each public top-level function or class is used by the package, a
+    script or the benchmark; a name that only its unit tests call is dead."""
+    reached = set()
+    for path in python_files("src", "scripts", "perfbench"):
+        reached |= referenced_names(parse(path))
+    unreached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and node.name not in reached:
+                unreached.append(f"{path.stem}.{node.name}")
+    assert not unreached, f"public names reached only by tests: {unreached}"
+
+
+def test_no_file_imports_a_name_it_never_uses():
+    """Re-exports listed in a package's ``__all__`` count as uses."""
+    unused = []
+    for path in python_files("src", "tests", "scripts"):
+        tree = parse(path)
+        used = referenced_names(tree)
+        for node in tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.relative_to(ROOT)}: {bound}")
+    assert not unused, f"unused imports: {unused}"

@@ -175,6 +175,23 @@ def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--model", "ir", "--lengths", "2200", "--tau-list", "2,10"],
+        ["evolve", "--model", "nn", "--lengths", "2200", "--tau-list", "3"],
+    ],
+)
+def test_underflowed_seed_overlap_is_exit_3(argv, capsys):
+    """Past L ~ 2045 the smallest seed overlap 2^{-(L-1)/2} underflows;
+    the scan stops instead of printing K without that eigenstate."""
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+
+
 # --------------------------------------------------------------- wavepacket
 
 

@@ -171,20 +171,47 @@ def test_production_operators_skip_the_cubic_eigensolver(monkeypatch, kind, leng
     assert_allclose(dec.vectors.T @ dec.vectors, np.eye(op.dim), atol=1e-10)
 
 
-def test_ir_seed_overlaps_match_closed_form_at_length_2000():
-    """c_k^2 = C(L, L/2 + m) (2 - delta_m0) / 2^L with m = L/2 - k, down to
-    the ground-state overlap of ~1e-301."""
-    length = 2000
-    dec = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, length)).tridiag)
+def closed_form_log_overlaps(kind, length):
+    """log|c_k| of the seed overlaps with the ascending eigenvectors.
+
+    NN: c_k^2 = C(L-1, k) / 2^(L-1).  IR: c_k^2 = C(L, L/2 + m)
+    (2 - delta_m0) / 2^L with m = L/2 - k.
+    """
+    def log_binom(n, k):
+        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+    if kind is ModelKind.NN:
+        return [
+            0.5 * (log_binom(length - 1, k) - (length - 1) * math.log(2))
+            for k in range(length)
+        ]
     expected = []
     for k in range(length // 2 + 1):
         m = length // 2 - k
-        log_binom = (
-            math.lgamma(length + 1) - math.lgamma(length // 2 + m + 1) - math.lgamma(length // 2 - m + 1)
-        )
-        expected.append(0.5 * (log_binom + math.log(2 - (m == 0)) - length * math.log(2)))
+        log_sq = log_binom(length, length // 2 + m) + math.log(2 - (m == 0))
+        expected.append(0.5 * (log_sq - length * math.log(2)))
+    return expected
+
+
+def test_ir_seed_overlaps_match_closed_form_at_length_2000():
+    """The IR closed form holds down to the ground-state overlap of ~1e-301."""
+    length = 2000
+    dec = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, length)).tridiag)
+    expected = closed_form_log_overlaps(ModelKind.IR, length)
     assert 1e-303 < abs(dec.vectors[0, 0]) < 1e-299
     assert np.max(np.abs(np.log(np.abs(dec.vectors[0])) - expected)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", [ModelKind.IR, ModelKind.NN])
+def test_seed_overlaps_match_closed_form_at_last_normal_length(kind):
+    """L = 2044 is the last even length whose smallest overlap,
+    2^{-(L-1)/2}, is a normal float, so expm_from_eig still accepts it."""
+    length = 2044
+    dec = eig_tridiag(analytic_lanczos(ModelSpec(kind, length)).tridiag)
+    expected = closed_form_log_overlaps(kind, length)
+    assert np.min(np.abs(dec.vectors[0])) >= np.finfo(float).tiny
+    assert np.max(np.abs(np.log(np.abs(dec.vectors[0])) - expected)) <= 1e-8
+
 
 
 # --------------------------------------------------------------- propagators

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from dekrylov.doubled import (
     apply_channel,
+    channel_matrix,
     restrict_to_parity_sector,
     tau_from_p,
     vectorize,
@@ -24,7 +25,6 @@ from dekrylov.models import (
 from dekrylov.oracle import (
     channel_vs_exponential,
     dense_krylov,
-    dense_superoperator,
     doubled_hamiltonian_diagonal,
     error_state_interpretation_check,
     expm_elementwise_vs_generic,
@@ -53,9 +53,8 @@ def test_elementwise_exponential_matches_scaling_and_squaring():
 def test_dense_superoperator_action_matches_gather_route(half, p, seed):
     """The assembled 4^L matrix and the per-term action agree on random states."""
     length = 2 * half
-    spec = ModelSpec(ModelKind.NN, length)
-    matrix = dense_superoperator(spec, p)
     channel = build_nn_channel(length, p)
+    matrix = channel_matrix(channel)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((2**length, 2**length))
     state = vectorize((raw + raw.T) / 2)

@@ -109,7 +109,7 @@ def test_spin_one_rotation_matrix():
 def test_rotation_columns_are_orthonormal(two_s, theta):
     s = two_s / 2
     cols = np.array(
-        [wigner_column_stable(s, s - k, theta).entries for k in range(two_s + 1)]
+        [wigner_column_stable(s, s - k, theta) for k in range(two_s + 1)]
     ).T
     assert_allclose(cols.T @ cols, np.eye(two_s + 1), atol=1e-11)
 
@@ -122,7 +122,7 @@ def test_stable_column_matches_direct_sum(two_s, theta):
     n_col = s - (two_s // 2)
     column = wigner_column_stable(s, n_col, theta)
     direct = [wigner_d(s, s - r, n_col, theta) for r in range(two_s + 1)]
-    assert_allclose(column.entries, direct, atol=1e-10)
+    assert_allclose(column, direct, atol=1e-10)
 
 
 def test_wigner_argument_validation():
