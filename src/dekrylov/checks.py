@@ -599,7 +599,7 @@ def run_checks(level="full"):
             CheckResult(
                 number=number,
                 name=name,
-                passed=passed,
+                passed=bool(passed),
                 detail=detail,
                 elapsed=time.perf_counter() - started,
             )

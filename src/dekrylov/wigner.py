@@ -27,7 +27,7 @@ e^{-tau H} in the rotated collective-spin eigenbasis:
 
 The e^{2 m'^2 tau / L} weights reach e^{L tau / 2}, which overflows
 binary64 for L tau over ~1400, so every sum runs in the signed log
-domain with a single maximum-exponent shift and a fixed summation order
+domain with one shift per Krylov index, fixed pairwise order along r
 (bitwise deterministic).
 """
 
@@ -62,6 +62,11 @@ def signed_logsumexp(log_magnitudes, signs):
     total = float(
         np.sum(np.where(live, signs * np.exp(log_magnitudes - shift), 0.0))
     )
+    return _signed_log(shift, total)
+
+
+def _signed_log(shift, total):
+    """(sign, log|value|) of value = total * e^shift; sign 0 encodes exact zero."""
     if total == 0.0:
         return 0, -math.inf
     return (1 if total > 0 else -1), shift + math.log(abs(total))
@@ -200,12 +205,15 @@ def _check_ir_length(length):
 def _ir_amplitude_data(length):
     """tau-independent pieces of the exact amplitude sum at theta = pi/2.
 
-    Returns (signs, log_d, log_binom, msq) indexed by the row r = 0..L
-    (m' = L/2 - r) with one column per Krylov index n = 0..L/2.
+    Returns (signs, log_d, log_binom, msq).  signs and log_d have one
+    C-contiguous row per Krylov index n = 0..L/2 and one column per
+    r = 0..L (m' = L/2 - r), so each index's terms are one contiguous
+    row; log_binom and msq are indexed by r.  A sign is 0 exactly where
+    log_d is -inf.
     """
     cols = 2 * np.arange(length // 2 + 1)  # m = L/2 - 2n sits at column 2n
-    dmat = _rotation_columns(length, 0.5 * math.pi, cols)
-    signs = np.sign(dmat).astype(np.int8)
+    dmat = np.ascontiguousarray(_rotation_columns(length, 0.5 * math.pi, cols).T)
+    signs = np.sign(dmat)
     with np.errstate(divide="ignore"):
         log_d = np.log(np.abs(dmat))
     m_prime = length / 2.0 - np.arange(length + 1)
@@ -217,7 +225,15 @@ def _ir_amplitude_data(length):
 
 
 def psi_ir_exact_profile(length, tau):
-    """Exact IR wavepacket over all Krylov indices n = 0..L/2."""
+    """Exact IR wavepacket over all Krylov indices n = 0..L/2.
+
+    Every numerator is a signed log-sum-exp over r with one shift per
+    Krylov index and a fixed pairwise order along r; all rows are summed
+    at once.  Terms with sign 0 have log_d = -inf and drop out as
+    exp(-inf) = 0.  The last step per index runs through scalar
+    math.exp and math.log, so each amplitude is bitwise the value of a
+    separate signed_logsumexp over its row.
+    """
     _check_ir_length(length)
     if tau < 0:
         raise ArgumentError("tau must be nonnegative")
@@ -225,10 +241,15 @@ def psi_ir_exact_profile(length, tau):
     tau_weight = 2.0 * msq * tau / length
     _, log_den = signed_logsumexp(log_binom + 2.0 * tau_weight, np.ones(length + 1))
     half_log_den = 0.5 * log_den
-    term_logs = log_d + (0.5 * log_binom + tau_weight)[:, None]
+    terms = log_d + (0.5 * log_binom + tau_weight)
+    shifts = terms.max(axis=1)
+    terms -= shifts[:, None]
+    np.exp(terms, out=terms)
+    terms *= signs
+    totals = terms.sum(axis=1)
     out = np.empty(length // 2 + 1)
-    for n in range(length // 2 + 1):
-        sign, log_num = signed_logsumexp(term_logs[:, n], signs[:, n])
+    for n, (shift, total) in enumerate(zip(shifts.tolist(), totals.tolist())):
+        sign, log_num = _signed_log(shift, total)
         out[n] = (-1.0) ** n * sign * math.exp(log_num - half_log_den)
     return out
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dekrylov import wigner
 from dekrylov.errors import ArgumentError, DomainError
 from dekrylov.lintri import expm_action
 from dekrylov.models import (
@@ -161,6 +162,45 @@ def test_exact_profile_matches_tridiagonal_propagation():
             expm_action(kspec.tridiag, tau).psi,
             atol=1e-12,
         )
+
+
+def _per_index_profile(length, tau):
+    """The exact profile with one signed_logsumexp call per Krylov index."""
+    signs, log_d, log_binom, msq = wigner._ir_amplitude_data(length)
+    tau_weight = 2.0 * msq * tau / length
+    _, log_den = signed_logsumexp(log_binom + 2.0 * tau_weight, np.ones(length + 1))
+    term_logs = log_d + (0.5 * log_binom + tau_weight)
+    out = np.empty(length // 2 + 1)
+    for n in range(out.size):
+        sign, log_num = signed_logsumexp(term_logs[n], signs[n])
+        out[n] = (-1.0) ** n * sign * math.exp(log_num - 0.5 * log_den)
+    return out
+
+
+@pytest.mark.parametrize("length", (2, 6, 50, 102, 500, 600))
+def test_exact_profile_equals_per_index_sums(length):
+    """All rows summed at once give bitwise the per-index sums.  At L = 500
+    and 600 a few entries of d come out of the spectral route as exact
+    zeros, which drop out through sign 0 and log|d| = -inf; L tau up to
+    24000 needs the log domain."""
+    signs, log_d, _, _ = wigner._ir_amplitude_data(length)
+    assert np.array_equal(signs == 0, np.isneginf(log_d))
+    for tau in (0.0, 0.3, 0.5, 2.0, 10.0, 40.0):
+        assert np.array_equal(
+            psi_ir_exact_profile(length, tau), _per_index_profile(length, tau)
+        )
+
+
+def test_amplitude_data_cache_counts_misses():
+    """The benchmark splits cold from warm profile time by this cache's
+    misses: a new L misses once, a repeat L hits."""
+    cache = wigner._ir_amplitude_data
+    cache.cache_clear()
+    psi_ir_exact_profile(10, 1.0)
+    assert cache.cache_info().misses == 1
+    psi_ir_exact_profile(10, 2.0)
+    info = cache.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_exact_profile_converges_to_area_law_with_length():
