@@ -7,7 +7,7 @@ Subcommands map one observable to one plot-ready file:
   wavepacket  Krylov wavepacket psi_n at explicit tau values
   renyi2      Renyi-2 correlator chi
   moments     survival moments mu_n from the tridiagonal representation
-  verify      run the verification suite (quick | full), as text or --json
+  verify      run the verification suite (quick | full)
 
 Each scan runs one pass per length on the calling thread: one O(d^2)
 eigendecomposition and one batched propagation serve every tau of that
@@ -26,7 +26,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -291,28 +291,20 @@ def cmd_moments(config):
     return 0
 
 
-def cmd_verify(level, as_json=False):
-    """Run the verification suite; exit 0 iff every check passes.
-
-    With ``as_json`` stdout is one JSON array holding each
-    checks.CheckResult as an object, instead of the PASS/FAIL lines.
-    """
+def cmd_verify(level):
+    """Run the verification suite; exit 0 iff every check passes."""
     results = checks.run_checks(level)
-    failed = [r for r in results if not r.passed]
-    if as_json:
-        payload = [asdict(result) for result in results]
-        print(json.dumps(payload, indent=1, allow_nan=False))
-    else:
-        for result in results:
-            status = "PASS" if result.passed else "FAIL"
-            print(
-                f"{status}  [{result.number:2d}] {result.name}: {result.detail} "
-                f"({result.elapsed:.2f}s)"
-            )
+    for result in results:
+        status = "PASS" if result.passed else "FAIL"
         print(
-            f"{len(results) - len(failed)}/{len(results)} checks passed "
-            f"({level} level)"
+            f"{status}  [{result.number:2d}] {result.name}: {result.detail} "
+            f"({result.elapsed:.2f}s)"
         )
+    failed = [r for r in results if not r.passed]
+    print(
+        f"{len(results) - len(failed)}/{len(results)} checks passed "
+        f"({level} level)"
+    )
     return 0 if not failed else 1
 
 
@@ -356,11 +348,6 @@ def build_parser():
         default="quick",
         help="quick: seconds-scale reduced grids; full: everything",
     )
-    verify.add_argument(
-        "--json",
-        action="store_true",
-        help="print one JSON array of {number, name, passed, detail, elapsed}",
-    )
     return parser
 
 
@@ -385,7 +372,7 @@ def main(argv=None):
     args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         if args.command == "verify":
-            return cmd_verify(args.level, args.json)
+            return cmd_verify(args.level)
         config = resolve_config(args, args.command)
         handler = {
             "coeffs": cmd_coeffs,

@@ -213,7 +213,7 @@ def _ir_amplitude_data(length):
     """
     cols = 2 * np.arange(length // 2 + 1)  # m = L/2 - 2n sits at column 2n
     dmat = np.ascontiguousarray(_rotation_columns(length, 0.5 * math.pi, cols).T)
-    signs = np.sign(dmat)
+    signs = np.sign(dmat).astype(np.int8)
     with np.errstate(divide="ignore"):
         log_d = np.log(np.abs(dmat))
     m_prime = length / 2.0 - np.arange(length + 1)

@@ -360,31 +360,6 @@ def test_verify_names_failing_check_on_tampered_coefficients(capsys, monkeypatch
     assert any("Lanczos coefficients match closed forms" in line for line in failing)
 
 
-def test_verify_json_schema(capsys, monkeypatch):
-    """--json prints one array of CheckResult fields; exit codes are unchanged."""
-    stubbed = tuple(
-        (number, name, lambda quick, number=number: (number != 4, f"stub {number}"))
-        for number, name, _ in checks.CHECKS
-    )
-    monkeypatch.setattr(checks, "CHECKS", stubbed)
-    assert cli.main(["verify", "quick", "--json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert [entry["number"] for entry in payload] == [1, 2, 3, 4, 6, 8, 9, 10, 11]
-    for entry in payload:
-        assert list(entry) == ["number", "name", "passed", "detail", "elapsed"]
-        assert entry["passed"] is (entry["number"] != 4)
-        assert entry["detail"] == f"stub {entry['number']}"
-        assert isinstance(entry["elapsed"], float) and entry["elapsed"] >= 0.0
-    assert payload[0]["name"] == "channel equals imaginary-time propagator"
-
-    monkeypatch.setattr(
-        checks, "CHECKS", tuple((n, name, lambda quick: (True, "")) for n, name, _ in stubbed)
-    )
-    assert cli.main(["verify", "full", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert [entry["number"] for entry in payload] == list(range(1, 13))
-
-
 def test_verify_rejects_unknown_level(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "exhaustive"])
