@@ -40,6 +40,10 @@ from .errors import ArgumentError, DomainError
 PAULI_LETTERS = "IXYZ"
 
 FULL_SPACE_MAX_LENGTH = 7
+# Relative norm under which restrict_to_parity_sector finds no
+# positive-parity component; rounding leaves at most 1.1e-16 of a
+# parity-odd state (measured for L <= 7).
+EMPTY_SECTOR_RTOL = 1e-12
 
 
 class Sector(enum.Enum):
@@ -228,7 +232,14 @@ def restrict_to_parity_sector(state):
 
     The positive-parity basis state labeled by bits r embeds as
     2^{-L/2} Sum_u |upper=u, lower=u xor r>, so component r is
-    2^{-L/2} Sum_u amplitudes[u + 2^L (u xor r)].
+    2^{-L/2} Sum_u amplitudes[u + 2^L (u xor r)].  These basis states are
+    orthonormal, so the restriction is a projection and never longer
+    than the state.
+
+    Raises:
+        DomainError: if the state has no positive-parity component, that
+            is, the restriction's norm is at most EMPTY_SECTOR_RTOL times
+            the state's (a state odd under a layer-swap parity).
     """
     if state.sector is not Sector.FULL:
         raise ArgumentError("restrict_to_parity_sector needs a full-sector state")
@@ -239,6 +250,13 @@ def restrict_to_parity_sector(state):
     for r in range(dim):
         reduced[r] = np.sum(state.amplitudes[upper + dim * (upper ^ r)])
     reduced *= 2.0 ** (-length / 2.0)
+    reduced_norm = np.linalg.norm(reduced)
+    norm = np.linalg.norm(state.amplitudes)
+    if reduced_norm <= EMPTY_SECTOR_RTOL * norm:
+        raise DomainError(
+            "the positive-parity sector of this state is empty: its restriction "
+            f"has norm {reduced_norm:.3g} against a state norm of {norm:.3g}"
+        )
     return DoubledState(
         length=length, sector=Sector.PARITY_REDUCED, amplitudes=reduced
     )

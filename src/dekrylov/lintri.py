@@ -5,21 +5,24 @@ where they are real symmetric tridiagonal:
 
     T = tridiag(b, a, b),   a = (a_0, ..., a_{d-1}),   b = (b_1, ..., b_{d-1}).
 
-This module provides the eigendecomposition in O(d^2) (LAPACK ``?stev``
-eigenvalues through scipy, then one twisted three-term recursion per
-eigenvector), one propagation kernel that evaluates the normalized
-imaginary-time action exp(-tau T) e_0 for a batch of taus with a per-tau
-log shift, and a two-pass classical Gram-Schmidt used to build dense
-Krylov bases.  All arithmetic is 64-bit float; operations are pure
-functions over immutable inputs and are safe to call concurrently.
+This module provides the eigendecomposition in O(d^2) (the operator's
+closed-form spectrum where it has one, then one twisted three-term
+recursion per eigenvector), one propagation kernel that evaluates the
+normalized imaginary-time action exp(-tau T) e_0 for a batch of taus with
+a per-tau log shift, and a two-pass classical Gram-Schmidt used to build
+dense Krylov bases.  Only an operator without a closed-form spectrum, or
+with clustered eigenvalues, reaches scipy's LAPACK ``?stev``, which is
+imported there and nowhere else.  All arithmetic is 64-bit float;
+operations are pure functions over immutable inputs and are safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, LinearDependenceError
 
@@ -31,10 +34,14 @@ TAU_BLOCK = 64
 DEPENDENCE_RTOL = 1e-12
 # Largest |v_k . v_{k+1}| accepted from the twisted-recursion eigenvectors,
 # half the 1e-10 orthonormality that the tests and criterion 10 require.
-# Production operators stay below it (IR L = 2000: 1.6e-11; NN L = 1000
-# and S_y at 2s = 1200: 1e-14); clustered spectra exceed it (Wilkinson
-# W21+: 8e-3).
+# Production operators, one pass at their exact eigenvalues, stay below it
+# (IR L = 2000: 1.6e-11, L = 2044: 1.5e-11; NN L = 2044: 1.6e-14; S_y at
+# 2s = 1200: 1e-14); clustered spectra exceed it (Wilkinson W21+: 8e-3).
 ORTHOGONALITY_TOL = 5e-11
+# Relative tolerance on the power sums Sum lambda and Sum lambda^2 of a
+# given spectrum against tr T and tr T^2.  The closed-form spectra of NN
+# and IR up to L = 10^4 and of S_y up to 2s = 10^4 miss by at most 4e-16.
+SPECTRUM_RTOL = 1e-12
 
 
 def _readonly(arr):
@@ -50,10 +57,18 @@ class TridiagonalOperator:
     The off-diagonal entries must be strictly positive: a vanishing b_n
     means the Krylov space closed at dimension n, which is represented by
     constructing a smaller operator instead.
+
+    ``spectrum``, when given, holds the exact eigenvalues in ascending
+    order; eig_tridiag then uses them instead of an eigensolver.  It must
+    be finite and strictly ascending (a positive off-diagonal makes every
+    eigenvalue simple), and its first two power sums must match
+    tr T = Sum a_n and tr T^2 = Sum a_n^2 + 2 Sum b_n^2 within
+    SPECTRUM_RTOL, relative to Sum |lambda| and Sum lambda^2.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
+    spectrum: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         diag = _readonly(self.diag)
@@ -74,6 +89,31 @@ class TridiagonalOperator:
             )
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "offdiag", offdiag)
+        if self.spectrum is not None:
+            object.__setattr__(self, "spectrum", self._checked_spectrum())
+
+    def _checked_spectrum(self):
+        spectrum = _readonly(self.spectrum)
+        if spectrum.shape != self.diag.shape:
+            raise ArgumentError(
+                f"spectrum must have length dim = {self.diag.size}, got shape {spectrum.shape}"
+            )
+        if not np.all(np.isfinite(spectrum)):
+            raise ArgumentError("spectrum must be finite")
+        if not np.all(np.diff(spectrum) > 0):
+            raise ArgumentError("spectrum must be strictly ascending")
+        trace = np.sum(self.diag)
+        trace_sq = np.sum(self.diag**2) + 2.0 * np.sum(self.offdiag**2)
+        for name, found, expected, scale in (
+            ("Sum lambda", np.sum(spectrum), trace, np.sum(np.abs(spectrum))),
+            ("Sum lambda^2", np.sum(spectrum**2), trace_sq, np.sum(spectrum**2)),
+        ):
+            if not abs(found - expected) <= SPECTRUM_RTOL * scale:
+                raise ArgumentError(
+                    f"spectrum does not match the operator: {name} = {found!r}, "
+                    f"trace gives {expected!r}"
+                )
+        return spectrum
 
     @property
     def dim(self):
@@ -199,25 +239,28 @@ def _twisted_vectors(diag, offdiag, shifts):
     return top, gamma, np.einsum("ij,ij->j", top, top)
 
 
-def _twisted_eigenpairs(op, values):
+def _twisted_eigenpairs(op, values, refine):
     """Eigenpairs from ``values`` in O(dim^2), or None if they are unusable.
 
     The operator is scaled by a power of two to a norm in [1/2, 1), which
-    is exact.  One Rayleigh-quotient step, lambda + gamma_r / ||v||^2,
-    moves each eigenvalue closer before the vectors are built: it makes
-    the eigenvalues 3 to 1000 times more accurate than ``?stev``'s and
+    is exact, and one twisted pass builds every vector.  Exact eigenvalues
+    need nothing more.  Approximate ones (``refine``) first take one
+    Rayleigh-quotient step, lambda + gamma_r / ||v||^2, from a first pass:
+    it makes ``?stev``'s eigenvalues 3 to 1000 times more accurate and
     cuts the vectors' loss of orthogonality about tenfold (IR L = 2000:
-    1.4e-10 to 1.6e-11).  None means the pairs are not finite, not
+    1.4e-10 to 1.6e-11), which keeps such operators off the O(dim^3)
+    fallback.  None means the pairs are not finite, not strictly
     ascending, or two neighbouring vectors overlap by more than
     ORTHOGONALITY_TOL, which happens when eigenvalues cluster.
     """
     if not np.all(np.isfinite(values)):
         return None
     exponent = -np.frexp(np.max(np.abs(values)))[1]
-    diag, offdiag, values = (np.ldexp(x, exponent) for x in (op.diag, op.offdiag, values))
-    # [1:] drops the first pass's vectors before the second pass allocates.
-    gamma, norm_sq = _twisted_vectors(diag, offdiag, values)[1:]
-    shifts = values + gamma / norm_sq
+    diag, offdiag, shifts = (np.ldexp(x, exponent) for x in (op.diag, op.offdiag, values))
+    if refine:
+        # [1:] drops the first pass's vectors before the second pass allocates.
+        gamma, norm_sq = _twisted_vectors(diag, offdiag, shifts)[1:]
+        shifts = shifts + gamma / norm_sq
     vectors, _, norm_sq = _twisted_vectors(diag, offdiag, shifts)
     if not (np.all(np.isfinite(norm_sq)) and np.all(np.diff(shifts) > 0)):
         return None
@@ -231,14 +274,15 @@ def _twisted_eigenpairs(op, values):
 def eig_tridiag(op):
     """Eigendecompose a symmetric tridiagonal operator in O(dim^2).
 
-    The eigenvalues come from LAPACK ``?stev`` without vectors (root-free
-    QL/QR, O(dim^2)), refined by one Rayleigh-quotient step; each
-    eigenvector comes from a twisted three-term recursion at its
-    eigenvalue (Dhillon & Parlett, Linear Algebra Appl. 387 (2004) 1-28),
-    O(dim) per vector.  The recursion runs outward
-    from the twist, where the components shrink, so it keeps exponentially
-    small components to full relative accuracy: at IR L = 500 the seed
-    e_0 overlaps the ground state at ~1e-76, and at L = 2000 at ~1e-301
+    The eigenvalues are ``op.spectrum`` when the operator carries its
+    closed form.  Otherwise they come from LAPACK ``?stev`` without
+    vectors (root-free QL/QR, O(dim^2)), refined by one Rayleigh-quotient
+    step.  Each eigenvector comes from a twisted three-term recursion at
+    its eigenvalue (Dhillon & Parlett, Linear Algebra Appl. 387 (2004)
+    1-28), O(dim) per vector.  The recursion runs outward from the twist,
+    where the components shrink, so it keeps exponentially small
+    components to full relative accuracy: at IR L = 500 the seed e_0
+    overlaps the ground state at ~1e-76, and at L = 2000 at ~1e-301
     (criterion 4 checks both against exact values).  LAPACK ``stemr`` and
     ``stebz`` lose components that small.
 
@@ -253,11 +297,17 @@ def eig_tridiag(op):
         numpy.linalg.LinAlgError: if LAPACK reports a failure or the
             decomposition is not finite.
     """
-    values = scipy.linalg.eigh_tridiagonal(
-        op.diag, op.offdiag, eigvals_only=True, lapack_driver="stev"
-    )
-    pairs = _twisted_eigenpairs(op, values)
+    values = op.spectrum
+    if values is None:
+        import scipy.linalg  # only operators without a closed-form spectrum
+
+        values = scipy.linalg.eigh_tridiagonal(
+            op.diag, op.offdiag, eigvals_only=True, lapack_driver="stev"
+        )
+    pairs = _twisted_eigenpairs(op, values, refine=op.spectrum is None)
     if pairs is None:
+        import scipy.linalg  # the clustered fallback
+
         pairs = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, lapack_driver="stev")
         if not all(np.all(np.isfinite(part)) for part in pairs):
             raise np.linalg.LinAlgError("tridiagonal eigendecomposition is not finite")

@@ -20,8 +20,10 @@ The initial state is the uniform vector Prod_i (|up_i> + |down_i>)/sqrt(2).
 Closed forms: the NN Krylov space has dimension exactly L with b_n =
 sqrt(n(L-n)) (a free collective spin after the Kramers-Wannier map); the
 IR Krylov space has dimension L/2+1 with the collective-spin coefficients
-implemented in analytic_lanczos.  Binomials beyond L = 30 go through
-log-gamma; tests cross-check against exact integer arithmetic below that.
+implemented in analytic_lanczos.  Both tridiagonals carry their exact
+spectra, so their eigendecomposition needs no eigensolver.  Binomials
+beyond L = 30 go through log-gamma (math.lgamma, elementwise); tests
+cross-check against exact integer arithmetic below that.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .doubled import (
     FULL_SPACE_MAX_LENGTH,
@@ -44,6 +45,9 @@ from .errors import ArgumentError, DomainError
 from .lintri import KrylovState, TridiagonalOperator
 
 REDUCED_MAX_LENGTH = 14  # dense 2^L paths stop here (16384 amplitudes)
+
+# math.lgamma over an array; every argument here is an integer plus 1.
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 class ModelKind(enum.Enum):
@@ -115,7 +119,7 @@ def reduced_initial_state(model):
 
 def log_binomial(n, k):
     """log C(n, k) via log-gamma, elementwise over integer values 0 <= k <= n."""
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    return _lgamma(n + 1.0) - _lgamma(k + 1.0) - _lgamma(n - k + 1.0)
 
 
 def kw_transform_nn(length):
@@ -141,17 +145,21 @@ def kw_transform_nn(length):
 
 
 def analytic_lanczos(model):
-    """Closed-form Lanczos coefficients of a model.
+    """Closed-form Lanczos coefficients and spectrum of a model.
 
-    NN: a_n = 0, b_n = sqrt(n(L-n)), Krylov dimension L.
+    NN: a_n = 0, b_n = sqrt(n(L-n)), Krylov dimension L; eigenvalues
+        2k - (L-1) for k = 0..L-1.
     IR: a_n = -2n + 4n^2/L - 1/2 + L/2 for n = 0..L/2 and
-        b_n = sqrt(2n(L-2n+1)(2n-1)(L-2n+2)) / (2L), dimension L/2+1.
+        b_n = sqrt(2n(L-2n+1)(2n-1)(L-2n+2)) / (2L), dimension L/2+1;
+        eigenvalues L/2 - 2m^2/L for m = L/2 down to 0.
     """
     length = model.length
     if model.kind is ModelKind.NN:
         steps = np.arange(1.0, length)
         tridiag = TridiagonalOperator(
-            diag=np.zeros(length), offdiag=np.sqrt(steps * (length - steps))
+            diag=np.zeros(length),
+            offdiag=np.sqrt(steps * (length - steps)),
+            spectrum=2.0 * np.arange(length) - (length - 1.0),
         )
         return KrylovSpec(model=model, tridiag=tridiag)
     n = np.arange(0.0, length // 2 + 1)
@@ -160,7 +168,9 @@ def analytic_lanczos(model):
     offdiag = np.sqrt(
         2.0 * m * (length - 2.0 * m + 1.0) * (2.0 * m - 1.0) * (length - 2.0 * m + 2.0)
     ) / (2.0 * length)
-    tridiag = TridiagonalOperator(diag=diag, offdiag=offdiag)
+    magnetization = np.arange(length // 2, -1, -1.0)
+    spectrum = length / 2.0 - 2.0 * magnetization**2 / length
+    tridiag = TridiagonalOperator(diag=diag, offdiag=offdiag, spectrum=spectrum)
     return KrylovSpec(model=model, tridiag=tridiag)
 
 
@@ -224,9 +234,9 @@ def area_law_psi(n, tau):
     if tau == 0.0:
         return 1.0 if n == 0 else 0.0
     log_mag = (
-        0.5 * gammaln(2 * n + 1.0)
+        0.5 * math.lgamma(2 * n + 1.0)
         - n * math.log(2.0)
-        - gammaln(n + 1.0)
+        - math.lgamma(n + 1.0)
         - 0.5 * math.log1p(-tau)
         + n * (math.log(tau) - math.log1p(-tau))
         + 0.25 * math.log1p(-2.0 * tau)

@@ -14,9 +14,10 @@ Two independent routes to d^s_{m'm}(theta) = <s,m'| e^{-i theta S_y} |s,m>:
          d_{rc} = Re[ i^{r-c} (A - iB)_{rc} ],
          A = Q cos(theta Lambda) Q^T,  B = Q sin(theta Lambda) Q^T,
 
-     with (Lambda, Q) from the real eigensolver.  The i^{r-c} phase is
-     tracked as an exact period-4 integer counter, never as a complex
-     float, picking A, B, -A, -B by (r-c) mod 4.
+     with Lambda = diag(-s, ..., s), the exact spectrum of S_y, and Q
+     from lintri's twisted recursion at those eigenvalues.  The i^{r-c}
+     phase is tracked as an exact period-4 integer counter, never as a
+     complex float, picking A, B, -A, -B by (r-c) mod 4.
 
 The exact wavepacket of the infinite-range model follows by expanding
 e^{-tau H} in the rotated collective-spin eigenbasis:
@@ -37,7 +38,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ArgumentError, DomainError
 from .lintri import TridiagonalOperator, eig_tridiag
@@ -108,10 +108,10 @@ def wigner_d(s, m_prime, m, theta):
     m_minus_mp = (two_m - two_mp) // 2
 
     log_prefactor = 0.5 * (
-        gammaln(s_plus_m + 1.0)
-        + gammaln(s_minus_m + 1.0)
-        + gammaln(s_plus_mp + 1.0)
-        + gammaln(s_minus_mp + 1.0)
+        math.lgamma(s_plus_m + 1.0)
+        + math.lgamma(s_minus_m + 1.0)
+        + math.lgamma(s_plus_mp + 1.0)
+        + math.lgamma(s_minus_mp + 1.0)
     )
     cos_half = math.cos(0.5 * theta)
     sin_half = math.sin(0.5 * theta)
@@ -124,10 +124,10 @@ def wigner_d(s, m_prime, m, theta):
         if (cos_power > 0 and cos_half == 0.0) or (sin_power > 0 and sin_half == 0.0):
             continue
         log_mag = log_prefactor - (
-            gammaln(s_plus_m - k + 1.0)
-            + gammaln(s_minus_mp - k + 1.0)
-            + gammaln(k - m_minus_mp + 1.0)
-            + gammaln(k + 1.0)
+            math.lgamma(s_plus_m - k + 1.0)
+            + math.lgamma(s_minus_mp - k + 1.0)
+            + math.lgamma(k - m_minus_mp + 1.0)
+            + math.lgamma(k + 1.0)
         )
         if cos_power:
             log_mag += cos_power * math.log(abs(cos_half))
@@ -144,13 +144,20 @@ def wigner_d(s, m_prime, m, theta):
     return 0.0 if sign == 0 else sign * math.exp(log_mag)
 
 
-@functools.lru_cache(maxsize=16)
-def _sy_decomposition(two_s):
-    """Eigendecomposition of the real symmetric image of S_y (cached)."""
+def _sy_operator(two_s):
+    """Real symmetric image M of S_y, with its spectrum -s, -s+1, ..., s."""
     dim = two_s + 1
     k = np.arange(dim - 1, dtype=float)
     beta = 0.5 * np.sqrt((k + 1.0) * (two_s - k))
-    return eig_tridiag(TridiagonalOperator(diag=np.zeros(dim), offdiag=beta))
+    return TridiagonalOperator(
+        diag=np.zeros(dim), offdiag=beta, spectrum=np.arange(dim) - 0.5 * two_s
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _sy_decomposition(two_s):
+    """Eigendecomposition of the real symmetric image of S_y (cached)."""
+    return eig_tridiag(_sy_operator(two_s))
 
 
 def _rotation_columns(two_s, theta, cols):

@@ -1,4 +1,5 @@
-"""Static checks of the source tree: no dead public API, no unused imports.
+"""Static checks of the source tree: no dead public API, no unused imports,
+no module-level scipy import in the package.
 
 Both checks parse the files with the standard-library ``ast`` module and
 import nothing from the package.
@@ -69,3 +70,20 @@ def test_no_file_imports_a_name_it_never_uses():
                     if bound not in used:
                         unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert not unused, f"unused imports: {unused}"
+
+
+def test_package_does_not_import_scipy_at_module_level():
+    """scipy costs more start-up than a figure scan; it is imported only
+    inside the functions that need it."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"module-level scipy imports: {offenders}"

@@ -155,9 +155,7 @@ def test_apply_channel_requires_full_sector():
 @settings(max_examples=30)
 def test_restriction_ignores_antisymmetric_component(length, seed):
     """A component odd under a layer-swap parity g_i (flip bit i in both
-    layers) restricts to zero: adding it leaves the restriction unchanged.
-    (A zero-norm DoubledState cannot be built, so the odd part is added to
-    a generic state instead of being restricted alone.)"""
+    layers) restricts to zero: adding it leaves the restriction unchanged."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(4**length)
     idx = np.arange(4**length)
@@ -167,6 +165,19 @@ def test_restriction_ignores_antisymmetric_component(length, seed):
         odd = x - x[idx ^ mask]
         shifted = DoubledState(length, Sector.FULL, x + odd)
         assert_allclose(restrict_to_parity_sector(shifted).amplitudes, base, atol=1e-13)
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_parity_odd_state_has_an_empty_sector(length):
+    """Restricted alone, a component odd under a layer-swap parity has no
+    positive-parity part, which is a domain error, not a zero-norm state."""
+    x = np.random.default_rng(length).standard_normal(4**length)
+    idx = np.arange(4**length)
+    for site in range(length):
+        mask = (1 << site) | (1 << (site + length))
+        odd = DoubledState(length, Sector.FULL, x - x[idx ^ mask])
+        with pytest.raises(DomainError, match="positive-parity sector"):
+            restrict_to_parity_sector(odd)
 
 
 def test_plus_state_restricts_to_uniform_seed():

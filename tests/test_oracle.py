@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -24,6 +25,7 @@ from dekrylov.models import (
 )
 from dekrylov.oracle import (
     channel_vs_exponential,
+    dense_expm,
     dense_krylov,
     doubled_hamiltonian_diagonal,
     error_state_interpretation_check,
@@ -40,6 +42,19 @@ def test_channel_is_exponential_across_models_and_rates():
             for arg in args:
                 spec = ModelSpec(kind, length)
                 assert channel_vs_exponential(spec, arg) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+def test_dense_expm_matches_scipy_on_dense_matrices(dim):
+    """The oracle's exponential is generic: random nonsymmetric matrices,
+    with 1-norms from below 1 to ~60 (up to 6 squarings)."""
+    rng = np.random.default_rng(dim)
+    for scale in (0.1, 1.0):
+        for _ in range(5):
+            mat = scale * rng.standard_normal((dim, dim))
+            ref = scipy.linalg.expm(mat)
+            assert np.max(np.abs(dense_expm(mat) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert_allclose(dense_expm(np.zeros((dim, dim))), np.eye(dim), rtol=0, atol=0)
 
 
 def test_elementwise_exponential_matches_scaling_and_squaring():

@@ -1,0 +1,58 @@
+"""scipy stays out of every production run.
+
+Importing scipy costs more than a whole figure scan, so the package
+imports it only where an operator has no closed-form spectrum.  A fresh
+interpreter runs the figure scans, the large-L benchmark scans and the
+full verification suite, then reports which scipy modules were loaded.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import dekrylov
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+PROGRAM = """
+import contextlib, importlib.util, io, json, runpy, sys, tempfile
+
+import dekrylov
+from dekrylov import checks, cli
+
+root = sys.argv[1]
+spec = importlib.util.spec_from_file_location("workloads", root + "/perfbench/workloads.py")
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+with tempfile.TemporaryDirectory() as tmp:
+    sys.argv = ["scan_figures.py", tmp]
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(root + "/scripts/scan_figures.py", run_name="__main__")
+    codes = [
+        cli.main(argv + ["--out", f"{tmp}/{command_id}.csv"])
+        for command_id, argv in workloads.SCANS["large_L"]
+    ]
+failed = [r.number for r in checks.run_checks("full") if not r.passed]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "failed": failed, "scipy": loaded}))
+"""
+
+
+def test_scans_and_verify_full_never_import_scipy():
+    src = pathlib.Path(dekrylov.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM, str(ROOT)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["failed"] == []
+    assert report["scipy"] == []
