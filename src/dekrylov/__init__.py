@@ -59,7 +59,6 @@ from .models import (
 )
 from .lanczos import LanczosResult, run_lanczos
 from .evolve import (
-    ScanRow,
     complexity,
     moments_from_tridiag,
     renyi2_dense,
@@ -104,7 +103,6 @@ __all__ = [
     "volume_law_k",
     "LanczosResult",
     "run_lanczos",
-    "ScanRow",
     "complexity",
     "moments_from_tridiag",
     "renyi2_dense",

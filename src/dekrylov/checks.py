@@ -166,14 +166,13 @@ def check_nn_closed_forms(quick=False):
     plateau_dev = 0.0
     for length in lengths:
         spec = analytic_lanczos(ModelSpec(kind=ModelKind.NN, length=length))
-        states = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), [*taus, 5.0])
-        for state in states[:-1]:
-            closed = models.psi_nn_analytic(length, state.tau)
-            worst_psi = max(worst_psi, float(np.max(np.abs(state.psi - closed.psi))))
-            worst_k = max(
-                worst_k, abs(complexity(state) - models.k_nn_analytic(length, state.tau))
-            )
-        plateau = complexity(states[-1]) / (length - 1)
+        batch = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), [*taus, 5.0])
+        ks = complexity(batch)
+        for tau, psi, k in zip(batch.taus[:-1], batch.psi[:-1], ks[:-1]):
+            closed = models.psi_nn_analytic(length, tau)
+            worst_psi = max(worst_psi, float(np.max(np.abs(psi - closed.psi))))
+            worst_k = max(worst_k, abs(k - models.k_nn_analytic(length, tau)))
+        plateau = ks[-1] / (length - 1)
         plateau_dev = max(plateau_dev, abs(plateau - 0.5))
     passed = worst_psi <= 1e-10 and worst_k <= 1e-8 and plateau_dev <= 1e-3
     return passed, (
@@ -225,10 +224,10 @@ def check_ir_exact_amplitudes(quick=False):
     parts = []
     for length, taus in cases:
         spec = analytic_lanczos(ModelSpec(kind=ModelKind.IR, length=length))
-        states = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
+        batch = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
         dev = max(
-            float(np.max(np.abs(state.psi - wigner.psi_ir_exact_profile(length, state.tau))))
-            for state in states
+            float(np.max(np.abs(psi - wigner.psi_ir_exact_profile(length, tau))))
+            for tau, psi in zip(batch.taus.tolist(), batch.psi)
         )
         tol = 1e-6 if length >= 100 else 1e-8
         passed = passed and dev <= tol
@@ -358,9 +357,9 @@ def check_renyi2_diagnostics(quick=False):
         model = ModelSpec(kind=ModelKind.IR, length=length)
         spec = analytic_lanczos(model)
         taus = np.linspace(0.0, 5.0, 26)
-        states = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
-        for state, chi_dense in zip(states, renyi2_dense(model, taus)):
-            worst_route = max(worst_route, abs(renyi2_tridiag(spec, state) - chi_dense))
+        batch = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
+        chis = renyi2_tridiag(spec, batch)
+        worst_route = max(worst_route, float(np.max(np.abs(chis - renyi2_dense(model, taus)))))
 
     lengths = (8, 10, 12) if quick else (8, 10, 12, 14)
     taus_ir = np.linspace(0.0, 5.0, 201 if quick else 501)

@@ -11,9 +11,10 @@ Subcommands map one observable to one plot-ready file:
 
 Each scan runs one pass per length on the calling thread: one O(d^2)
 eigendecomposition and one batched propagation serve every tau of that
-length.  Output is bitwise deterministic across runs, and floats are
-written with 17 significant digits (binary64 round-trip exact).  Flags
-are the only input.  Exit codes: 0 success, 1 verification failure,
+length, and the rows are built from whole columns of that (taus x dim)
+batch, with no object per tau.  Output is bitwise deterministic across
+runs, and floats are written with 17 significant digits (binary64
+round-trip exact).  Flags are the only input.  Exit codes: 0 success, 1 verification failure,
 2 invalid arguments or an --out path that cannot be written,
 3 numerical failure (a LAPACK error, a non-finite eigendecomposition, or
 a seed overlap |V[0, k]| that underflows binary64, which the propagating
@@ -231,8 +232,9 @@ def cmd_coeffs(config):
 def cmd_evolve(config):
     """K, K_norm and chi over the (L, tau) grid, sorted by (L, tau)."""
     taus = sorted(set(config.taus))
+    model = config.model.value
     rows = [
-        (config.model.value, row.length, row.tau, row.k, row.k_norm, row.chi)
+        (model,) + row
         for spec in _specs(config)
         for row in scan_point(spec, lintri.eig_tridiag(spec.tridiag), taus)
     ]
@@ -249,13 +251,13 @@ def cmd_wavepacket(config):
             "tau: wavepacket requires an explicit tau list (--tau-list or --tau)"
         )
     taus = sorted(set(config.taus))
+    model = config.model.value
     rows = []
     for spec in _specs(config):
-        dec = lintri.eig_tridiag(spec.tridiag)
-        for state in lintri.expm_from_eig(dec, taus):
-            for n, amp in enumerate(state.psi):
-                psi_row = (n, float(amp), float(amp * amp))
-                rows.append((config.model.value, spec.model.length, state.tau) + psi_row)
+        length = spec.model.length
+        batch = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
+        for tau, psi in zip(batch.taus.tolist(), batch.psi.tolist()):
+            rows.extend((model, length, tau, n, amp, amp * amp) for n, amp in enumerate(psi))
     write_rows(
         config.out, config.format, ("model", "L", "tau", "n", "psi", "psi2"), rows
     )
@@ -265,17 +267,16 @@ def cmd_wavepacket(config):
 def cmd_renyi2(config):
     """chi over the (L, tau) grid: dense for NN (L <= 14), tridiagonal for IR."""
     taus = sorted(set(config.taus))
+    model = config.model.value
     rows = []
     for spec in _specs(config):
         length = spec.model.length
         if config.model is ModelKind.IR:
-            states = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
-            chis = [renyi2_tridiag(spec, state) for state in states]
+            batch = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
+            chis = renyi2_tridiag(spec, batch)
         else:  # the diagonal reduced Hamiltonian needs no propagation pass
             chis = renyi2_dense(spec.model, taus)
-        rows.extend(
-            (config.model.value, length, tau, float(chi)) for tau, chi in zip(taus, chis)
-        )
+        rows.extend((model, length, tau, chi) for tau, chi in zip(taus, chis.tolist()))
     write_rows(config.out, config.format, ("model", "L", "tau", "chi"), rows)
     return 0
 

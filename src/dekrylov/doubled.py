@@ -97,7 +97,7 @@ class KrausChannel:
         return self.terms[0][1].length
 
 
-@dataclass
+@dataclass(eq=False)
 class DoubledState:
     """Amplitude vector over the doubled basis (full or parity-reduced)."""
 

@@ -14,16 +14,17 @@ a functional of the normalized wavepacket psi:
     against the tridiagonal representation.
 
 Scans run one length at a time: one eigendecomposition and one batched
-propagation serve every tau of that length.  Every function here is pure,
-and rows carry their own (L, tau) key.
+propagation serve every tau of that length, and complexity and
+renyi2_tridiag reduce the whole (taus x dim) batch to one array each.
+Every function here is pure, and rows are plain (L, tau, K, K_norm, chi)
+tuples built from those arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .errors import ArgumentError
 from .models import REDUCED_MAX_LENGTH, ModelKind, reduced_diagonal, site_spins
 
 __all__ = [
-    "ScanRow",
     "complexity",
     "renyi2_tridiag",
     "renyi2_dense",
@@ -42,30 +42,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One (L, tau) scan point of a model with its observables.
+def _weighted_row_sums(left, weights, right):
+    """Sum_n left[..., n] weights[n] right[..., n], one value per row.
 
-    ``k_norm`` is K/(L-1) for the NN model and K/L for the IR model;
-    ``chi`` is None where no exact method applies (NN beyond L = 14).
+    The rows go TAU_BLOCK at a time, one BLAS product per block, so the
+    elementwise product never takes more than a (TAU_BLOCK, dim) work
+    array, however many taus the batch holds.
     """
-
-    length: int
-    tau: float
-    k: float
-    k_norm: float
-    chi: Optional[float]
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ArgumentError("K must be nonnegative")
-        if self.chi is not None and not -1e-10 <= self.chi <= 1.0 + 1e-10:
-            raise ArgumentError(f"chi out of [0, 1]: {self.chi!r}")
+    lefts = left.reshape(-1, left.shape[-1])
+    rights = right.reshape(-1, right.shape[-1])
+    sums = np.empty(lefts.shape[0])
+    for start in range(0, sums.size, lintri.TAU_BLOCK):
+        stop = start + lintri.TAU_BLOCK
+        sums[start:stop] = (lefts[start:stop] * rights[start:stop]) @ weights
+    return sums.reshape(left.shape[:-1])[()]
 
 
 def complexity(state):
-    """Krylov complexity K = Sum_n n psi_n^2 of a normalized state."""
-    return float(np.arange(state.dim) @ (state.psi * state.psi))
+    """Krylov complexity K = Sum_n n psi_n^2 of each state of a batch.
+
+    Returns an (m,) array for an (m, dim) batch and a scalar for a single
+    state.
+    """
+    return _weighted_row_sums(state.psi, np.arange(state.dim, dtype=float), state.psi)
 
 
 def renyi2_tridiag(spec, state):
@@ -79,7 +78,8 @@ def renyi2_tridiag(spec, state):
             = 1 - 2 <psi| T |psi> / L.
 
     The factor convention is pinned by renyi2_dense: the two agree to
-    1e-9 over L <= 12 (verification suite).
+    1e-9 over L <= 12 (verification suite).  Like complexity, it reduces
+    an (m, dim) batch to an (m,) array and a single state to a scalar.
     """
     if spec.model.kind is not ModelKind.IR:
         raise ArgumentError("renyi2_tridiag applies to the IR model only")
@@ -89,9 +89,11 @@ def renyi2_tridiag(spec, state):
         )
     psi = state.psi
     tri = spec.tridiag
-    expectation = float(tri.diag @ (psi * psi))
+    expectation = _weighted_row_sums(psi, tri.diag, psi)
     if tri.dim > 1:
-        expectation += 2.0 * float(tri.offdiag @ (psi[1:] * psi[:-1]))
+        expectation = expectation + 2.0 * _weighted_row_sums(
+            psi[..., 1:], tri.offdiag, psi[..., :-1]
+        )
     return 1.0 - 2.0 * expectation / spec.model.length
 
 
@@ -161,31 +163,38 @@ def moments_from_tridiag(tri, n_max):
 
 
 def scan_point(spec, decomposition, taus):
-    """Scan rows of one length over ``taus``, from one batched propagation.
+    """Scan rows (L, tau, K, K_norm, chi) of one length over ``taus``.
 
-    Pure function of (spec, decomposition, taus); rows come in the order
-    of ``taus``.  chi uses the tridiagonal formula for IR and dense
-    evolution for NN at L <= 14; otherwise it is None.
+    One batched propagation serves every tau, and each observable is one
+    array over the batch.  Rows are plain tuples in the order of
+    ``taus``.  ``K_norm`` is K/(L-1) for the NN model and K/L for the IR
+    model.  chi uses the tridiagonal formula for IR and dense evolution
+    for NN at L <= 14; otherwise it is None.
+
+    Raises:
+        ArgumentError: if a K is negative or a chi lies outside
+            [-1e-10, 1 + 1e-10].
     """
     model = spec.model
-    states = lintri.expm_from_eig(decomposition, taus)
+    batch = lintri.expm_from_eig(decomposition, taus)
+    k = complexity(batch)
     if model.kind is ModelKind.NN:
         norm = model.length - 1
         dense = model.length <= REDUCED_MAX_LENGTH
-        chis = renyi2_dense(model, taus) if dense else [None] * len(states)
+        chis = renyi2_dense(model, batch.taus) if dense else None
     else:
         norm = model.length
-        chis = [renyi2_tridiag(spec, state) for state in states]
-    rows = []
-    for state, chi in zip(states, chis):
-        k = complexity(state)
-        rows.append(
-            ScanRow(
-                length=model.length,
-                tau=state.tau,
-                k=k,
-                k_norm=k / norm,
-                chi=None if chi is None else float(chi),
-            )
+        chis = renyi2_tridiag(spec, batch)
+    if np.any(k < 0):
+        raise ArgumentError("K must be nonnegative")
+    if chis is not None and not np.all((chis >= -1e-10) & (chis <= 1.0 + 1e-10)):
+        raise ArgumentError(f"chi out of [0, 1]: {chis.min()!r} to {chis.max()!r}")
+    return list(
+        zip(
+            repeat(model.length),
+            batch.taus.tolist(),
+            k.tolist(),
+            (k / norm).tolist(),
+            repeat(None) if chis is None else chis.tolist(),
         )
-    return rows
+    )

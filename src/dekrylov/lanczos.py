@@ -25,7 +25,7 @@ from .errors import ArgumentError
 TERMINATION_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LanczosResult:
     """Lanczos coefficients, Krylov basis, and termination flag.
 

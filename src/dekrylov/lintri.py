@@ -10,9 +10,11 @@ closed-form spectrum where it has one, then one twisted three-term
 recursion per eigenvector), one propagation kernel that evaluates the
 normalized imaginary-time action exp(-tau T) e_0 for a batch of taus with
 a per-tau log shift, and a two-pass classical Gram-Schmidt used to build
-dense Krylov bases.  Only an operator without a closed-form spectrum, or
-with clustered eigenvalues, reaches scipy's LAPACK ``?stev``, which is
-imported there and nowhere else.  All arithmetic is 64-bit float;
+dense Krylov bases.  A batch is one KrylovState: a read-only (taus x dim)
+wavepacket array with its taus and log norms, validated once, so no
+Python object is built per tau.  Only an operator without a closed-form
+spectrum, or with clustered eigenvalues, reaches scipy's LAPACK ``?stev``,
+which is imported there and nowhere else.  All arithmetic is 64-bit float;
 operations are pure functions over immutable inputs and are safe to call
 concurrently.
 """
@@ -50,7 +52,7 @@ def _readonly(arr):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix given by its diagonal and off-diagonal.
 
@@ -139,7 +141,7 @@ class TridiagonalOperator:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvector columns."""
 
@@ -151,31 +153,51 @@ class EigenDecomposition:
         object.__setattr__(self, "vectors", _readonly(self.vectors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrylovState:
-    """Normalized wavepacket psi_n(tau) over the Krylov index n.
+    """Normalized wavepackets psi_n(tau) over the Krylov index n, one row per tau.
 
-    ``log_norm`` is the log of the norm that normalization divided out,
-    log ||exp(-tau T) e_0|| when the state comes from expm_from_eig.
+    ``taus`` is (m,), ``psi`` (m, dim) and ``log_norm`` (m,): row j is the
+    state at taus[j], and log_norm[j] is the log of the norm that its
+    normalization divided out, log ||exp(-tau T) e_0|| when the batch
+    comes from expm_from_eig.  A single state has 0-d ``taus`` and
+    ``log_norm`` and a (dim,) ``psi``.
+
+    The batch is validated once: every tau >= 0, every entry of psi
+    finite, and every row unit-normalized within 1e-12.  ``psi`` becomes a
+    read-only view of the given array, not a copy.
     """
 
-    tau: float
+    taus: np.ndarray
     psi: np.ndarray = field(repr=False)
-    log_norm: float = 0.0
+    log_norm: np.ndarray = 0.0
 
     def __post_init__(self):
-        psi = _readonly(self.psi)
-        if self.tau < 0:
+        taus = _readonly(self.taus)
+        psi = np.asarray(self.psi, dtype=float).view()
+        psi.setflags(write=False)
+        log_norm = _readonly(np.broadcast_to(self.log_norm, taus.shape))
+        if taus.ndim > 1 or psi.shape[:-1] != taus.shape or psi.shape[-1:] in ((), (0,)):
+            raise ArgumentError(
+                f"psi shape {psi.shape} must be taus shape {taus.shape} + (dim,), "
+                "with 0-d or 1-d taus"
+            )
+        if np.any(taus < 0):
             raise ArgumentError("tau must be nonnegative")
-        if psi.ndim != 1 or psi.size < 1 or not np.all(np.isfinite(psi)):
-            raise ArgumentError("psi must be a finite 1-d vector")
-        if abs(psi @ psi - 1.0) > 1e-12:
+        # A non-finite entry makes its row's sum of squares non-finite, so
+        # both checks run on the (m,) sums without an (m, dim) temporary.
+        norm_sq = np.einsum("...n,...n->...", psi, psi)
+        if not np.all(np.isfinite(norm_sq)):
+            raise ArgumentError("psi must be finite")
+        if not np.all(np.abs(norm_sq - 1.0) <= 1e-12):
             raise ArgumentError("psi must be unit-normalized (1e-12)")
+        object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "log_norm", log_norm)
 
     @property
     def dim(self):
-        return self.psi.size
+        return self.psi.shape[-1]
 
 
 def _twisted_vectors(diag, offdiag, shifts):
@@ -191,7 +213,7 @@ def _twisted_vectors(diag, offdiag, shifts):
     scaled to a norm below 1: pivots smaller than machine epsilon in
     magnitude are then set to -epsilon, a perturbation of T no larger
     than rounding, which keeps every ratio finite.  O(dim^2) work in two
-    (dim, dim) buffers.
+    (dim, dim) float buffers and one (dim, dim) boolean mask at a time.
 
     Returns:
         (vectors, gamma, norm_sq): unnormalized columns with v_r = 1, the
@@ -223,17 +245,23 @@ def _twisted_vectors(diag, offdiag, shifts):
         gamma[better] = cand[better]
         twist[better] = n
     # top[n] becomes v_n / v_r above the twist and 1 elsewhere, bottom[n]
-    # the same below the twist; their product is the vector.
+    # the same below the twist; their product is the vector.  Each is a
+    # running product of the ratios v_n / v_{n+1} (top, from the last row
+    # up) or v_{n+1} / v_n (bottom, from row 0 down), with ratio 1 on the
+    # far side of the twist.  The products run one contiguous row at a
+    # time: np.multiply.accumulate along axis 0 strides down the columns
+    # and is slower past dim ~ 800.
+    rows = np.arange(dim)[:, None]
+    np.divide(-offdiag[:, None], top[:-1], out=top[:-1])
+    np.copyto(top[:-1], 1.0, where=rows[:-1] >= twist)
     top[dim - 1] = 1.0
     for n in range(dim - 2, -1, -1):
-        row = np.divide(-offdiag[n], top[n], out=top[n])
-        row[twist <= n] = 1.0
-        row *= top[n + 1]
+        np.multiply(top[n + 1], top[n], out=top[n])
+    np.divide(-offdiag[:, None], bottom[1:], out=bottom[1:])
+    np.copyto(bottom[1:], 1.0, where=rows[1:] <= twist)
     bottom[0] = 1.0
     for n in range(1, dim):
-        row = np.divide(-offdiag[n - 1], bottom[n], out=bottom[n])
-        row[twist >= n] = 1.0
-        row *= bottom[n - 1]
+        np.multiply(bottom[n - 1], bottom[n], out=bottom[n])
     top *= bottom
     del bottom
     return top, gamma, np.einsum("ij,ij->j", top, top)
@@ -323,7 +351,8 @@ def expm_from_eig(dec, taus):
     max_k (log|c_k| - tau lambda_k), so the largest weight is exactly 1
     and the vector norm is at least 1: nothing underflows even when the
     ground-state overlap is ~1e-180 (IR L = 1200).  The taus are evaluated
-    TAU_BLOCK at a time, one matrix product per block.
+    TAU_BLOCK at a time, one matrix product per block, and each block is
+    normalized straight into its rows of one preallocated (m, dim) array.
 
     A seed component below the smallest normal float (IR and NN past
     L ~ 2045, where the extreme overlap 2^{-(L-1)/2} leaves the normal
@@ -331,16 +360,16 @@ def expm_from_eig(dec, taus):
     out of the propagation, so it is an error instead.
 
     Returns:
-        One KrylovState per tau, in input order; ``log_norm`` holds
-        log ||exp(-tau T) e_0||.
+        One KrylovState batch: row j of ``psi`` is the state at taus[j],
+        in input order, and ``log_norm`` holds log ||exp(-tau T) e_0||.  A
+        scalar tau gives a single state.
 
     Raises:
         numpy.linalg.LinAlgError: if a seed overlap |V[0, k]| is zero or
             subnormal.
     """
-    taus = np.asarray(taus, dtype=float).reshape(-1)
-    if np.any(taus < 0):
-        raise ArgumentError("tau must be nonnegative")
+    taus = np.asarray(taus, dtype=float)
+    flat = taus.reshape(-1)
     seed = dec.vectors[0]
     magnitudes = np.abs(seed)
     if magnitudes.min() < np.finfo(float).tiny:
@@ -349,25 +378,24 @@ def expm_from_eig(dec, taus):
             f"binary64 at Krylov dimension {seed.size}"
         )
     log_seed = np.log(magnitudes)
+    signs = np.sign(seed)[:, None]
     # Measuring from lambda_0 keeps tau * lambda small before the shift.
     gaps = dec.values - dec.values[0]
-    states = []
-    for start in range(0, taus.size, TAU_BLOCK):
-        block = taus[start : start + TAU_BLOCK]
+    psi = np.empty((flat.size, seed.size))
+    log_norm = np.empty(flat.size)
+    for start in range(0, flat.size, TAU_BLOCK):
+        block = flat[start : start + TAU_BLOCK]
         logs = log_seed[:, None] - gaps[:, None] * block[None, :]
         shift = logs.max(axis=0)
-        amps = dec.vectors @ (np.sign(seed)[:, None] * np.exp(logs - shift))
+        amps = dec.vectors @ (signs * np.exp(logs - shift))
         norms = np.linalg.norm(amps, axis=0)
-        log_norms = shift + np.log(norms) - block * dec.values[0]
-        for j, tau in enumerate(block):
-            states.append(
-                KrylovState(
-                    tau=float(tau),
-                    psi=amps[:, j] / norms[j],
-                    log_norm=float(log_norms[j]),
-                )
-            )
-    return states
+        log_norm[start : start + block.size] = shift + np.log(norms) - block * dec.values[0]
+        np.divide(amps.T, norms[:, None], out=psi[start : start + block.size])
+    return KrylovState(
+        taus=taus,
+        psi=psi.reshape(taus.shape + (seed.size,)),
+        log_norm=log_norm.reshape(taus.shape),
+    )
 
 
 def expm_action(op, tau):
@@ -378,9 +406,10 @@ def expm_action(op, tau):
         tau: nonnegative imaginary time.
 
     Returns:
-        KrylovState with Sum psi_n^2 = 1 within 1e-12.
+        A single KrylovState, a (dim,) ``psi`` with Sum psi_n^2 = 1 within
+        1e-12.
     """
-    return expm_from_eig(eig_tridiag(op), [tau])[0]
+    return expm_from_eig(eig_tridiag(op), float(tau))
 
 
 def orthonormalize(vectors):

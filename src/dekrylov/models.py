@@ -191,7 +191,8 @@ def psi_nn_analytic(length, tau):
 
     psi_n = (-1)^n sqrt(C(L-1, n) lambda^n (1-lambda)^{L-1-n}); the signed
     square root of a binomial profile.  Log-gamma binomials keep this
-    valid to L = 1e4.
+    valid to L = 1e4.  Returns a single KrylovState: 0-d ``taus`` and a
+    (L,) ``psi``.
     """
     if length < 2:
         raise ArgumentError("length must be at least 2")
@@ -199,7 +200,7 @@ def psi_nn_analytic(length, tau):
     if lam == 0.0:
         psi = np.zeros(length)
         psi[0] = 1.0
-        return KrylovState(tau=float(tau), psi=psi)
+        return KrylovState(taus=float(tau), psi=psi)
     n = np.arange(length)
     log_psi2 = (
         log_binomial(length - 1, n)
@@ -208,7 +209,7 @@ def psi_nn_analytic(length, tau):
     )
     psi = (-1.0) ** n * np.exp(0.5 * log_psi2)
     psi /= np.linalg.norm(psi)
-    return KrylovState(tau=float(tau), psi=psi)
+    return KrylovState(taus=float(tau), psi=psi)
 
 
 def k_nn_analytic(length, tau):

@@ -163,6 +163,23 @@ def test_evolve_starts_no_threads(tmp_path, monkeypatch):
     assert threading.active_count() == before
 
 
+def test_evolve_builds_one_batch_per_length_and_no_per_tau_state(tmp_path, monkeypatch):
+    """Propagation hands one (taus x dim) array per length to the writer."""
+    built = []
+    original = lintri.KrylovState.__post_init__
+
+    def counting(self):
+        original(self)
+        built.append((self.taus.shape, self.psi.shape))
+
+    monkeypatch.setattr(lintri.KrylovState, "__post_init__", counting)
+    code, text = run_cli(["evolve", "--model", "ir", "--lengths", "100,200"], tmp_path)
+    assert code == 0
+    taus = len(cli.grid_taus(cli.DEFAULT_TAU_GRID[ModelKind.IR]) + cli.IR_PLATEAU_TAUS)
+    assert built == [((taus,), (taus, 51)), ((taus,), (taus, 101))]
+    assert len(rows_of(text)) == 2 * taus
+
+
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("stev failed to converge")])
 def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsys):
     def failing(op):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dekrylov import evolve
 from dekrylov.errors import ArgumentError
 from dekrylov.evolve import (
-    ScanRow,
     complexity,
     moments_from_tridiag,
     renyi2_dense,
@@ -54,8 +54,7 @@ def test_complexity_is_nondecreasing_in_tau(spec):
     """Imaginary-time cooling never moves the packet back toward the seed."""
     kspec = analytic_lanczos(spec)
     taus = np.linspace(0.0, 10.0, 101)
-    states = expm_from_eig(eig_tridiag(kspec.tridiag), taus)
-    values = [complexity(state) for state in states]
+    values = complexity(expm_from_eig(eig_tridiag(kspec.tridiag), taus))
     assert np.all(np.diff(values) >= -1e-10)
 
 
@@ -69,8 +68,8 @@ def test_nn_normalized_complexity_is_length_free(l1, l2, tau):
     for length in (l1, l2):
         kspec = analytic_lanczos(ModelSpec(ModelKind.NN, length))
         rows += scan_point(kspec, eig_tridiag(kspec.tridiag), [tau])
-    assert rows[0].k_norm == pytest.approx(rows[1].k_norm, abs=1e-11)
-    assert rows[0].k_norm == pytest.approx(nn_lambda(tau), abs=1e-11)
+    assert rows[0][3] == pytest.approx(rows[1][3], abs=1e-11)
+    assert rows[0][3] == pytest.approx(nn_lambda(tau), abs=1e-11)
 
 
 # --------------------------------------------------------------------- Renyi-2
@@ -168,23 +167,75 @@ def test_scan_point_normalizations():
     """k_norm divides by the bond count for NN and by L for IR."""
     nn = analytic_lanczos(ModelSpec(ModelKind.NN, 10))
     (row,) = scan_point(nn, eig_tridiag(nn.tridiag), [0.8])
-    assert row.k_norm == pytest.approx(row.k / 9, rel=1e-15)
-    assert row.chi is not None
+    length, tau, k, k_norm, chi = row
+    assert (length, tau) == (10, 0.8)
+    assert k_norm == pytest.approx(k / 9, rel=1e-15)
+    assert chi is not None
     ir = analytic_lanczos(ModelSpec(ModelKind.IR, 8))
     (row,) = scan_point(ir, eig_tridiag(ir.tridiag), [0.8])
-    assert row.k_norm == pytest.approx(row.k / 8, rel=1e-15)
+    assert row[3] == pytest.approx(row[2] / 8, rel=1e-15)
 
 
 def test_scan_point_chi_handling():
     big = analytic_lanczos(ModelSpec(ModelKind.NN, 20))
     dec = eig_tridiag(big.tridiag)
-    assert scan_point(big, dec, [0.5])[0].chi is None  # dense route capped
+    assert scan_point(big, dec, [0.5])[0][4] is None  # dense route capped
     small = analytic_lanczos(ModelSpec(ModelKind.NN, 8))
-    assert scan_point(small, eig_tridiag(small.tridiag), [0.5])[0].chi is not None
+    assert scan_point(small, eig_tridiag(small.tridiag), [0.5])[0][4] is not None
 
 
-def test_scan_row_validation():
-    with pytest.raises(ArgumentError):
-        ScanRow(4, 0.1, k=-0.2, k_norm=-0.05, chi=None)
-    with pytest.raises(ArgumentError):
-        ScanRow(4, 0.1, k=0.2, k_norm=0.05, chi=1.5)
+def test_scan_point_rejects_negative_k_and_chi_out_of_bounds(monkeypatch):
+    """The row checks run on the whole batch: K >= 0 and chi within
+    [-1e-10, 1 + 1e-10]."""
+    spec = analytic_lanczos(ModelSpec(ModelKind.IR, 8))
+    dec = eig_tridiag(spec.tridiag)
+    taus = [0.1, 0.5]
+    assert len(scan_point(spec, dec, taus)) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve, "complexity", lambda batch: np.array([0.2, -0.2]))
+        with pytest.raises(ArgumentError, match="K must be nonnegative"):
+            scan_point(spec, dec, taus)
+    for chi in (1.5, -1e-9, np.nan):
+        with monkeypatch.context() as patch:
+            patch.setattr(evolve, "renyi2_tridiag", lambda s, batch: np.array([0.5, chi]))
+            with pytest.raises(ArgumentError, match="chi out of"):
+                scan_point(spec, dec, taus)
+    for chi in (-1e-10, 1.0 + 1e-10):  # the bounds themselves pass
+        with monkeypatch.context() as patch:
+            patch.setattr(evolve, "renyi2_tridiag", lambda s, batch: np.array([0.5, chi]))
+            assert scan_point(spec, dec, taus)[1][4] == chi
+
+
+# ------------------------------------------------------------ batch reductions
+
+
+def _per_row_complexity(psi):
+    return float(np.arange(psi.size) @ (psi * psi))
+
+
+def _per_row_renyi2(kspec, psi):
+    tri = kspec.tridiag
+    expectation = float(tri.diag @ (psi * psi))
+    if tri.dim > 1:
+        expectation += 2.0 * float(tri.offdiag @ (psi[1:] * psi[:-1]))
+    return 1.0 - 2.0 * expectation / kspec.model.length
+
+
+@given(
+    st.integers(1, 40).map(lambda n: ModelSpec(ModelKind.IR, 2 * n)),
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=80),
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_reductions_equal_per_row_formulas(spec, taus):
+    """complexity and renyi2_tridiag on a batch equal the scalar formulas
+    applied row by row, within 1e-12 relative."""
+    kspec = analytic_lanczos(spec)
+    batch = expm_from_eig(eig_tridiag(kspec.tridiag), taus)
+    k = complexity(batch)
+    chi = renyi2_tridiag(kspec, batch)
+    assert k.shape == chi.shape == (len(taus),)
+    assert_allclose(k, [_per_row_complexity(psi) for psi in batch.psi], rtol=1e-12, atol=0)
+    assert_allclose(chi, [_per_row_renyi2(kspec, psi) for psi in batch.psi], rtol=1e-12, atol=0)
+    single = expm_action(kspec.tridiag, taus[0])
+    assert complexity(single) == pytest.approx(k[0], rel=1e-12)
+    assert renyi2_tridiag(kspec, single) == pytest.approx(chi[0], rel=1e-12)

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dekrylov.doubled import DoubledState, Sector
 from dekrylov.errors import ArgumentError, LinearDependenceError
+from dekrylov.lanczos import run_lanczos
 from dekrylov.lintri import (
     TAU_BLOCK,
     KrylovState,
     TridiagonalOperator,
+    _twisted_vectors,
     eig_tridiag,
     expm_action,
     expm_from_eig,
@@ -98,9 +101,83 @@ def test_to_dense_and_matvec_agree():
 
 def test_krylov_state_requires_unit_norm():
     with pytest.raises(ArgumentError):
-        KrylovState(tau=0.0, psi=np.array([1.0, 1.0]))
-    state = KrylovState(tau=0.0, psi=np.array([1.0, 0.0]))
-    assert state.tau == 0.0
+        KrylovState(taus=0.0, psi=np.array([1.0, 1.0]))
+    state = KrylovState(taus=0.0, psi=np.array([1.0, 0.0]))
+    assert state.taus == 0.0
+
+
+def test_krylov_batch_rejects_bad_rows():
+    """One check per batch still rejects a single bad row: a non-unit
+    row, a negative tau, a non-finite entry, or a shape mismatch."""
+    good = np.array([[1.0, 0.0], [0.6, 0.8]])
+    batch = KrylovState(taus=[0.0, 1.0], psi=good, log_norm=[0.0, 0.5])
+    assert batch.dim == 2 and batch.log_norm.tolist() == [0.0, 0.5]
+    for taus, psi, match in (
+        ([0.0, 1.0], [[1.0, 0.0], [0.6, 0.8 + 1e-9]], "unit-normalized"),
+        ([0.0, -1e-300], good, "nonnegative"),
+        ([0.0, 1.0], [[1.0, 0.0], [np.nan, 0.8]], "finite"),
+        ([0.0, 1.0], [[1.0, 0.0], [np.inf, 0.8]], "finite"),
+        ([0.0, 1.0, 2.0], good, "shape"),
+        ([[0.0, 1.0]], good, "shape"),
+        (0.0, good, "shape"),
+        ([0.0, 1.0], np.zeros((2, 0)), "shape"),
+    ):
+        with pytest.raises(ArgumentError, match=match):
+            KrylovState(taus=taus, psi=np.array(psi))
+    dec = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, 8)).tridiag)
+    with pytest.raises(ArgumentError, match="nonnegative"):
+        expm_from_eig(dec, [0.5, -1e-3])
+
+
+def test_expm_batch_is_a_read_only_view_of_the_filled_array(monkeypatch):
+    """expm_from_eig fills one (m, dim) array; the batch's psi is that
+    array, read-only, not a copy."""
+    filled = []
+    original = np.empty
+
+    def recording_empty(shape, *args, **kwargs):
+        out = original(shape, *args, **kwargs)
+        filled.append(out)
+        return out
+
+    op = analytic_lanczos(ModelSpec(ModelKind.IR, 40)).tridiag
+    dec = eig_tridiag(op)
+    taus = np.linspace(0.0, 3.0, TAU_BLOCK + 7)
+    monkeypatch.setattr(np, "empty", recording_empty)
+    batch = expm_from_eig(dec, taus)
+    monkeypatch.undo()
+    assert batch.psi.shape == (taus.size, op.dim) and batch.taus.shape == (taus.size,)
+    assert not batch.psi.flags.writeable
+    assert any(
+        buf.shape == batch.psi.shape and np.shares_memory(buf, batch.psi) for buf in filled
+    )
+    with pytest.raises(ValueError):
+        batch.psi[0, 0] = 0.0
+
+
+def test_array_dataclasses_compare_by_identity():
+    """Dataclasses holding arrays neither raise on == nor refuse hash()."""
+    spec = analytic_lanczos(ModelSpec(ModelKind.NN, 4))
+    twin = analytic_lanczos(ModelSpec(ModelKind.NN, 4))
+    dec = eig_tridiag(spec.tridiag)
+    state = expm_from_eig(dec, [0.0, 1.0])
+    dense = spec.tridiag.to_dense()
+    amplitudes = np.ones(4)
+    for obj, other in (
+        (spec.tridiag, twin.tridiag),
+        (dec, eig_tridiag(twin.tridiag)),
+        (state, expm_from_eig(dec, [0.0, 1.0])),
+        (spec, twin),
+        (run_lanczos(dense.__matmul__, np.eye(4)[0]), run_lanczos(dense.__matmul__, np.eye(4)[0])),
+        (
+            DoubledState(2, Sector.PARITY_REDUCED, amplitudes),
+            DoubledState(2, Sector.PARITY_REDUCED, amplitudes),
+        ),
+    ):
+        assert obj == obj
+        assert not obj == other
+        assert obj != other
+        assert len({obj, other}) == 2
 
 
 # --------------------------------------------------------------- eigensolver
@@ -143,8 +220,8 @@ def test_eigenvectors_keep_exponentially_small_ground_overlap():
     spec = analytic_lanczos(ModelSpec(ModelKind.IR, 500))
     dec = eig_tridiag(spec.tridiag)
     assert 1e-80 < abs(dec.vectors[0, 0]) < 1e-70
-    (state,) = expm_from_eig(dec, [2.0])
-    assert_allclose(state.psi, psi_ir_exact_profile(500, 2.0), rtol=0, atol=1e-10)
+    (psi,) = expm_from_eig(dec, [2.0]).psi
+    assert_allclose(psi, psi_ir_exact_profile(500, 2.0), rtol=0, atol=1e-10)
 
 
 def _assert_orthonormal_eigenpairs(op, dec):
@@ -180,6 +257,86 @@ def test_clustered_wilkinson_spectrum_keeps_orthonormal_vectors(dim):
 def test_tiny_and_zero_pivots_stay_finite_and_warning_free(diag, offdiag):
     op = TridiagonalOperator(diag=np.array(diag), offdiag=np.array(offdiag))
     _assert_orthonormal_eigenpairs(op, eig_tridiag(op))
+
+
+def _twisted_vectors_by_rows(diag, offdiag, shifts):
+    """Row-by-row reference for lintri._twisted_vectors: the same pivots,
+    then each back-substitution ratio masked and multiplied in one row at
+    a time."""
+    dim = diag.size
+    pivmin = np.finfo(float).eps
+    off_sq = offdiag**2
+
+    def floored(row):
+        row[np.abs(row) < pivmin] = -pivmin
+        return row
+
+    top = np.empty((dim, dim))
+    bottom = np.empty((dim, dim))
+    floored(np.subtract(diag[0], shifts, out=top[0]))
+    for n in range(1, dim):
+        row = np.subtract(diag[n], shifts, out=top[n])
+        floored(np.subtract(row, off_sq[n - 1] / top[n - 1], out=row))
+    gamma = top[dim - 1].copy()
+    twist = np.full(dim, dim - 1)
+    floored(np.subtract(diag[dim - 1], shifts, out=bottom[dim - 1]))
+    for n in range(dim - 2, -1, -1):
+        coupling = off_sq[n] / bottom[n + 1]
+        row = np.subtract(diag[n], shifts, out=bottom[n])
+        floored(np.subtract(row, coupling, out=row))
+        cand = np.subtract(top[n], coupling, out=coupling)
+        better = np.abs(cand) < np.abs(gamma)
+        gamma[better] = cand[better]
+        twist[better] = n
+    top[dim - 1] = 1.0
+    for n in range(dim - 2, -1, -1):
+        row = np.divide(-offdiag[n], top[n], out=top[n])
+        row[twist <= n] = 1.0
+        row *= top[n + 1]
+    bottom[0] = 1.0
+    for n in range(1, dim):
+        row = np.divide(-offdiag[n - 1], bottom[n], out=bottom[n])
+        row[twist >= n] = 1.0
+        row *= bottom[n - 1]
+    top *= bottom
+    return top, gamma, np.einsum("ij,ij->j", top, top)
+
+
+def _twisted_cases():
+    cases = [
+        (f"{kind.value} L={length}", analytic_lanczos(ModelSpec(kind, length)).tridiag)
+        for kind in (ModelKind.NN, ModelKind.IR)
+        for length in (2, 20, 100, 600)
+    ]
+    cases += [(f"S_y 2s={two_s}", _sy_operator(two_s)) for two_s in (1, 7, 301)]
+    cases.append(
+        ("W21+", TridiagonalOperator(diag=np.abs(np.arange(-10, 11.0)), offdiag=np.ones(20)))
+    )
+    for diag, offdiag in (
+        ([4.33409798e-118, 3.16015625, 1.11253693e-308], [0.05078125, 1.5]),
+        ([0.0, 0.0, 5e-324], [0.5, 0.25]),
+        ([0.0] * 5, [1.0, 1.5, 1.5, 1.0]),
+        ([1e-310, -1e-310, 0.0], [3e-311, 2e-310]),
+    ):
+        cases.append((f"pivots {diag}", TridiagonalOperator(np.array(diag), np.array(offdiag))))
+    return cases
+
+
+def test_twisted_vectors_equal_the_row_by_row_recursion():
+    """The masked-ratio back-substitution changes no bit of any vector,
+    gamma or norm, at closed-form and at stev eigenvalues alike."""
+    for name, op in _twisted_cases():
+        values = op.spectrum
+        if values is None:
+            values = scipy.linalg.eigh_tridiagonal(
+                op.diag, op.offdiag, eigvals_only=True, lapack_driver="stev"
+            )
+        exponent = -np.frexp(np.max(np.abs(values)))[1]
+        args = [np.ldexp(x, exponent) for x in (op.diag, op.offdiag, values)]
+        expected = _twisted_vectors_by_rows(*args)
+        found = _twisted_vectors(*args)
+        for want, got in zip(expected, found):
+            assert np.array_equal(want, got), name
 
 
 def test_non_finite_decomposition_is_a_linalg_error():
@@ -283,7 +440,7 @@ def test_normalized_propagation_is_shift_invariant(op, tau, shift):
 @settings(max_examples=50)
 def test_eig_route_equals_direct_route(op, tau):
     assert_allclose(
-        expm_from_eig(eig_tridiag(op), [tau])[0].psi, expm_action(op, tau).psi, atol=1e-12
+        expm_from_eig(eig_tridiag(op), [tau]).psi[0], expm_action(op, tau).psi, atol=1e-12
     )
 
 
@@ -293,12 +450,12 @@ def test_eig_route_equals_direct_route(op, tau):
 )
 @settings(max_examples=40, deadline=None)
 def test_batched_kernel_matches_per_tau_expm(op, taus):
-    states = expm_from_eig(eig_tridiag(op), taus)
-    assert [state.tau for state in states] == taus
-    for state in states:
-        dense = scipy.linalg.expm(-state.tau * op.to_dense())[:, 0]
-        assert_allclose(state.psi, dense / np.linalg.norm(dense), atol=1e-11)
-        assert np.log(np.linalg.norm(dense)) == pytest.approx(state.log_norm, abs=1e-10)
+    batch = expm_from_eig(eig_tridiag(op), taus)
+    assert batch.taus.tolist() == taus
+    for tau, psi, log_norm in zip(batch.taus, batch.psi, batch.log_norm):
+        dense = scipy.linalg.expm(-tau * op.to_dense())[:, 0]
+        assert_allclose(psi, dense / np.linalg.norm(dense), atol=1e-11)
+        assert np.log(np.linalg.norm(dense)) == pytest.approx(log_norm, abs=1e-10)
 
 
 @given(tridiagonals(max_dim=8), st.floats(1.0, 10.0))
@@ -311,9 +468,9 @@ def test_batched_kernel_relaxes_onto_ground_state(op, margin):
     ground = vectors[:, 0]
     tau = (margin + 16 * np.log(10) - np.log(abs(ground[0]))) / gap
     assert np.exp(-tau * gap) < 1e-16
-    (state,) = expm_from_eig(eig_tridiag(op), [tau])
-    sign = np.sign(state.psi @ ground)
-    assert_allclose(state.psi, sign * ground, atol=1e-9 * (1 + 1 / gap))
+    (psi,) = expm_from_eig(eig_tridiag(op), [tau]).psi
+    sign = np.sign(psi @ ground)
+    assert_allclose(psi, sign * ground, atol=1e-9 * (1 + 1 / gap))
 
 
 def test_scaled_propagation_splits_scale():
