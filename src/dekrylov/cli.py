@@ -182,6 +182,17 @@ def _csv_cell(value):
     return f"{float(value):.17g}"
 
 
+# Formatters of the cell types the scans write, keyed by exact type; any
+# other type (numpy scalars, bool) goes through _csv_cell.  Both give the
+# same text for every value.
+_CSV_FORMATTERS = {
+    float: "{:.17g}".format,
+    int: str,
+    str: str,
+    type(None): lambda value: "",
+}
+
+
 def write_rows(out, fmt, header, rows):
     """Write rows as CSV (17-digit floats, \\n endings) or JSON objects.
 
@@ -189,7 +200,11 @@ def write_rows(out, fmt, header, rows):
     """
     if fmt == "csv":
         lines = [",".join(header)]
-        lines.extend(",".join(_csv_cell(value) for value in row) for row in rows)
+        formatter = _CSV_FORMATTERS.get
+        lines.extend(
+            ",".join([formatter(type(value), _csv_cell)(value) for value in row])
+            for row in rows
+        )
         text = "\n".join(lines) + "\n"
     else:
         payload = [dict(zip(header, row)) for row in rows]

@@ -9,7 +9,8 @@ a functional of the normalized wavepacket psi:
   * the Renyi-2 correlator chi(tau) = (1/L^2) Sum_ij <rho| Z_i^u Z_i^l
     Z_j^u Z_j^l |rho> / <rho|rho>, the order diagnostic for
     strong-to-weak symmetry breaking, either from the tridiagonal matrix
-    elements (IR) or from exact dense evolution (L <= 14);
+    elements (IR) or from exact dense evolution (L <= 14), summed over
+    the at most L energy levels of the diagonal reduced Hamiltonian;
   * survival moments mu_n = <rho_init| H^n |rho_init>, cross-checkable
     against the tridiagonal representation.
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import lintri
 from .errors import ArgumentError
-from .models import REDUCED_MAX_LENGTH, ModelKind, reduced_diagonal, site_spins
+from .models import REDUCED_MAX_LENGTH, ModelKind, reduced_diagonal
 
 __all__ = [
     "complexity",
@@ -108,23 +109,29 @@ def renyi2_dense(model, taus):
     where v = e^{-tau H} applied to the uniform initial vector.  The
     i = j identity terms are included, giving chi(0) = 1/L.
 
+    The diagonal takes at most L distinct values, so the sums run over
+    energy levels E, not over the 2^L states:
+
+        chi = Sum_E e^{-2 tau E} S_E / (L^2 Sum_E e^{-2 tau E} N_E),
+
+    with N_E the number of states at level E and S_E the sum of their
+    M^2, both exact integers.  The levels are shifted so the ground level
+    is 0, which keeps every exponential <= 1 at any tau.
+
     ``taus`` is a float or a sequence of floats; the result is a float or
-    an array of the same shape.  The diagonal and the magnetization are
-    built once per call, whatever the number of taus.
+    an array of the same shape.
     """
     tau_arr = np.asarray(taus, dtype=float)
     if np.any(tau_arr < 0):
         raise ArgumentError("tau must be nonnegative")
     length = model.length
     diag = reduced_diagonal(model)  # enforces the L <= 14 cap
-    magnetization_sq = site_spins(length).sum(axis=1) ** 2
-    # Uniform initial amplitudes cancel in the ratio; shift the diagonal
-    # so the elementwise exponential cannot overflow at large tau.
-    shifted = diag - diag.min()
-    chi = np.empty(tau_arr.shape)
-    for index, tau in np.ndenumerate(tau_arr):
-        weights = np.exp(-2.0 * tau * shifted)
-        chi[index] = (weights @ magnetization_sq) / (length**2 * weights.sum())
+    levels, level_of = np.unique(diag - diag.min(), return_inverse=True)
+    magnetization = length - 2.0 * np.bitwise_count(np.arange(diag.size))
+    counts = np.bincount(level_of)
+    magnetization_sq = np.bincount(level_of, weights=magnetization**2)
+    weights = np.exp(-2.0 * tau_arr[..., None] * levels)
+    chi = (weights @ magnetization_sq) / (length**2 * (weights @ counts))
     return float(chi) if chi.ndim == 0 else chi
 
 

@@ -97,13 +97,20 @@ def site_spins(length):
 
 
 def reduced_diagonal(model):
-    """Diagonal of the reduced Hamiltonian in the tau^z product basis."""
+    """Diagonal of the reduced Hamiltonian in the tau^z product basis.
+
+    Basis state x has z_i = 1 - 2 bit_i(x), so both diagonals follow from
+    bit counts: Sum_i z_i z_{i+1} = (L-1) - 2 w with w the domain walls
+    of x, and Sum_i z_i = L - 2 popcount(x).  The values, signed zeros
+    included, are those of the products and sums over site_spins.
+    """
     _check_reduced_length(model.length)
     length = model.length
-    spins = site_spins(length)
+    states = np.arange(2**length)
     if model.kind is ModelKind.NN:
-        return -np.sum(spins[:, :-1] * spins[:, 1:], axis=1)
-    total = spins.sum(axis=1)
+        walls = np.bitwise_count((states ^ (states >> 1)) & ((1 << (length - 1)) - 1))
+        return -((length - 1) - 2.0 * walls)
+    total = length - 2.0 * np.bitwise_count(states)
     pair_sum = 0.5 * (total**2 - length)  # Sum_{i<j} z_i z_j
     return -(pair_sum - length * (length - 1) / 2.0) / length
 

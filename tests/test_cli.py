@@ -52,6 +52,21 @@ def test_coeffs_golden_csv(tmp_path):
     )
 
 
+def test_write_rows_golden_cells(tmp_path):
+    """Every cell type a row may hold writes pinned CSV bytes."""
+    out = tmp_path / "cells.csv"
+    row = (None, "nn", 7, np.int64(-8), True, 0.1, np.float64(1 / 3), -0.0, 1e-300)
+    cli.write_rows(str(out), "csv", tuple("abcdefghi"), [row])
+    assert out.read_bytes() == (
+        b"a,b,c,d,e,f,g,h,i\n"
+        b",nn,7,-8,1,0.10000000000000001,0.33333333333333331,-0,1e-300\n"
+    )
+    cli.write_rows(str(out), "json", ("a", "b", "c", "d"), [(None, "nn", 7, -0.0)])
+    assert out.read_bytes() == (
+        b'[\n {\n  "a": null,\n  "b": "nn",\n  "c": 7,\n  "d": -0.0\n }\n]\n'
+    )
+
+
 def test_coeffs_ir_values(tmp_path):
     code, text = run_cli(["coeffs", "--model", "ir", "--lengths", "4,6"], tmp_path)
     assert code == 0

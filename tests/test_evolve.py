@@ -1,5 +1,7 @@
 """Imaginary-time scans: complexity, Renyi-2 correlator, survival moments."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,14 @@ from dekrylov.lintri import (
     expm_action,
     expm_from_eig,
 )
-from dekrylov.models import ModelKind, ModelSpec, analytic_lanczos, nn_lambda
+from dekrylov.models import (
+    ModelKind,
+    ModelSpec,
+    analytic_lanczos,
+    nn_lambda,
+    reduced_diagonal,
+    site_spins,
+)
 
 
 def model_specs(max_length=30):
@@ -96,6 +105,38 @@ def test_renyi2_is_bounded_and_starts_at_one_over_l(kind, length, tau):
     value = renyi2_dense(spec, tau)
     assert 0.0 <= value <= 1.0
     assert renyi2_dense(spec, 0.0) == pytest.approx(1.0 / length, abs=1e-12)
+
+
+def _renyi2_per_state(spec, tau):
+    """chi summed state by state with math.exp and math.fsum."""
+    length = spec.length
+    diag = reduced_diagonal(spec)
+    shifted = (diag - diag.min()).tolist()
+    magnetization_sq = (site_spins(length).sum(axis=1) ** 2).tolist()
+    weights = [math.exp(-2.0 * tau * energy) for energy in shifted]
+    numerator = math.fsum(w * m2 for w, m2 in zip(weights, magnetization_sq))
+    return numerator / (length**2 * math.fsum(weights))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.NN, ModelKind.IR])
+@pytest.mark.parametrize("length", [10, 12, 14])
+def test_renyi2_dense_matches_per_state_fsum(kind, length):
+    """The level sum is as accurate as a compensated sum over all 2^L states."""
+    spec = ModelSpec(kind, length)
+    taus = np.linspace(0.0, 3.0, 61)
+    reference = np.array([_renyi2_per_state(spec, tau) for tau in taus])
+    assert_allclose(renyi2_dense(spec, taus), reference, rtol=0.0, atol=1.5e-15)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.NN, ModelKind.IR])
+def test_renyi2_dense_large_tau_keeps_the_ground_level(kind):
+    """Past any overflow scale chi stays in [0, 1]; at tau = 1e6 only the
+    two fully polarized states survive, so chi is exactly 1."""
+    spec = ModelSpec(kind, 14)
+    chis = renyi2_dense(spec, [50.0, 1e3, 1e6])
+    assert np.all(np.isfinite(chis)) and np.all((chis >= 0.0) & (chis <= 1.0))
+    assert chis[-1] == 1.0
+    assert renyi2_dense(spec, 1e6) == 1.0
 
 
 def test_renyi2_tridiag_rejects_nn():

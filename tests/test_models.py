@@ -24,6 +24,7 @@ from dekrylov.models import (
     psi_nn_analytic,
     reduced_diagonal,
     reduced_initial_state,
+    site_spins,
     volume_law_k,
 )
 from dekrylov.oracle import channel_vs_exponential, dense_krylov
@@ -61,6 +62,30 @@ def test_reduced_diagonal_hand_values():
     assert_allclose(nn3, [-2.0, 0.0, 2.0, 0.0, 0.0, 2.0, 0.0, -2.0])
     ir2 = reduced_diagonal(ModelSpec(ModelKind.IR, 2))
     assert_allclose(ir2, [0.0, 1.0, 1.0, 0.0])
+
+
+def _spins_diagonal(spec):
+    """Reduced diagonal from products and sums of site spins."""
+    length = spec.length
+    spins = site_spins(length)
+    if spec.kind is ModelKind.NN:
+        return -np.sum(spins[:, :-1] * spins[:, 1:], axis=1)
+    total = spins.sum(axis=1)
+    return -(0.5 * (total**2 - length) - length * (length - 1) / 2.0) / length
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec(ModelKind.NN, length) for length in range(2, 15)]
+    + [ModelSpec(ModelKind.IR, length) for length in range(2, 15, 2)],
+    ids=lambda spec: f"{spec.kind.value}{spec.length}",
+)
+def test_reduced_diagonal_matches_site_spins_bitwise(spec):
+    """The bit-count diagonal equals the site-spin one, signed zeros included."""
+    diag = reduced_diagonal(spec)
+    reference = _spins_diagonal(spec)
+    assert np.array_equal(diag, reference)
+    assert np.array_equal(np.signbit(diag), np.signbit(reference))
 
 
 def test_reduced_initial_state_is_uniform():
