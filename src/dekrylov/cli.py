@@ -16,9 +16,10 @@ batch, with no object per tau.  Output is bitwise deterministic across
 runs, and floats are written with 17 significant digits (binary64
 round-trip exact).  Flags are the only input.  Exit codes: 0 success, 1 verification failure,
 2 invalid arguments or an --out path that cannot be written,
-3 numerical failure (a LAPACK error, a non-finite eigendecomposition, or
-a seed overlap |V[0, k]| that underflows binary64, which the propagating
-commands meet past L ~ 2045).
+3 numerical failure (eigenvectors that are not finite or, for a clustered
+spectrum, not orthogonal, or a seed overlap |V[0, k]| that underflows
+binary64, which the propagating commands meet past L ~ 2045).  No LAPACK
+call runs on these paths.
 """
 
 from __future__ import annotations

@@ -6,15 +6,15 @@ where they are real symmetric tridiagonal:
     T = tridiag(b, a, b),   a = (a_0, ..., a_{d-1}),   b = (b_1, ..., b_{d-1}).
 
 This module provides the eigendecomposition in O(d^2) (the operator's
-closed-form spectrum where it has one, then one twisted three-term
+exact spectrum, which every operator carries, then one twisted three-term
 recursion per eigenvector), one propagation kernel that evaluates the
 normalized imaginary-time action exp(-tau T) e_0 for a batch of taus with
 a per-tau log shift, and a two-pass classical Gram-Schmidt used to build
 dense Krylov bases.  A batch is one KrylovState: a read-only (taus x dim)
 wavepacket array with its taus and log norms, validated once, so no
-Python object is built per tau.  Only an operator without a closed-form
-spectrum, or with clustered eigenvalues, reaches scipy's LAPACK ``?stev``,
-which is imported there and nowhere else.  All arithmetic is 64-bit float;
+Python object is built per tau.  No eigensolver and no LAPACK call runs
+here: a clustered spectrum, whose twisted vectors are not orthogonal, is
+refused with numpy.linalg.LinAlgError.  All arithmetic is 64-bit float;
 operations are pure functions over immutable inputs and are safe to call
 concurrently.
 """
@@ -22,7 +22,6 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -60,17 +59,17 @@ class TridiagonalOperator:
     means the Krylov space closed at dimension n, which is represented by
     constructing a smaller operator instead.
 
-    ``spectrum``, when given, holds the exact eigenvalues in ascending
-    order; eig_tridiag then uses them instead of an eigensolver.  It must
-    be finite and strictly ascending (a positive off-diagonal makes every
-    eigenvalue simple), and its first two power sums must match
-    tr T = Sum a_n and tr T^2 = Sum a_n^2 + 2 Sum b_n^2 within
-    SPECTRUM_RTOL, relative to Sum |lambda| and Sum lambda^2.
+    ``spectrum`` is required: the exact eigenvalues in ascending order,
+    which eig_tridiag uses in place of an eigensolver.  It is checked on
+    construction: it must be finite and strictly ascending (a positive
+    off-diagonal makes every eigenvalue simple), and its first two power
+    sums must match tr T = Sum a_n and tr T^2 = Sum a_n^2 + 2 Sum b_n^2
+    within SPECTRUM_RTOL, relative to Sum |lambda| and Sum lambda^2.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    spectrum: Optional[np.ndarray] = field(default=None, repr=False)
+    spectrum: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         diag = _readonly(self.diag)
@@ -91,21 +90,17 @@ class TridiagonalOperator:
             )
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "offdiag", offdiag)
-        if self.spectrum is not None:
-            object.__setattr__(self, "spectrum", self._checked_spectrum())
-
-    def _checked_spectrum(self):
         spectrum = _readonly(self.spectrum)
-        if spectrum.shape != self.diag.shape:
+        if spectrum.shape != diag.shape:
             raise ArgumentError(
-                f"spectrum must have length dim = {self.diag.size}, got shape {spectrum.shape}"
+                f"spectrum must have length dim = {diag.size}, got shape {spectrum.shape}"
             )
         if not np.all(np.isfinite(spectrum)):
             raise ArgumentError("spectrum must be finite")
         if not np.all(np.diff(spectrum) > 0):
             raise ArgumentError("spectrum must be strictly ascending")
-        trace = np.sum(self.diag)
-        trace_sq = np.sum(self.diag**2) + 2.0 * np.sum(self.offdiag**2)
+        trace = np.sum(diag)
+        trace_sq = np.sum(diag**2) + 2.0 * np.sum(offdiag**2)
         for name, found, expected, scale in (
             ("Sum lambda", np.sum(spectrum), trace, np.sum(np.abs(spectrum))),
             ("Sum lambda^2", np.sum(spectrum**2), trace_sq, np.sum(spectrum**2)),
@@ -115,7 +110,7 @@ class TridiagonalOperator:
                     f"spectrum does not match the operator: {name} = {found!r}, "
                     f"trace gives {expected!r}"
                 )
-        return spectrum
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self):
@@ -216,8 +211,8 @@ def _twisted_vectors(diag, offdiag, shifts):
     (dim, dim) float buffers and one (dim, dim) boolean mask at a time.
 
     Returns:
-        (vectors, gamma, norm_sq): unnormalized columns with v_r = 1, the
-        signed gamma_r, and the squared column norms.
+        (vectors, norm_sq): unnormalized columns with v_r = 1, and their
+        squared norms.
     """
     dim = diag.size
     pivmin = np.finfo(float).eps
@@ -264,83 +259,48 @@ def _twisted_vectors(diag, offdiag, shifts):
         np.multiply(bottom[n - 1], bottom[n], out=bottom[n])
     top *= bottom
     del bottom
-    return top, gamma, np.einsum("ij,ij->j", top, top)
-
-
-def _twisted_eigenpairs(op, values, refine):
-    """Eigenpairs from ``values`` in O(dim^2), or None if they are unusable.
-
-    The operator is scaled by a power of two to a norm in [1/2, 1), which
-    is exact, and one twisted pass builds every vector.  Exact eigenvalues
-    need nothing more.  Approximate ones (``refine``) first take one
-    Rayleigh-quotient step, lambda + gamma_r / ||v||^2, from a first pass:
-    it makes ``?stev``'s eigenvalues 3 to 1000 times more accurate and
-    cuts the vectors' loss of orthogonality about tenfold (IR L = 2000:
-    1.4e-10 to 1.6e-11), which keeps such operators off the O(dim^3)
-    fallback.  None means the pairs are not finite, not strictly
-    ascending, or two neighbouring vectors overlap by more than
-    ORTHOGONALITY_TOL, which happens when eigenvalues cluster.
-    """
-    if not np.all(np.isfinite(values)):
-        return None
-    exponent = -np.frexp(np.max(np.abs(values)))[1]
-    diag, offdiag, shifts = (np.ldexp(x, exponent) for x in (op.diag, op.offdiag, values))
-    if refine:
-        # [1:] drops the first pass's vectors before the second pass allocates.
-        gamma, norm_sq = _twisted_vectors(diag, offdiag, shifts)[1:]
-        shifts = shifts + gamma / norm_sq
-    vectors, _, norm_sq = _twisted_vectors(diag, offdiag, shifts)
-    if not (np.all(np.isfinite(norm_sq)) and np.all(np.diff(shifts) > 0)):
-        return None
-    vectors /= np.sqrt(norm_sq)
-    overlaps = np.einsum("ij,ij->j", vectors[:, :-1], vectors[:, 1:])
-    if np.any(np.abs(overlaps) > ORTHOGONALITY_TOL):
-        return None
-    return np.ldexp(shifts, -exponent), vectors
+    return top, np.einsum("ij,ij->j", top, top)
 
 
 def eig_tridiag(op):
     """Eigendecompose a symmetric tridiagonal operator in O(dim^2).
 
-    The eigenvalues are ``op.spectrum`` when the operator carries its
-    closed form.  Otherwise they come from LAPACK ``?stev`` without
-    vectors (root-free QL/QR, O(dim^2)), refined by one Rayleigh-quotient
-    step.  Each eigenvector comes from a twisted three-term recursion at
-    its eigenvalue (Dhillon & Parlett, Linear Algebra Appl. 387 (2004)
-    1-28), O(dim) per vector.  The recursion runs outward from the twist,
-    where the components shrink, so it keeps exponentially small
-    components to full relative accuracy: at IR L = 500 the seed e_0
+    The eigenvalues are the operator's exact ``spectrum``; no eigensolver
+    runs.  The operator is scaled by a power of two to a norm in [1/2, 1),
+    which is exact, and each eigenvector comes from one twisted three-term
+    recursion at its eigenvalue (Dhillon & Parlett, Linear Algebra Appl.
+    387 (2004) 1-28), O(dim) per vector.  The recursion runs outward from
+    the twist, where the components shrink, so it keeps exponentially
+    small components to full relative accuracy: at IR L = 500 the seed e_0
     overlaps the ground state at ~1e-76, and at L = 2000 at ~1e-301
     (criterion 4 checks both against exact values).  LAPACK ``stemr`` and
     ``stebz`` lose components that small.
 
-    When eigenvalues cluster, twisted vectors lose orthogonality; then,
-    detected from the overlaps of neighbouring vectors, the pairs come
-    from ``?stev`` with accumulated rotations, O(dim^3).
+    Twisted vectors of clustered eigenvalues lose orthogonality, and no
+    other route is taken then: the decomposition is refused instead.
 
     Returns:
         EigenDecomposition, eigenvalues ascending, orthonormal vectors.
 
     Raises:
-        numpy.linalg.LinAlgError: if LAPACK reports a failure or the
-            decomposition is not finite.
+        numpy.linalg.LinAlgError: if a vector norm is not finite, or two
+            neighbouring vectors overlap by more than ORTHOGONALITY_TOL
+            (clustered eigenvalues).
     """
-    values = op.spectrum
-    if values is None:
-        import scipy.linalg  # only operators without a closed-form spectrum
-
-        values = scipy.linalg.eigh_tridiagonal(
-            op.diag, op.offdiag, eigvals_only=True, lapack_driver="stev"
+    exponent = -np.frexp(np.max(np.abs(op.spectrum)))[1]
+    diag, offdiag, shifts = (np.ldexp(x, exponent) for x in (op.diag, op.offdiag, op.spectrum))
+    vectors, norm_sq = _twisted_vectors(diag, offdiag, shifts)
+    if not np.all(np.isfinite(norm_sq)):
+        raise np.linalg.LinAlgError("tridiagonal eigenvector norms are not finite")
+    vectors /= np.sqrt(norm_sq)
+    overlaps = np.abs(np.einsum("ij,ij->j", vectors[:, :-1], vectors[:, 1:]))
+    if np.any(overlaps > ORTHOGONALITY_TOL):
+        k = int(np.argmax(overlaps))
+        raise np.linalg.LinAlgError(
+            f"eigenvectors {k} and {k + 1} overlap by {overlaps[k]:.3g} > "
+            f"{ORTHOGONALITY_TOL:g}: clustered eigenvalues at dimension {op.dim}"
         )
-    pairs = _twisted_eigenpairs(op, values, refine=op.spectrum is None)
-    if pairs is None:
-        import scipy.linalg  # the clustered fallback
-
-        pairs = scipy.linalg.eigh_tridiagonal(op.diag, op.offdiag, lapack_driver="stev")
-        if not all(np.all(np.isfinite(part)) for part in pairs):
-            raise np.linalg.LinAlgError("tridiagonal eigendecomposition is not finite")
-    values, vectors = pairs
-    return EigenDecomposition(values=values, vectors=vectors)
+    return EigenDecomposition(values=op.spectrum, vectors=vectors)
 
 
 def expm_from_eig(dec, taus):

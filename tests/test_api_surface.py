@@ -1,7 +1,7 @@
 """Static checks of the source tree: no dead public API, no unused imports,
-no module-level scipy import in the package.
+no scipy import anywhere in the package.
 
-Both checks parse the files with the standard-library ``ast`` module and
+The checks parse the files with the standard-library ``ast`` module and
 import nothing from the package.
 """
 
@@ -72,12 +72,12 @@ def test_no_file_imports_a_name_it_never_uses():
     assert not unused, f"unused imports: {unused}"
 
 
-def test_package_does_not_import_scipy_at_module_level():
-    """scipy costs more start-up than a figure scan; it is imported only
-    inside the functions that need it."""
+def test_package_never_imports_scipy():
+    """scipy is a test dependency only: no module, function body or
+    conditional branch of the package imports it."""
     offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in parse(path).body:
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(parse(path)):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -86,4 +86,4 @@ def test_package_does_not_import_scipy_at_module_level():
                 continue
             if any(m == "scipy" or m.startswith("scipy.") for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert not offenders, f"module-level scipy imports: {offenders}"
+    assert not offenders, f"scipy imports: {offenders}"

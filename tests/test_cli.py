@@ -12,7 +12,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dekrylov import checks, cli, lintri
-from dekrylov.lintri import TridiagonalOperator
 from dekrylov.models import (
     KrylovSpec,
     ModelKind,
@@ -21,6 +20,7 @@ from dekrylov.models import (
     psi_nn_analytic,
 )
 from dekrylov.evolve import survival_moments_nn
+from exact_spectrum import with_spectrum
 
 
 def run_cli(args, tmp_path=None, out_name="out.csv"):
@@ -195,7 +195,7 @@ def test_evolve_builds_one_batch_per_length_and_no_per_tau_state(tmp_path, monke
     assert len(rows_of(text)) == 2 * taus
 
 
-@pytest.mark.parametrize("error", [np.linalg.LinAlgError("stev failed to converge")])
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("eigenvector norms are not finite")])
 def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsys):
     def failing(op):
         raise error
@@ -222,6 +222,17 @@ def test_underflowed_seed_overlap_is_exit_3(argv, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
+
+
+def test_orthogonality_guard_is_exit_3(capsys):
+    """At IR L = 2400 the top pair's relative gap 4/L^2 costs the twisted
+    vectors their orthogonality (neighbour overlap 5.1e-11); the scan stops
+    instead of propagating them."""
+    assert cli.main(["evolve", "--model", "ir", "--lengths", "2400", "--tau-list", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "clustered eigenvalues" in err
 
 
 # --------------------------------------------------------------- wavepacket
@@ -372,15 +383,17 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_names_failing_check_on_tampered_coefficients(capsys, monkeypatch):
-    """Perturbing a closed-form b_n must trip the dual-route comparison."""
+    """Perturbing a closed-form b_n must trip the dual-route comparison.
+
+    The tampered operator carries its own spectrum, so criterion 2 fails on
+    the coefficients it compares, not on an operator that cannot be built.
+    """
     original = checks.analytic_lanczos
 
     def tampered(model):
         spec = original(model)
         if model.kind is ModelKind.NN:
-            tri = TridiagonalOperator(
-                diag=spec.tridiag.diag, offdiag=spec.tridiag.offdiag * (1 + 1e-6)
-            )
+            tri = with_spectrum(spec.tridiag.diag, spec.tridiag.offdiag * (1 + 1e-6))
             return KrylovSpec(model=spec.model, tridiag=tri)
         return spec
 
@@ -389,7 +402,9 @@ def test_verify_names_failing_check_on_tampered_coefficients(capsys, monkeypatch
     out = capsys.readouterr().out
     assert "FAIL" in out
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert any("Lanczos coefficients match closed forms" in line for line in failing)
+    (criterion_2,) = [line for line in failing if "Lanczos coefficients match closed forms" in line]
+    assert "max coefficient deviation" in criterion_2
+    assert "raised" not in criterion_2
 
 
 def test_verify_rejects_unknown_level(capsys):

@@ -20,7 +20,6 @@ from dekrylov.evolve import (
 )
 from dekrylov.lintri import (
     KrylovState,
-    TridiagonalOperator,
     eig_tridiag,
     expm_action,
     expm_from_eig,
@@ -33,6 +32,7 @@ from dekrylov.models import (
     reduced_diagonal,
     site_spins,
 )
+from exact_spectrum import with_spectrum
 
 
 def model_specs(max_length=30):
@@ -176,9 +176,7 @@ def test_survival_moments_length_domain():
 def test_tridiag_moments_match_spectral_oracle(dim, seed, n_max):
     """<e0|T^n|e0> = sum_j |<e0|v_j>|^2 lambda_j^n via numpy's eigensolver."""
     rng = np.random.default_rng(seed)
-    tri = TridiagonalOperator(
-        diag=rng.uniform(-2, 2, dim), offdiag=rng.uniform(0.1, 2, dim - 1)
-    )
+    tri = with_spectrum(rng.uniform(-2, 2, dim), rng.uniform(0.1, 2, dim - 1))
     n_max = min(n_max, 2 * tri.dim)  # route is capped at the information content
     mu = moments_from_tridiag(tri, n_max)
     values, vectors = np.linalg.eigh(tri.to_dense())

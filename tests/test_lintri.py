@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -13,6 +13,7 @@ from dekrylov.doubled import DoubledState, Sector
 from dekrylov.errors import ArgumentError, LinearDependenceError
 from dekrylov.lanczos import run_lanczos
 from dekrylov.lintri import (
+    ORTHOGONALITY_TOL,
     TAU_BLOCK,
     KrylovState,
     TridiagonalOperator,
@@ -24,22 +25,29 @@ from dekrylov.lintri import (
 )
 from dekrylov.models import ModelKind, ModelSpec, analytic_lanczos
 from dekrylov.wigner import _sy_operator, psi_ir_exact_profile
+from exact_spectrum import MIN_RELATIVE_GAP, eigvalsh_spectrum, relative_gap, with_spectrum
 
 
 def tridiagonals(max_dim=10):
-    """Random well-scaled symmetric tridiagonal operators."""
+    """Random well-scaled symmetric tridiagonal operators with eigvalsh spectra.
+
+    Draws whose relative eigenvalue gap is below MIN_RELATIVE_GAP are
+    discarded: eig_tridiag refuses clustered spectra, which
+    test_clustered_spectra_are_refused pins.
+    """
 
     def build(dim):
         return st.tuples(
             st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim),
             st.lists(st.floats(0.05, 4.0), min_size=dim - 1, max_size=dim - 1),
-        ).map(
-            lambda pair: TridiagonalOperator(
-                diag=np.asarray(pair[0]), offdiag=np.asarray(pair[1])
-            )
         )
 
-    return st.integers(2, max_dim).flatmap(build)
+    return (
+        st.integers(2, max_dim)
+        .flatmap(build)
+        .filter(lambda pair: relative_gap(eigvalsh_spectrum(*pair)) >= MIN_RELATIVE_GAP)
+        .map(lambda pair: with_spectrum(*pair))
+    )
 
 
 # ---------------------------------------------------------------- containers
@@ -47,11 +55,15 @@ def tridiagonals(max_dim=10):
 
 def test_tridiagonal_operator_validates_shapes():
     with pytest.raises(ArgumentError):
-        TridiagonalOperator(diag=np.zeros(3), offdiag=np.ones(3))
+        TridiagonalOperator(diag=np.zeros(3), offdiag=np.ones(3), spectrum=np.arange(3.0))
     with pytest.raises(ArgumentError):
-        TridiagonalOperator(diag=np.zeros(3), offdiag=np.array([1.0, 0.0]))
+        TridiagonalOperator(
+            diag=np.zeros(3), offdiag=np.array([1.0, 0.0]), spectrum=np.arange(3.0)
+        )
+    with pytest.raises(TypeError, match="spectrum"):
+        TridiagonalOperator(diag=np.zeros(2), offdiag=np.ones(1))
     # dim 1 is legal: it represents a Krylov space that terminated immediately
-    assert TridiagonalOperator(diag=np.zeros(1), offdiag=np.zeros(0)).dim == 1
+    assert TridiagonalOperator(diag=np.zeros(1), offdiag=np.zeros(0), spectrum=[0.0]).dim == 1
 
 
 @pytest.mark.parametrize(
@@ -83,7 +95,6 @@ def test_closed_form_spectra_match_stev():
     ]
     ops += [(f"S_y 2s={two_s}", _sy_operator(two_s)) for two_s in (0, 1, 2, 7, 100, 301, 600)]
     for name, op in ops:
-        assert op.spectrum is not None, name
         ref = scipy.linalg.eigh_tridiagonal(
             op.diag, op.offdiag, eigvals_only=True, lapack_driver="stev"
         )
@@ -92,7 +103,7 @@ def test_closed_form_spectra_match_stev():
 
 
 def test_to_dense_and_matvec_agree():
-    op = TridiagonalOperator(diag=np.array([1.0, -2.0, 0.5]), offdiag=np.array([0.3, 1.1]))
+    op = with_spectrum(np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.1]))
     dense = op.to_dense()
     assert_allclose(dense, dense.T)
     v = np.array([0.2, -1.0, 0.7])
@@ -185,16 +196,14 @@ def test_array_dataclasses_compare_by_identity():
 
 def test_two_site_hopping_spectrum():
     """T = [[0,1],[1,0]] has eigenvalues -1, +1."""
-    dec = eig_tridiag(TridiagonalOperator(diag=np.zeros(2), offdiag=np.ones(1)))
+    dec = eig_tridiag(with_spectrum(np.zeros(2), np.ones(1)))
     assert_allclose(dec.values, [-1.0, 1.0], atol=1e-15)
     assert_allclose(dec.vectors.T @ dec.vectors, np.eye(2), atol=1e-14)
 
 
 def test_binomial_chain_spectrum_is_integer_ladder():
     """offdiag sqrt(n(L-n)) at L=4 gives the ladder -3,-1,1,3."""
-    op = TridiagonalOperator(
-        diag=np.zeros(4), offdiag=np.sqrt([3.0, 4.0, 3.0])
-    )
+    op = with_spectrum(np.zeros(4), np.sqrt([3.0, 4.0, 3.0]))
     dec = eig_tridiag(op)
     assert_allclose(dec.values, [-3.0, -1.0, 1.0, 3.0], atol=1e-13)
 
@@ -232,13 +241,37 @@ def _assert_orthonormal_eigenpairs(op, dec):
     assert_allclose(recon, op.to_dense(), atol=1e-9 * scale)
 
 
-@pytest.mark.parametrize("dim", [21, 101])
-def test_clustered_wilkinson_spectrum_keeps_orthonormal_vectors(dim):
-    """W_dim+ has eigenvalue pairs that agree to ~1e-14 and beyond;
-    twisted-recursion vectors of such pairs are not orthogonal."""
+def wilkinson_plus(dim):
     half = dim // 2
-    op = TridiagonalOperator(diag=np.abs(np.arange(-half, half + 1.0)), offdiag=np.ones(dim - 1))
-    _assert_orthonormal_eigenpairs(op, eig_tridiag(op))
+    return np.abs(np.arange(-half, half + 1.0)), np.ones(dim - 1)
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag",
+    [
+        # W21+: its top pair agrees to ~1e-14, neighbour overlap ~8e-3
+        wilkinson_plus(21),
+        # from the boundary grid diag in {-4, -1, 0, 1, 4}, b in {0.05, 0.5,
+        # 1, 4}: relative gap 2.9e-9, neighbour overlap ~2e-8
+        ([4.0, -4.0, 0.0, 1.0, -4.0, 4.0], [0.05, 0.05, 0.5, 0.05, 0.05]),
+    ],
+    ids=["W21+", "boundary-dim6"],
+)
+def test_clustered_spectra_are_refused(diag, offdiag):
+    """Twisted-recursion vectors of nearly equal eigenvalues are not
+    orthogonal; eig_tridiag raises instead of returning them."""
+    op = with_spectrum(diag, offdiag)
+    assert relative_gap(op.spectrum) < MIN_RELATIVE_GAP
+    with pytest.raises(np.linalg.LinAlgError, match="clustered"):
+        eig_tridiag(op)
+
+
+def test_wilkinson_101_rounded_spectrum_is_not_a_spectrum():
+    """W101+'s top pairs agree beyond binary64: the rounded eigenvalues
+    are not strictly ascending, so the operator cannot be built."""
+    diag, offdiag = wilkinson_plus(101)
+    with pytest.raises(ArgumentError, match="strictly ascending"):
+        with_spectrum(diag, offdiag)
 
 
 @pytest.mark.parametrize(
@@ -255,7 +288,7 @@ def test_clustered_wilkinson_spectrum_keeps_orthonormal_vectors(dim):
     ],
 )
 def test_tiny_and_zero_pivots_stay_finite_and_warning_free(diag, offdiag):
-    op = TridiagonalOperator(diag=np.array(diag), offdiag=np.array(offdiag))
+    op = with_spectrum(np.array(diag), np.array(offdiag))
     _assert_orthonormal_eigenpairs(op, eig_tridiag(op))
 
 
@@ -299,7 +332,7 @@ def _twisted_vectors_by_rows(diag, offdiag, shifts):
         row[twist >= n] = 1.0
         row *= bottom[n - 1]
     top *= bottom
-    return top, gamma, np.einsum("ij,ij->j", top, top)
+    return top, np.einsum("ij,ij->j", top, top)
 
 
 def _twisted_cases():
@@ -309,60 +342,55 @@ def _twisted_cases():
         for length in (2, 20, 100, 600)
     ]
     cases += [(f"S_y 2s={two_s}", _sy_operator(two_s)) for two_s in (1, 7, 301)]
-    cases.append(
-        ("W21+", TridiagonalOperator(diag=np.abs(np.arange(-10, 11.0)), offdiag=np.ones(20)))
-    )
+    cases.append(("W21+", with_spectrum(*wilkinson_plus(21))))
     for diag, offdiag in (
         ([4.33409798e-118, 3.16015625, 1.11253693e-308], [0.05078125, 1.5]),
         ([0.0, 0.0, 5e-324], [0.5, 0.25]),
         ([0.0] * 5, [1.0, 1.5, 1.5, 1.0]),
         ([1e-310, -1e-310, 0.0], [3e-311, 2e-310]),
     ):
-        cases.append((f"pivots {diag}", TridiagonalOperator(np.array(diag), np.array(offdiag))))
+        cases.append((f"pivots {diag}", with_spectrum(np.array(diag), np.array(offdiag))))
     return cases
 
 
 def test_twisted_vectors_equal_the_row_by_row_recursion():
-    """The masked-ratio back-substitution changes no bit of any vector,
-    gamma or norm, at closed-form and at stev eigenvalues alike."""
+    """The masked-ratio back-substitution changes no bit of any vector or
+    norm, at closed-form and at eigvalsh eigenvalues alike."""
     for name, op in _twisted_cases():
-        values = op.spectrum
-        if values is None:
-            values = scipy.linalg.eigh_tridiagonal(
-                op.diag, op.offdiag, eigvals_only=True, lapack_driver="stev"
-            )
-        exponent = -np.frexp(np.max(np.abs(values)))[1]
-        args = [np.ldexp(x, exponent) for x in (op.diag, op.offdiag, values)]
+        exponent = -np.frexp(np.max(np.abs(op.spectrum)))[1]
+        args = [np.ldexp(x, exponent) for x in (op.diag, op.offdiag, op.spectrum)]
         expected = _twisted_vectors_by_rows(*args)
         found = _twisted_vectors(*args)
         for want, got in zip(expected, found):
             assert np.array_equal(want, got), name
 
 
-def test_non_finite_decomposition_is_a_linalg_error():
-    """Finite entries whose eigenvalue overflows must not reach propagation."""
-    op = TridiagonalOperator(diag=np.array([1e308, 1e308]), offdiag=np.array([1e308]))
-    with pytest.raises(np.linalg.LinAlgError):
-        eig_tridiag(op)
+def test_non_finite_spectrum_fails_at_construction():
+    """Finite entries whose eigenvalue overflows must not reach propagation:
+    the overflowing spectrum cannot be attached to the operator."""
+    with pytest.raises(ArgumentError, match="finite"):
+        with_spectrum(np.array([1e308, 1e308]), np.array([1e308]))
 
 
 @pytest.mark.parametrize(
     "kind, length", [(ModelKind.IR, 1200), (ModelKind.IR, 2000), (ModelKind.NN, 1000)]
 )
-def test_production_operators_skip_the_cubic_eigensolver(monkeypatch, kind, length):
-    """Only the eigenvalue-only LAPACK call runs; the O(dim^3) call with
-    vectors is reserved for clustered spectra."""
-    plain = scipy.linalg.eigh_tridiagonal
-
-    def values_only(diag, offdiag, eigvals_only=False, **kwargs):
-        if not eigvals_only:
-            raise AssertionError("stev with eigenvectors was called")
-        return plain(diag, offdiag, eigvals_only=True, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", values_only)
+def test_production_operators_skip_the_cubic_eigensolver(kind, length):
+    """No O(dim^3) eigensolver is left to fall back on: one twisted pass at
+    the closed-form spectrum must give orthonormal vectors by itself."""
     op = analytic_lanczos(ModelSpec(kind, length)).tridiag
     dec = eig_tridiag(op)
     assert_allclose(dec.vectors.T @ dec.vectors, np.eye(op.dim), atol=1e-10)
+
+
+@pytest.mark.parametrize("length", [2000, 2044])
+def test_ir_neighbour_overlaps_keep_headroom_up_to_the_last_normal_length(length):
+    """The largest neighbour overlap (measured 1.6e-11 at IR L = 2000 and
+    1.5e-11 at 2044) stays below half the guard, so the guard does not sit
+    at the edge of the propagating commands' range."""
+    dec = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, length)).tridiag)
+    overlaps = np.einsum("ij,ij->j", dec.vectors[:, :-1], dec.vectors[:, 1:])
+    assert np.max(np.abs(overlaps)) < ORTHOGONALITY_TOL / 2
 
 
 def closed_form_log_overlaps(kind, length):
@@ -413,7 +441,7 @@ def test_seed_overlaps_match_closed_form_at_last_normal_length(kind):
 
 def test_two_site_propagator_closed_form():
     """exp(-tau X) e0 normalizes to (cosh tau, -sinh tau)/sqrt(cosh 2 tau)."""
-    op = TridiagonalOperator(diag=np.zeros(2), offdiag=np.ones(1))
+    op = with_spectrum(np.zeros(2), np.ones(1))
     for tau in (0.0, 0.3, 1.0, 4.0):
         state = expm_action(op, tau)
         expected = np.array([np.cosh(tau), -np.sinh(tau)]) / np.sqrt(np.cosh(2 * tau))
@@ -432,7 +460,8 @@ def test_expm_action_matches_dense_expm(op, tau):
 @given(tridiagonals(max_dim=8), st.floats(0.0, 3.0), st.floats(-5.0, 5.0))
 @settings(max_examples=60)
 def test_normalized_propagation_is_shift_invariant(op, tau, shift):
-    shifted = TridiagonalOperator(diag=op.diag + shift, offdiag=op.offdiag)
+    shifted = with_spectrum(op.diag + shift, op.offdiag)
+    assume(relative_gap(shifted.spectrum) >= MIN_RELATIVE_GAP)
     assert_allclose(expm_action(op, tau).psi, expm_action(shifted, tau).psi, atol=1e-12)
 
 
@@ -474,7 +503,7 @@ def test_batched_kernel_relaxes_onto_ground_state(op, margin):
 
 
 def test_scaled_propagation_splits_scale():
-    op = TridiagonalOperator(diag=np.array([-3.0, 2.0]), offdiag=np.array([0.7]))
+    op = with_spectrum(np.array([-3.0, 2.0]), np.array([0.7]))
     for tau in (0.0, 0.5, 2.0):
         state = expm_action(op, tau)
         vec, log_scale = state.psi, state.log_norm

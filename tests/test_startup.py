@@ -1,7 +1,9 @@
 """scipy stays out of every production run.
 
-Importing scipy costs more than a whole figure scan, so the package
-imports it only where an operator has no closed-form spectrum.  A fresh
+Importing scipy costs more than a whole figure scan, and the package
+needs it nowhere: every operator carries its exact spectrum, so no
+eigensolver runs, and scipy is a test dependency only
+(tests/test_api_surface.py checks the sources for imports).  A fresh
 interpreter runs the figure scans, the large-L benchmark scans and the
 full verification suite, then reports which scipy modules were loaded.
 """
