@@ -17,7 +17,7 @@ Module map:
   models   the two noise models (NN bonds, infinite range), closed forms,
            and the spin-decoding and log-binomial helpers shared by all
   lanczos  Lanczos recursion on a matvec callable, full reorthogonalization
-  evolve   K(tau), chi(tau), survival moments over (L, tau) grids
+  evolve   K(tau), chi(tau) as O(L) sums per tau, survival moments
   wigner   Wigner d-matrices and exact log-domain IR amplitudes (L <= 600)
   oracle   dense brute-force ground truth at small L
   checks   the acceptance-grade verification suite
@@ -60,6 +60,7 @@ from .models import (
 from .lanczos import LanczosResult, run_lanczos
 from .evolve import (
     complexity,
+    ir_magnetization_sums,
     moments_from_tridiag,
     renyi2_dense,
     renyi2_tridiag,
@@ -104,6 +105,7 @@ __all__ = [
     "LanczosResult",
     "run_lanczos",
     "complexity",
+    "ir_magnetization_sums",
     "moments_from_tridiag",
     "renyi2_dense",
     "renyi2_tridiag",

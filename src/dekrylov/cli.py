@@ -9,17 +9,20 @@ Subcommands map one observable to one plot-ready file:
   moments     survival moments mu_n from the tridiagonal representation
   verify      run the verification suite (quick | full)
 
-Each scan runs one pass per length on the calling thread: one O(d^2)
-eigendecomposition and one batched propagation serve every tau of that
-length, and the rows are built from whole columns of that (taus x dim)
-batch, with no object per tau.  Output is bitwise deterministic across
-runs, and floats are written with 17 significant digits (binary64
-round-trip exact).  Flags are the only input.  Exit codes: 0 success, 1 verification failure,
-2 invalid arguments or an --out path that cannot be written,
-3 numerical failure (eigenvectors that are not finite or, for a clustered
-spectrum, not orthogonal, or a seed overlap |V[0, k]| that underflows
-binary64, which the propagating commands meet past L ~ 2045).  No LAPACK
-call runs on these paths.
+Each scan runs one pass per length on the calling thread, and the rows
+are built from whole arrays over tau, with no object per tau.  `evolve`
+and `renyi2` need no wavepacket: K and chi are closed forms or O(L) sums
+over the magnetization sectors, so they serve L <= 100000 (longer chains
+exit 2 before anything is allocated).  `wavepacket` propagates the
+Krylov wavepacket: one O(d^2) eigendecomposition and one batched
+propagation serve every tau of a length.  Output is bitwise deterministic
+across runs, and floats are written with 17 significant digits (binary64
+round-trip exact).  Flags are the only input.  Exit codes: 0 success,
+1 verification failure, 2 invalid arguments or an --out path that cannot
+be written, 3 numerical failure in `wavepacket` (eigenvectors that are not
+finite or, for a clustered spectrum, not orthogonal, or a seed overlap
+|V[0, k]| that underflows binary64, which it meets past L ~ 2045).  No
+LAPACK call runs on these paths.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ import numpy as np
 
 from . import checks, lintri
 from .errors import ArgumentError
-from .evolve import moments_from_tridiag, renyi2_dense, renyi2_tridiag, scan_point
+from .evolve import (
+    SCAN_MAX_LENGTH,
+    ir_magnetization_sums,
+    moments_from_tridiag,
+    renyi2_dense,
+    scan_point,
+)
 from .models import ModelKind, ModelSpec, analytic_lanczos
 
 # Figure-scale default grids.
@@ -161,6 +170,10 @@ def resolve_config(args, command):
             taus = taus + IR_PLATEAU_TAUS
         explicit = False
 
+    if command in ("evolve", "renyi2") and max(lengths) > SCAN_MAX_LENGTH:
+        raise ArgumentError(
+            f"lengths: {command} serves L <= {SCAN_MAX_LENGTH}, got {max(lengths)}"
+        )
     nmax = getattr(args, "nmax", None)
     return RunConfig(
         model=model,
@@ -220,10 +233,16 @@ def write_rows(out, fmt, header, rows):
         raise ArgumentError(f"out: cannot write {out!r}: {err.strerror or err}") from None
 
 
+def _models(config):
+    """Yield the model of each distinct length, in ascending order."""
+    for length in sorted(set(config.lengths)):
+        yield ModelSpec(kind=config.model, length=length)
+
+
 def _specs(config):
     """Yield the closed-form Krylov spec of each distinct length, in order."""
-    for length in sorted(set(config.lengths)):
-        yield analytic_lanczos(ModelSpec(kind=config.model, length=length))
+    for model in _models(config):
+        yield analytic_lanczos(model)
 
 
 def cmd_coeffs(config):
@@ -251,8 +270,8 @@ def cmd_evolve(config):
     model = config.model.value
     rows = [
         (model,) + row
-        for spec in _specs(config)
-        for row in scan_point(spec, lintri.eig_tridiag(spec.tridiag), taus)
+        for spec in _models(config)
+        for row in scan_point(spec, taus)
     ]
     write_rows(
         config.out, config.format, ("model", "L", "tau", "K", "K_norm", "chi"), rows
@@ -281,18 +300,16 @@ def cmd_wavepacket(config):
 
 
 def cmd_renyi2(config):
-    """chi over the (L, tau) grid: dense for NN (L <= 14), tridiagonal for IR."""
+    """chi over the (L, tau) grid: dense for NN (L <= 14), magnetization sums for IR."""
     taus = sorted(set(config.taus))
     model = config.model.value
     rows = []
-    for spec in _specs(config):
-        length = spec.model.length
+    for spec in _models(config):
         if config.model is ModelKind.IR:
-            batch = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
-            chis = renyi2_tridiag(spec, batch)
-        else:  # the diagonal reduced Hamiltonian needs no propagation pass
-            chis = renyi2_dense(spec.model, taus)
-        rows.extend((model, length, tau, chi) for tau, chi in zip(taus, chis.tolist()))
+            _, chis = ir_magnetization_sums(spec, taus)
+        else:
+            chis = renyi2_dense(spec, taus)
+        rows.extend((model, spec.length, tau, chi) for tau, chi in zip(taus, chis.tolist()))
     write_rows(config.out, config.format, ("model", "L", "tau", "chi"), rows)
     return 0
 

@@ -1,24 +1,26 @@
-"""Imaginary-time observables in the Krylov representation.
+"""Imaginary-time observables: Krylov complexity, Renyi-2, survival moments.
 
 The evolved state |rho(tau)> = e^{-tau H} |rho_init> is expanded over the
-Krylov basis, |rho(tau)> = Sum_n psi_n(tau) |K_n>, and everything here is
-a functional of the normalized wavepacket psi:
+Krylov basis, |rho(tau)> = Sum_n psi_n(tau) |K_n>, and the observables are
+functionals of the normalized wavepacket psi:
 
   * Krylov complexity K(tau) = Sum_n n psi_n^2, the mean number of noise
     events absorbed by the state;
   * the Renyi-2 correlator chi(tau) = (1/L^2) Sum_ij <rho| Z_i^u Z_i^l
     Z_j^u Z_j^l |rho> / <rho|rho>, the order diagnostic for
-    strong-to-weak symmetry breaking, either from the tridiagonal matrix
-    elements (IR) or from exact dense evolution (L <= 14), summed over
-    the at most L energy levels of the diagonal reduced Hamiltonian;
+    strong-to-weak symmetry breaking;
   * survival moments mu_n = <rho_init| H^n |rho_init>, cross-checkable
     against the tridiagonal representation.
 
-Scans run one length at a time: one eigendecomposition and one batched
-propagation serve every tau of that length, and complexity and
-renyi2_tridiag reduce the whole (taus x dim) batch to one array each.
-Every function here is pure, and rows are plain (L, tau, K, K_norm, chi)
-tuples built from those arrays.
+Both models are collective spins, so the scans need no wavepacket: NN K is
+the closed form (L-1) lambda(tau), and IR K and chi are positive sums over
+the L/2+1 magnetization sectors (ir_magnetization_sums), O(L) per tau.
+Dense Renyi-2 (L <= 14, both models) sums over the at most L+1 energy
+levels of the diagonal reduced Hamiltonian.  complexity and
+renyi2_tridiag reduce a propagated (taus x dim) wavepacket batch to one
+array each; the verification suite uses them, and the tests compare the
+sums with them.  Every function here is pure, and scan rows are plain
+(L, tau, K, K_norm, chi) tuples built from whole arrays over tau.
 """
 
 from __future__ import annotations
@@ -31,12 +33,23 @@ import numpy as np
 
 from . import lintri
 from .errors import ArgumentError
-from .models import REDUCED_MAX_LENGTH, ModelKind, reduced_diagonal
+from .models import (
+    REDUCED_MAX_LENGTH,
+    ModelKind,
+    k_nn_analytic,
+    log_binomial,
+    reduced_levels,
+)
+
+# Longest chain the scans serve: the IR sums hold (TAU_BLOCK, L/2+1) work
+# arrays, about 26 MB each at this length.
+SCAN_MAX_LENGTH = 100_000
 
 __all__ = [
     "complexity",
     "renyi2_tridiag",
     "renyi2_dense",
+    "ir_magnetization_sums",
     "survival_moments_nn",
     "moments_from_tridiag",
     "scan_point",
@@ -109,14 +122,15 @@ def renyi2_dense(model, taus):
     where v = e^{-tau H} applied to the uniform initial vector.  The
     i = j identity terms are included, giving chi(0) = 1/L.
 
-    The diagonal takes at most L distinct values, so the sums run over
+    The diagonal takes at most L+1 distinct values, so the sums run over
     energy levels E, not over the 2^L states:
 
         chi = Sum_E e^{-2 tau E} S_E / (L^2 Sum_E e^{-2 tau E} N_E),
 
     with N_E the number of states at level E and S_E the sum of their
-    M^2, both exact integers.  The levels are shifted so the ground level
-    is 0, which keeps every exponential <= 1 at any tau.
+    M^2, both exact integers binned by the integer level index of
+    models.reduced_levels.  The level energies are closed forms measured
+    from the ground level, which keeps every exponential <= 1 at any tau.
 
     ``taus`` is a float or a sequence of floats; the result is a float or
     an array of the same shape.
@@ -125,14 +139,86 @@ def renyi2_dense(model, taus):
     if np.any(tau_arr < 0):
         raise ArgumentError("tau must be nonnegative")
     length = model.length
-    diag = reduced_diagonal(model)  # enforces the L <= 14 cap
-    levels, level_of = np.unique(diag - diag.min(), return_inverse=True)
-    magnetization = length - 2.0 * np.bitwise_count(np.arange(diag.size))
-    counts = np.bincount(level_of)
-    magnetization_sq = np.bincount(level_of, weights=magnetization**2)
-    weights = np.exp(-2.0 * tau_arr[..., None] * levels)
+    level, energies = reduced_levels(model)  # enforces the L <= 14 cap
+    magnetization = length - 2.0 * np.bitwise_count(np.arange(level.size))
+    counts = np.bincount(level, minlength=energies.size)
+    magnetization_sq = np.bincount(level, weights=magnetization**2, minlength=energies.size)
+    weights = np.exp(-2.0 * tau_arr[..., None] * energies)
     chi = (weights @ magnetization_sq) / (length**2 * (weights @ counts))
     return float(chi) if chi.ndim == 0 else chi
+
+
+def ir_magnetization_sums(model, taus):
+    """IR Krylov complexity K and Renyi-2 chi from the spin-L/2 sectors.
+
+    The IR evolution is a collective spin s = L/2: over the states
+    |s, m>, the evolved state has the amplitudes a_m = a0_m f_m with
+    a0_m = sqrt(C(L, s+m)) (the seed, the S_x = s eigenstate) and
+    f_m = e^{2 m^2 tau / L}, and K = <s - S_x> / 2.  The seed is the zero
+    mode of s - S_x, whose off-diagonal entries -l_m/2, with
+    l_m = sqrt(s(s+1) - m(m-1)), are all negative, so the ground-state
+    transform gives
+
+        <a| s - S_x |a> = Sum_m (l_m / 2) a0_m a0_{m-1} (f_m - f_{m-1})^2,
+
+    where l_m a0_m a0_{m-1} = (s + m) a0_m^2 exactly and
+    f_m - f_{m-1} = -f_m expm1(-2(2m-1) tau / L).  Folding +-m,
+
+        K   = Sum_{m>=1} (s + m) a_m^2 expm1(-2(2m-1) tau / L)^2 / (2 N),
+        chi = Sum_{m>=1} 2 a_m^2 4 m^2 / (L^2 N),
+        N   = a_0^2 + 2 Sum_{m>=1} a_m^2.
+
+    Every term is positive, so nothing cancels: K keeps its relative
+    accuracy at small tau, and K(0) = 0 exactly.  The weights
+    log a_m^2 = log C(L, s+m) + 4 m^2 tau / L are shifted by their
+    largest value per tau, so none overflows, and the taus go TAU_BLOCK
+    at a time through two (TAU_BLOCK, s+1) work arrays, updated in place.
+
+    ``taus`` is a float or a sequence of floats.  Returns (K, chi), each a
+    float or an array of the shape of ``taus``.
+
+    Raises:
+        ArgumentError: for the NN model, L > SCAN_MAX_LENGTH or tau < 0.
+    """
+    if model.kind is not ModelKind.IR:
+        raise ArgumentError("ir_magnetization_sums applies to the IR model only")
+    length = model.length
+    if length > SCAN_MAX_LENGTH:
+        raise ArgumentError(f"IR sums are capped at L <= {SCAN_MAX_LENGTH}, got {length}")
+    tau_arr = np.asarray(taus, dtype=float)
+    if np.any(tau_arr < 0):
+        raise ArgumentError("tau must be nonnegative")
+    flat = tau_arr.reshape(-1)
+    spin = length // 2
+    m = np.arange(spin + 1.0)
+    log_binom = log_binomial(length, spin + m)
+    rates = 4.0 * m * m / length
+    decays = -2.0 * (2.0 * m[1:] - 1.0) / length
+    fold = np.full(m.size, 2.0)
+    fold[0] = 1.0
+    k_weights = (spin + m[1:]) / 2.0
+    chi_weights = 8.0 * m * m / length**2
+    k = np.empty(flat.size)
+    chi = np.empty(flat.size)
+    for start in range(0, flat.size, lintri.TAU_BLOCK):
+        block = flat[start : start + lintri.TAU_BLOCK, None]
+        stop = start + block.shape[0]
+        weights = np.multiply(block, rates)
+        weights += log_binom
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        norm = weights @ fold
+        steps = np.multiply(block, decays)
+        np.expm1(steps, out=steps)
+        np.square(steps, out=steps)
+        steps *= weights[:, 1:]
+        k[start:stop] = (steps @ k_weights) / norm
+        chi[start:stop] = (weights @ chi_weights) / norm
+        del weights, steps  # freed before the next block allocates its own
+    k, chi = k.reshape(tau_arr.shape), chi.reshape(tau_arr.shape)
+    if tau_arr.ndim == 0:
+        return float(k), float(chi)
+    return k, chi
 
 
 def survival_moments_nn(length, n_max):
@@ -169,37 +255,36 @@ def moments_from_tridiag(tri, n_max):
     return np.array(moments[: n_max + 1])
 
 
-def scan_point(spec, decomposition, taus):
+def scan_point(model, taus):
     """Scan rows (L, tau, K, K_norm, chi) of one length over ``taus``.
 
-    One batched propagation serves every tau, and each observable is one
-    array over the batch.  Rows are plain tuples in the order of
-    ``taus``.  ``K_norm`` is K/(L-1) for the NN model and K/L for the IR
-    model.  chi uses the tridiagonal formula for IR and dense evolution
-    for NN at L <= 14; otherwise it is None.
+    Each observable is one closed-form array over ``taus``; no wavepacket
+    is built.  NN: K = (L-1) lambda(tau), and chi from dense evolution at
+    L <= 14, None above.  IR: K and chi from ir_magnetization_sums.  Rows
+    are plain tuples in the order of ``taus``.  ``K_norm`` is K/(L-1) for
+    the NN model and K/L for the IR model.
 
     Raises:
         ArgumentError: if a K is negative or a chi lies outside
             [-1e-10, 1 + 1e-10].
     """
-    model = spec.model
-    batch = lintri.expm_from_eig(decomposition, taus)
-    k = complexity(batch)
+    taus = np.asarray(taus, dtype=float)
+    length = model.length
     if model.kind is ModelKind.NN:
-        norm = model.length - 1
-        dense = model.length <= REDUCED_MAX_LENGTH
-        chis = renyi2_dense(model, batch.taus) if dense else None
+        norm = length - 1
+        k = k_nn_analytic(length, taus)
+        chis = renyi2_dense(model, taus) if length <= REDUCED_MAX_LENGTH else None
     else:
-        norm = model.length
-        chis = renyi2_tridiag(spec, batch)
+        norm = length
+        k, chis = ir_magnetization_sums(model, taus)
     if np.any(k < 0):
         raise ArgumentError("K must be nonnegative")
     if chis is not None and not np.all((chis >= -1e-10) & (chis <= 1.0 + 1e-10)):
         raise ArgumentError(f"chi out of [0, 1]: {chis.min()!r} to {chis.max()!r}")
     return list(
         zip(
-            repeat(model.length),
-            batch.taus.tolist(),
+            repeat(length),
+            taus.tolist(),
             k.tolist(),
             (k / norm).tolist(),
             repeat(None) if chis is None else chis.tolist(),

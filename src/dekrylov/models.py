@@ -96,6 +96,11 @@ def site_spins(length):
     return 1.0 - 2.0 * bits
 
 
+def _domain_walls(states, length):
+    """Domain walls z_i != z_{i+1} of each basis state, as bit counts."""
+    return np.bitwise_count((states ^ (states >> 1)) & ((1 << (length - 1)) - 1))
+
+
 def reduced_diagonal(model):
     """Diagonal of the reduced Hamiltonian in the tau^z product basis.
 
@@ -108,11 +113,29 @@ def reduced_diagonal(model):
     length = model.length
     states = np.arange(2**length)
     if model.kind is ModelKind.NN:
-        walls = np.bitwise_count((states ^ (states >> 1)) & ((1 << (length - 1)) - 1))
-        return -((length - 1) - 2.0 * walls)
+        return -((length - 1) - 2.0 * _domain_walls(states, length))
     total = length - 2.0 * np.bitwise_count(states)
     pair_sum = 0.5 * (total**2 - length)  # Sum_{i<j} z_i z_j
     return -(pair_sum - length * (length - 1) / 2.0) / length
+
+
+def reduced_levels(model):
+    """Energy levels of the reduced Hamiltonian, indexed by an integer.
+
+    Returns (level, energies): level[x] is the level of basis state x and
+    energies[k] the diagonal at level k measured from the ground level, in
+    closed form.  NN levels are the domain-wall counts w, with energy 2w;
+    IR levels are |M|, M = Sum_i z_i, with energy (L^2 - M^2)/(2L).  The
+    IR levels of the wrong parity, which no state takes, are listed too.
+    """
+    _check_reduced_length(model.length)
+    length = model.length
+    states = np.arange(2**length)
+    if model.kind is ModelKind.NN:
+        return _domain_walls(states, length), 2.0 * np.arange(length)
+    levels = np.arange(length + 1)
+    magnetization = length - 2 * np.bitwise_count(states).astype(np.int64)
+    return np.abs(magnetization), (length**2 - levels**2) / (2.0 * length)
 
 
 def reduced_initial_state(model):
@@ -185,12 +208,15 @@ def nn_lambda(tau):
     """The NN spreading weight lambda = sinh^2(tau) / (1 + 2 sinh^2(tau)).
 
     Evaluated as (1 - sech(2 tau))/2 through decaying exponentials, which
-    stays accurate for arbitrarily large tau (limit 1/2).
+    stays accurate for arbitrarily large tau (limit 1/2).  ``tau`` is a
+    float or an array; the result is a float or an array of its shape.
     """
-    if tau < 0:
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
         raise ArgumentError("tau must be nonnegative")
-    e2 = math.exp(-2.0 * tau)
-    return 0.5 * (1.0 - 2.0 * e2 / (1.0 + e2 * e2))
+    e2 = np.exp(-2.0 * tau)
+    lam = 0.5 * (1.0 - 2.0 * e2 / (1.0 + e2 * e2))
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def psi_nn_analytic(length, tau):
@@ -220,7 +246,10 @@ def psi_nn_analytic(length, tau):
 
 
 def k_nn_analytic(length, tau):
-    """Closed-form NN Krylov complexity K = (L-1) lambda; limit (L-1)/2."""
+    """Closed-form NN Krylov complexity K = (L-1) lambda; limit (L-1)/2.
+
+    ``tau`` is a float or an array, as for nn_lambda.
+    """
     if length < 2:
         raise ArgumentError("length must be at least 2")
     return (length - 1) * nn_lambda(tau)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,8 +144,8 @@ def test_evolve_tau_grid_spec(tmp_path):
 
 
 def test_evolve_ir_default_grid_at_large_length(tmp_path):
-    """L = 1200 puts ground-state overlaps near 1e-181; the log-shifted
-    kernel keeps every default-grid point normalized."""
+    """L = 1200 puts the log weights of the magnetization sums ~850 apart;
+    the per-tau shift keeps every default-grid point finite."""
     code, text = run_cli(["evolve", "--model", "ir", "--lengths", "1200"], tmp_path)
     assert code == 0
     assert len(rows_of(text)) == 403
@@ -159,6 +160,18 @@ def test_evolve_ir_late_taus_reach_the_plateau(tmp_path):
     rows = rows_of(text)
     assert [float(r["tau"]) for r in rows] == [0.7, 1.0, 2.0, 5.0, 10.0]
     assert float(rows[-1]["K_norm"]) == pytest.approx(0.25, abs=1e-6)
+
+
+@pytest.mark.parametrize("model", ["nn", "ir"])
+def test_evolve_prints_k_zero_exactly(model, tmp_path):
+    """K(0) = 0 holds exactly: every term of both routes vanishes at tau = 0."""
+    code, text = run_cli(
+        ["evolve", "--model", model, "--lengths", "10,500", "--tau-list", "0,1e-3"], tmp_path
+    )
+    assert code == 0
+    rows = rows_of(text)
+    assert [(r["tau"], r["K"], r["K_norm"]) for r in rows[::2]] == [("0", "0", "0")] * 2
+    assert all(float(r["K"]) > 0 for r in rows[1::2])
 
 
 def test_evolve_starts_no_threads(tmp_path, monkeypatch):
@@ -178,21 +191,51 @@ def test_evolve_starts_no_threads(tmp_path, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_evolve_builds_one_batch_per_length_and_no_per_tau_state(tmp_path, monkeypatch):
-    """Propagation hands one (taus x dim) array per length to the writer."""
-    built = []
-    original = lintri.KrylovState.__post_init__
+def test_evolve_and_renyi2_never_reach_the_kernel(tmp_path, monkeypatch):
+    """K and chi come from closed forms and magnetization sums: the
+    eigendecomposition and the propagation kernel are never called."""
 
-    def counting(self):
-        original(self)
-        built.append((self.taus.shape, self.psi.shape))
+    def unreachable(*args):
+        raise AssertionError("the scan reached the tridiagonal kernel")
 
-    monkeypatch.setattr(lintri.KrylovState, "__post_init__", counting)
-    code, text = run_cli(["evolve", "--model", "ir", "--lengths", "100,200"], tmp_path)
-    assert code == 0
-    taus = len(cli.grid_taus(cli.DEFAULT_TAU_GRID[ModelKind.IR]) + cli.IR_PLATEAU_TAUS)
-    assert built == [((taus,), (taus, 51)), ((taus,), (taus, 101))]
-    assert len(rows_of(text)) == 2 * taus
+    monkeypatch.setattr(lintri, "eig_tridiag", unreachable)
+    monkeypatch.setattr(lintri, "expm_from_eig", unreachable)
+    ir_taus = len(cli.grid_taus(cli.DEFAULT_TAU_GRID[ModelKind.IR]))
+    nn_taus = len(cli.grid_taus(cli.DEFAULT_TAU_GRID[ModelKind.NN]))
+    for argv, count in (
+        (["evolve", "--model", "ir"], 3 * (ir_taus + len(cli.IR_PLATEAU_TAUS))),
+        (["evolve", "--model", "nn"], 2 * nn_taus),
+        (["evolve", "--model", "nn", "--lengths", "8"], nn_taus),
+        (["renyi2", "--model", "ir"], 4 * ir_taus),
+    ):
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0, argv
+        assert len(rows_of(text)) == count, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--model", "ir", "--lengths", "100002"],
+        ["evolve", "--model", "nn", "--lengths", "100,100002", "--tau-list", "1"],
+        ["renyi2", "--model", "ir", "--lengths", "100002"],
+    ],
+)
+def test_scan_past_the_length_cap_is_exit_2_before_allocating(argv, capsys):
+    """L > 10^5 stops at argument checking: one error line, and less
+    memory than a single array over the L/2 + 1 magnetization sectors."""
+    cli.main(argv)  # warm argparse and the error path
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: lengths: {argv[0]} serves L <= 100000, got 100002\n"
+    assert peak < 8 * 50_001
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("eigenvector norms are not finite")])
@@ -201,7 +244,7 @@ def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsy
         raise error
 
     monkeypatch.setattr(lintri, "eig_tridiag", failing)
-    assert cli.main(["evolve", "--model", "ir", "--lengths", "8"]) == 3
+    assert cli.main(["wavepacket", "--model", "ir", "--lengths", "8", "--tau-list", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
@@ -210,13 +253,14 @@ def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsy
 @pytest.mark.parametrize(
     "argv",
     [
-        ["evolve", "--model", "ir", "--lengths", "2200", "--tau-list", "2,10"],
-        ["evolve", "--model", "nn", "--lengths", "2200", "--tau-list", "3"],
+        ["wavepacket", "--model", "ir", "--lengths", "2200", "--tau-list", "2,10"],
+        ["wavepacket", "--model", "nn", "--lengths", "2200", "--tau-list", "3"],
     ],
 )
 def test_underflowed_seed_overlap_is_exit_3(argv, capsys):
     """Past L ~ 2045 the smallest seed overlap 2^{-(L-1)/2} underflows;
-    the scan stops instead of printing K without that eigenstate."""
+    the wavepacket scan stops instead of printing psi without that
+    eigenstate."""
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -226,9 +270,10 @@ def test_underflowed_seed_overlap_is_exit_3(argv, capsys):
 
 def test_orthogonality_guard_is_exit_3(capsys):
     """At IR L = 2400 the top pair's relative gap 4/L^2 costs the twisted
-    vectors their orthogonality (neighbour overlap 5.1e-11); the scan stops
-    instead of propagating them."""
-    assert cli.main(["evolve", "--model", "ir", "--lengths", "2400", "--tau-list", "1"]) == 3
+    vectors their orthogonality (neighbour overlap 5.1e-11); the
+    wavepacket scan stops instead of propagating them."""
+    argv = ["wavepacket", "--model", "ir", "--lengths", "2400", "--tau-list", "1"]
+    assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -1,6 +1,7 @@
 """Imaginary-time scans: complexity, Renyi-2 correlator, survival moments."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dekrylov import evolve
 from dekrylov.errors import ArgumentError
 from dekrylov.evolve import (
     complexity,
+    ir_magnetization_sums,
     moments_from_tridiag,
     renyi2_dense,
     renyi2_tridiag,
@@ -28,6 +30,7 @@ from dekrylov.models import (
     ModelKind,
     ModelSpec,
     analytic_lanczos,
+    area_law_k,
     nn_lambda,
     reduced_diagonal,
     site_spins,
@@ -75,8 +78,7 @@ def test_nn_normalized_complexity_is_length_free(l1, l2, tau):
     """K/(L-1) collapses onto lambda(tau) for every chain length."""
     rows = []
     for length in (l1, l2):
-        kspec = analytic_lanczos(ModelSpec(ModelKind.NN, length))
-        rows += scan_point(kspec, eig_tridiag(kspec.tridiag), [tau])
+        rows += scan_point(ModelSpec(ModelKind.NN, length), [tau])
     assert rows[0][3] == pytest.approx(rows[1][3], abs=1e-11)
     assert rows[0][3] == pytest.approx(nn_lambda(tau), abs=1e-11)
 
@@ -204,45 +206,159 @@ def test_nn_moments_agree_between_exact_and_tridiagonal_routes():
 
 def test_scan_point_normalizations():
     """k_norm divides by the bond count for NN and by L for IR."""
-    nn = analytic_lanczos(ModelSpec(ModelKind.NN, 10))
-    (row,) = scan_point(nn, eig_tridiag(nn.tridiag), [0.8])
+    (row,) = scan_point(ModelSpec(ModelKind.NN, 10), [0.8])
     length, tau, k, k_norm, chi = row
     assert (length, tau) == (10, 0.8)
     assert k_norm == pytest.approx(k / 9, rel=1e-15)
     assert chi is not None
-    ir = analytic_lanczos(ModelSpec(ModelKind.IR, 8))
-    (row,) = scan_point(ir, eig_tridiag(ir.tridiag), [0.8])
+    (row,) = scan_point(ModelSpec(ModelKind.IR, 8), [0.8])
     assert row[3] == pytest.approx(row[2] / 8, rel=1e-15)
 
 
 def test_scan_point_chi_handling():
-    big = analytic_lanczos(ModelSpec(ModelKind.NN, 20))
-    dec = eig_tridiag(big.tridiag)
-    assert scan_point(big, dec, [0.5])[0][4] is None  # dense route capped
-    small = analytic_lanczos(ModelSpec(ModelKind.NN, 8))
-    assert scan_point(small, eig_tridiag(small.tridiag), [0.5])[0][4] is not None
+    assert scan_point(ModelSpec(ModelKind.NN, 20), [0.5])[0][4] is None  # dense route capped
+    assert scan_point(ModelSpec(ModelKind.NN, 8), [0.5])[0][4] is not None
 
 
 def test_scan_point_rejects_negative_k_and_chi_out_of_bounds(monkeypatch):
-    """The row checks run on the whole batch: K >= 0 and chi within
-    [-1e-10, 1 + 1e-10]."""
-    spec = analytic_lanczos(ModelSpec(ModelKind.IR, 8))
-    dec = eig_tridiag(spec.tridiag)
+    """The row checks run on the whole tau array: K >= 0 and chi within
+    [-1e-10, 1 + 1e-10], for the IR sums and for the NN closed form."""
+    spec = ModelSpec(ModelKind.IR, 8)
+    nn = ModelSpec(ModelKind.NN, 8)
     taus = [0.1, 0.5]
-    assert len(scan_point(spec, dec, taus)) == 2
+    assert len(scan_point(spec, taus)) == len(scan_point(nn, taus)) == 2
     with monkeypatch.context() as patch:
-        patch.setattr(evolve, "complexity", lambda batch: np.array([0.2, -0.2]))
+        patch.setattr(
+            evolve,
+            "ir_magnetization_sums",
+            lambda model, t: (np.array([0.2, -0.2]), np.array([0.5, 0.5])),
+        )
         with pytest.raises(ArgumentError, match="K must be nonnegative"):
-            scan_point(spec, dec, taus)
+            scan_point(spec, taus)
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve, "k_nn_analytic", lambda length, t: np.array([0.2, -0.2]))
+        with pytest.raises(ArgumentError, match="K must be nonnegative"):
+            scan_point(nn, taus)
     for chi in (1.5, -1e-9, np.nan):
         with monkeypatch.context() as patch:
-            patch.setattr(evolve, "renyi2_tridiag", lambda s, batch: np.array([0.5, chi]))
+            patch.setattr(
+                evolve,
+                "ir_magnetization_sums",
+                lambda model, t: (np.array([0.2, 0.3]), np.array([0.5, chi])),
+            )
+            patch.setattr(evolve, "renyi2_dense", lambda model, t: np.array([0.5, chi]))
             with pytest.raises(ArgumentError, match="chi out of"):
-                scan_point(spec, dec, taus)
+                scan_point(spec, taus)
+            with pytest.raises(ArgumentError, match="chi out of"):
+                scan_point(nn, taus)
     for chi in (-1e-10, 1.0 + 1e-10):  # the bounds themselves pass
         with monkeypatch.context() as patch:
-            patch.setattr(evolve, "renyi2_tridiag", lambda s, batch: np.array([0.5, chi]))
-            assert scan_point(spec, dec, taus)[1][4] == chi
+            patch.setattr(
+                evolve,
+                "ir_magnetization_sums",
+                lambda model, t: (np.array([0.2, 0.3]), np.array([0.5, chi])),
+            )
+            patch.setattr(evolve, "renyi2_dense", lambda model, t: np.array([0.5, chi]))
+            assert scan_point(spec, taus)[1][4] == chi
+            assert scan_point(nn, taus)[1][4] == chi
+
+
+# ------------------------------------------------------ magnetization sums
+
+
+DEFAULT_IR_TAUS = [*np.linspace(0.0, 2.0, 401), 5.0, 10.0]
+
+
+@pytest.mark.parametrize("length", [100, 500, 2000])
+def test_ir_sums_match_the_propagated_wavepacket(length):
+    """K and chi from the magnetization sums equal complexity and
+    renyi2_tridiag of the propagated Krylov wavepacket on the default
+    403-tau grid, to 1e-8 in K and 1e-9 in chi."""
+    model = ModelSpec(ModelKind.IR, length)
+    kspec = analytic_lanczos(model)
+    batch = expm_from_eig(eig_tridiag(kspec.tridiag), DEFAULT_IR_TAUS)
+    k, chi = ir_magnetization_sums(model, DEFAULT_IR_TAUS)
+    assert_allclose(k, complexity(batch), rtol=0, atol=1e-8)
+    assert_allclose(chi, renyi2_tridiag(kspec, batch), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("length", [100, 2000])
+def test_nn_closed_form_k_matches_the_propagated_wavepacket(length):
+    model = ModelSpec(ModelKind.NN, length)
+    taus = np.linspace(0.0, 3.0, 301)
+    batch = expm_from_eig(eig_tridiag(analytic_lanczos(model).tridiag), taus)
+    k = np.array([row[2] for row in scan_point(model, taus)])
+    assert_allclose(k, complexity(batch), rtol=0, atol=1e-8)
+
+
+def _ir_decimal(length, tau, digits=80):
+    """(K, chi) of the IR model as 80-digit sums over the states |s, m>:
+    exact integer binomials, Decimal.exp, and K = (s - <S_x>)/2 evaluated
+    directly, not through the positive form."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        spin, tau = length // 2, Decimal(tau)
+        amps = {
+            m: Decimal(math.comb(length, spin + m)).sqrt() * (2 * m * m * tau / length).exp()
+            for m in range(-spin, spin + 1)
+        }
+        norm = sum(a * a for a in amps.values())
+        s_x = sum(
+            Decimal(spin * (spin + 1) - m * (m - 1)).sqrt() * amps[m] * amps[m - 1]
+            for m in range(1 - spin, spin + 1)
+        ) / norm
+        chi = sum(4 * m * m * a * a for m, a in amps.items()) / (length * length * norm)
+        return (spin - s_x) / 2, chi
+
+
+@pytest.mark.parametrize("length", [8, 20, 40])
+def test_ir_sums_match_80_digit_decimal_sums(length):
+    taus = [1e-4, 1e-3, 0.3, 0.5, 2.0, 10.0]
+    k, chi = ir_magnetization_sums(ModelSpec(ModelKind.IR, length), taus)
+    for tau, k_value, chi_value in zip(taus, k, chi):
+        k_exact, chi_exact = _ir_decimal(length, tau)
+        assert abs(Decimal(k_value) / k_exact - 1) < Decimal("1e-12"), tau
+        assert abs(Decimal(chi_value) / chi_exact - 1) < Decimal("1e-12"), tau
+
+
+def test_ir_sums_keep_the_shape_of_tau_and_start_at_zero():
+    model = ModelSpec(ModelKind.IR, 12)
+    k, chi = ir_magnetization_sums(model, 0.0)
+    assert (k, chi) == (0.0, pytest.approx(1 / 12, rel=1e-14))
+    k, chi = ir_magnetization_sums(model, [[0.5, 1.0]])
+    assert k.shape == chi.shape == (1, 2)
+    assert k[0, 1] == pytest.approx(ir_magnetization_sums(model, 1.0)[0], rel=1e-14)
+
+
+def test_ir_sums_reject_nn_long_chains_and_negative_tau():
+    with pytest.raises(ArgumentError, match="IR model only"):
+        ir_magnetization_sums(ModelSpec(ModelKind.NN, 8), 0.5)
+    with pytest.raises(ArgumentError, match="100000"):
+        ir_magnetization_sums(ModelSpec(ModelKind.IR, 100_002), 0.5)
+    with pytest.raises(ArgumentError, match="nonnegative"):
+        ir_magnetization_sums(ModelSpec(ModelKind.IR, 8), [0.5, -1e-3])
+
+
+def test_ir_complexity_approaches_its_limits_as_one_over_l():
+    """The paper's transition at scale: at tau = 0.3, K tends to the area
+    law tau^2/(2(1 - 2 tau)); at tau = 1, K/L tends to the Curie-Weiss
+    (1 - sqrt(1 - x^2))/4 with x = tanh(2 tau x).  Both gaps fall as 1/L
+    (L times the gap is 0.73 and 0.176) from L = 2000 to 10^5, and K/L
+    reaches the volume-law 1/4 at tau = 10."""
+    x = 1.0
+    for _ in range(200):
+        x = math.tanh(2.0 * x)
+    curie_weiss = (1.0 - math.sqrt(1.0 - x * x)) / 4.0
+    area_gaps, volume_gaps = [], []
+    for length in (2000, 10_000, 100_000):
+        k, _ = ir_magnetization_sums(ModelSpec(ModelKind.IR, length), [0.3, 1.0, 10.0])
+        area_gaps.append(length * abs(k[0] - area_law_k(0.3)))
+        volume_gaps.append(length * abs(k[1] / length - curie_weiss))
+    for gaps in (area_gaps, volume_gaps):
+        assert max(gaps) < 1.1 * min(gaps), gaps
+    assert area_gaps[-1] == pytest.approx(0.73, abs=0.01)
+    assert volume_gaps[-1] == pytest.approx(0.176, abs=0.002)
+    assert abs(k[2] / length - 0.25) < 1e-6
 
 
 # ------------------------------------------------------------ batch reductions
