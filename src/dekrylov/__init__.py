@@ -11,14 +11,15 @@ correlator chi(tau).
 
 Module map:
 
-  lintri   O(d^2) tridiagonal eigensolver, batched exp(-tau T) e_0, Gram-Schmidt
+  lintri   O(d^2) eigensolver, batched exp(-tau T) e_0 (verify only), Gram-Schmidt
   doubled  Choi vectorization, Pauli-Kraus channels, parity reduction:
            the rho -> |rho>> map that criterion 1 checks
   models   the two noise models (NN bonds, infinite range), closed forms,
            and the spin-decoding and log-binomial helpers shared by all
   lanczos  Lanczos recursion on a matvec callable, full reorthogonalization
   evolve   K(tau), chi(tau) as O(L) sums per tau, survival moments
-  wigner   Wigner d-matrices and exact log-domain IR amplitudes (L <= 600)
+  wigner   Wigner d-matrices; the exact IR wavepacket as a positive
+           Gaussian integral (L <= 4096)
   oracle   dense brute-force ground truth at small L
   checks   the acceptance-grade verification suite
   cli      deterministic CSV/JSON scans (entry point: ``dekrylov``)

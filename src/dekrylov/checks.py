@@ -1,9 +1,9 @@
 """Verification suite: every acceptance-grade numerical claim as a check.
 
 Each check cross-validates independent routes to the same quantity
-(closed form vs dense brute force vs tridiagonal propagation vs exact
-log-domain summation) and reports the worst measured deviation next to
-its tolerance.  ``run_checks("quick")`` finishes in seconds and sticks
+(closed form vs dense brute force vs tridiagonal propagation vs the
+log-domain Gaussian integral) and reports the worst measured deviation
+next to its tolerance.  ``run_checks("quick")`` finishes in seconds and sticks
 to reduced grids around the small-L oracles; ``run_checks("full")``
 runs everything, including the L = 500 scans, well inside ten minutes.
 """
@@ -23,6 +23,7 @@ from . import doubled, lanczos, lintri, models, oracle, wigner
 from .errors import ArgumentError
 from .evolve import (
     complexity,
+    ir_magnetization_sums,
     moments_from_tridiag,
     renyi2_dense,
     renyi2_tridiag,
@@ -206,15 +207,15 @@ def _seed_overlap_log_error(kind, length):
 
 
 def check_ir_exact_amplitudes(quick=False):
-    """Signed-log exact IR amplitudes equal tridiagonal propagation.
+    """Exact IR amplitudes (the Gaussian integral) equal tridiagonal propagation.
 
     The L = 500 and 600 points guard the eigensolver: there the seed's
     overlap with the ground state is ~1e-76 to 1e-91, which LAPACK's
-    ``stemr`` and ``stebz`` drivers lose (errors 1e-2 to 0.6).  Past the
-    Wigner cap, the closed-form seed overlaps guard it without another
-    eigensolver: at IR L = 1200 and 2000 (ground-state overlap ~1e-301)
-    and NN L = 1000, every log|V[0, k]| must match to 1e-8, where
-    ``stemr`` returns exact zeros and ``stebz`` is off by O(100).
+    ``stemr`` and ``stebz`` drivers lose (errors 1e-2 to 0.6).  Beyond,
+    the closed-form seed overlaps guard it: at IR L = 1200 and 2000
+    (ground-state overlap ~1e-301) and NN L = 1000, every log|V[0, k]|
+    must match to 1e-8, where ``stemr`` returns exact zeros and ``stebz``
+    is off by O(100).
     """
     grid = np.linspace(0.0, 3.0, 31)
     large = (0.5, 2.0, 10.0)
@@ -314,18 +315,14 @@ def check_volume_law_plateau(quick=False):
 
 
 def check_crossover_sharpening(quick=False):
-    """The K/L slope peak grows with L and sits near tau = 1/2 at L = 500."""
-    lengths = (50, 100, 200, 500)
+    """The K/L slope peak (magnetization sums) grows with L and sits near
+    tau = 1/2 at L = 5000."""
+    lengths = (50, 100, 200, 500, 1000, 2000, 5000)
     taus = np.arange(0.29, 0.7101, 0.005)
     max_slopes = []
     peak_taus = []
     for length in lengths:
-        k_norm = np.array(
-            [
-                _profile_complexity(wigner.psi_ir_exact_profile(length, float(tau)))
-                for tau in taus
-            ]
-        ) / length
+        k_norm = ir_magnetization_sums(ModelSpec(ModelKind.IR, length), taus)[0] / length
         slopes = (k_norm[2:] - k_norm[:-2]) / (taus[2:] - taus[:-2])
         peak = int(np.argmax(slopes))
         max_slopes.append(float(slopes[peak]))
@@ -336,7 +333,7 @@ def check_crossover_sharpening(quick=False):
         "max d(K/L)/dtau = "
         + " -> ".join(f"{s:.3f}" for s in max_slopes)
         + f" over L={lengths} (strictly increasing); "
-        f"argmax at L=500: tau = {peak_taus[-1]:.3f} (window [0.45, 0.60])"
+        f"argmax at L={lengths[-1]}: tau = {peak_taus[-1]:.3f} (window [0.45, 0.60])"
     )
 
 

@@ -12,17 +12,16 @@ Subcommands map one observable to one plot-ready file:
 Each scan runs one pass per length on the calling thread, and the rows
 are built from whole arrays over tau, with no object per tau.  `evolve`
 and `renyi2` need no wavepacket: K and chi are closed forms or O(L) sums
-over the magnetization sectors, so they serve L <= 100000 (longer chains
-exit 2 before anything is allocated).  `wavepacket` propagates the
-Krylov wavepacket: one O(d^2) eigendecomposition and one batched
-propagation serve every tau of a length.  Output is bitwise deterministic
-across runs, and floats are written with 17 significant digits (binary64
-round-trip exact).  Flags are the only input.  Exit codes: 0 success,
-1 verification failure, 2 invalid arguments or an --out path that cannot
-be written, 3 numerical failure in `wavepacket` (eigenvectors that are not
-finite or, for a clustered spectrum, not orthogonal, or a seed overlap
-|V[0, k]| that underflows binary64, which it meets past L ~ 2045).  No
-LAPACK call runs on these paths.
+over the magnetization sectors, so they serve L <= 100000.  `wavepacket`
+prints the exact wavepacket: the NN binomial closed form, and the IR
+Gaussian integral of dekrylov.wigner, both accurate to the last digits of
+every entry, however small; it serves L <= 4096.  Longer chains exit 2
+before anything is allocated.  No scan reaches the tridiagonal
+eigensolver, which serves `verify` and the tests.  Output is bitwise
+deterministic across runs, and floats are written with 17 significant
+digits (binary64 round-trip exact).  Flags are the only input.  Exit
+codes: 0 success, 1 verification failure, 2 invalid arguments or an --out
+path that cannot be written, 3 numerical failure (a LinAlgError).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import checks, lintri
+from . import checks
 from .errors import ArgumentError
 from .evolve import (
     SCAN_MAX_LENGTH,
@@ -45,7 +44,8 @@ from .evolve import (
     renyi2_dense,
     scan_point,
 )
-from .models import ModelKind, ModelSpec, analytic_lanczos
+from .models import ModelKind, ModelSpec, analytic_lanczos, psi_nn_analytic
+from .wigner import WAVEPACKET_MAX_LENGTH, psi_ir_exact_profile
 
 # Figure-scale default grids.
 DEFAULT_LENGTHS = {ModelKind.NN: (20, 100), ModelKind.IR: (100, 200, 500)}
@@ -170,10 +170,9 @@ def resolve_config(args, command):
             taus = taus + IR_PLATEAU_TAUS
         explicit = False
 
-    if command in ("evolve", "renyi2") and max(lengths) > SCAN_MAX_LENGTH:
-        raise ArgumentError(
-            f"lengths: {command} serves L <= {SCAN_MAX_LENGTH}, got {max(lengths)}"
-        )
+    cap = WAVEPACKET_MAX_LENGTH if command == "wavepacket" else SCAN_MAX_LENGTH
+    if command in ("evolve", "renyi2", "wavepacket") and max(lengths) > cap:
+        raise ArgumentError(f"lengths: {command} serves L <= {cap}, got {max(lengths)}")
     nmax = getattr(args, "nmax", None)
     return RunConfig(
         model=model,
@@ -280,7 +279,7 @@ def cmd_evolve(config):
 
 
 def cmd_wavepacket(config):
-    """psi_n at explicit tau values, one row per Krylov index."""
+    """psi_n at explicit taus, one row per Krylov index: NN binomial, IR Gaussian integral."""
     if not config.explicit_taus:
         raise ArgumentError(
             "tau: wavepacket requires an explicit tau list (--tau-list or --tau)"
@@ -288,11 +287,15 @@ def cmd_wavepacket(config):
     taus = sorted(set(config.taus))
     model = config.model.value
     rows = []
-    for spec in _specs(config):
-        length = spec.model.length
-        batch = lintri.expm_from_eig(lintri.eig_tridiag(spec.tridiag), taus)
-        for tau, psi in zip(batch.taus.tolist(), batch.psi.tolist()):
-            rows.extend((model, length, tau, n, amp, amp * amp) for n, amp in enumerate(psi))
+    for spec in _models(config):
+        for tau in taus:
+            if config.model is ModelKind.IR:
+                psi = psi_ir_exact_profile(spec.length, tau)
+            else:
+                psi = psi_nn_analytic(spec.length, tau).psi
+            rows.extend(
+                (model, spec.length, tau, n, a, a * a) for n, a in enumerate(psi.tolist())
+            )
     write_rows(
         config.out, config.format, ("model", "L", "tau", "n", "psi", "psi2"), rows
     )

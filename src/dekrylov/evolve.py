@@ -173,6 +173,8 @@ def ir_magnetization_sums(model, taus):
     log a_m^2 = log C(L, s+m) + 4 m^2 tau / L are shifted by their
     largest value per tau, so none overflows, and the taus go TAU_BLOCK
     at a time through two (TAU_BLOCK, s+1) work arrays, updated in place.
+    Each row is reduced on its own (einsum: a BLAS product's summation
+    order depends on the row count), so no tau's bits depend on the others.
 
     ``taus`` is a float or a sequence of floats.  Returns (K, chi), each a
     float or an array of the shape of ``taus``.
@@ -207,13 +209,13 @@ def ir_magnetization_sums(model, taus):
         weights += log_binom
         weights -= weights.max(axis=1, keepdims=True)
         np.exp(weights, out=weights)
-        norm = weights @ fold
+        norm = np.einsum("ij,j->i", weights, fold)
         steps = np.multiply(block, decays)
         np.expm1(steps, out=steps)
         np.square(steps, out=steps)
         steps *= weights[:, 1:]
-        k[start:stop] = (steps @ k_weights) / norm
-        chi[start:stop] = (weights @ chi_weights) / norm
+        k[start:stop] = np.einsum("ij,j->i", steps, k_weights) / norm
+        chi[start:stop] = np.einsum("ij,j->i", weights, chi_weights) / norm
         del weights, steps  # freed before the next block allocates its own
     k, chi = k.reshape(tau_arr.shape), chi.reshape(tau_arr.shape)
     if tau_arr.ndim == 0:

@@ -19,17 +19,17 @@ Two independent routes to d^s_{m'm}(theta) = <s,m'| e^{-i theta S_y} |s,m>:
      phase is tracked as an exact period-4 integer counter, never as a
      complex float, picking A, B, -A, -B by (r-c) mod 4.
 
-The exact wavepacket of the infinite-range model follows by expanding
-e^{-tau H} in the rotated collective-spin eigenbasis:
+The exact infinite-range wavepacket is a positive Gaussian integral:
+e^{2 tau S_z^2 / L} averages e^{phi S_z} over a Gaussian in phi, which
+maps |+>^{(x)L} to (cosh(phi/2)|+> + sinh(phi/2)|->)^{(x)L}, and the
+average over +-phi cancels the odd numbers of x-flips, so
 
-    psi_n(tau) = (-1)^n Sum_{m'} d^{L/2}_{m', L/2-2n}(pi/2)
-                    sqrt(C(L, L/2+m')) e^{2 m'^2 tau / L}
-                 / sqrt(Sum_{m'} C(L, L/2+m') e^{4 m'^2 tau / L}).
+    psi_n(tau) = (-1)^n sqrt(C(L, 2n)) I_n / norm,
+    I_n = Int_0^inf e^{-L phi^2 / (8 tau)} cosh^{L-2n}(phi/2) sinh^{2n}(phi/2) dphi.
 
-The e^{2 m'^2 tau / L} weights reach e^{L tau / 2}, which overflows
-binary64 for L tau over ~1400, so every sum runs in the signed log
-domain with one shift per Krylov index, fixed pairwise order along r
-(bitwise deterministic).
+Nothing cancels, so every amplitude keeps its relative accuracy, however
+small.  The integrand is even in phi, so the trapezoid rule with weight
+1/2 at phi = 0 converges exponentially.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ from .models import log_binomial
 
 DIRECT_SUM_MAX_TWO_S = 40  # s <= 20 for the factorial k-sum route
 STABLE_MAX_TWO_S = 600  # s <= 300, matrix dimension 601
+# Longest chain `wavepacket` serves, both models: the IR integral holds an
+# (L/2 + 1) x (nodes) work array, at most ~20 MB at this length.
+WAVEPACKET_MAX_LENGTH = 4096
+NODES_PER_WIDTH = 8  # IR trapezoid nodes per peak width sqrt(4 tau / L)
+TAIL_WIDTHS = 40  # peak widths of tail beyond the outermost saddles
 
 
 def signed_logsumexp(log_magnitudes, signs):
@@ -62,11 +67,6 @@ def signed_logsumexp(log_magnitudes, signs):
     total = float(
         np.sum(np.where(live, signs * np.exp(log_magnitudes - shift), 0.0))
     )
-    return _signed_log(shift, total)
-
-
-def _signed_log(shift, total):
-    """(sign, log|value|) of value = total * e^shift; sign 0 encodes exact zero."""
     if total == 0.0:
         return 0, -math.inf
     return (1 if total > 0 else -1), shift + math.log(abs(total))
@@ -160,24 +160,6 @@ def _sy_decomposition(two_s):
     return eig_tridiag(_sy_operator(two_s))
 
 
-def _rotation_columns(two_s, theta, cols):
-    """Columns ``cols`` of d^s(theta) via the spectral route.
-
-    Row r corresponds to m' = s - r, column c to m = s - c.
-    """
-    dec = _sy_decomposition(two_s)
-    vectors = dec.vectors
-    cos_w = np.cos(theta * dec.values)
-    sin_w = np.sin(theta * dec.values)
-    sub = vectors[cols, :]  # (len(cols), dim) of Q rows
-    a_part = vectors @ (cos_w[:, None] * sub.T)
-    b_part = vectors @ (sin_w[:, None] * sub.T)
-    rows = np.arange(two_s + 1)
-    phase = (rows[:, None] - np.asarray(cols)[None, :]) % 4
-    magnitude = np.where(phase % 2 == 0, a_part, b_part)
-    return np.where(phase < 2, magnitude, -magnitude)
-
-
 def wigner_column_stable(s, n_col, theta):
     """One column of d^s(theta), stable to s = 300, as a read-only array.
 
@@ -193,72 +175,82 @@ def wigner_column_stable(s, n_col, theta):
         raise ArgumentError(f"stable route requires 0 <= s <= 300, got s={s!r}")
     if abs(two_n) > two_s or (two_s + two_n) % 2:
         raise ArgumentError("n_col must satisfy |n_col| <= s with s - n_col integer")
-    col = (two_s - two_n) // 2
-    entries = _rotation_columns(two_s, theta, [col])[:, 0]
+    col = (two_s - two_n) // 2  # m = s - col; row r holds m' = s - r
+    dec = _sy_decomposition(two_s)
+    seed = dec.vectors[col]
+    a_part = dec.vectors @ (np.cos(theta * dec.values) * seed)
+    b_part = dec.vectors @ (np.sin(theta * dec.values) * seed)
+    phase = (np.arange(two_s + 1) - col) % 4
+    magnitude = np.where(phase % 2 == 0, a_part, b_part)
+    entries = np.where(phase < 2, magnitude, -magnitude)
     if abs(entries @ entries - 1.0) > 1e-10:
         raise ArgumentError("column of a rotation matrix must be unit norm")
     entries.setflags(write=False)
     return entries
 
 
-def _check_ir_length(length):
-    if length % 2 or length < 2:
-        raise DomainError("exact IR amplitudes require even L >= 2")
-    if length > STABLE_MAX_TWO_S:
-        raise ArgumentError(f"exact IR amplitudes are capped at L <= {STABLE_MAX_TWO_S}")
+def _quadrature_offsets(length, tau):
+    """Trapezoid nodes x = phi - 2 tau of the IR integral, and the peak width.
 
-
-@functools.lru_cache(maxsize=8)
-def _ir_amplitude_data(length):
-    """tau-independent pieces of the exact amplitude sum at theta = pi/2.
-
-    Returns (signs, log_d, log_binom, msq).  signs and log_d have one
-    C-contiguous row per Krylov index n = 0..L/2 and one column per
-    r = 0..L (m' = L/2 - r), so each index's terms are one contiguous
-    row; log_binom and msq are indexed by r.  A sign is 0 exactly where
-    log_d is -inf.
+    Every log-integrand peaks between the saddles of n = 0
+    (phi = 2 tau tanh(phi/2)) and n = L/2 (phi tanh(phi/2) = 2 tau).
+    tanh(y) >= y / (1 + y) bounds the latter by tau + sqrt(tau^2 + 4 tau);
+    phi -> 2 tau tanh(phi/2) climbs from 2 tau - 2 towards the former,
+    never past it.  With the tails, the node count stays bounded as tau
+    grows (at most ~1200 at L = 4096).  The first node is phi = 0, or lies
+    where the integrand is negligible.
     """
-    cols = 2 * np.arange(length // 2 + 1)  # m = L/2 - 2n sits at column 2n
-    dmat = np.ascontiguousarray(_rotation_columns(length, 0.5 * math.pi, cols).T)
-    signs = np.sign(dmat).astype(np.int8)
-    with np.errstate(divide="ignore"):
-        log_d = np.log(np.abs(dmat))
-    m_prime = length / 2.0 - np.arange(length + 1)
-    log_binom = log_binomial(length, length / 2.0 + m_prime)
-    m_prime_sq = m_prime**2
-    for arr in (signs, log_d, log_binom, m_prime_sq):
-        arr.setflags(write=False)
-    return signs, log_d, log_binom, m_prime_sq
+    root = math.sqrt(tau)
+    width = 2.0 * root / math.sqrt(length)
+    tail = TAIL_WIDTHS * width
+    lower = -2.0
+    for _ in range(8):
+        decay = math.exp(-2.0 * tau - lower)
+        lower = -4.0 * tau * decay / (1.0 + decay)
+    lower = max(-2.0 * tau, lower - tail)
+    upper = 4.0 * root / (math.sqrt(tau + 4.0) + root) + tail
+    step = width / NODES_PER_WIDTH
+    return lower + step * np.arange(int((upper - lower) / step) + 1), width
 
 
 def psi_ir_exact_profile(length, tau):
     """Exact IR wavepacket over all Krylov indices n = 0..L/2.
 
-    Every numerator is a signed log-sum-exp over r with one shift per
-    Krylov index and a fixed pairwise order along r; all rows are summed
-    at once.  Terms with sign 0 have log_d = -inf and drop out as
-    exp(-inf) = 0.  The last step per index runs through scalar
-    math.exp and math.log, so each amplitude is bitwise the value of a
-    separate signed_logsumexp over its row.
+    The Gaussian integral of the module docstring, summed in the log
+    domain with one shift per Krylov index.  The log-integrand is taken
+    around phi = 2 tau, -(x / width)^2 / 2 + L log1p(e^{-phi})
+    + 2n log tanh(phi/2), without the n-independent L tau / 2 - L log 2,
+    so its terms stay small where it matters.  tau = 0 gives e_0 exactly.
+
+    Raises:
+        DomainError: for odd L.
+        ArgumentError: for tau < 0 or L > WAVEPACKET_MAX_LENGTH.
     """
-    _check_ir_length(length)
+    if length % 2 or length < 2:
+        raise DomainError("exact IR amplitudes require even L >= 2")
+    if length > WAVEPACKET_MAX_LENGTH:
+        raise ArgumentError(f"exact IR amplitudes are capped at L <= {WAVEPACKET_MAX_LENGTH}")
     if tau < 0:
         raise ArgumentError("tau must be nonnegative")
-    signs, log_d, log_binom, msq = _ir_amplitude_data(length)
-    tau_weight = 2.0 * msq * tau / length
-    _, log_den = signed_logsumexp(log_binom + 2.0 * tau_weight, np.ones(length + 1))
-    half_log_den = 0.5 * log_den
-    terms = log_d + (0.5 * log_binom + tau_weight)
-    shifts = terms.max(axis=1)
-    terms -= shifts[:, None]
-    np.exp(terms, out=terms)
-    terms *= signs
-    totals = terms.sum(axis=1)
-    out = np.empty(length // 2 + 1)
-    for n, (shift, total) in enumerate(zip(shifts.tolist(), totals.tolist())):
-        sign, log_num = _signed_log(shift, total)
-        out[n] = (-1.0) ** n * sign * math.exp(log_num - half_log_den)
-    return out
+    n = np.arange(length // 2 + 1.0)
+    if tau == 0:
+        return (n == 0).astype(float)
+    offsets, width = _quadrature_offsets(length, tau)
+    phi = 2.0 * tau + offsets
+    base = length * np.log1p(np.exp(-phi)) - 0.5 * (offsets / width) ** 2
+    base[0] += math.log(0.5)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_tanh = -np.log1p(2.0 / np.expm1(phi))  # -inf at phi = 0
+        logs = np.multiply.outer(2.0 * n, log_tanh)
+    logs[0] = 0.0  # 0 * log tanh(0) is NaN; the n = 0 integrand has no tanh
+    logs += base
+    shifts = logs.max(axis=1)
+    logs -= shifts[:, None]
+    np.exp(logs, out=logs)
+    log_sq = log_binomial(length, 2.0 * n) + 2.0 * (shifts + np.log(logs.sum(axis=1)))
+    log_sq -= log_sq.max()
+    log_sq -= math.log(np.exp(log_sq).sum())
+    return (-1.0) ** n * np.exp(0.5 * log_sq)
 
 
 def psi_ir_asymptotic_profile(length):

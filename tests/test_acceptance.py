@@ -36,14 +36,14 @@ def test_criterion_03_nn_wavepacket_and_complexity_closed_forms():
 
 
 def test_criterion_04_ir_exact_amplitudes_match_tridiagonal_route():
-    """Log-domain rotation amplitudes track propagation at L = 8, 40, 100, 500, 600;
-    closed-form eigenvector overlaps hold at IR L = 1200, 2000 and NN L = 1000."""
+    """The Gaussian-integral amplitudes track propagation at L = 8, 40, 100, 500,
+    600; closed-form eigenvector overlaps hold at IR L = 1200, 2000 and NN L = 1000."""
     run_criterion(4)
 
 
 def test_criterion_05_area_law_complexity_converges_with_length():
-    """K and wavepacket-profile gaps to the area-law limits shrink strictly with
-    L up to L = 500."""
+    """K and wavepacket-profile (Gaussian integral) gaps to the area-law limits
+    shrink strictly with L up to L = 500."""
     run_criterion(5)
 
 
@@ -53,7 +53,8 @@ def test_criterion_06_volume_law_plateau_is_quarter_length():
 
 
 def test_criterion_07_crossover_slope_sharpens_with_length():
-    """Max d(K/L)/d tau grows with L and localizes near the transition."""
+    """Max d(K/L)/d tau grows with L from 50 to 5000 and localizes near the
+    transition (K from the magnetization sums)."""
     run_criterion(7)
 
 

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from dekrylov import checks, cli, lintri
 from dekrylov.models import (
     KrylovSpec,
     ModelKind,
+    ModelSpec,
     k_nn_analytic,
     nn_lambda,
     psi_nn_analytic,
 )
-from dekrylov.evolve import survival_moments_nn
+from dekrylov.evolve import ir_magnetization_sums, survival_moments_nn
 from exact_spectrum import with_spectrum
 
 
@@ -162,6 +165,20 @@ def test_evolve_ir_late_taus_reach_the_plateau(tmp_path):
     assert float(rows[-1]["K_norm"]) == pytest.approx(0.25, abs=1e-6)
 
 
+@pytest.mark.parametrize("length", ["100", "1200"])
+def test_evolve_ir_rows_do_not_depend_on_the_other_taus(length, capsys):
+    """Every row of the default grid has the bytes of the same tau run
+    alone: each tau is reduced on its own, in an order that does not
+    depend on how many taus share its block."""
+    assert cli.main(["evolve", "--model", "ir", "--lengths", length]) == 0
+    grid_rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(grid_rows) == 403
+    for row in grid_rows:
+        tau = row.split(",")[2]
+        assert cli.main(["evolve", "--model", "ir", "--lengths", length, "--tau-list", tau]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [row]
+
+
 @pytest.mark.parametrize("model", ["nn", "ir"])
 def test_evolve_prints_k_zero_exactly(model, tmp_path):
     """K(0) = 0 holds exactly: every term of both routes vanishes at tau = 0."""
@@ -192,8 +209,9 @@ def test_evolve_starts_no_threads(tmp_path, monkeypatch):
 
 
 def test_evolve_and_renyi2_never_reach_the_kernel(tmp_path, monkeypatch):
-    """K and chi come from closed forms and magnetization sums: the
-    eigendecomposition and the propagation kernel are never called."""
+    """K and chi come from closed forms and magnetization sums, and the
+    wavepackets from the binomial closed form and the Gaussian integral:
+    no scan calls the eigendecomposition or the propagation kernel."""
 
     def unreachable(*args):
         raise AssertionError("the scan reached the tridiagonal kernel")
@@ -207,6 +225,8 @@ def test_evolve_and_renyi2_never_reach_the_kernel(tmp_path, monkeypatch):
         (["evolve", "--model", "nn"], 2 * nn_taus),
         (["evolve", "--model", "nn", "--lengths", "8"], nn_taus),
         (["renyi2", "--model", "ir"], 4 * ir_taus),
+        (["wavepacket", "--model", "ir", "--tau-list", "0,0.5,2"], 3 * (51 + 101 + 251)),
+        (["wavepacket", "--model", "nn", "--tau-list", "0,0.5,2"], 3 * (20 + 100)),
     ):
         code, text = run_cli(argv, tmp_path)
         assert code == 0, argv
@@ -219,11 +239,13 @@ def test_evolve_and_renyi2_never_reach_the_kernel(tmp_path, monkeypatch):
         ["evolve", "--model", "ir", "--lengths", "100002"],
         ["evolve", "--model", "nn", "--lengths", "100,100002", "--tau-list", "1"],
         ["renyi2", "--model", "ir", "--lengths", "100002"],
+        ["wavepacket", "--model", "nn", "--lengths", "100,4098", "--tau-list", "1"],
     ],
 )
 def test_scan_past_the_length_cap_is_exit_2_before_allocating(argv, capsys):
-    """L > 10^5 stops at argument checking: one error line, and less
-    memory than a single array over the L/2 + 1 magnetization sectors."""
+    """L past a command's cap (10^5 for the scans, 4096 for wavepacket)
+    stops at argument checking: one error line, and less memory than a
+    single array over the L/2 + 1 magnetization sectors of L = 10^5."""
     cli.main(argv)  # warm argparse and the error path
     capsys.readouterr()
     tracemalloc.start()
@@ -234,16 +256,17 @@ def test_scan_past_the_length_cap_is_exit_2_before_allocating(argv, capsys):
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err == f"error: lengths: {argv[0]} serves L <= 100000, got 100002\n"
+    got = int(argv[argv.index("--lengths") + 1].split(",")[-1])
+    assert err == f"error: lengths: {argv[0]} serves L <= {got - 2}, got {got}\n"
     assert peak < 8 * 50_001
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("eigenvector norms are not finite")])
 def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsys):
-    def failing(op):
+    def failing(length, tau):
         raise error
 
-    monkeypatch.setattr(lintri, "eig_tridiag", failing)
+    monkeypatch.setattr(cli, "psi_ir_exact_profile", failing)
     assert cli.main(["wavepacket", "--model", "ir", "--lengths", "8", "--tau-list", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -255,29 +278,27 @@ def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsy
     [
         ["wavepacket", "--model", "ir", "--lengths", "2200", "--tau-list", "2,10"],
         ["wavepacket", "--model", "nn", "--lengths", "2200", "--tau-list", "3"],
+        ["wavepacket", "--model", "ir", "--lengths", "2400", "--tau-list", "1"],
     ],
 )
-def test_underflowed_seed_overlap_is_exit_3(argv, capsys):
-    """Past L ~ 2045 the smallest seed overlap 2^{-(L-1)/2} underflows;
-    the wavepacket scan stops instead of printing psi without that
-    eigenstate."""
-    assert cli.main(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error:")
-
-
-def test_orthogonality_guard_is_exit_3(capsys):
-    """At IR L = 2400 the top pair's relative gap 4/L^2 costs the twisted
-    vectors their orthogonality (neighbour overlap 5.1e-11); the
-    wavepacket scan stops instead of propagating them."""
-    argv = ["wavepacket", "--model", "ir", "--lengths", "2400", "--tau-list", "1"]
-    assert cli.main(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error:") and "clustered eigenvalues" in err
+def test_wavepacket_serves_lengths_the_kernel_refuses(argv, tmp_path):
+    """The kernel refuses these (an underflowed seed overlap at L = 2200,
+    clustered eigenvalues at IR L = 2400); the closed forms serve them,
+    with K = Sum_n n psi_n^2 equal to the O(L) routes."""
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    rows = rows_of(text)
+    length = int(argv[4])
+    taus = sorted({float(r["tau"]) for r in rows})
+    assert taus == [float(t) for t in argv[6].split(",")]
+    if argv[2] == "ir":
+        expected, _ = ir_magnetization_sums(ModelSpec(ModelKind.IR, length), taus)
+    else:
+        expected = k_nn_analytic(length, np.array(taus))
+    for tau, k in zip(taus, expected):
+        psi2 = np.array([float(r["psi2"]) for r in rows if float(r["tau"]) == tau])
+        assert psi2.sum() == pytest.approx(1.0, rel=1e-12)
+        assert np.arange(psi2.size) @ psi2 == pytest.approx(k, rel=1e-10)
 
 
 # --------------------------------------------------------------- wavepacket
@@ -302,6 +323,26 @@ def test_wavepacket_amplitudes_and_weights(tmp_path):
     at2 = [r for r in rows if float(r["tau"]) == 2.0]
     assert_allclose([float(r["psi"]) for r in at2], expected, atol=1e-12)
     assert_allclose([float(r["psi2"]) for r in at2], expected**2, atol=1e-12)
+
+
+def test_wavepacket_nn_tail_matches_decimal_binomial(tmp_path):
+    """Every printed digit is data, however small the entry: psi_n =
+    (-1)^n sqrt(C(L-1, n) lambda^n (1-lambda)^(L-1-n)) at L = 100,
+    tau = 0.1, in 60-digit decimal arithmetic."""
+    code, text = run_cli(
+        ["wavepacket", "--model", "nn", "--lengths", "100", "--tau-list", "0.1"], tmp_path
+    )
+    assert code == 0
+    psi = {int(r["n"]): float(r["psi"]) for r in rows_of(text)}
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tau = Decimal("0.1")
+        sinh_sq = ((tau.exp() - (-tau).exp()) / 2) ** 2
+        lam = sinh_sq / (1 + 2 * sinh_sq)
+        for n in (23, 40, 99):
+            exact = (math.comb(99, n) * lam**n * (1 - lam) ** (99 - n)).sqrt()
+            assert psi[n] == pytest.approx((-1) ** n * float(exact), rel=1e-10)
+    assert psi[99] < 0 and abs(psi[99]) < 1e-99
 
 
 def test_wavepacket_ir_stays_localized_in_area_phase(tmp_path):

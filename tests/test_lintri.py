@@ -225,7 +225,7 @@ def test_eig_matches_scipy_and_reconstructs(op):
 def test_eigenvectors_keep_exponentially_small_ground_overlap():
     """At IR L = 500 the seed overlaps the ground state at ~1e-76; the
     eigensolver must keep that component for propagation to match the
-    exact Wigner profile."""
+    exact profile."""
     spec = analytic_lanczos(ModelSpec(ModelKind.IR, 500))
     dec = eig_tridiag(spec.tridiag)
     assert 1e-80 < abs(dec.vectors[0, 0]) < 1e-70
@@ -387,7 +387,7 @@ def test_production_operators_skip_the_cubic_eigensolver(kind, length):
 def test_ir_neighbour_overlaps_keep_headroom_up_to_the_last_normal_length(length):
     """The largest neighbour overlap (measured 1.6e-11 at IR L = 2000 and
     1.5e-11 at 2044) stays below half the guard, so the guard does not sit
-    at the edge of the propagating commands' range."""
+    at the edge of the kernel's range."""
     dec = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, length)).tridiag)
     overlaps = np.einsum("ij,ij->j", dec.vectors[:, :-1], dec.vectors[:, 1:])
     assert np.max(np.abs(overlaps)) < ORTHOGONALITY_TOL / 2
@@ -433,6 +433,23 @@ def test_seed_overlaps_match_closed_form_at_last_normal_length(kind):
     expected = closed_form_log_overlaps(kind, length)
     assert np.min(np.abs(dec.vectors[0])) >= np.finfo(float).tiny
     assert np.max(np.abs(np.log(np.abs(dec.vectors[0])) - expected)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", [ModelKind.IR, ModelKind.NN])
+def test_underflowed_seed_overlap_is_a_linalg_error(kind):
+    """Past L ~ 2045 the smallest seed overlap 2^{-(L-1)/2} underflows;
+    the kernel stops instead of propagating without that eigenstate."""
+    dec = eig_tridiag(analytic_lanczos(ModelSpec(kind, 2200)).tridiag)
+    with pytest.raises(np.linalg.LinAlgError, match="underflows binary64"):
+        expm_from_eig(dec, [2.0, 10.0])
+
+
+def test_orthogonality_guard_refuses_ir_length_2400():
+    """At IR L = 2400 the top pair's relative gap 4/L^2 costs the twisted
+    vectors their orthogonality (neighbour overlap 5.1e-11)."""
+    op = analytic_lanczos(ModelSpec(ModelKind.IR, 2400)).tridiag
+    with pytest.raises(np.linalg.LinAlgError, match="clustered eigenvalues"):
+        expm_from_eig(eig_tridiag(op), [1.0])
 
 
 

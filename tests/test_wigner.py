@@ -1,6 +1,7 @@
-"""Wigner rotation layer and log-domain exact IR amplitudes."""
+"""Wigner rotation layer and the exact IR wavepacket (a Gaussian integral)."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dekrylov.models import (
     log_binomial,
 )
 from dekrylov.wigner import (
+    WAVEPACKET_MAX_LENGTH,
     psi_ir_asymptotic_profile,
     psi_ir_exact_profile,
     signed_logsumexp,
@@ -150,8 +152,7 @@ def test_exact_profile_is_normalized(half, tau):
 
 
 def test_exact_profile_starts_at_the_seed():
-    profile = psi_ir_exact_profile(60, 0.0)
-    assert_allclose(profile, np.eye(31)[0], atol=1e-13)
+    assert np.array_equal(psi_ir_exact_profile(60, 0.0), np.eye(31)[0])
 
 
 def test_exact_profile_matches_tridiagonal_propagation():
@@ -165,42 +166,91 @@ def test_exact_profile_matches_tridiagonal_propagation():
 
 
 def _per_index_profile(length, tau):
-    """The exact profile with one signed_logsumexp call per Krylov index."""
-    signs, log_d, log_binom, msq = wigner._ir_amplitude_data(length)
-    tau_weight = 2.0 * msq * tau / length
-    _, log_den = signed_logsumexp(log_binom + 2.0 * tau_weight, np.ones(length + 1))
-    term_logs = log_d + (0.5 * log_binom + tau_weight)
-    out = np.empty(length // 2 + 1)
-    for n in range(out.size):
-        sign, log_num = signed_logsumexp(term_logs[n], signs[n])
-        out[n] = (-1.0) ** n * sign * math.exp(log_num - 0.5 * log_den)
-    return out
+    """The exact profile with each integral I_n summed on its own, in
+    scalar stdlib arithmetic, on the nodes of the vectorized route."""
+    offsets, width = wigner._quadrature_offsets(length, tau)
+    log_sq = []
+    for n in range(length // 2 + 1):
+        logs = []
+        for j, x in enumerate(offsets.tolist()):
+            phi = 2.0 * tau + x
+            if n and phi == 0.0:
+                continue  # sinh^{2n}(0) = 0
+            value = length * math.log1p(math.exp(-phi)) - 0.5 * (x / width) ** 2
+            if n:
+                value += 2 * n * math.log(math.tanh(0.5 * phi))
+            logs.append(value + (math.log(0.5) if j == 0 else 0.0))
+        shift = max(logs)
+        log_integral = shift + math.log(math.fsum(math.exp(v - shift) for v in logs))
+        log_sq.append(log_binomial(length, 2 * n) + 2.0 * log_integral)
+    top = max(log_sq)
+    log_norm = top + math.log(math.fsum(math.exp(v - top) for v in log_sq))
+    return np.array(
+        [(-1.0) ** n * math.exp(0.5 * (v - log_norm)) for n, v in enumerate(log_sq)]
+    )
 
 
 @pytest.mark.parametrize("length", (2, 6, 50, 102, 500, 600))
 def test_exact_profile_equals_per_index_sums(length):
-    """All rows summed at once give bitwise the per-index sums.  At L = 500
-    and 600 a few entries of d come out of the spectral route as exact
-    zeros, which drop out through sign 0 and log|d| = -inf; L tau up to
-    24000 needs the log domain."""
-    signs, log_d, _, _ = wigner._ir_amplitude_data(length)
-    assert np.array_equal(signs == 0, np.isneginf(log_d))
-    for tau in (0.0, 0.3, 0.5, 2.0, 10.0, 40.0):
-        assert np.array_equal(
-            psi_ir_exact_profile(length, tau), _per_index_profile(length, tau)
+    """The batched log-domain sums, one shift per Krylov index, equal a
+    scalar loop over each index.  L tau up to 24000 needs the log domain."""
+    for tau in (0.3, 2.0, 40.0):
+        assert_allclose(
+            psi_ir_exact_profile(length, tau), _per_index_profile(length, tau), rtol=1e-12
         )
 
 
-def test_amplitude_data_cache_counts_misses():
-    """The benchmark splits cold from warm profile time by this cache's
-    misses: a new L misses once, a repeat L hits."""
-    cache = wigner._ir_amplitude_data
-    cache.cache_clear()
-    psi_ir_exact_profile(10, 1.0)
-    assert cache.cache_info().misses == 1
-    psi_ir_exact_profile(10, 2.0)
-    info = cache.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+def _krawtchouk_profile(length, tau):
+    """|psi_n| from exact integer Krawtchouk sums in 250-digit decimals.
+
+    e^{2 tau S_z^2 / L} |+>^{(x)L} has the amplitudes
+    A_j ~ sqrt(C(L, j)) Sum_k e^{tau (L - 2k)^2 / (2L)} K_k(j) on the
+    x-basis Dicke states with j flips, where
+    K_k(j) = Sum_i (-1)^i C(j, i) C(L - j, k - i); psi_n = A_{2n} / ||A||.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 250
+        weights = [
+            (Decimal(tau) * (length - 2 * k) ** 2 / (2 * length)).exp()
+            for k in range(length + 1)
+        ]
+        amps = []
+        for j in range(0, length + 1, 2):
+            total = sum(
+                weight
+                * sum(
+                    (-1) ** i * math.comb(j, i) * math.comb(length - j, k - i)
+                    for i in range(max(0, k - length + j), min(j, k) + 1)
+                )
+                for k, weight in enumerate(weights)
+            )
+            amps.append(Decimal(math.comb(length, j)).sqrt() * total)
+        norm = sum(a * a for a in amps).sqrt()
+        return [abs(float(a / norm)) for a in amps]
+
+
+@pytest.mark.parametrize("length", (8, 20, 40))
+def test_exact_profile_matches_decimal_krawtchouk_sums(length):
+    """Every entry down to 1e-300 keeps its relative accuracy, with the
+    sign (-1)^n of the Krylov basis."""
+    for tau in (1e-3, 0.1, 0.5, 1.0, 2.0, 10.0):
+        psi = psi_ir_exact_profile(length, tau)
+        for n, exact in enumerate(_krawtchouk_profile(length, tau)):
+            if exact >= 1e-300:
+                assert psi[n] == pytest.approx((-1) ** n * exact, rel=1e-10, abs=0), (tau, n)
+
+
+@pytest.mark.parametrize("length", (100, 2000, WAVEPACKET_MAX_LENGTH))
+def test_exact_profile_converges_in_the_node_count(length, monkeypatch):
+    """Doubling the nodes per peak width moves no entry by 1e-10 relative."""
+    taus = (1e-3, 0.5, 2.0, 10.0, 1000.0)
+    coarse = [psi_ir_exact_profile(length, tau) for tau in taus]
+    monkeypatch.setattr(wigner, "NODES_PER_WIDTH", 2 * wigner.NODES_PER_WIDTH)
+    for tau, psi in zip(taus, coarse):
+        fine = psi_ir_exact_profile(length, tau)
+        live = np.abs(fine) >= 1e-300
+        assert_allclose(psi[live], fine[live], rtol=1e-10, atol=0)
+        assert np.all(np.abs(psi[~live]) < 1e-290)
 
 
 def test_exact_profile_converges_to_area_law_with_length():
@@ -240,4 +290,6 @@ def test_exact_amplitude_domains():
     with pytest.raises(DomainError):
         psi_ir_exact_profile(7, 1.0)
     with pytest.raises(ArgumentError):
-        psi_ir_exact_profile(602, 1.0)
+        psi_ir_exact_profile(8, -1.0)
+    with pytest.raises(ArgumentError):
+        psi_ir_exact_profile(WAVEPACKET_MAX_LENGTH + 2, 1.0)
