@@ -19,14 +19,18 @@ every entry, however small; it serves L <= 4096.  Longer chains exit 2
 before anything is allocated.  No scan reaches the tridiagonal
 eigensolver, which serves `verify` and the tests.  Output is bitwise
 deterministic across runs, and floats are written with 17 significant
-digits (binary64 round-trip exact).  Flags are the only input.  Exit
-codes: 0 success, 1 verification failure, 2 invalid arguments or an --out
-path that cannot be written, 3 numerical failure (a LinAlgError).
+digits (binary64 round-trip exact).  One argparse parser, built on the
+first call, serves every `main` call of a process, and CSV rows are
+formatted by one %-template per row shape (the tuple of cell types).
+Flags are the only input.  Exit codes: 0 success, 1 verification
+failure, 2 invalid arguments or an --out path that cannot be written,
+3 numerical failure (a LinAlgError).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -73,9 +77,11 @@ class RunConfig:
             raise ArgumentError("lengths: need at least one length")
         for length in self.lengths:
             ModelSpec(kind=self.model, length=length)  # validates length parity
-        for tau in self.taus:
-            if not (np.isfinite(tau) and tau >= 0):
-                raise ArgumentError(f"tau: values must be finite and >= 0, got {tau!r}")
+        taus = np.asarray(self.taus, dtype=float)
+        ok = (taus >= 0) & (taus < np.inf)  # false for nan and +-inf
+        if not ok.all():
+            tau = self.taus[int(ok.argmin())]
+            raise ArgumentError(f"tau: values must be finite and >= 0, got {tau!r}")
         if self.nmax < 0:
             raise ArgumentError(f"nmax: must be >= 0, got {self.nmax!r}")
 
@@ -185,39 +191,35 @@ def resolve_config(args, command):
     )
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _row_template(shape):
+    """The %-template of one row shape, a tuple of cell types.
 
-
-# Formatters of the cell types the scans write, keyed by exact type; any
-# other type (numpy scalars, bool) goes through _csv_cell.  Both give the
-# same text for every value.
-_CSV_FORMATTERS = {
-    float: "{:.17g}".format,
-    int: str,
-    str: str,
-    type(None): lambda value: "",
-}
+    None is a blank field (%.0s prints none of it), str is %s, int, bool
+    and numpy integers are %d, and any other type is %.17g.
+    """
+    return ",".join(
+        "%.0s" if cls is type(None)
+        else "%s" if issubclass(cls, str)
+        else "%d" if issubclass(cls, (int, np.integer))
+        else "%.17g"
+        for cls in shape
+    )
 
 
 def write_rows(out, fmt, header, rows):
-    """Write rows as CSV (17-digit floats, \\n endings) or JSON objects.
+    """Write tuple rows as CSV (17-digit floats, \\n endings) or JSON objects.
 
     A path that cannot be written raises ArgumentError (exit code 2).
     """
     if fmt == "csv":
         lines = [",".join(header)]
-        formatter = _CSV_FORMATTERS.get
-        lines.extend(
-            ",".join([formatter(type(value), _csv_cell)(value) for value in row])
-            for row in rows
-        )
+        templates = {}
+        for row in rows:
+            shape = tuple(map(type, row))
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _row_template(shape)
+            lines.append(template % row)
         text = "\n".join(lines) + "\n"
     else:
         payload = [dict(zip(header, row)) for row in rows]
@@ -345,7 +347,9 @@ def cmd_verify(level):
     return 0 if not failed else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="dekrylov",
         description=(

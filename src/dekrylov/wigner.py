@@ -55,18 +55,20 @@ TAIL_WIDTHS = 40  # peak widths of tail beyond the outermost saddles
 def signed_logsumexp(log_magnitudes, signs):
     """Sum of signed log-domain terms under a single max-exponent shift.
 
-    Summation order is the array order (fixed, bitwise deterministic).
-    Returns (sign, log_magnitude) of the sum; sign 0 encodes exact zero.
+    The shifted terms are added with math.fsum, which rounds the exact sum
+    once, so the result does not depend on the order of the terms.
+    Returns (sign, log_magnitude) of the sum; sign 0 encodes exact zero
+    (or no terms).
     """
-    log_magnitudes = np.asarray(log_magnitudes, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    live = (signs != 0) & np.isfinite(log_magnitudes)
-    if not np.any(live):
+    live = [
+        (log_mag, sign)
+        for log_mag, sign in zip(log_magnitudes, signs)
+        if sign != 0 and math.isfinite(log_mag)
+    ]
+    if not live:
         return 0, -math.inf
-    shift = float(np.max(log_magnitudes[live]))
-    total = float(
-        np.sum(np.where(live, signs * np.exp(log_magnitudes - shift), 0.0))
-    )
+    shift = float(max(log_mag for log_mag, _ in live))
+    total = math.fsum(sign * math.exp(log_mag - shift) for log_mag, sign in live)
     if total == 0.0:
         return 0, -math.inf
     return (1 if total > 0 else -1), shift + math.log(abs(total))

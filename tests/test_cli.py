@@ -6,12 +6,15 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov import checks, cli, lintri
@@ -69,6 +72,58 @@ def test_write_rows_golden_cells(tmp_path):
     assert out.read_bytes() == (
         b'[\n {\n  "a": null,\n  "b": "nn",\n  "c": 7,\n  "d": -0.0\n }\n]\n'
     )
+
+
+def reference_cell(value):
+    """The per-cell CSV rules that the row templates of write_rows replace."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+SPECIAL_FLOATS = (-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e-300)
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+CELLS = st.one_of(
+    st.none(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    FLOATS,
+    FLOATS.map(np.float64),
+)
+
+
+@st.composite
+def mixed_shape_rows(draw):
+    """Rows of one width and several cell-type shapes, with a None first,
+    in the middle and last in at least one row each."""
+    width = draw(st.integers(3, 6))
+    rows = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=12))
+    for blank in (0, width // 2, width - 1):
+        row = draw(st.lists(CELLS, min_size=width, max_size=width))
+        row[blank] = None
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return width, [tuple(row) for row in rows]
+
+
+@given(mixed_shape_rows())
+@settings(max_examples=150)
+def test_write_rows_matches_the_per_cell_rules(case):
+    width, rows = case
+    header = tuple(f"c{i}" for i in range(width))
+    expected = "".join(
+        ",".join(map(reference_cell, line)) + "\n" for line in [header] + rows
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out = f"{tmp}/rows.csv"
+        cli.write_rows(out, "csv", header, rows)
+        with open(out, "rb") as handle:
+            assert handle.read() == expected.encode("utf-8")
 
 
 def test_coeffs_ir_values(tmp_path):
@@ -430,6 +485,8 @@ def test_malformed_grid_arguments(capsys):
         ["--lengths", "4.5"],
         ["--tau-list", "-1"],
         ["--tau-list", "-0.5,1"],
+        ["--tau-list", "nan,1"],
+        ["--tau-list", "1,inf"],
         ["--tau", "-1:2:3"],
         ["--lengths", "-4,6"],
     ):
@@ -441,6 +498,32 @@ def test_malformed_grid_arguments(capsys):
     # A negative-looking value reaches the grid parser, not argparse.
     assert cli.main(["evolve", "--model", "nn", "--tau", "-1:2:3"]) == 2
     assert capsys.readouterr().err == "error: tau: start must be >= 0, got -1.0\n"
+    # The whole tau list is checked at once; the error names the first bad value.
+    assert cli.main(["evolve", "--model", "nn", "--tau-list", "-0.5,1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: tau: values must be finite and >= 0, got -0.5\n"
+    )
+    assert cli.main(["evolve", "--model", "nn", "--tau-list", "1,nan,-2"]) == 2
+    assert capsys.readouterr().err == "error: tau: values must be finite and >= 0, got nan\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main reuses one parser; no flag of one call reaches the next."""
+    assert cli.build_parser() is cli.build_parser()
+
+    def lengths_of(args):
+        code, text = run_cli(args, tmp_path)
+        assert code == 0
+        return [int(row["L"]) for row in rows_of(text)]
+
+    moments = ["moments", "--model", "nn", "--lengths", "20,100"]
+    assert lengths_of(moments + ["--nmax", "3"]) == [20] * 4 + [100] * 4
+    assert lengths_of(moments) == [20] * 11 + [100] * 11
+    evolve = ["evolve", "--model", "ir", "--lengths", "100"]
+    assert len(lengths_of(evolve + ["--tau-list", "0.5"])) == 1
+    assert len(lengths_of(evolve)) == 403
+    assert cli.main(["verify"]) == 0
+    assert "(quick level)" in capsys.readouterr().out
 
 
 def test_config_flag_is_a_usage_error(capsys):
