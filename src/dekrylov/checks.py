@@ -142,8 +142,7 @@ def check_lanczos_closed_forms(quick=False):
                 float(np.max(np.abs(iterative.b - expected.tridiag.offdiag))),
             )
         # Third route for NN: the dual transverse-field image on L-1 links.
-        ham, seed = models.kw_transform_nn(length)
-        dual = lanczos.run_lanczos(lambda v: ham @ v, seed)
+        dual = lanczos.run_lanczos(*models.kw_transform_nn(length))
         expected = analytic_lanczos(ModelSpec(kind=ModelKind.NN, length=length))
         if not dual.terminated or len(dual.a) != length:
             return False, f"dual image at L={length} closed at {len(dual.a)} != {length}"
@@ -261,7 +260,7 @@ def check_area_law_convergence(quick=False):
         psi_gaps = []
         for length in lengths:
             profile = wigner.psi_ir_exact_profile(length, tau)
-            limit = np.array([models.area_law_psi(n, tau) for n in range(profile.size)])
+            limit = models.area_law_psi(np.arange(profile.size), tau)
             k_gaps.append(abs(_profile_complexity(profile) - models.area_law_k(tau)))
             psi_gaps.append(float(np.max(np.abs(profile - limit))))
         for key, gaps in (("K", k_gaps), ("psi", psi_gaps)):
@@ -439,16 +438,14 @@ def check_moment_consistency(quick=False):
 
 
 def check_wigner_layer(quick=False):
-    """Orthonormality, route agreement, the m = s column, and symmetries."""
+    """Orthonormality, route agreement, the m = s column, and symmetries,
+    each route called once per (s, theta) for the whole matrix."""
     theta = 0.5 * math.pi
     spins = (0.5, 5.0, 20.0) if quick else (0.5, 5.0, 20.0, 100.0)
     worst_orth = 0.0
     for s in spins:
         two_s = int(round(2 * s))
-        dmat = np.stack(
-            [wigner.wigner_column_stable(s, s - c, theta) for c in range(two_s + 1)],
-            axis=1,
-        )
+        dmat = wigner.wigner_column_stable(s, s - np.arange(two_s + 1), theta)
         gram = dmat.T @ dmat
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(two_s + 1)))))
 
@@ -457,36 +454,31 @@ def check_wigner_layer(quick=False):
     worst_column = 0.0
     for s in route_spins:
         two_s = int(round(2 * s))
+        rows = np.arange(two_s + 1)
+        magnetics = s - rows
         for angle in (0.5 * math.pi, 0.4, 1.9):
-            cos_half = math.cos(0.5 * angle)
-            sin_half = math.sin(0.5 * angle)
-            for c in range(two_s + 1):
-                column = wigner.wigner_column_stable(s, s - c, angle)
-                for r in range(two_s + 1):
-                    direct = wigner.wigner_d(s, s - r, s - c, angle)
-                    worst_route = max(worst_route, abs(direct - column[r]))
-                    if c == 0:
-                        closed = (
-                            math.sqrt(math.comb(two_s, two_s - r))
-                            * cos_half ** (two_s - r)
-                            * sin_half**r
-                        )
-                        worst_column = max(worst_column, abs(direct - closed))
+            stable = wigner.wigner_column_stable(s, magnetics, angle)
+            direct = wigner.wigner_d(s, magnetics[:, None], magnetics, angle)
+            worst_route = max(worst_route, float(np.max(np.abs(direct - stable))))
+            closed = (
+                np.sqrt([float(math.comb(two_s, r)) for r in rows])
+                * math.cos(0.5 * angle) ** (two_s - rows)
+                * math.sin(0.5 * angle) ** rows
+            )
+            worst_column = max(worst_column, float(np.max(np.abs(direct[:, 0] - closed))))
 
     worst_sym = 0.0
     for s in (1.0, 2.5, 6.0):
-        two_s = int(round(2 * s))
-        magnetics = [s - i for i in range(two_s + 1)]
-        for mp in magnetics:
-            for m in magnetics:
-                base = wigner.wigner_d(s, mp, m, 0.7)
-                parity = (-1.0) ** round(mp - m)
-                worst_sym = max(
-                    worst_sym,
-                    abs(base - wigner.wigner_d(s, m, mp, -0.7)),
-                    abs(base - parity * wigner.wigner_d(s, m, mp, 0.7)),
-                    abs(base - parity * wigner.wigner_d(s, -mp, -m, 0.7)),
-                )
+        magnetics = s - np.arange(int(round(2 * s)) + 1)
+        base = wigner.wigner_d(s, magnetics[:, None], magnetics, 0.7)
+        parity = (-1.0) ** (magnetics[:, None] - magnetics)
+        # d_{m'm}(t) = d_{mm'}(-t) = (-1)^{m'-m} d_{mm'}(t) = (-1)^{m'-m} d_{-m',-m}(t)
+        for image in (
+            wigner.wigner_d(s, magnetics[:, None], magnetics, -0.7).T,
+            parity * base.T,
+            parity * base[::-1, ::-1],
+        ):
+            worst_sym = max(worst_sym, float(np.max(np.abs(base - image))))
     passed = (
         worst_orth <= 1e-10
         and worst_route <= 1e-11

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ArgumentError, LinearDependenceError
 
-# Taus per matrix product in expm_from_eig: one product per block keeps
-# the (dim, block) work arrays small whatever the length of the tau grid.
+# Taus per block in expm_from_eig: the (block, dim) work arrays stay small
+# whatever the length of the tau grid.
 TAU_BLOCK = 64
 # Relative residual norm under which orthonormalize declares a vector
 # dependent on its predecessors.
@@ -45,8 +45,9 @@ ORTHOGONALITY_TOL = 5e-11
 SPECTRUM_RTOL = 1e-12
 
 
-def _readonly(arr):
-    out = np.array(arr, dtype=float)
+def _readonly(arr, copy=True):
+    """A read-only float copy of ``arr``; with copy=False a view where it can."""
+    out = np.array(arr, dtype=float, copy=copy or None).view()
     out.setflags(write=False)
     return out
 
@@ -138,14 +139,15 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns, held
+    read-only: ``vectors`` is a view of the given array, not a copy."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
-        object.__setattr__(self, "vectors", _readonly(self.vectors))
+        object.__setattr__(self, "vectors", _readonly(self.vectors, copy=False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +171,7 @@ class KrylovState:
 
     def __post_init__(self):
         taus = _readonly(self.taus)
-        psi = np.asarray(self.psi, dtype=float).view()
-        psi.setflags(write=False)
+        psi = _readonly(self.psi, copy=False)
         log_norm = _readonly(np.broadcast_to(self.log_norm, taus.shape))
         if taus.ndim > 1 or psi.shape[:-1] != taus.shape or psi.shape[-1:] in ((), (0,)):
             raise ArgumentError(
@@ -311,8 +312,10 @@ def expm_from_eig(dec, taus):
     max_k (log|c_k| - tau lambda_k), so the largest weight is exactly 1
     and the vector norm is at least 1: nothing underflows even when the
     ground-state overlap is ~1e-180 (IR L = 1200).  The taus are evaluated
-    TAU_BLOCK at a time, one matrix product per block, and each block is
-    normalized straight into its rows of one preallocated (m, dim) array.
+    TAU_BLOCK at a time, and each block is normalized straight into its
+    rows of one preallocated (m, dim) array.  Each row is reduced on its
+    own (einsum: a BLAS product's summation order depends on the other
+    columns), so no tau's bits depend on the other taus of the call.
 
     A seed component below the smallest normal float (IR and NN past
     L ~ 2045, where the extreme overlap 2^{-(L-1)/2} leaves the normal
@@ -338,19 +341,19 @@ def expm_from_eig(dec, taus):
             f"binary64 at Krylov dimension {seed.size}"
         )
     log_seed = np.log(magnitudes)
-    signs = np.sign(seed)[:, None]
+    signs = np.sign(seed)
     # Measuring from lambda_0 keeps tau * lambda small before the shift.
     gaps = dec.values - dec.values[0]
     psi = np.empty((flat.size, seed.size))
     log_norm = np.empty(flat.size)
     for start in range(0, flat.size, TAU_BLOCK):
         block = flat[start : start + TAU_BLOCK]
-        logs = log_seed[:, None] - gaps[:, None] * block[None, :]
-        shift = logs.max(axis=0)
-        amps = dec.vectors @ (signs * np.exp(logs - shift))
-        norms = np.linalg.norm(amps, axis=0)
+        logs = log_seed - block[:, None] * gaps
+        shift = logs.max(axis=1)
+        amps = np.einsum("jk,nk->jn", signs * np.exp(logs - shift[:, None]), dec.vectors)
+        norms = np.sqrt(np.einsum("jn,jn->j", amps, amps))
         log_norm[start : start + block.size] = shift + np.log(norms) - block * dec.values[0]
-        np.divide(amps.T, norms[:, None], out=psi[start : start + block.size])
+        np.divide(amps, norms[:, None], out=psi[start : start + block.size])
     return KrylovState(
         taus=taus,
         psi=psi.reshape(taus.shape + (seed.size,)),

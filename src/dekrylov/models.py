@@ -153,25 +153,22 @@ def log_binomial(n, k):
 
 
 def kw_transform_nn(length):
-    """Kramers-Wannier image of the reduced NN model.
+    """Kramers-Wannier image of the reduced NN model, matrix-free.
 
-    Returns the pair (H, v0) with H = -Sum_i tau^x on the L-1 link spins
-    (dense 2^{L-1} matrix) and v0 the all-up link state.  The Krylov space
-    generated from v0 matches the NN chain's: same Lanczos coefficients,
-    dimension exactly L.
+    Returns the pair (apply, v0): apply(v) is H v for H = -Sum_i tau^x_i
+    on the L-1 link spins, -Sum_link v[x ^ (1 << link)] at each basis
+    state x, in O(L 2^{L-1}) with no 2^{L-1} x 2^{L-1} array; v0 is the
+    all-up link state.  The Krylov space generated from v0 matches the
+    NN chain's: same Lanczos coefficients, dimension exactly L.
     """
     if length < 2:
         raise ArgumentError("length must be at least 2")
     _check_reduced_length(length)
     links = length - 1
-    dim = 2**links
-    ham = np.zeros((dim, dim))
-    states = np.arange(dim)
-    for link in range(links):
-        ham[states ^ (1 << link), states] -= 1.0
-    initial = np.zeros(dim)
+    flips = np.arange(2**links) ^ (1 << np.arange(links))[:, None]
+    initial = np.zeros(2**links)
     initial[0] = 1.0
-    return ham, initial
+    return (lambda vec: -vec[flips].sum(axis=0)), initial
 
 
 def analytic_lanczos(model):
@@ -262,23 +259,27 @@ def area_law_psi(n, tau):
             (1-2 tau)^{1/4},
 
     normalizable only for 0 <= tau < 1/2 (the (1-2 tau)^{1/4} factor is
-    real there); tau >= 1/2 is a domain error.
+    real there); tau >= 1/2 is a domain error.  ``n`` is an integer or an
+    integer array; the result is a float or an array of its shape.
     """
-    if n < 0:
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ArgumentError("n must be nonnegative")
     if not 0 <= tau < 0.5:
         raise DomainError(f"area-law profile requires 0 <= tau < 1/2, got {tau!r}")
     if tau == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_mag = (
-        0.5 * math.lgamma(2 * n + 1.0)
-        - n * math.log(2.0)
-        - math.lgamma(n + 1.0)
-        - 0.5 * math.log1p(-tau)
-        + n * (math.log(tau) - math.log1p(-tau))
-        + 0.25 * math.log1p(-2.0 * tau)
-    )
-    return (-1.0) ** n * math.exp(log_mag)
+        psi = (n == 0).astype(float)
+    else:
+        log_mag = (
+            0.5 * _lgamma(2 * n + 1.0)
+            - n * math.log(2.0)
+            - _lgamma(n + 1.0)
+            - 0.5 * math.log1p(-tau)
+            + n * (math.log(tau) - math.log1p(-tau))
+            + 0.25 * math.log1p(-2.0 * tau)
+        )
+        psi = (-1.0) ** n * np.exp(log_mag)
+    return float(psi) if psi.ndim == 0 else psi
 
 
 def area_law_k(tau):

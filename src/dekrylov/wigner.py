@@ -19,6 +19,10 @@ Two independent routes to d^s_{m'm}(theta) = <s,m'| e^{-i theta S_y} |s,m>:
      phase is tracked as an exact period-4 integer counter, never as a
      complex float, picking A, B, -A, -B by (r-c) mod 4.
 
+Both routes take arrays of indices and give a whole matrix in one call:
+wigner_d sums every element's k terms over one (..., 2s+1) term array,
+wigner_column_stable forms every requested column with one product.
+
 The exact infinite-range wavepacket is a positive Gaussian integral:
 e^{2 tau S_z^2 / L} averages e^{phi S_z} over a Gaussian in phi, which
 maps |+>^{(x)L} to (cosh(phi/2)|+> + sinh(phi/2)|->)^{(x)L}, and the
@@ -53,97 +57,91 @@ TAIL_WIDTHS = 40  # peak widths of tail beyond the outermost saddles
 
 
 def signed_logsumexp(log_magnitudes, signs):
-    """Sum of signed log-domain terms under a single max-exponent shift.
+    """Sum of signed log-domain terms over the last axis, one shift per sum.
 
-    The shifted terms are added with math.fsum, which rounds the exact sum
-    once, so the result does not depend on the order of the terms.
-    Returns (sign, log_magnitude) of the sum; sign 0 encodes exact zero
-    (or no terms).
+    Each sum shifts its terms by their largest live exponent and adds them
+    with math.fsum, which rounds the exact sum once, so the result does
+    not depend on the order of the terms.  Returns (sign, log_magnitude),
+    each of the shape of the inputs without their last axis; sign 0
+    encodes exact zero (or no terms).
     """
-    live = [
-        (log_mag, sign)
-        for log_mag, sign in zip(log_magnitudes, signs)
-        if sign != 0 and math.isfinite(log_mag)
-    ]
-    if not live:
-        return 0, -math.inf
-    shift = float(max(log_mag for log_mag, _ in live))
-    total = math.fsum(sign * math.exp(log_mag - shift) for log_mag, sign in live)
-    if total == 0.0:
-        return 0, -math.inf
-    return (1 if total > 0 else -1), shift + math.log(abs(total))
+    logs = np.asarray(log_magnitudes, dtype=float)
+    signs = np.asarray(signs, dtype=float)
+    live = (signs != 0) & np.isfinite(logs)
+    logs = np.where(live, logs, -np.inf)
+    shift = logs.max(axis=-1, initial=-np.inf)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(live, signs * np.exp(logs - shift[..., None]), 0.0)
+    rows = terms.reshape(shift.size, -1).tolist()
+    total = np.array(list(map(math.fsum, rows))).reshape(shift.shape)
+    with np.errstate(divide="ignore"):
+        log_sum = np.where(total == 0, -np.inf, shift + np.log(abs(total)))
+    return np.sign(total).astype(int)[()], log_sum[()]
 
 
 def _twice(value, name):
-    doubled = round(2.0 * value)
-    if abs(2.0 * value - doubled) > 1e-9:
-        raise ArgumentError(f"{name} must be integer or half-integer, got {value!r}")
-    return int(doubled)
+    """Twice an integer or half-integer value (or array), as integers."""
+    value = np.asarray(value, dtype=float)
+    doubled = np.rint(2.0 * value)
+    bad = value[np.abs(2.0 * value - doubled) > 1e-9]
+    if bad.size:
+        raise ArgumentError(f"{name} must be integer or half-integer, got {bad.tolist()[0]!r}")
+    return doubled.astype(int)
 
 
 def wigner_d(s, m_prime, m, theta):
-    """Wigner small-d element by the direct factorial k-sum (s <= 20).
+    """Wigner small-d elements by the direct factorial k-sum (s <= 20).
 
     Args:
         s: spin (integer or half-integer).
-        m_prime: row magnetic index.
-        m: column magnetic index.
+        m_prime: row magnetic index, a float or an array.
+        m: column magnetic index, a float or an array; it broadcasts
+            against m_prime.
         theta: rotation angle in radians.
 
     Returns:
-        d^s_{m'm}(theta) as a float.
+        d^s_{m'm}(theta): a float for scalar indices, else an array of
+        their broadcast shape.  Each element is one signed_logsumexp over
+        the terms k = 0..2s, the terms outside the element's range zero.
     """
-    two_s = _twice(s, "s")
-    two_mp = _twice(m_prime, "m_prime")
-    two_m = _twice(m, "m")
+    two_s = int(_twice(s, "s"))
+    two_mp, two_m = np.broadcast_arrays(_twice(m_prime, "m_prime"), _twice(m, "m"))
     if two_s < 0 or two_s > DIRECT_SUM_MAX_TWO_S:
         raise ArgumentError(f"direct-sum route requires 0 <= s <= 20, got s={s!r}")
-    if abs(two_mp) > two_s or abs(two_m) > two_s:
+    if np.any(np.abs(two_mp) > two_s) or np.any(np.abs(two_m) > two_s):
         raise ArgumentError("|m|, |m_prime| must not exceed s")
-    if (two_s + two_m) % 2 or (two_s + two_mp) % 2:
+    if np.any((two_s + two_m) % 2) or np.any((two_s + two_mp) % 2):
         raise ArgumentError("s - m and s - m_prime must be integers")
 
-    s_plus_m = (two_s + two_m) // 2
-    s_minus_m = (two_s - two_m) // 2
-    s_plus_mp = (two_s + two_mp) // 2
-    s_minus_mp = (two_s - two_mp) // 2
-    m_minus_mp = (two_m - two_mp) // 2
-
+    s_plus_m = (two_s + two_m)[..., None] // 2
+    s_minus_mp = (two_s - two_mp)[..., None] // 2
+    m_minus_mp = (two_m - two_mp)[..., None] // 2
+    k = np.arange(two_s + 1)
+    log_factorials = np.array([math.lgamma(i + 1.0) for i in range(two_s + 1)])
+    log_fact_at = functools.partial(np.take, log_factorials, mode="clip")
     log_prefactor = 0.5 * (
-        math.lgamma(s_plus_m + 1.0)
-        + math.lgamma(s_minus_m + 1.0)
-        + math.lgamma(s_plus_mp + 1.0)
-        + math.lgamma(s_minus_mp + 1.0)
+        log_fact_at(s_plus_m)
+        + log_fact_at(two_s - s_plus_m)
+        + log_fact_at(two_s - s_minus_mp)
+        + log_fact_at(s_minus_mp)
     )
-    cos_half = math.cos(0.5 * theta)
-    sin_half = math.sin(0.5 * theta)
-
-    logs = []
-    signs = []
-    for k in range(max(0, m_minus_mp), min(s_plus_m, s_minus_mp) + 1):
-        cos_power = two_s - 2 * k + m_minus_mp
-        sin_power = 2 * k - m_minus_mp
-        if (cos_power > 0 and cos_half == 0.0) or (sin_power > 0 and sin_half == 0.0):
-            continue
-        log_mag = log_prefactor - (
-            math.lgamma(s_plus_m - k + 1.0)
-            + math.lgamma(s_minus_mp - k + 1.0)
-            + math.lgamma(k - m_minus_mp + 1.0)
-            + math.lgamma(k + 1.0)
-        )
-        if cos_power:
-            log_mag += cos_power * math.log(abs(cos_half))
-        if sin_power:
-            log_mag += sin_power * math.log(abs(sin_half))
-        sign = (-1) ** (k - m_minus_mp)
-        if cos_power and cos_half < 0:
-            sign *= (-1) ** cos_power
-        if sin_power and sin_half < 0:
-            sign *= (-1) ** sin_power
-        logs.append(log_mag)
-        signs.append(sign)
-    sign, log_mag = signed_logsumexp(logs, signs)
-    return 0.0 if sign == 0 else sign * math.exp(log_mag)
+    cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    cos_power = two_s - 2 * k + m_minus_mp
+    sin_power = 2 * k - m_minus_mp
+    log_mag = log_prefactor - (
+        log_fact_at(s_plus_m - k)
+        + log_fact_at(s_minus_mp - k)
+        + log_fact_at(k - m_minus_mp)
+        + log_fact_at(k)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for power, half in ((cos_power, cos_half), (sin_power, sin_half)):
+            log_mag += np.where(power > 0, power * np.log(abs(half)), 0.0)
+    parity = k - m_minus_mp + cos_power * (cos_half < 0) + sin_power * (sin_half < 0)
+    in_range = (k >= m_minus_mp) & (k <= np.minimum(s_plus_m, s_minus_mp))
+    sign, log_sum = signed_logsumexp(log_mag, np.where(in_range, 1 - 2 * (parity % 2), 0))
+    out = np.where(sign == 0, 0.0, sign * np.exp(log_sum))
+    return float(out) if out.ndim == 0 else out
 
 
 def _sy_operator(two_s):
@@ -163,30 +161,34 @@ def _sy_decomposition(two_s):
 
 
 def wigner_column_stable(s, n_col, theta):
-    """One column of d^s(theta), stable to s = 300, as a read-only array.
+    """Columns of d^s(theta), stable to s = 300, as a read-only array.
 
-    Entries are indexed by the row r = 0..2s with m' = s - r.
+    Entries are indexed by the row r = 0..2s with m' = s - r, first: a
+    scalar n_col gives the (2s+1,) column, an array of n_col the array
+    (2s+1,) + n_col.shape of their columns, so n_col = s - arange(2s+1)
+    gives the whole matrix.
 
     Raises:
-        ArgumentError: on invalid indices, or if the column is not unit
+        ArgumentError: on invalid indices, or if a column is not unit
             norm within 1e-10.
     """
-    two_s = _twice(s, "s")
+    two_s = int(_twice(s, "s"))
     two_n = _twice(n_col, "n_col")
     if two_s < 0 or two_s > STABLE_MAX_TWO_S:
         raise ArgumentError(f"stable route requires 0 <= s <= 300, got s={s!r}")
-    if abs(two_n) > two_s or (two_s + two_n) % 2:
+    if np.any(np.abs(two_n) > two_s) or np.any((two_s + two_n) % 2):
         raise ArgumentError("n_col must satisfy |n_col| <= s with s - n_col integer")
     col = (two_s - two_n) // 2  # m = s - col; row r holds m' = s - r
     dec = _sy_decomposition(two_s)
-    seed = dec.vectors[col]
-    a_part = dec.vectors @ (np.cos(theta * dec.values) * seed)
-    b_part = dec.vectors @ (np.sin(theta * dec.values) * seed)
-    phase = (np.arange(two_s + 1) - col) % 4
+    seeds = dec.vectors[col]  # n_col.shape + (2s+1,), over the eigenvectors
+    a_part = (np.cos(theta * dec.values) * seeds) @ dec.vectors.T
+    b_part = (np.sin(theta * dec.values) * seeds) @ dec.vectors.T
+    phase = (np.arange(two_s + 1) - col[..., None]) % 4
     magnitude = np.where(phase % 2 == 0, a_part, b_part)
     entries = np.where(phase < 2, magnitude, -magnitude)
-    if abs(entries @ entries - 1.0) > 1e-10:
+    if np.any(np.abs(np.einsum("...r,...r->...", entries, entries) - 1.0) > 1e-10):
         raise ArgumentError("column of a rotation matrix must be unit norm")
+    entries = np.moveaxis(entries, -1, 0)
     entries.setflags(write=False)
     return entries
 

@@ -15,6 +15,7 @@ from dekrylov.lanczos import run_lanczos
 from dekrylov.lintri import (
     ORTHOGONALITY_TOL,
     TAU_BLOCK,
+    EigenDecomposition,
     KrylovState,
     TridiagonalOperator,
     _twisted_vectors,
@@ -164,6 +165,31 @@ def test_expm_batch_is_a_read_only_view_of_the_filled_array(monkeypatch):
     )
     with pytest.raises(ValueError):
         batch.psi[0, 0] = 0.0
+
+
+def test_eigendecomposition_holds_a_read_only_view_of_its_vectors():
+    """The vector matrix is not copied: eig_tridiag's own buffer, or a
+    caller's array, is held read-only through a view."""
+    vectors = np.eye(3)
+    dec = EigenDecomposition(values=[0.0, 1.0, 2.0], vectors=vectors)
+    assert np.shares_memory(dec.vectors, vectors) and vectors.flags.writeable
+    assert not dec.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        dec.vectors[0, 0] = 2.0
+    produced = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, 40)).tridiag)
+    assert not produced.vectors.flags.writeable and produced.vectors.base is not None
+
+
+def test_expm_rows_do_not_depend_on_the_other_taus():
+    """Every row of the 401-tau grid at IR L = 100 is bitwise the row of a
+    one-tau call."""
+    dec = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, 100)).tridiag)
+    taus = np.linspace(0.0, 2.0, 401)
+    batch = expm_from_eig(dec, taus)
+    for tau, psi, log_norm in zip(taus, batch.psi, batch.log_norm):
+        single = expm_from_eig(dec, [tau])
+        assert np.array_equal(single.psi[0], psi), tau
+        assert single.log_norm[0] == log_norm, tau
 
 
 def test_array_dataclasses_compare_by_identity():

@@ -1,11 +1,14 @@
 """Model definitions, closed-form Lanczos data, and channel construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dekrylov.checks import check_lanczos_closed_forms
 from dekrylov.errors import ArgumentError, DomainError
 from dekrylov.evolve import complexity
 from dekrylov.lintri import expm_action
@@ -153,14 +156,39 @@ def test_closed_forms_match_dense_lanczos(length):
 
 
 def test_kramers_wannier_route_reproduces_nn_coefficients():
-    """Lanczos on the dual transverse-field image gives the same tridiagonal."""
+    """Lanczos on the dual transverse-field image gives the same tridiagonal,
+    and the matrix-free image is the dense -Sum_i tau^x_i on the links."""
     for length in (4, 6):
-        ham, seed = kw_transform_nn(length)
-        assert ham.shape == (2 ** (length - 1),) * 2
-        result = run_lanczos(lambda v: ham @ v, seed)
+        apply, seed = kw_transform_nn(length)
+        links = length - 1
+        pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        dense = np.zeros((2**links, 2**links))
+        for link in range(links):
+            term = np.ones((1, 1))
+            for site in range(links):
+                term = np.kron(term, pauli_x if site == link else np.eye(2))
+            dense -= term
+        rng = np.random.default_rng(length)
+        for vec in (seed, *rng.standard_normal((3, 2**links))):
+            assert_allclose(apply(vec), dense @ vec, rtol=0, atol=1e-14)
+        assert np.array_equal(seed, np.eye(2**links)[0])
+        result = run_lanczos(apply, seed)
         closed = analytic_lanczos(ModelSpec(ModelKind.NN, length))
         assert_allclose(result.a, closed.tridiag.diag, atol=1e-12)
         assert_allclose(result.b, closed.tridiag.offdiag, atol=1e-12)
+
+
+def test_lanczos_check_allocates_no_dense_dual_matrix():
+    """Criterion 2 at L = 12 peaks below 8 MB of traced allocations; the
+    dense 2^11 x 2^11 dual matrix alone would take 33.5 MB."""
+    tracemalloc.start()
+    try:
+        passed, detail = check_lanczos_closed_forms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed, detail
+    assert peak < 8 * 2**20, peak
 
 
 # ----------------------------------------------------------- NN closed forms
@@ -210,7 +238,7 @@ def test_nn_complexity_matches_tridiagonal_propagation(length, tau):
 
 def test_area_law_profile_is_normalized_and_matches_k():
     for tau in (0.1, 0.3, 0.45):
-        psi = np.array([area_law_psi(n, tau) for n in range(400)])
+        psi = area_law_psi(np.arange(400), tau)
         assert psi @ psi == pytest.approx(1.0, abs=1e-12)
         assert np.arange(400) @ psi**2 == pytest.approx(area_law_k(tau), abs=1e-12)
 
@@ -218,13 +246,29 @@ def test_area_law_profile_is_normalized_and_matches_k():
 def test_area_law_peaks_at_origin_for_tau_zero():
     assert area_law_psi(0, 0.0) == 1.0
     assert area_law_psi(3, 0.0) == 0.0
+    assert np.array_equal(area_law_psi(np.arange(4), 0.0), [1.0, 0.0, 0.0, 0.0])
     assert area_law_k(0.0) == 0.0
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-3, 0.3, 0.499])
+def test_area_law_array_equals_scalar_calls(tau):
+    n = np.arange(300).reshape(20, 15)
+    psi = area_law_psi(n, tau)
+    assert psi.shape == n.shape
+    scalars = [area_law_psi(int(k), tau) for k in n.flat]
+    assert all(type(value) is float for value in scalars)
+    assert np.array_equal(psi.ravel(), scalars)
 
 
 def test_area_law_requires_tau_below_half():
     for bad in (0.5, 0.7, -0.01):
         with pytest.raises(DomainError):
             area_law_psi(1, bad)
+        with pytest.raises(DomainError):
+            area_law_psi(np.arange(3), bad)
+    for bad_n in (-1, [0, 1, -2]):
+        with pytest.raises(ArgumentError):
+            area_law_psi(bad_n, 0.2)
     with pytest.raises(DomainError):
         area_law_k(0.5)
 

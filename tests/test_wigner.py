@@ -128,6 +128,60 @@ def test_stable_column_matches_direct_sum(two_s, theta):
     assert_allclose(column, direct, atol=1e-10)
 
 
+def _loop_wigner_d(s, m_prime, m, theta):
+    """The factorial k-sum as a loop over k in stdlib floats, no logs.
+
+    Returns the element and the sum of the magnitudes of its terms."""
+    two_s, up, u = round(2 * s), round(s + m_prime), round(s + m)
+    fact = math.factorial
+    prefactor = math.sqrt(fact(up) * fact(two_s - up) * fact(u) * fact(two_s - u))
+    cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    terms = [
+        (-1) ** (k - u + up)
+        * prefactor
+        / (fact(u - k) * fact(two_s - up - k) * fact(k - u + up) * fact(k))
+        * cos_half ** (two_s - 2 * k + u - up)
+        * sin_half ** (2 * k - u + up)
+        for k in range(max(0, u - up), min(u, two_s - up) + 1)
+    ]
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+@pytest.mark.parametrize("theta", [0.4, np.pi / 2, 1.9, 4.0])
+def test_array_wigner_d_equals_stacked_scalar_calls(theta):
+    """One broadcast call gives the whole matrix, element for element the
+    scalar calls, and within 100 eps of its summed term magnitudes the
+    k-sum loop.  theta = 4.0 has cos(theta/2) < 0."""
+    for two_s in range(21):
+        s = two_s / 2
+        ms = s - np.arange(two_s + 1)
+        matrix = wigner_d(s, ms[:, None], ms, theta)
+        scalars = [[wigner_d(s, mp, m, theta) for m in ms] for mp in ms]
+        assert matrix.shape == (two_s + 1, two_s + 1)
+        assert all(type(value) is float for row in scalars for value in row)
+        assert np.array_equal(matrix, scalars), (two_s, theta)
+        loop = np.array([[_loop_wigner_d(s, mp, m, theta) for m in ms] for mp in ms])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(matrix - loop[..., 0]) <= 100 * eps * loop[..., 1]), (two_s, theta)
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 7, 20, 41, 200])
+def test_array_stable_columns_equal_stacked_columns(two_s):
+    """An array of n_col gives its columns, row index first.  One matrix
+    product serves all columns, so entries agree with the one-column calls
+    to rounding, not bitwise."""
+    s = two_s / 2
+    for theta in (0.4, 1.9, 4.0):
+        cols = s - np.arange(two_s + 1)
+        matrix = wigner_column_stable(s, cols, theta)
+        assert matrix.shape == (two_s + 1, two_s + 1) and not matrix.flags.writeable
+        stacked = np.stack([wigner_column_stable(s, c, theta) for c in cols], axis=1)
+        assert_allclose(matrix, stacked, rtol=0, atol=1e-15)
+        pair = wigner_column_stable(s, cols[[-1, 0]].reshape(2, 1), theta)
+        assert pair.shape == (two_s + 1, 2, 1)
+        assert_allclose(pair[:, :, 0], stacked[:, [-1, 0]], rtol=0, atol=1e-15)
+
+
 def test_wigner_argument_validation():
     with pytest.raises(ArgumentError):
         wigner_d(21, 0, 0, 1.0)  # factorial route cap
@@ -137,6 +191,13 @@ def test_wigner_argument_validation():
         wigner_d(1, 0.5, 0, 1.0)
     with pytest.raises(ArgumentError):
         wigner_column_stable(301, 0, 1.0)
+    # Array indices are checked element by element.
+    for m_prime, m in (([0, 2], 0), (0, [1, 0.5]), ([[0], [0.3]], [0, 1])):
+        with pytest.raises(ArgumentError):
+            wigner_d(1, m_prime, m, 1.0)
+    for n_col in ([0, 2], [1, 0.5], [0.3]):
+        with pytest.raises(ArgumentError):
+            wigner_column_stable(1, n_col, 1.0)
 
 
 # ------------------------------------------------------ exact IR amplitudes
@@ -260,7 +321,7 @@ def test_exact_profile_converges_to_area_law_with_length():
     gaps = []
     for length in (40, 80, 160):
         profile = psi_ir_exact_profile(length, tau)
-        limit = np.array([area_law_psi(n, tau) for n in range(profile.size)])
+        limit = area_law_psi(np.arange(profile.size), tau)
         gaps.append(np.max(np.abs(profile - limit)))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 5e-3
