@@ -17,9 +17,9 @@ the closed form (L-1) lambda(tau), and IR K and chi are positive sums over
 the L/2+1 magnetization sectors (ir_magnetization_sums), O(L) per tau.
 Dense Renyi-2 (L <= 14, both models) sums over the at most L+1 energy
 levels of the diagonal reduced Hamiltonian.  complexity and
-renyi2_tridiag reduce a propagated (taus x dim) wavepacket batch to one
-array each; the verification suite uses them, and the tests compare the
-sums with them.  Every function here is pure, and scan rows are plain
+renyi2_tridiag reduce a wavepacket array, one row per tau, to one value
+per row with einsum; the verification suite uses them, and the tests
+compare the sums with them.  Every function here is pure, and scan rows are plain
 (L, tau, K, K_norm, chi) tuples built from whole arrays over tau.
 """
 
@@ -31,7 +31,6 @@ from math import comb
 
 import numpy as np
 
-from . import lintri
 from .errors import ArgumentError
 from .models import (
     REDUCED_MAX_LENGTH,
@@ -44,6 +43,9 @@ from .models import (
 # Longest chain the scans serve: the IR sums hold (TAU_BLOCK, L/2+1) work
 # arrays, about 26 MB each at this length.
 SCAN_MAX_LENGTH = 100_000
+# Taus per block in ir_magnetization_sums, so its work arrays stay that
+# small whatever the length of the tau grid.
+TAU_BLOCK = 64
 
 __all__ = [
     "complexity",
@@ -56,32 +58,18 @@ __all__ = [
 ]
 
 
-def _weighted_row_sums(left, weights, right):
-    """Sum_n left[..., n] weights[n] right[..., n], one value per row.
+def complexity(psi):
+    """Krylov complexity K = Sum_n n psi_n^2 / Sum_n psi_n^2 of a wavepacket.
 
-    The rows go TAU_BLOCK at a time, one BLAS product per block, so the
-    elementwise product never takes more than a (TAU_BLOCK, dim) work
-    array, however many taus the batch holds.
+    ``psi`` is a (dim,) wavepacket or an (m, dim) array of them, one per
+    row; the result is a float or an (m,) array.
     """
-    lefts = left.reshape(-1, left.shape[-1])
-    rights = right.reshape(-1, right.shape[-1])
-    sums = np.empty(lefts.shape[0])
-    for start in range(0, sums.size, lintri.TAU_BLOCK):
-        stop = start + lintri.TAU_BLOCK
-        sums[start:stop] = (lefts[start:stop] * rights[start:stop]) @ weights
-    return sums.reshape(left.shape[:-1])[()]
+    psi = np.asarray(psi, dtype=float)
+    weights = np.arange(psi.shape[-1], dtype=float)
+    return np.einsum("...n,n->...", psi * psi, weights) / np.einsum("...n,...n->...", psi, psi)
 
 
-def complexity(state):
-    """Krylov complexity K = Sum_n n psi_n^2 of each state of a batch.
-
-    Returns an (m,) array for an (m, dim) batch and a scalar for a single
-    state.
-    """
-    return _weighted_row_sums(state.psi, np.arange(state.dim, dtype=float), state.psi)
-
-
-def renyi2_tridiag(spec, state):
+def renyi2_tridiag(spec, psi):
     """Renyi-2 correlator from the tridiagonal representation (IR only).
 
     For the IR model, (1/L) Sum_ij Z_i^u Z_i^l Z_j^u Z_j^l = L - 2 H^IR as
@@ -93,21 +81,14 @@ def renyi2_tridiag(spec, state):
 
     The factor convention is pinned by renyi2_dense: the two agree to
     1e-9 over L <= 12 (verification suite).  Like complexity, it reduces
-    an (m, dim) batch to an (m,) array and a single state to a scalar.
+    an (m, dim) array of unit wavepackets to an (m,) array and a (dim,)
+    wavepacket to a float; a row whose length is not the Krylov dimension
+    raises ArgumentError.
     """
     if spec.model.kind is not ModelKind.IR:
         raise ArgumentError("renyi2_tridiag applies to the IR model only")
-    if state.dim != spec.krylov_dim:
-        raise ArgumentError(
-            f"state dim {state.dim} != krylov dim {spec.krylov_dim}"
-        )
-    psi = state.psi
-    tri = spec.tridiag
-    expectation = _weighted_row_sums(psi, tri.diag, psi)
-    if tri.dim > 1:
-        expectation = expectation + 2.0 * _weighted_row_sums(
-            psi[..., 1:], tri.offdiag, psi[..., :-1]
-        )
+    psi = np.asarray(psi, dtype=float)
+    expectation = np.einsum("...n,...n->...", psi, spec.tridiag.matvec(psi))
     return 1.0 - 2.0 * expectation / spec.model.length
 
 
@@ -202,8 +183,8 @@ def ir_magnetization_sums(model, taus):
     chi_weights = 8.0 * m * m / length**2
     k = np.empty(flat.size)
     chi = np.empty(flat.size)
-    for start in range(0, flat.size, lintri.TAU_BLOCK):
-        block = flat[start : start + lintri.TAU_BLOCK, None]
+    for start in range(0, flat.size, TAU_BLOCK):
+        block = flat[start : start + TAU_BLOCK, None]
         stop = start + block.shape[0]
         weights = np.multiply(block, rates)
         weights += log_binom

@@ -7,16 +7,15 @@ where they are real symmetric tridiagonal:
 
 This module provides the eigendecomposition in O(d^2) (the operator's
 exact spectrum, which every operator carries, then one twisted three-term
-recursion per eigenvector), one propagation kernel that evaluates the
-normalized imaginary-time action exp(-tau T) e_0 for a batch of taus with
-a per-tau log shift, and a two-pass classical Gram-Schmidt used to build
-dense Krylov bases.  A batch is one KrylovState: a read-only (taus x dim)
-wavepacket array with its taus and log norms, validated once, so no
-Python object is built per tau.  No eigensolver and no LAPACK call runs
-here: a clustered spectrum, whose twisted vectors are not orthogonal, is
-refused with numpy.linalg.LinAlgError.  All arithmetic is 64-bit float;
-operations are pure functions over immutable inputs and are safe to call
-concurrently.
+recursion per eigenvector) and one propagation kernel that evaluates the
+normalized imaginary-time action exp(-tau T) e_0 for an array of taus
+with a per-tau log shift.  The propagated states are one KrylovState: a
+read-only (taus x dim) wavepacket array with its taus, validated once, so
+no Python object is built per tau.  No eigensolver and no LAPACK call
+runs here: a clustered spectrum, whose twisted vectors are not
+orthogonal, is refused with numpy.linalg.LinAlgError.  All arithmetic is
+64-bit float; operations are pure functions over immutable inputs and are
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -25,14 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, LinearDependenceError
+from .errors import ArgumentError
 
-# Taus per block in expm_from_eig: the (block, dim) work arrays stay small
-# whatever the length of the tau grid.
-TAU_BLOCK = 64
-# Relative residual norm under which orthonormalize declares a vector
-# dependent on its predecessors.
-DEPENDENCE_RTOL = 1e-12
 # Largest |v_k . v_{k+1}| accepted from the twisted-recursion eigenvectors,
 # half the 1e-10 orthonormality that the tests and criterion 10 require.
 # Production operators, one pass at their exact eigenvalues, stay below it
@@ -117,48 +110,25 @@ class TridiagonalOperator:
     def dim(self):
         return self.diag.size
 
-    def to_dense(self):
-        """Dense (dim, dim) array with the same entries."""
-        mat = np.diag(self.diag)
-        idx = np.arange(self.dim - 1)
-        mat[idx, idx + 1] = self.offdiag
-        mat[idx + 1, idx] = self.offdiag
-        return mat
-
     def matvec(self, vec):
-        """Apply T to a vector without forming the dense matrix."""
+        """Apply T to a vector, or to each row of an (m, dim) array,
+        without forming the dense matrix."""
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.dim,):
-            raise ArgumentError(f"vector length {vec.size} != dim {self.dim}")
+        if vec.shape[-1:] != (self.dim,):
+            raise ArgumentError(f"vector shape {vec.shape} does not end in dim {self.dim}")
         out = self.diag * vec
         if self.dim > 1:
-            out[:-1] += self.offdiag * vec[1:]
-            out[1:] += self.offdiag * vec[:-1]
+            out[..., :-1] += self.offdiag * vec[..., 1:]
+            out[..., 1:] += self.offdiag * vec[..., :-1]
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns, held
-    read-only: ``vectors`` is a view of the given array, not a copy."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        object.__setattr__(self, "vectors", _readonly(self.vectors, copy=False))
 
 
 @dataclass(frozen=True, eq=False)
 class KrylovState:
     """Normalized wavepackets psi_n(tau) over the Krylov index n, one row per tau.
 
-    ``taus`` is (m,), ``psi`` (m, dim) and ``log_norm`` (m,): row j is the
-    state at taus[j], and log_norm[j] is the log of the norm that its
-    normalization divided out, log ||exp(-tau T) e_0|| when the batch
-    comes from expm_from_eig.  A single state has 0-d ``taus`` and
-    ``log_norm`` and a (dim,) ``psi``.
+    ``taus`` is (m,) and ``psi`` (m, dim): row j is the state at taus[j].
+    A single state has a 0-d ``taus`` and a (dim,) ``psi``.
 
     The batch is validated once: every tau >= 0, every entry of psi
     finite, and every row unit-normalized within 1e-12.  ``psi`` becomes a
@@ -167,12 +137,10 @@ class KrylovState:
 
     taus: np.ndarray
     psi: np.ndarray = field(repr=False)
-    log_norm: np.ndarray = 0.0
 
     def __post_init__(self):
         taus = _readonly(self.taus)
         psi = _readonly(self.psi, copy=False)
-        log_norm = _readonly(np.broadcast_to(self.log_norm, taus.shape))
         if taus.ndim > 1 or psi.shape[:-1] != taus.shape or psi.shape[-1:] in ((), (0,)):
             raise ArgumentError(
                 f"psi shape {psi.shape} must be taus shape {taus.shape} + (dim,), "
@@ -189,7 +157,6 @@ class KrylovState:
             raise ArgumentError("psi must be unit-normalized (1e-12)")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "log_norm", log_norm)
 
     @property
     def dim(self):
@@ -264,7 +231,7 @@ def _twisted_vectors(diag, offdiag, shifts):
 
 
 def eig_tridiag(op):
-    """Eigendecompose a symmetric tridiagonal operator in O(dim^2).
+    """Orthonormal eigenvectors of a symmetric tridiagonal operator in O(dim^2).
 
     The eigenvalues are the operator's exact ``spectrum``; no eigensolver
     runs.  The operator is scaled by a power of two to a norm in [1/2, 1),
@@ -281,7 +248,8 @@ def eig_tridiag(op):
     other route is taken then: the decomposition is refused instead.
 
     Returns:
-        EigenDecomposition, eigenvalues ascending, orthonormal vectors.
+        A read-only (dim, dim) array whose column k is the eigenvector of
+        op.spectrum[k].
 
     Raises:
         numpy.linalg.LinAlgError: if a vector norm is not finite, or two
@@ -301,21 +269,20 @@ def eig_tridiag(op):
             f"eigenvectors {k} and {k + 1} overlap by {overlaps[k]:.3g} > "
             f"{ORTHOGONALITY_TOL:g}: clustered eigenvalues at dimension {op.dim}"
         )
-    return EigenDecomposition(values=op.spectrum, vectors=vectors)
+    return _readonly(vectors, copy=False)
 
 
-def expm_from_eig(dec, taus):
+def expm_from_eig(op, taus):
     """Normalized exp(-tau T) e_0 for every tau, from one eigendecomposition.
 
-    With c_k = V[0, k], exp(-tau T) e_0 = Sum_k V[:, k] c_k e^{-tau lambda_k}.
-    Each tau is shifted by its largest log-coefficient
-    max_k (log|c_k| - tau lambda_k), so the largest weight is exactly 1
-    and the vector norm is at least 1: nothing underflows even when the
-    ground-state overlap is ~1e-180 (IR L = 1200).  The taus are evaluated
-    TAU_BLOCK at a time, and each block is normalized straight into its
-    rows of one preallocated (m, dim) array.  Each row is reduced on its
-    own (einsum: a BLAS product's summation order depends on the other
-    columns), so no tau's bits depend on the other taus of the call.
+    With V = eig_tridiag(op) and c_k = V[0, k],
+    exp(-tau T) e_0 = Sum_k V[:, k] c_k e^{-tau lambda_k}.  Each tau is
+    shifted by its largest log-coefficient max_k (log|c_k| - tau lambda_k),
+    so the largest weight is exactly 1 and the vector norm is at least 1:
+    nothing underflows even when the ground-state overlap is ~1e-180 (IR
+    L = 1200).  Each row is reduced on its own (einsum: a BLAS product's
+    summation order depends on the other rows), so no tau's bits depend on
+    the other taus of the call.
 
     A seed component below the smallest normal float (IR and NN past
     L ~ 2045, where the extreme overlap 2^{-(L-1)/2} leaves the normal
@@ -323,98 +290,25 @@ def expm_from_eig(dec, taus):
     out of the propagation, so it is an error instead.
 
     Returns:
-        One KrylovState batch: row j of ``psi`` is the state at taus[j],
-        in input order, and ``log_norm`` holds log ||exp(-tau T) e_0||.  A
-        scalar tau gives a single state.
+        One KrylovState: row j of ``psi`` is the state at taus[j], in input
+        order.  A scalar tau gives a single state.
 
     Raises:
-        numpy.linalg.LinAlgError: if a seed overlap |V[0, k]| is zero or
-            subnormal.
+        numpy.linalg.LinAlgError: if eig_tridiag refuses the operator, or
+            a seed overlap |V[0, k]| is zero or subnormal.
     """
     taus = np.asarray(taus, dtype=float)
-    flat = taus.reshape(-1)
-    seed = dec.vectors[0]
+    vectors = eig_tridiag(op)
+    seed = vectors[0]
     magnitudes = np.abs(seed)
     if magnitudes.min() < np.finfo(float).tiny:
         raise np.linalg.LinAlgError(
             f"seed overlap |V[0, k]| = {magnitudes.min():.3g} underflows "
             f"binary64 at Krylov dimension {seed.size}"
         )
-    log_seed = np.log(magnitudes)
-    signs = np.sign(seed)
     # Measuring from lambda_0 keeps tau * lambda small before the shift.
-    gaps = dec.values - dec.values[0]
-    psi = np.empty((flat.size, seed.size))
-    log_norm = np.empty(flat.size)
-    for start in range(0, flat.size, TAU_BLOCK):
-        block = flat[start : start + TAU_BLOCK]
-        logs = log_seed - block[:, None] * gaps
-        shift = logs.max(axis=1)
-        amps = np.einsum("jk,nk->jn", signs * np.exp(logs - shift[:, None]), dec.vectors)
-        norms = np.sqrt(np.einsum("jn,jn->j", amps, amps))
-        log_norm[start : start + block.size] = shift + np.log(norms) - block * dec.values[0]
-        np.divide(amps, norms[:, None], out=psi[start : start + block.size])
-    return KrylovState(
-        taus=taus,
-        psi=psi.reshape(taus.shape + (seed.size,)),
-        log_norm=log_norm.reshape(taus.shape),
-    )
-
-
-def expm_action(op, tau):
-    """Normalized action of exp(-tau T) on e_0 = (1, 0, ..., 0).
-
-    Args:
-        op: TridiagonalOperator.
-        tau: nonnegative imaginary time.
-
-    Returns:
-        A single KrylovState, a (dim,) ``psi`` with Sum psi_n^2 = 1 within
-        1e-12.
-    """
-    return expm_from_eig(eig_tridiag(op), float(tau))
-
-
-def orthonormalize(vectors):
-    """Two-pass classical Gram-Schmidt orthonormalization.
-
-    Each vector is projected against the already-accepted basis twice
-    (re-orthogonalization), which keeps pairwise inner products at the
-    1e-12 level even for badly scaled inputs.
-
-    Args:
-        vectors: sequence of equal-length real vectors.  A vector whose
-            post-projection norm falls below DEPENDENCE_RTOL times its
-            original norm is declared dependent.
-
-    Returns:
-        List of orthonormal vectors spanning the same space.
-
-    Raises:
-        LinearDependenceError: carrying the index of the offending vector.
-    """
-    basis = []
-    length = None
-    for idx, vec in enumerate(vectors):
-        w = np.array(vec, dtype=float)
-        if w.ndim != 1:
-            raise ArgumentError(f"vector {idx} is not 1-d")
-        if length is None:
-            length = w.size
-        elif w.size != length:
-            raise ArgumentError(
-                f"vector {idx} has length {w.size}, expected {length}"
-            )
-        original_norm = np.linalg.norm(w)
-        for _ in range(2):
-            for q in basis:
-                w -= (q @ w) * q
-        norm = np.linalg.norm(w)
-        if norm <= DEPENDENCE_RTOL * original_norm or norm == 0.0:
-            raise LinearDependenceError(
-                f"vector {idx} is linearly dependent on its predecessors "
-                f"(residual {norm:.3e} vs original {original_norm:.3e})",
-                index=idx,
-            )
-        basis.append(w / norm)
-    return basis
+    logs = np.log(magnitudes) - taus.reshape(-1, 1) * (op.spectrum - op.spectrum[0])
+    logs -= logs.max(axis=1, keepdims=True)
+    psi = np.einsum("jk,nk->jn", np.sign(seed) * np.exp(logs), vectors)
+    psi /= np.sqrt(np.einsum("jn,jn->j", psi, psi))[:, None]
+    return KrylovState(taus=taus, psi=psi.reshape(taus.shape + (seed.size,)))

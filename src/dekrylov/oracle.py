@@ -1,10 +1,10 @@
 """Brute-force dense verification at small L.
 
 Ground truth for the rest of the package: full 4^L channel application,
-explicit Gram-Schmidt Krylov construction from {H^n |rho_init>}, and the
-interpretation of the n-th Krylov vector as the n-error state.  Nothing
-here is performance-sensitive; the caps (4^L path at L <= 6, reduced
-2^L path at L <= 12) keep every check at the seconds scale.
+one two-pass Gram-Schmidt over the powers {H^n |rho_init>} for the Krylov
+basis, and the interpretation of the n-th Krylov vector as the n-error
+state.  Nothing here is performance-sensitive; the caps (4^L path at
+L <= 6, reduced 2^L path at L <= 12) keep every check at the seconds scale.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import math
 
 import numpy as np
 
-from . import doubled, lintri
-from .errors import ArgumentError, LinearDependenceError
+from . import doubled
+from .errors import ArgumentError
 from .lanczos import LanczosResult
 from .models import (
     ModelKind,
+    analytic_lanczos,
     build_ir_channel,
     build_nn_channel,
     reduced_diagonal,
@@ -29,6 +30,9 @@ DENSE_MAX_LENGTH = 6
 KRYLOV_MAX_LENGTH = 12
 ERROR_STATE_MAX_LENGTH = 8
 ERROR_STATE_TOL = 1e-8
+# Relative residual norm at or under which a power H^n v0 lies in the span
+# of the lower powers: the Krylov space has closed.
+CLOSURE_RTOL = 1e-12
 
 
 def _layer_agreement_spins(length):
@@ -182,11 +186,12 @@ def expm_elementwise_vs_generic(model, tau):
 def dense_krylov(model):
     """Krylov basis and Lanczos coefficients by explicit Gram-Schmidt.
 
-    Builds {H^n v0} as explicit dense vectors in the reduced sector,
-    orthonormalizes with the two-pass Gram-Schmidt, and reads off a_n and
-    b_n by direct inner products.  The linear-dependence error raised by
-    the orthonormalizer marks the exact closure of the Krylov space
-    (dimension L for NN, L/2+1 for IR).
+    Builds the powers H^n v0 as explicit dense vectors in the reduced
+    sector and projects each against the basis so far twice
+    (re-orthogonalization), which keeps the basis orthonormal to 1e-12.
+    The first power whose residual norm is at most CLOSURE_RTOL times its
+    own norm marks the exact closure of the Krylov space (dimension L for
+    NN, L/2+1 for IR).  a_n and b_n are read off by direct inner products.
     """
     length = model.length
     if length > KRYLOV_MAX_LENGTH:
@@ -194,22 +199,25 @@ def dense_krylov(model):
             f"dense Krylov construction is capped at L <= {KRYLOV_MAX_LENGTH}"
         )
     diag = reduced_diagonal(model)
-    v0 = reduced_initial_state(model).amplitudes
-    powers = [v0]
-    for _ in range(min(2**length, length + 1)):
-        powers.append(diag * powers[-1])
-    try:
-        lintri.orthonormalize(powers)
-    except LinearDependenceError as err:
-        krylov_dim = err.index
+    power = reduced_initial_state(model).amplitudes
+    basis = []
+    for _ in range(min(2**length, length + 1) + 1):
+        residual = np.array(power, dtype=float)
+        for _ in range(2):
+            for q in basis:
+                residual -= (q @ residual) * q
+        norm = np.linalg.norm(residual)
+        if norm <= CLOSURE_RTOL * np.linalg.norm(power):
+            break
+        basis.append(residual / norm)
+        power = diag * power
     else:
         raise ArgumentError(
             "Krylov space did not close within the expected dimension"
         )
-    basis = lintri.orthonormalize(powers[:krylov_dim])
     a = np.array([q @ (diag * q) for q in basis])
     b = np.array(
-        [basis[n] @ (diag * basis[n - 1]) for n in range(1, krylov_dim)]
+        [basis[n] @ (diag * basis[n - 1]) for n in range(1, len(basis))]
     )
     return LanczosResult(a=a, b=b, basis=basis, terminated=True)
 
@@ -226,49 +234,42 @@ def _error_operator_masks(model):
     ]
 
 
-def _reachable_supports(masks, steps):
-    """Z-supports reachable by applying at most ``steps`` error operators."""
-    reached = {0}
-    frontier = {0}
-    for _ in range(steps):
-        frontier = {s ^ m for s in frontier for m in masks} - reached
-        reached |= frontier
-    return reached
-
-
-def error_state_interpretation_check(model, n):
-    """Verify |K_n> is an n-error state with lower errors projected out.
+def error_state_interpretation_check(model):
+    """First Krylov vector |K_n> that is not an n-error state, or None.
 
     Applying a product of ZZ error operators to the uniform initial
     vector gives the orthonormal sign vector of the XOR of their
     supports, so the span of <= n errors is spanned by the Walsh vectors
-    of the supports reachable in <= n steps.  The check passes when the
-    residual of |K_n> outside the <= n span and its projection onto the
-    <= n-1 span both have norm below ERROR_STATE_TOL.
+    of the supports reachable in <= n steps; the reachable set grows by
+    one step per n.  |K_n> passes when its residual outside the <= n span
+    and its projection onto the <= n-1 span both have norm below
+    ERROR_STATE_TOL.  Every n below the closed-form Krylov dimension is
+    checked against one dense basis; an n that the dense basis does not
+    reach fails.
     """
     length = model.length
     if length > ERROR_STATE_MAX_LENGTH:
         raise ArgumentError(
             f"error-state check is capped at L <= {ERROR_STATE_MAX_LENGTH}"
         )
-    result = dense_krylov(model)
-    if not 0 <= n < len(result.a):
-        raise ArgumentError(f"n must lie in [0, {len(result.a) - 1}]")
-    kn = result.basis[n]
+    basis = dense_krylov(model).basis
     masks = _error_operator_masks(model)
     states = np.arange(2**length)
 
-    def walsh(support):
-        signs = 1.0 - 2.0 * (np.bitwise_count(states & support) % 2)
+    def walsh(supports):
+        signs = 1.0 - 2.0 * (np.bitwise_count(states & np.array(sorted(supports))[:, None]) % 2)
         return signs * 2.0 ** (-length / 2.0)
 
-    span = np.array([walsh(s) for s in sorted(_reachable_supports(masks, n))])
-    residual = kn - span.T @ (span @ kn)
-    lower = sorted(_reachable_supports(masks, n - 1)) if n else []
-    lower_overlap = (
-        np.linalg.norm([walsh(s) @ kn for s in lower]) if lower else 0.0
-    )
-    return (
-        float(np.linalg.norm(residual)) < ERROR_STATE_TOL
-        and float(lower_overlap) < ERROR_STATE_TOL
-    )
+    lower = set()
+    reached = frontier = {0}
+    for n in range(analytic_lanczos(model).krylov_dim):
+        if n >= len(basis):
+            return n
+        span = walsh(reached)
+        residual = basis[n] - span.T @ (span @ basis[n])
+        lower_overlap = np.linalg.norm(walsh(lower) @ basis[n]) if lower else 0.0
+        if not (np.linalg.norm(residual) < ERROR_STATE_TOL and lower_overlap < ERROR_STATE_TOL):
+            return n
+        frontier = {s ^ m for s in frontier for m in masks} - reached
+        lower, reached = reached, reached | frontier
+    return None

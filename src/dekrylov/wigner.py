@@ -156,8 +156,9 @@ def _sy_operator(two_s):
 
 @functools.lru_cache(maxsize=16)
 def _sy_decomposition(two_s):
-    """Eigendecomposition of the real symmetric image of S_y (cached)."""
-    return eig_tridiag(_sy_operator(two_s))
+    """Spectrum and eigenvector matrix of the real symmetric image of S_y (cached)."""
+    op = _sy_operator(two_s)
+    return op.spectrum, eig_tridiag(op)
 
 
 def wigner_column_stable(s, n_col, theta):
@@ -179,10 +180,10 @@ def wigner_column_stable(s, n_col, theta):
     if np.any(np.abs(two_n) > two_s) or np.any((two_s + two_n) % 2):
         raise ArgumentError("n_col must satisfy |n_col| <= s with s - n_col integer")
     col = (two_s - two_n) // 2  # m = s - col; row r holds m' = s - r
-    dec = _sy_decomposition(two_s)
-    seeds = dec.vectors[col]  # n_col.shape + (2s+1,), over the eigenvectors
-    a_part = (np.cos(theta * dec.values) * seeds) @ dec.vectors.T
-    b_part = (np.sin(theta * dec.values) * seeds) @ dec.vectors.T
+    values, vectors = _sy_decomposition(two_s)
+    seeds = vectors[col]  # n_col.shape + (2s+1,), over the eigenvectors
+    a_part = (np.cos(theta * values) * seeds) @ vectors.T
+    b_part = (np.sin(theta * values) * seeds) @ vectors.T
     phase = (np.arange(two_s + 1) - col[..., None]) % 4
     magnitude = np.where(phase % 2 == 0, a_part, b_part)
     entries = np.where(phase < 2, magnitude, -magnitude)

@@ -3,7 +3,8 @@
 Every TridiagonalOperator carries its exact spectrum, and the package
 builds only operators with a closed form.  A test that draws or writes
 down its own diag and offdiag takes the spectrum from numpy's dense
-``eigvalsh`` here instead.
+``eigvalsh`` here instead, and a test that needs the dense matrix builds
+it here too.
 """
 
 import numpy as np
@@ -17,10 +18,15 @@ from dekrylov.lintri import TridiagonalOperator
 MIN_RELATIVE_GAP = 1e-5
 
 
+def dense(diag, offdiag):
+    """tridiag(offdiag, diag, offdiag) as a dense (dim, dim) array."""
+    offdiag = np.asarray(offdiag, dtype=float)
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+
+
 def eigvalsh_spectrum(diag, offdiag):
     """Ascending eigenvalues of tridiag(offdiag, diag, offdiag), dense LAPACK."""
-    offdiag = np.asarray(offdiag, dtype=float)
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    return np.linalg.eigvalsh(dense(diag, offdiag))
 
 
 def with_spectrum(diag, offdiag):

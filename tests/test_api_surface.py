@@ -31,21 +31,31 @@ def referenced_names(tree):
     return names
 
 
+def public_definitions(tree):
+    """(qualified name, name) of each public top-level function and class
+    of a module, and of each public method or property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
 def test_every_public_name_is_reached_outside_tests():
-    """Each public top-level function or class is used by the package, a
-    script or the benchmark; a name that only its unit tests call is dead."""
+    """Each public top-level function or class, and each public method or
+    property of a class, is used by the package, a script or the
+    benchmark; a name that only its unit tests call is dead."""
     reached = set()
     for path in python_files("src", "scripts", "perfbench"):
         reached |= referenced_names(parse(path))
-    unreached = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in parse(path).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if not node.name.startswith("_") and node.name not in reached:
-                unreached.append(f"{path.stem}.{node.name}")
+    unreached = [
+        f"{path.stem}.{qualified}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for qualified, name in public_definitions(parse(path))
+        if name not in reached
+    ]
     assert not unreached, f"public names reached only by tests: {unreached}"
 
 

@@ -20,12 +20,7 @@ from dekrylov.evolve import (
     scan_point,
     survival_moments_nn,
 )
-from dekrylov.lintri import (
-    KrylovState,
-    eig_tridiag,
-    expm_action,
-    expm_from_eig,
-)
+from dekrylov.lintri import expm_from_eig
 from dekrylov.models import (
     ModelKind,
     ModelSpec,
@@ -35,7 +30,7 @@ from dekrylov.models import (
     reduced_diagonal,
     site_spins,
 )
-from exact_spectrum import with_spectrum
+from exact_spectrum import dense, with_spectrum
 
 
 def model_specs(max_length=30):
@@ -48,15 +43,17 @@ def model_specs(max_length=30):
 
 
 def test_complexity_counts_mean_position():
-    assert complexity(KrylovState(0.0, np.array([1.0, 0.0, 0.0]))) == 0.0
-    assert complexity(KrylovState(0.0, np.array([0.0, 0.0, 1.0]))) == 2.0
+    assert complexity(np.array([1.0, 0.0, 0.0])) == 0.0
+    assert complexity(np.array([0.0, 0.0, 1.0])) == 2.0
     half = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
-    assert complexity(KrylovState(0.0, half)) == pytest.approx(1.0, abs=1e-15)
+    assert complexity(half) == pytest.approx(1.0, abs=1e-15)
+    # an unnormalized profile is divided by its squared norm
+    assert complexity([3.0, 0.0, 3.0]) == 1.0
 
 
 def test_propagation_starts_at_the_seed():
     spec = analytic_lanczos(ModelSpec(ModelKind.IR, 8))
-    state = expm_action(spec.tridiag, 0.0)
+    state = expm_from_eig(spec.tridiag, 0.0)
     assert_allclose(state.psi, np.eye(spec.krylov_dim)[0], atol=1e-14)
 
 
@@ -66,7 +63,7 @@ def test_complexity_is_nondecreasing_in_tau(spec):
     """Imaginary-time cooling never moves the packet back toward the seed."""
     kspec = analytic_lanczos(spec)
     taus = np.linspace(0.0, 10.0, 101)
-    values = complexity(expm_from_eig(eig_tridiag(kspec.tridiag), taus))
+    values = complexity(expm_from_eig(kspec.tridiag, taus).psi)
     assert np.all(np.diff(values) >= -1e-10)
 
 
@@ -91,7 +88,7 @@ def test_nn_normalized_complexity_is_length_free(l1, l2, tau):
 def test_renyi2_routes_agree_for_ir(length, tau):
     spec = ModelSpec(ModelKind.IR, length)
     kspec = analytic_lanczos(spec)
-    tri = renyi2_tridiag(kspec, expm_action(kspec.tridiag, tau))
+    tri = renyi2_tridiag(kspec, expm_from_eig(kspec.tridiag, tau).psi)
     dense = renyi2_dense(spec, tau)
     assert tri == pytest.approx(dense, abs=1e-12)
 
@@ -144,7 +141,7 @@ def test_renyi2_dense_large_tau_keeps_the_ground_level(kind):
 def test_renyi2_tridiag_rejects_nn():
     kspec = analytic_lanczos(ModelSpec(ModelKind.NN, 6))
     with pytest.raises(ArgumentError):
-        renyi2_tridiag(kspec, expm_action(kspec.tridiag, 0.5))
+        renyi2_tridiag(kspec, expm_from_eig(kspec.tridiag, 0.5).psi)
 
 
 def test_renyi2_dense_length_cap():
@@ -181,7 +178,7 @@ def test_tridiag_moments_match_spectral_oracle(dim, seed, n_max):
     tri = with_spectrum(rng.uniform(-2, 2, dim), rng.uniform(0.1, 2, dim - 1))
     n_max = min(n_max, 2 * tri.dim)  # route is capped at the information content
     mu = moments_from_tridiag(tri, n_max)
-    values, vectors = np.linalg.eigh(tri.to_dense())
+    values, vectors = np.linalg.eigh(dense(tri.diag, tri.offdiag))
     weights = vectors[0] ** 2
     expected = [weights @ values**n for n in range(n_max + 1)]
     assert_allclose(mu, expected, rtol=1e-10, atol=1e-10)
@@ -276,19 +273,19 @@ def test_ir_sums_match_the_propagated_wavepacket(length):
     403-tau grid, to 1e-8 in K and 1e-9 in chi."""
     model = ModelSpec(ModelKind.IR, length)
     kspec = analytic_lanczos(model)
-    batch = expm_from_eig(eig_tridiag(kspec.tridiag), DEFAULT_IR_TAUS)
+    psi = expm_from_eig(kspec.tridiag, DEFAULT_IR_TAUS).psi
     k, chi = ir_magnetization_sums(model, DEFAULT_IR_TAUS)
-    assert_allclose(k, complexity(batch), rtol=0, atol=1e-8)
-    assert_allclose(chi, renyi2_tridiag(kspec, batch), rtol=0, atol=1e-9)
+    assert_allclose(k, complexity(psi), rtol=0, atol=1e-8)
+    assert_allclose(chi, renyi2_tridiag(kspec, psi), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("length", [100, 2000])
 def test_nn_closed_form_k_matches_the_propagated_wavepacket(length):
     model = ModelSpec(ModelKind.NN, length)
     taus = np.linspace(0.0, 3.0, 301)
-    batch = expm_from_eig(eig_tridiag(analytic_lanczos(model).tridiag), taus)
+    psi = expm_from_eig(analytic_lanczos(model).tridiag, taus).psi
     k = np.array([row[2] for row in scan_point(model, taus)])
-    assert_allclose(k, complexity(batch), rtol=0, atol=1e-8)
+    assert_allclose(k, complexity(psi), rtol=0, atol=1e-8)
 
 
 def _ir_decimal(length, tau, digits=80):
@@ -382,15 +379,15 @@ def _per_row_renyi2(kspec, psi):
 )
 @settings(max_examples=40, deadline=None)
 def test_batch_reductions_equal_per_row_formulas(spec, taus):
-    """complexity and renyi2_tridiag on a batch equal the scalar formulas
-    applied row by row, within 1e-12 relative."""
+    """complexity and renyi2_tridiag on an (m, dim) array equal the scalar
+    formulas applied row by row, within 1e-12 relative."""
     kspec = analytic_lanczos(spec)
-    batch = expm_from_eig(eig_tridiag(kspec.tridiag), taus)
-    k = complexity(batch)
-    chi = renyi2_tridiag(kspec, batch)
+    psi = expm_from_eig(kspec.tridiag, taus).psi
+    k = complexity(psi)
+    chi = renyi2_tridiag(kspec, psi)
     assert k.shape == chi.shape == (len(taus),)
-    assert_allclose(k, [_per_row_complexity(psi) for psi in batch.psi], rtol=1e-12, atol=0)
-    assert_allclose(chi, [_per_row_renyi2(kspec, psi) for psi in batch.psi], rtol=1e-12, atol=0)
-    single = expm_action(kspec.tridiag, taus[0])
+    assert_allclose(k, [_per_row_complexity(row) for row in psi], rtol=1e-12, atol=0)
+    assert_allclose(chi, [_per_row_renyi2(kspec, row) for row in psi], rtol=1e-12, atol=0)
+    single = expm_from_eig(kspec.tridiag, taus[0]).psi
     assert complexity(single) == pytest.approx(k[0], rel=1e-12)
     assert renyi2_tridiag(kspec, single) == pytest.approx(chi[0], rel=1e-12)

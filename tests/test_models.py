@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from dekrylov.checks import check_lanczos_closed_forms
 from dekrylov.errors import ArgumentError, DomainError
 from dekrylov.evolve import complexity
-from dekrylov.lintri import expm_action
+from dekrylov.lintri import expm_from_eig
 from dekrylov.lanczos import run_lanczos
 from dekrylov.models import (
     ModelKind,
@@ -221,14 +221,14 @@ def test_nn_wavepacket_starts_at_origin_and_alternates():
 def test_nn_complexity_is_binomial_mean(length, tau):
     """K = sum_n n psi_n^2 equals (L-1) lambda for the binomial wavepacket."""
     state = psi_nn_analytic(length, tau)
-    assert complexity(state) == pytest.approx(k_nn_analytic(length, tau), abs=1e-10)
+    assert complexity(state.psi) == pytest.approx(k_nn_analytic(length, tau), abs=1e-10)
 
 
 @given(st.sampled_from([4, 6, 8, 10]), st.floats(0.0, 4.0))
 @settings(max_examples=40)
 def test_nn_complexity_matches_tridiagonal_propagation(length, tau):
     spec = analytic_lanczos(ModelSpec(ModelKind.NN, length))
-    assert complexity(expm_action(spec.tridiag, tau)) == pytest.approx(
+    assert complexity(expm_from_eig(spec.tridiag, tau).psi) == pytest.approx(
         k_nn_analytic(length, tau), abs=1e-9
     )
 

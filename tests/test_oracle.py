@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dekrylov import oracle
 from dekrylov.doubled import (
     apply_channel,
     channel_matrix,
@@ -15,6 +16,7 @@ from dekrylov.doubled import (
     vectorize,
 )
 from dekrylov.errors import ArgumentError
+from dekrylov.lanczos import LanczosResult
 from dekrylov.models import (
     ModelKind,
     ModelSpec,
@@ -103,6 +105,15 @@ def test_dense_krylov_dimensions_follow_closed_forms():
         assert_allclose(result.b, closed.tridiag.offdiag, atol=1e-9)
 
 
+def test_dense_krylov_basis_is_orthonormal():
+    """One two-pass Gram-Schmidt keeps the basis orthonormal to 1e-12."""
+    for kind in (ModelKind.NN, ModelKind.IR):
+        for length in (4, 6, 8, 10, 12):
+            basis = np.array(dense_krylov(ModelSpec(kind, length)).basis)
+            gram = basis @ basis.T
+            assert_allclose(gram, np.eye(len(basis)), rtol=0, atol=1e-12)
+
+
 def test_doubled_diagonal_depends_only_on_layer_mismatch():
     """h(upper, lower) is a function of r = upper xor lower and matches the
     reduced diagonal at that r."""
@@ -141,10 +152,21 @@ def test_repeated_channel_equals_reduced_imaginary_time_flow():
 
 def test_krylov_vectors_are_n_error_states_on_small_chains():
     for kind, length in ((ModelKind.NN, 4), (ModelKind.NN, 5), (ModelKind.IR, 6)):
-        spec = ModelSpec(kind, length)
-        dim = len(dense_krylov(spec).a)
-        for n in range(dim):
-            assert error_state_interpretation_check(spec, n)
+        assert error_state_interpretation_check(ModelSpec(kind, length)) is None
+
+
+def test_error_state_check_reports_the_first_failing_vector(monkeypatch):
+    """A vector out of order fails at its index, and a dense basis shorter
+    than the closed-form dimension fails at its length."""
+    spec = ModelSpec(ModelKind.IR, 6)
+    full = dense_krylov(spec)
+    for basis, failing in (
+        (full.basis[:1] + full.basis[2:] + full.basis[1:2], 1),
+        (full.basis[:-1], len(full.basis) - 1),
+    ):
+        broken = LanczosResult(a=full.a, b=full.b, basis=basis, terminated=True)
+        monkeypatch.setattr(oracle, "dense_krylov", lambda model, broken=broken: broken)
+        assert error_state_interpretation_check(spec) == failing
 
 
 def test_oracle_length_caps():
@@ -153,4 +175,4 @@ def test_oracle_length_caps():
     with pytest.raises(ArgumentError):
         dense_krylov(ModelSpec(ModelKind.NN, 13))
     with pytest.raises(ArgumentError):
-        error_state_interpretation_check(ModelSpec(ModelKind.NN, 10), 1)
+        error_state_interpretation_check(ModelSpec(ModelKind.NN, 10))

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from dekrylov import wigner
 from dekrylov.errors import ArgumentError, DomainError
-from dekrylov.lintri import expm_action
+from dekrylov.lintri import expm_from_eig
 from dekrylov.models import (
     ModelKind,
     ModelSpec,
@@ -221,7 +221,7 @@ def test_exact_profile_matches_tridiagonal_propagation():
         kspec = analytic_lanczos(ModelSpec(ModelKind.IR, length))
         assert_allclose(
             psi_ir_exact_profile(length, tau),
-            expm_action(kspec.tridiag, tau).psi,
+            expm_from_eig(kspec.tridiag, tau).psi,
             atol=1e-12,
         )
 
