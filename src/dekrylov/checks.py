@@ -6,12 +6,18 @@ log-domain Gaussian integral) and reports the worst measured deviation
 next to its tolerance.  ``run_checks("quick")`` finishes in seconds and sticks
 to reduced grids around the small-L oracles; ``run_checks("full")``
 runs everything, including the L = 500 scans, well inside ten minutes.
+
+The checks share no state, so on Linux with two or more usable CPUs they
+run at the same time in forked worker processes, one per CPU; otherwise
+they run in the calling process, one after another.  Either way each
+check's seconds are measured in the process that ran it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -563,27 +569,97 @@ CHECKS = (
 QUICK_NUMBERS = frozenset({1, 2, 3, 4, 6, 8, 9, 10, 11})
 
 
+# Set in each forked worker by _start_worker: one slot per entry of CHECKS,
+# in memory shared with the parent, where the worker writes its pid as it
+# starts that check, so the parent can name the worker behind a check that
+# never returned.  None in the parent.
+_started_by = None
+
+
+def _start_worker(started_by):
+    global _started_by
+    _started_by = started_by
+
+
+def _run_check(index, quick):
+    """Run CHECKS[index], timed here; a raised exception is a failed result."""
+    number, name, fn = CHECKS[index]
+    if _started_by is not None:
+        _started_by[index] = os.getpid()
+    started = time.perf_counter()
+    try:
+        passed, detail = fn(quick=quick)
+    except Exception as err:  # a crashed check is a failed check
+        passed, detail = False, f"raised {type(err).__name__}: {err}"
+    return CheckResult(
+        number=number,
+        name=name,
+        passed=bool(passed),
+        detail=detail,
+        elapsed=time.perf_counter() - started,
+    )
+
+
+def _worker_count(criteria):
+    """Forked workers for ``criteria`` checks: one per usable CPU on Linux,
+    at most one per check; 1 means run them in this process."""
+    if sys.platform != "linux":
+        return 1
+    return min(criteria, len(os.sched_getaffinity(0)))
+
+
 def run_checks(level="full"):
-    """Run the verification suite at ``level`` in {"quick", "full"}."""
+    """Run the verification suite at ``level`` in {"quick", "full"}.
+
+    Results come in CHECKS order.  The workers are forked, one criterion
+    per task, so they inherit the imported package, patched attributes
+    included, instead of importing it again.  A worker that dies fails the
+    check it was running and every check not yet finished.  The pool is
+    shut down and its workers joined before this returns.
+    """
     if level not in ("quick", "full"):
         raise ArgumentError(f"level must be 'quick' or 'full', got {level!r}")
     quick = level == "quick"
-    results = []
-    for number, name, fn in CHECKS:
-        if quick and number not in QUICK_NUMBERS:
-            continue
-        started = time.perf_counter()
-        try:
-            passed, detail = fn(quick=quick)
-        except Exception as err:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(err).__name__}: {err}"
-        results.append(
-            CheckResult(
-                number=number,
-                name=name,
-                passed=bool(passed),
-                detail=detail,
-                elapsed=time.perf_counter() - started,
-            )
+    selected = [
+        index
+        for index, (number, _, _) in enumerate(CHECKS)
+        if not quick or number in QUICK_NUMBERS
+    ]
+    workers = _worker_count(len(selected))
+    if workers == 1:
+        return [_run_check(index, quick) for index in selected]
+
+    # Imported here, not at module level: these take ~15 ms to import, which
+    # every scan would pay at start-up.
+    import mmap
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    started_by = np.frombuffer(mmap.mmap(-1, 8 * len(CHECKS)), dtype=np.int64)
+    results = {}
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(started_by,),
+    ) as pool:
+        futures = {index: pool.submit(_run_check, index, quick) for index in selected}
+        for index, future in futures.items():
+            try:
+                results[index] = future.result()
+            except BrokenProcessPool:
+                pass
+    lost = [index for index in selected if index not in results]
+    dead = ", ".join(map(str, sorted({int(started_by[index]) for index in lost} - {0})))
+    for index in lost:
+        number, name, _ = CHECKS[index]
+        if started_by[index]:
+            detail = f"worker process {started_by[index]} ended before the check finished"
+        else:
+            who = f"worker process(es) {dead}" if dead else "a worker process"
+            detail = f"not run: the worker pool broke when {who} ended"
+        results[index] = CheckResult(
+            number=number, name=name, passed=False, detail=detail, elapsed=0.0
         )
-    return results
+    return [results[index] for index in selected]

@@ -1,4 +1,4 @@
-"""scipy stays out of every production run.
+"""What a fresh interpreter loads: no scipy anywhere, no process pool at import.
 
 Importing scipy costs more than a whole figure scan, and the package
 needs it nowhere: every operator carries its exact spectrum, so no
@@ -6,6 +6,11 @@ eigensolver runs, and scipy is a test dependency only
 (tests/test_api_surface.py checks the sources for imports).  A fresh
 interpreter runs the figure scans, the large-L benchmark scans and the
 full verification suite, then reports which scipy modules were loaded.
+
+`checks.run_checks` runs the criteria in forked workers, but imports
+`multiprocessing` and `concurrent.futures` (~15 ms) only when it starts
+them, so importing the package, `checks`, `cli` and `wigner` loads
+neither, and no scan pays for them at start-up.
 """
 
 import json
@@ -42,19 +47,39 @@ print(json.dumps({"codes": codes, "failed": failed, "scipy": loaded}))
 """
 
 
-def test_scans_and_verify_full_never_import_scipy():
+IMPORTS = """
+import json, sys
+
+import dekrylov
+from dekrylov import checks, cli, wigner
+
+roots = ("multiprocessing", "concurrent")
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] in roots)))
+"""
+
+
+def run_fresh(program, *args, timeout=300):
+    """Run ``program`` in a fresh interpreter; return its last line as JSON."""
     src = pathlib.Path(dekrylov.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", PROGRAM, str(ROOT)],
+        [sys.executable, "-c", program, *args],
         capture_output=True,
         text=True,
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_scans_and_verify_full_never_import_scipy():
+    report = run_fresh(PROGRAM, str(ROOT))
     assert report["codes"] == [0, 0, 0, 0]
     assert report["failed"] == []
     assert report["scipy"] == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    assert run_fresh(IMPORTS) == []
