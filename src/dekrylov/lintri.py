@@ -36,6 +36,9 @@ ORTHOGONALITY_TOL = 5e-11
 # given spectrum against tr T and tr T^2.  The closed-form spectra of NN
 # and IR up to L = 10^4 and of S_y up to 2s = 10^4 miss by at most 4e-16.
 SPECTRUM_RTOL = 1e-12
+# Rows per block of the twisted recursion's pivot passes and twist choice:
+# the pivot floor is tested once per block.
+_ROW_BLOCK = 32
 
 
 def _readonly(arr, copy=True):
@@ -163,6 +166,42 @@ class KrylovState:
         return self.psi.shape[-1]
 
 
+def _floored_pivots(diag, shifts, off_sq, out):
+    """One pass of pivots d_n = (diag[n] - shifts) - off_sq[n-1] / d_{n-1},
+    floored, written over ``out``, whose row n holds diag[n] - shifts.
+
+    The backward pass is this pass over row-reversed views.  The rows run
+    unfloored, two numpy calls each, and the |d_n| < epsilon floor is
+    tested once per _ROW_BLOCK rows.  In a block with a hit, the first
+    row with one is floored and the rows after it are reset and run again
+    from it, so every row equals the row-by-row floored recursion, and
+    each floored row costs at most _ROW_BLOCK rows run again.  ``off_sq``
+    is a list of Python floats.
+    """
+    dim = diag.size
+    pivmin = np.finfo(float).eps
+    rows = list(out)
+    ratio = np.empty(shifts.size)
+    start = 0
+    # Rows after an unfloored zero pivot can be inf or nan; they are run
+    # again before anything reads them.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while start < dim:
+            stop = min(start + _ROW_BLOCK, dim)
+            for n in range(max(start, 1), stop):
+                np.divide(off_sq[n - 1], rows[n - 1], out=ratio)
+                np.subtract(rows[n], ratio, out=rows[n])
+            tiny = np.abs(out[start:stop]) < pivmin
+            hits = np.flatnonzero(tiny.any(axis=1))
+            if hits.size == 0:
+                start = stop
+                continue
+            first = start + int(hits[0])
+            rows[first][tiny[hits[0]]] = -pivmin
+            np.subtract.outer(diag[first + 1 : stop], shifts, out=out[first + 1 : stop])
+            start = first + 1
+
+
 def _twisted_vectors(diag, offdiag, shifts):
     """Eigenvectors of tridiag(offdiag, diag, offdiag) at the given shifts.
 
@@ -170,43 +209,47 @@ def _twisted_vectors(diag, offdiag, shifts):
     of T - lambda give the ratios v_n / v_{n+1} = -b_n / d+_n from row 0,
     and the backward pivots d-_n give v_{n+1} / v_n = -b_n / d-_{n+1}
     from row dim-1.  The twist r is the row with the smallest
-    |gamma_r| = |d+_r - b_r^2 / d-_{r+1}|; v_r = 1, and each ratio is
-    multiplied outward from r only, where the components shrink, so a
-    component of 1e-300 keeps its relative accuracy.  The entries must be
-    scaled to a norm below 1: pivots smaller than machine epsilon in
-    magnitude are then set to -epsilon, a perturbation of T no larger
-    than rounding, which keeps every ratio finite.  O(dim^2) work in two
-    (dim, dim) float buffers and one (dim, dim) boolean mask at a time.
+    |gamma_r| = |d+_r - b_r^2 / d-_{r+1}| (gamma_{dim-1} = d+_{dim-1}),
+    the largest such row on a tie; v_r = 1, and each ratio is multiplied
+    outward from r only, where the components shrink, so a component of
+    1e-300 keeps its relative accuracy.  The entries must be scaled to a
+    norm below 1: pivots smaller than machine epsilon in magnitude are
+    then set to -epsilon, a perturbation of T no larger than rounding,
+    which keeps every ratio finite.
+
+    O(dim^2) work in two (dim, dim) float buffers, both filled from one
+    np.subtract.outer(diag, shifts): each pass runs over its buffer in
+    place (see _floored_pivots, which tests the floor once per block of
+    rows), the twist is chosen after both passes, _ROW_BLOCK rows of
+    gamma at a time, and the back-substitution uses one (dim, dim)
+    boolean mask at a time.
 
     Returns:
         (vectors, norm_sq): unnormalized columns with v_r = 1, and their
         squared norms.
     """
     dim = diag.size
-    pivmin = np.finfo(float).eps
     off_sq = offdiag**2
-
-    def floored(row):
-        row[np.abs(row) < pivmin] = -pivmin
-        return row
-
-    top = np.empty((dim, dim))
-    bottom = np.empty((dim, dim))
-    floored(np.subtract(diag[0], shifts, out=top[0]))
-    for n in range(1, dim):
-        row = np.subtract(diag[n], shifts, out=top[n])
-        floored(np.subtract(row, off_sq[n - 1] / top[n - 1], out=row))
-    gamma = top[dim - 1].copy()
+    top = np.subtract.outer(diag, shifts)
+    bottom = top.copy()
+    _floored_pivots(diag, shifts, off_sq.tolist(), top)
+    _floored_pivots(diag[::-1], shifts, off_sq[::-1].tolist(), bottom[::-1])
+    # The same twist as a strict-< scan from row dim-1 up: blocks run from
+    # the bottom, a block's smallest |gamma| replaces the best so far only
+    # if smaller, and within a block the largest row that attains it wins
+    # (np.fmin skips a nan gamma, which the scan never takes).
+    best = np.abs(top[dim - 1])
     twist = np.full(dim, dim - 1)
-    floored(np.subtract(diag[dim - 1], shifts, out=bottom[dim - 1]))
-    for n in range(dim - 2, -1, -1):
-        coupling = off_sq[n] / bottom[n + 1]
-        row = np.subtract(diag[n], shifts, out=bottom[n])
-        floored(np.subtract(row, coupling, out=row))
-        cand = np.subtract(top[n], coupling, out=coupling)
-        better = np.abs(cand) < np.abs(gamma)
-        gamma[better] = cand[better]
-        twist[better] = n
+    rows = np.arange(dim)[:, None]
+    for stop in range(dim - 1, 0, -_ROW_BLOCK):
+        start = max(stop - _ROW_BLOCK, 0)
+        gamma = np.divide(off_sq[start:stop, None], bottom[start + 1 : stop + 1])
+        np.abs(np.subtract(top[start:stop], gamma, out=gamma), out=gamma)
+        low = np.fmin.reduce(gamma, axis=0)
+        better = low < best
+        if better.any():
+            np.copyto(best, low, where=better)
+            np.copyto(twist, np.max((gamma == low) * rows[start:stop], axis=0), where=better)
     # top[n] becomes v_n / v_r above the twist and 1 elsewhere, bottom[n]
     # the same below the twist; their product is the vector.  Each is a
     # running product of the ratios v_n / v_{n+1} (top, from the last row
@@ -214,7 +257,6 @@ def _twisted_vectors(diag, offdiag, shifts):
     # far side of the twist.  The products run one contiguous row at a
     # time: np.multiply.accumulate along axis 0 strides down the columns
     # and is slower past dim ~ 800.
-    rows = np.arange(dim)[:, None]
     np.divide(-offdiag[:, None], top[:-1], out=top[:-1])
     np.copyto(top[:-1], 1.0, where=rows[:-1] >= twist)
     top[dim - 1] = 1.0

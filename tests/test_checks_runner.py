@@ -1,9 +1,10 @@
 """How `checks.run_checks` runs the criteria: forked workers or in-process.
 
 With two or more usable CPUs on Linux the criteria run in forked worker
-processes; with one they run in the calling process.  Each test runs its
-program in a fresh interpreter under a timeout, so a hung pool or a worker
-that kills its parent fails the test instead of the suite.  The programs
+processes, the critical-path criterion submitted first; with one they run
+in the calling process.  Each test runs its program in a fresh
+interpreter under a timeout, so a hung pool or a worker that kills its
+parent fails the test instead of the suite.  The programs
 set the usable CPUs by replacing `os.sched_getaffinity`, which is what
 `run_checks` reads.
 """
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from dekrylov.checks import QUICK_NUMBERS
+from dekrylov.checks import CRITICAL_PATH, QUICK_NUMBERS
 from test_startup import run_fresh
 
 pytestmark = pytest.mark.skipif(
@@ -20,7 +21,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 PRELUDE = """
-import json, multiprocessing, os, signal, sys
+import json, multiprocessing, os, signal, sys, time
 from dekrylov import checks, cli
 
 def use_cpus(count):
@@ -64,6 +65,37 @@ print(json.dumps(out))
     assert report["children"] == 0
 
 
+def test_the_critical_path_is_submitted_first_and_results_keep_their_order():
+    report = run_fresh(
+        PRELUDE
+        + """
+from concurrent.futures import ProcessPoolExecutor
+
+submitted = []
+real_submit = ProcessPoolExecutor.submit
+
+def submit(self, fn, index, *args):
+    submitted.append(checks.CHECKS[index][0])
+    return real_submit(self, fn, index, *args)
+
+ProcessPoolExecutor.submit = submit
+use_cpus(2)
+out = {}
+for level in ("quick", "full"):
+    submitted.clear()
+    out[level] = {
+        "numbers": [r.number for r in checks.run_checks(level)],
+        "submitted": list(submitted),
+    }
+print(json.dumps(out))
+"""
+    )
+    for level, numbers in (("quick", sorted(QUICK_NUMBERS)), ("full", list(range(1, 13)))):
+        assert report[level]["numbers"] == numbers
+        rest = [number for number in numbers if number != CRITICAL_PATH]
+        assert report[level]["submitted"] == [CRITICAL_PATH] + rest
+
+
 def test_a_raising_criterion_is_a_failed_result_on_both_paths():
     report = run_fresh(
         PRELUDE
@@ -100,7 +132,11 @@ def test_a_dead_worker_fails_its_criterion_and_every_unfinished_one(death):
 def dies(quick=False):
     {death}
 
+def sleeps(quick=False):
+    time.sleep(600)
+
 patch(2, dies)
+patch(4, sleeps)
 use_cpus(2)
 results = rows(checks.run_checks("quick"))
 code = cli.main(["verify", "quick"])
@@ -126,8 +162,8 @@ print(json.dumps({{
             assert detail.startswith(
                 ("worker process ", "not run: the worker pool broke when worker process")
             ), detail
-    # Criterion 4 takes ~0.15 s and starts after criterion 2 on a worker of
-    # a two-worker pool, so it cannot have finished when the pool broke.
+    # Criterion 4 sleeps until the broken pool terminates its worker, so it
+    # is unfinished, and failed, whatever order the workers ran in.
     assert not by_number[4][2]
     assert report["code"] == 1
     assert report["children"] == 0

@@ -17,6 +17,7 @@ from dekrylov.lintri import (
     ORTHOGONALITY_TOL,
     KrylovState,
     TridiagonalOperator,
+    _ROW_BLOCK,
     _twisted_vectors,
     eig_tridiag,
     expm_from_eig,
@@ -352,6 +353,14 @@ def _twisted_cases():
         for kind in (ModelKind.NN, ModelKind.IR)
         for length in (2, 20, 100, 600)
     ]
+    # Floored pivots inside a block of the pivot passes: IR L = 600 at
+    # forward row 149 and backward row 151, the zero diagonal of dim 5 at
+    # the first two rows of each pass.  NN L = 2 _ROW_BLOCK + 1 floors, in
+    # each pass and counting from the row the pass starts at, at its row
+    # _ROW_BLOCK - 1, the last of a block, and its row 2 _ROW_BLOCK, the
+    # first of one.
+    length = 2 * _ROW_BLOCK + 1
+    cases.append((f"nn L={length}", analytic_lanczos(ModelSpec(ModelKind.NN, length)).tridiag))
     cases += [(f"S_y 2s={two_s}", _sy_operator(two_s)) for two_s in (1, 7, 301)]
     cases.append(("W21+", with_spectrum(*wilkinson_plus(21))))
     for diag, offdiag in (
