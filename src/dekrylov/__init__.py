@@ -9,40 +9,33 @@ strong-to-weak symmetry-breaking crossover apart from a genuine
 mixed-state transition: the Krylov complexity K(tau) and the Renyi-2
 correlator chi(tau).
 
-Module map:
+Module map.  The production path, which every scan imports:
 
   lintri   tridiagonal operators; O(d^2) eigenvectors and exp(-tau T) e_0 (verify only)
-  doubled  Choi vectorization, Pauli-Kraus channels, parity reduction:
-           the rho -> |rho>> map that criterion 1 checks
   models   the two noise models (NN bonds, infinite range), closed forms,
            and the spin-decoding and log-binomial helpers shared by all
-  lanczos  Lanczos recursion on a matvec callable, full reorthogonalization
   evolve   K(tau), chi(tau) as O(L) sums per tau, their wavepacket
            reductions (verify only), survival moments
   wigner   Wigner d-matrices; the exact IR wavepacket as a positive
            Gaussian integral (L <= 4096)
+  cli      deterministic CSV/JSON scans (entry point: ``dekrylov``)
+
+The verification layer, whose names below load their module on first
+access (PEP 562), so that ``import dekrylov`` and the scans load none of it:
+
+  doubled  Choi vectorization, Pauli-Kraus channels, the models' composed
+           channels and seed, parity reduction: the map criterion 1 checks
+  lanczos  Lanczos recursion on a matvec callable, full reorthogonalization
   oracle   dense brute-force ground truth at small L, Gram-Schmidt Krylov
   checks   the acceptance-grade verification suite
-  cli      deterministic CSV/JSON scans (entry point: ``dekrylov``)
 """
 
+import importlib
+
 from .errors import ArgumentError, DomainError
-from .lintri import (
-    KrylovState,
-    TridiagonalOperator,
-    eig_tridiag,
-)
+from .lintri import KrylovState, TridiagonalOperator, eig_tridiag
 # Kept for perfbench/test_harness.py, which propagates through this name.
 from .lintri import expm_from_eig as expm_action
-from .doubled import (
-    DoubledState,
-    KrausChannel,
-    PauliString,
-    Sector,
-    apply_channel,
-    tau_from_p,
-    vectorize,
-)
 from .models import (
     KrylovSpec,
     ModelKind,
@@ -54,7 +47,6 @@ from .models import (
     psi_nn_analytic,
     volume_law_k,
 )
-from .lanczos import LanczosResult, run_lanczos
 from .evolve import (
     complexity,
     ir_magnetization_sums,
@@ -64,12 +56,29 @@ from .evolve import (
     scan_point,
     survival_moments_nn,
 )
-from .wigner import (
-    psi_ir_exact_profile,
-    wigner_column_stable,
-    wigner_d,
-)
-from .checks import CheckResult, run_checks
+from .wigner import psi_ir_exact_profile, wigner_column_stable, wigner_d
+
+_VERIFICATION_MODULES = {
+    "DoubledState": "doubled",
+    "KrausChannel": "doubled",
+    "PauliString": "doubled",
+    "Sector": "doubled",
+    "apply_channel": "doubled",
+    "tau_from_p": "doubled",
+    "vectorize": "doubled",
+    "LanczosResult": "lanczos",
+    "run_lanczos": "lanczos",
+    "CheckResult": "checks",
+    "run_checks": "checks",
+}
+
+
+def __getattr__(name):
+    module = _VERIFICATION_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __version__ = "0.1.0"
 

@@ -15,14 +15,16 @@ and `renyi2` need no wavepacket: K and chi are closed forms or O(L) sums
 over the magnetization sectors, so they serve L <= 100000.  `wavepacket`
 prints the exact wavepacket: the NN binomial closed form, and the IR
 Gaussian integral of dekrylov.wigner, both accurate to the last digits of
-every entry, however small; it serves L <= 4096.  Longer chains exit 2
-before anything is allocated.  No scan reaches the tridiagonal
-eigensolver, which serves `verify` and the tests.  Output is bitwise
-deterministic across runs, and floats are written with 17 significant
-digits (binary64 round-trip exact).  One argparse parser, built on the
-first call, serves every `main` call of a process, and CSV rows are
-formatted by one %-template per row shape (the tuple of cell types).
-Flags are the only input.  Exit codes: 0 success, 1 verification
+every entry, however small; it serves L <= 4096.  `coeffs` and `moments`
+serve L <= 100000 too, and a --tau grid holds at most 100000 points.
+Longer chains and grids exit 2 before anything is allocated.  No scan
+reaches the tridiagonal eigensolver, which serves `verify` and the tests,
+and no scan imports the verification layer: `verify` loads it.  Output
+is bitwise deterministic across runs, and floats are written with 17
+significant digits (binary64 round-trip exact).  One argparse parser,
+built on the first call, serves every `main` call of a process, and CSV
+rows are formatted by one %-template per row shape (the tuple of cell
+types).  Flags are the only input.  Exit codes: 0 success, 1 verification
 failure, 2 invalid arguments or an --out path that cannot be written,
 3 numerical failure (a LinAlgError).
 """
@@ -39,7 +41,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import checks
 from .errors import ArgumentError
 from .evolve import (
     SCAN_MAX_LENGTH,
@@ -59,6 +60,8 @@ IR_PLATEAU_TAUS = (5.0, 10.0)
 # Dense-method default lengths for the Renyi-2 crossing plots.
 RENYI2_DEFAULT_LENGTHS = (8, 10, 12, 14)
 DEFAULT_NMAX = 10
+# Most points a --tau grid may have: 250 times the largest default grid.
+TAU_COUNT_MAX = 100_000
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -132,8 +135,8 @@ def parse_tau_grid(text):
         raise ArgumentError(f"tau: start must be >= 0, got {start}")
     if stop < start:
         raise ArgumentError(f"tau: stop must be >= start, got {stop} < {start}")
-    if count < 1:
-        raise ArgumentError(f"tau: count must be >= 1, got {count}")
+    if not 1 <= count <= TAU_COUNT_MAX:
+        raise ArgumentError(f"tau: count must lie in [1, {TAU_COUNT_MAX}], got {count}")
     return start, stop, count
 
 
@@ -161,6 +164,9 @@ def resolve_config(args, command):
         lengths = RENYI2_DEFAULT_LENGTHS
     else:
         lengths = DEFAULT_LENGTHS[model]
+    cap = WAVEPACKET_MAX_LENGTH if command == "wavepacket" else SCAN_MAX_LENGTH
+    if max(lengths) > cap:
+        raise ArgumentError(f"lengths: {command} serves L <= {cap}, got {max(lengths)}")
 
     tau_list = getattr(args, "tau_list", None)
     tau_grid = getattr(args, "tau", None)
@@ -176,9 +182,6 @@ def resolve_config(args, command):
             taus = taus + IR_PLATEAU_TAUS
         explicit = False
 
-    cap = WAVEPACKET_MAX_LENGTH if command == "wavepacket" else SCAN_MAX_LENGTH
-    if command in ("evolve", "renyi2", "wavepacket") and max(lengths) > cap:
-        raise ArgumentError(f"lengths: {command} serves L <= {cap}, got {max(lengths)}")
     nmax = getattr(args, "nmax", None)
     return RunConfig(
         model=model,
@@ -332,6 +335,8 @@ def cmd_moments(config):
 
 def cmd_verify(level):
     """Run the verification suite; exit 0 iff every check passes."""
+    from . import checks  # the verification layer, which no scan loads
+
     results = checks.run_checks(level)
     for result in results:
         status = "PASS" if result.passed else "FAIL"

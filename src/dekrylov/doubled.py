@@ -20,7 +20,8 @@ The dense complex oracle in the test-suite validates this shortcut.
 
 The paper's mapping is the chain vectorize -> apply_channel ->
 restrict_to_parity_sector: |+><+|^{(x)L} becomes the uniform
-positive-parity seed, and the composed dephasing channel becomes
+positive-parity seed (reduced_initial_state), and the composed dephasing
+channel (build_nn_channel, build_ir_channel) becomes
 prefactor * exp(-tau h) on it.  Criterion 1 checks that chain for L <= 6.
 
 Full-space operations are capped at L <= 7 (4^7 = 16384 amplitudes); they
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, DomainError
+from .models import ModelKind, ModelSpec
 
 PAULI_LETTERS = "IXYZ"
 
@@ -260,3 +262,70 @@ def restrict_to_parity_sector(state):
     return DoubledState(
         length=length, sector=Sector.PARITY_REDUCED, amplitudes=reduced
     )
+
+
+def reduced_initial_state(model):
+    """Uniform positive-parity state, amplitudes 2^{-L/2}."""
+    length = model.length
+    amps = np.full(2**length, 2.0 ** (-length / 2.0))
+    return DoubledState(
+        length=length, sector=Sector.PARITY_REDUCED, amplitudes=amps
+    )
+
+
+def _z_string(length, support):
+    letters = "".join(
+        "Z" if support & (1 << site) else "I" for site in range(length)
+    )
+    return PauliString(letters=letters)
+
+
+def build_nn_channel(length, p):
+    """The composed NN bond channel as an explicit Kraus sum.
+
+    Expands Prod_i [(1-p) id + p ZZ_i] into 2^{L-1} Pauli-string terms
+    (bond supports XOR freely, so every subset of bonds gives a distinct
+    Z-string).  Intended for the full doubled-space validation path.
+    """
+    if length < 2:
+        raise ArgumentError("length must be at least 2")
+    _check_full_length(length)
+    if not 0 <= p < 0.5:
+        raise DomainError(f"p must lie in [0, 1/2), got {p!r}")
+    bonds = length - 1
+    terms = []
+    for subset in range(2**bonds):
+        weight = p ** subset.bit_count() * (1.0 - p) ** (bonds - subset.bit_count())
+        if weight == 0.0:
+            continue
+        support = subset ^ (subset << 1)
+        terms.append((weight, _z_string(length, support)))
+    return KrausChannel(terms=tuple(terms))
+
+
+def build_ir_channel(length, tau):
+    """The composed infinite-range pair channel as an explicit Kraus sum.
+
+    Each pair (i, j) applies (w+ id + w- Z_i Z_j) with
+    w(+/-) = (1 +/- e^{-2 tau/L})/2; the product over all pairs is
+    convolved in the space of Z-supports (at most 2^L distinct strings).
+    """
+    ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
+    _check_full_length(length)
+    if tau < 0:
+        raise ArgumentError("tau must be nonnegative")
+    w_plus = 0.5 * (1.0 + math.exp(-2.0 * tau / length))
+    w_minus = 0.5 * (1.0 - math.exp(-2.0 * tau / length))
+    weights = np.zeros(2**length)
+    weights[0] = 1.0
+    supports = np.arange(2**length)
+    for i in range(length):
+        for j in range(i + 1, length):
+            mask = (1 << i) | (1 << j)
+            weights = w_plus * weights + w_minus * weights[supports ^ mask]
+    terms = tuple(
+        (float(weights[s]), _z_string(length, s))
+        for s in range(2**length)
+        if weights[s] > 0.0
+    )
+    return KrausChannel(terms=terms)

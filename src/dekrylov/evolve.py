@@ -25,7 +25,6 @@ compare the sums with them.  Every function here is pure, and scan rows are plai
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import comb
 
@@ -207,8 +206,8 @@ def ir_magnetization_sums(model, taus):
 def survival_moments_nn(length, n_max):
     """Exact NN survival moments mu_n = E[(2k - L + 1)^n], k ~ Bin(L-1, 1/2).
 
-    Evaluated in exact integer arithmetic and promoted to float at the
-    end.  mu_0 = 1, mu_1 = 0, mu_2 = L - 1 hold exactly.
+    Evaluated in exact integer arithmetic; the one int / int true division
+    per moment rounds once.  mu_0 = 1, mu_1 = 0, mu_2 = L - 1 hold exactly.
     """
     if length < 2 or length > 64:
         raise ArgumentError("length must lie in [2, 64]")
@@ -221,7 +220,7 @@ def survival_moments_nn(length, n_max):
             comb(length - 1, k) * (2 * k - length + 1) ** n
             for k in range(length)
         )
-        moments.append(float(Fraction(total, scale)))
+        moments.append(total / scale)
     return np.array(moments)
 
 

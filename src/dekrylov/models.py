@@ -1,4 +1,4 @@
-"""Decohered Ising models: builders and closed-form references.
+"""Decohered Ising models: specs and closed-form references.
 
 Two dephasing channels on an open chain of L qubits are covered:
 
@@ -23,7 +23,10 @@ IR Krylov space has dimension L/2+1 with the collective-spin coefficients
 implemented in analytic_lanczos.  Both tridiagonals carry their exact
 spectra, so their eigendecomposition needs no eigensolver.  Binomials
 beyond L = 30 go through log-gamma (math.lgamma, elementwise); tests
-cross-check against exact integer arithmetic below that.
+cross-check against exact integer arithmetic below that.  The explicit
+Kraus channels and the seed as a doubled-space state belong to the
+verification layer and live in dekrylov.doubled, so this module, which
+every scan imports, imports only errors and lintri.
 """
 
 from __future__ import annotations
@@ -34,13 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doubled import (
-    FULL_SPACE_MAX_LENGTH,
-    DoubledState,
-    KrausChannel,
-    PauliString,
-    Sector,
-)
 from .errors import ArgumentError, DomainError
 from .lintri import KrylovState, TridiagonalOperator
 
@@ -136,15 +132,6 @@ def reduced_levels(model):
     levels = np.arange(length + 1)
     magnetization = length - 2 * np.bitwise_count(states).astype(np.int64)
     return np.abs(magnetization), (length**2 - levels**2) / (2.0 * length)
-
-
-def reduced_initial_state(model):
-    """Uniform positive-parity state, amplitudes 2^{-L/2}."""
-    length = model.length
-    amps = np.full(2**length, 2.0 ** (-length / 2.0))
-    return DoubledState(
-        length=length, sector=Sector.PARITY_REDUCED, amplitudes=amps
-    )
 
 
 def log_binomial(n, k):
@@ -294,68 +281,3 @@ def volume_law_k(length):
     if length % 2 or length < 2:
         raise DomainError("volume law is defined for even L >= 2")
     return length / 4.0
-
-
-def _z_string(length, support):
-    letters = "".join(
-        "Z" if support & (1 << site) else "I" for site in range(length)
-    )
-    return PauliString(letters=letters)
-
-
-def build_nn_channel(length, p):
-    """The composed NN bond channel as an explicit Kraus sum.
-
-    Expands Prod_i [(1-p) id + p ZZ_i] into 2^{L-1} Pauli-string terms
-    (bond supports XOR freely, so every subset of bonds gives a distinct
-    Z-string).  Intended for the full doubled-space validation path.
-    """
-    if length < 2:
-        raise ArgumentError("length must be at least 2")
-    if length > FULL_SPACE_MAX_LENGTH:
-        raise ArgumentError(
-            f"explicit channel expansion is capped at L <= {FULL_SPACE_MAX_LENGTH}"
-        )
-    if not 0 <= p < 0.5:
-        raise DomainError(f"p must lie in [0, 1/2), got {p!r}")
-    bonds = length - 1
-    terms = []
-    for subset in range(2**bonds):
-        weight = p ** subset.bit_count() * (1.0 - p) ** (bonds - subset.bit_count())
-        if weight == 0.0:
-            continue
-        support = subset ^ (subset << 1)
-        terms.append((weight, _z_string(length, support)))
-    return KrausChannel(terms=tuple(terms))
-
-
-def build_ir_channel(length, tau):
-    """The composed infinite-range pair channel as an explicit Kraus sum.
-
-    Each pair (i, j) applies (w+ id + w- Z_i Z_j) with
-    w(+/-) = (1 +/- e^{-2 tau/L})/2; the product over all pairs is
-    convolved in the space of Z-supports (at most 2^L distinct strings).
-    """
-    model = ModelSpec(kind=ModelKind.IR, length=length)
-    if length > FULL_SPACE_MAX_LENGTH:
-        raise ArgumentError(
-            f"explicit channel expansion is capped at L <= {FULL_SPACE_MAX_LENGTH}"
-        )
-    if tau < 0:
-        raise ArgumentError("tau must be nonnegative")
-    length = model.length
-    w_plus = 0.5 * (1.0 + math.exp(-2.0 * tau / length))
-    w_minus = 0.5 * (1.0 - math.exp(-2.0 * tau / length))
-    weights = np.zeros(2**length)
-    weights[0] = 1.0
-    supports = np.arange(2**length)
-    for i in range(length):
-        for j in range(i + 1, length):
-            mask = (1 << i) | (1 << j)
-            weights = w_plus * weights + w_minus * weights[supports ^ mask]
-    terms = tuple(
-        (float(weights[s]), _z_string(length, s))
-        for s in range(2**length)
-        if weights[s] > 0.0
-    )
-    return KrausChannel(terms=terms)

@@ -16,15 +16,7 @@ import numpy as np
 from . import doubled
 from .errors import ArgumentError
 from .lanczos import LanczosResult
-from .models import (
-    ModelKind,
-    analytic_lanczos,
-    build_ir_channel,
-    build_nn_channel,
-    reduced_diagonal,
-    reduced_initial_state,
-    site_spins,
-)
+from .models import ModelKind, analytic_lanczos, reduced_diagonal, site_spins
 
 DENSE_MAX_LENGTH = 6
 KRYLOV_MAX_LENGTH = 12
@@ -96,10 +88,12 @@ def channel_vs_exponential(model, p_or_tau):
 
     The channel superoperator is assembled as the explicit product over
     bond (NN) / pair (IR) factors; the exponential side is
-    prefactor * exp(-tau H) with H the diagonal doubled Hamiltonian
-    (elementwise exponential; the diagonality is itself verified by the
-    dense cross-check below).  For NN, tau = -ln(1-2p)/2 and the
-    prefactor is e^{-(L-1) tau}; for IR the mapping has no prefactor.
+    prefactor * exp(-tau H) with H the diagonal doubled Hamiltonian,
+    exponentiated elementwise.  That H is diagonal is checked elsewhere:
+    doubled.effective_hamiltonian_check compares the full 4^L x 4^L
+    channel_matrix of the Kraus sum with a diagonal target (criterion 1,
+    L <= 4).  For NN, tau = -ln(1-2p)/2 and the prefactor is
+    e^{-(L-1) tau}; for IR the mapping has no prefactor.
     """
     length = model.length
     if length > DENSE_MAX_LENGTH:
@@ -133,15 +127,15 @@ def vectorized_map_vs_exponential(model, p_or_tau):
     if length > DENSE_MAX_LENGTH:
         raise ArgumentError(f"oracle dense path is capped at L <= {DENSE_MAX_LENGTH}")
     if model.kind is ModelKind.NN:
-        channel = build_nn_channel(length, p_or_tau)
+        channel = doubled.build_nn_channel(length, p_or_tau)
     else:
-        channel = build_ir_channel(length, p_or_tau)
+        channel = doubled.build_ir_channel(length, p_or_tau)
     rho_init = np.full((2**length, 2**length), 2.0**-length)
     image = doubled.restrict_to_parity_sector(
         doubled.apply_channel(channel, doubled.vectorize(rho_init))
     )
     tau, prefactor = _tau_and_prefactor(model, p_or_tau)
-    seed = reduced_initial_state(model).amplitudes
+    seed = doubled.reduced_initial_state(model).amplitudes
     target = prefactor * np.exp(-tau * reduced_diagonal(model)) * seed
     return float(np.max(np.abs(image.amplitudes - target)))
 
@@ -199,7 +193,7 @@ def dense_krylov(model):
             f"dense Krylov construction is capped at L <= {KRYLOV_MAX_LENGTH}"
         )
     diag = reduced_diagonal(model)
-    power = reduced_initial_state(model).amplitudes
+    power = doubled.reduced_initial_state(model).amplitudes
     basis = []
     for _ in range(min(2**length, length + 1) + 1):
         residual = np.array(power, dtype=float)

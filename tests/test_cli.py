@@ -316,6 +316,49 @@ def test_scan_past_the_length_cap_is_exit_2_before_allocating(argv, capsys):
     assert peak < 8 * 50_001
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["coeffs", "--model", "nn", "--lengths", "1000000000"],
+            "lengths: coeffs serves L <= 100000, got 1000000000",
+        ),
+        (
+            ["moments", "--model", "ir", "--lengths", "100,100002"],
+            "lengths: moments serves L <= 100000, got 100002",
+        ),
+        (
+            ["evolve", "--model", "nn", "--lengths", "4", "--tau", "0:1:1000000000"],
+            "tau: count must lie in [1, 100000], got 1000000000",
+        ),
+        (
+            ["renyi2", "--model", "ir", "--lengths", "8", "--tau", "0:1:100001"],
+            "tau: count must lie in [1, 100000], got 100001",
+        ),
+    ],
+)
+def test_oversized_flags_are_exit_2_before_any_array(argv, error, monkeypatch, capsys):
+    """coeffs and moments share the scans' L <= 10^5 cap, and a --tau grid
+    holds at most TAU_COUNT_MAX points: past either, one error line, and
+    neither the coefficients nor the tau grid is ever built."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized flag reached the computation")
+
+    monkeypatch.setattr(cli, "analytic_lanczos", unreachable)
+    monkeypatch.setattr(np, "linspace", unreachable)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_tau_grid_of_the_largest_count_is_served(tmp_path):
+    code, text = run_cli(
+        ["evolve", "--model", "nn", "--lengths", "4", "--tau", f"0:1:{cli.TAU_COUNT_MAX}"],
+        tmp_path,
+    )
+    assert code == 0 and len(rows_of(text)) == cli.TAU_COUNT_MAX
+
+
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("eigenvector norms are not finite")])
 def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsys):
     def failing(length, tau):

@@ -12,13 +12,15 @@ from dekrylov.doubled import (
     PauliString,
     Sector,
     apply_channel,
+    build_nn_channel,
     channel_matrix,
+    reduced_initial_state,
     restrict_to_parity_sector,
     tau_from_p,
     vectorize,
 )
 from dekrylov.errors import ArgumentError, DomainError
-from dekrylov.models import ModelKind, ModelSpec, build_nn_channel, reduced_initial_state
+from dekrylov.models import ModelKind, ModelSpec
 
 PAULI = {
     "I": np.eye(2, dtype=complex),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov.checks import check_lanczos_closed_forms
+from dekrylov.doubled import build_ir_channel, build_nn_channel, reduced_initial_state
 from dekrylov.errors import ArgumentError, DomainError
 from dekrylov.evolve import complexity
 from dekrylov.lintri import expm_from_eig
@@ -19,14 +20,11 @@ from dekrylov.models import (
     analytic_lanczos,
     area_law_k,
     area_law_psi,
-    build_ir_channel,
-    build_nn_channel,
     k_nn_analytic,
     kw_transform_nn,
     nn_lambda,
     psi_nn_analytic,
     reduced_diagonal,
-    reduced_initial_state,
     site_spins,
     volume_law_k,
 )

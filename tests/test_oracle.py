@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from dekrylov import oracle
 from dekrylov.doubled import (
     apply_channel,
+    build_ir_channel,
+    build_nn_channel,
     channel_matrix,
     restrict_to_parity_sector,
     tau_from_p,
@@ -21,8 +23,6 @@ from dekrylov.models import (
     ModelKind,
     ModelSpec,
     analytic_lanczos,
-    build_ir_channel,
-    build_nn_channel,
     reduced_diagonal,
 )
 from dekrylov.oracle import (

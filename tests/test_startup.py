@@ -1,4 +1,5 @@
-"""What a fresh interpreter loads: no scipy anywhere, no process pool at import.
+"""What a fresh interpreter loads: no scipy anywhere, no process pool at
+import, and no verification layer on the scan path.
 
 Importing scipy costs more than a whole figure scan, and the package
 needs it nowhere: every operator carries its exact spectrum, so no
@@ -11,6 +12,11 @@ full verification suite, then reports which scipy modules were loaded.
 `multiprocessing` and `concurrent.futures` (~15 ms) only when it starts
 them, so importing the package, `checks`, `cli` and `wigner` loads
 neither, and no scan pays for them at start-up.
+
+`import dekrylov` and the five scan commands load only the production
+modules: the verification layer (`checks`, `oracle`, `doubled`,
+`lanczos`) loads when `verify` runs or one of its names is first read
+from the package.
 """
 
 import json
@@ -57,6 +63,45 @@ roots = ("multiprocessing", "concurrent")
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] in roots)))
 """
 
+SPLIT = """
+import contextlib, io, json, sys, tempfile
+
+import dekrylov
+from dekrylov import cli
+
+layer = ["dekrylov.checks", "dekrylov.oracle", "dekrylov.doubled", "dekrylov.lanczos", "fractions"]
+with tempfile.TemporaryDirectory() as tmp:
+    codes = [
+        cli.main([command, "--model", model, *extra, "--out", f"{tmp}/{command}_{model}.csv"])
+        for model in ("nn", "ir")
+        for command, extra in (
+            ("coeffs", []),
+            ("evolve", []),
+            ("wavepacket", ["--lengths", "100", "--tau-list", "0,0.5,2"]),
+            ("renyi2", []),
+            ("moments", []),
+        )
+    ]
+scans_loaded = [name for name in layer if name in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    verify_code = cli.main(["verify", "quick"])
+verify_loaded = "dekrylov.checks" in sys.modules
+
+def home(obj):
+    return getattr(sys.modules[obj.__module__], obj.__name__)
+
+names = [name for name in dekrylov.__all__ if name != "__version__"]
+misplaced = [name for name in names if home(getattr(dekrylov, name)) is not getattr(dekrylov, name)]
+star = {}
+exec("from dekrylov import *", star)
+unbound = [name for name in dekrylov.__all__ if star.get(name) is not getattr(dekrylov, name)]
+print(json.dumps({
+    "codes": codes, "scans_loaded": scans_loaded, "verify_code": verify_code,
+    "verify_loaded": verify_loaded, "names": len(dekrylov.__all__),
+    "misplaced": misplaced, "unbound": unbound,
+}))
+"""
+
 
 def run_fresh(program, *args, timeout=300):
     """Run ``program`` in a fresh interpreter; return its last line as JSON."""
@@ -83,3 +128,17 @@ def test_scans_and_verify_full_never_import_scipy():
 
 def test_importing_the_package_loads_no_process_pool():
     assert run_fresh(IMPORTS) == []
+
+
+def test_scans_load_no_verification_layer():
+    """The five scan commands of both models, after ``import dekrylov``,
+    load none of the verification layer and no ``fractions``; ``verify``
+    then loads ``checks``, and every public name of the package, whether
+    imported at start-up or on first access, is its home module's object,
+    and ``from dekrylov import *`` binds each of them."""
+    report = run_fresh(SPLIT)
+    assert report["codes"] == [0] * 10
+    assert report["scans_loaded"] == []
+    assert report["verify_code"] == 0 and report["verify_loaded"]
+    assert report["names"] == 37
+    assert report["misplaced"] == [] and report["unbound"] == []
