@@ -16,8 +16,9 @@ over the magnetization sectors, so they serve L <= 100000.  `wavepacket`
 prints the exact wavepacket: the NN binomial closed form, and the IR
 Gaussian integral of dekrylov.wigner, both accurate to the last digits of
 every entry, however small; it serves L <= 4096.  `coeffs` and `moments`
-serve L <= 100000 too, and a --tau grid holds at most 100000 points.
-Longer chains and grids exit 2 before anything is allocated.  No scan
+serve L <= 100000 too, a --tau grid holds at most 100000 points, and
+every tau is at most 1e300, so no kernel overflows.  Longer chains and
+grids and larger taus exit 2 before anything is allocated.  No scan
 reaches the tridiagonal eigensolver, which serves `verify` and the tests,
 and no scan imports the verification layer: `verify` loads it.  Output
 is bitwise deterministic across runs, and floats are written with 17
@@ -62,6 +63,9 @@ RENYI2_DEFAULT_LENGTHS = (8, 10, 12, 14)
 DEFAULT_NMAX = 10
 # Most points a --tau grid may have: 250 times the largest default grid.
 TAU_COUNT_MAX = 100_000
+# Largest tau: the IR sums form tau 4m^2 / L <= tau L, at most 1e305 at
+# L = 10^5, so no kernel overflows.
+TAU_MAX = 1e300
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -85,6 +89,10 @@ class RunConfig:
         if not ok.all():
             tau = self.taus[int(ok.argmin())]
             raise ArgumentError(f"tau: values must be finite and >= 0, got {tau!r}")
+        too_large = taus > TAU_MAX
+        if too_large.any():
+            tau = self.taus[int(too_large.argmax())]
+            raise ArgumentError(f"tau: values must be <= {TAU_MAX:g}, got {tau!r}")
         if self.nmax < 0:
             raise ArgumentError(f"nmax: must be >= 0, got {self.nmax!r}")
 

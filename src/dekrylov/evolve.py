@@ -225,16 +225,27 @@ def survival_moments_nn(length, n_max):
 
 
 def moments_from_tridiag(tri, n_max):
-    """Moments <e_0| T^n |e_0> by repeated tridiagonal application."""
+    """Moments <e_0| T^n |e_0> by repeated tridiagonal application.
+
+    Raises:
+        ArgumentError: for n_max outside [0, 2 dim].
+        numpy.linalg.LinAlgError: at the first moment that is not finite
+            in binary64.
+    """
     if not 0 <= n_max <= 2 * tri.dim:
         raise ArgumentError(f"n_max must lie in [0, {2 * tri.dim}]")
     vec = np.zeros(tri.dim)
     vec[0] = 1.0
     moments = [1.0]
-    for _ in range(n_max):
-        vec = tri.matvec(vec)
-        moments.append(float(vec[0]))
-    return np.array(moments[: n_max + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            vec = tri.matvec(vec)
+            if not np.isfinite(vec[0]):
+                raise np.linalg.LinAlgError(
+                    f"moment mu_{n} overflows binary64 (Krylov dimension {tri.dim})"
+                )
+            moments.append(float(vec[0]))
+    return np.array(moments)
 
 
 def scan_point(model, taus):

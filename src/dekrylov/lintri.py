@@ -161,10 +161,6 @@ class KrylovState:
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "psi", psi)
 
-    @property
-    def dim(self):
-        return self.psi.shape[-1]
-
 
 def _floored_pivots(diag, shifts, off_sq, out):
     """One pass of pivots d_n = (diag[n] - shifts) - off_sq[n-1] / d_{n-1},

@@ -2,8 +2,12 @@
 
 Two independent routes to d^s_{m'm}(theta) = <s,m'| e^{-i theta S_y} |s,m>:
 
-  1. the direct factorial k-sum, accurate up to s ~ 20 at theta = pi/2
-     (beyond that the alternating sum cancels catastrophically);
+  1. the direct factorial k-sum in binary64, accurate up to s ~ 20 at
+     theta = pi/2 (beyond that the alternating sum cancels
+     catastrophically).  Every factorial up to 40! is finite, and so is
+     every product of four of them, so each term is a ratio of factorials
+     times powers of cos(theta/2) and sin(theta/2), all read from tables,
+     and the float powers carry the signs;
   2. a spectral route valid to s = 300: in the |s,m> basis (row index
      k, m = s-k) the generator is tridiagonal with (S_y)_{k+1,k} =
      i beta_k, beta_k = sqrt((k+1)(2s-k))/2.  The similarity
@@ -56,29 +60,6 @@ NODES_PER_WIDTH = 8  # IR trapezoid nodes per peak width sqrt(4 tau / L)
 TAIL_WIDTHS = 40  # peak widths of tail beyond the outermost saddles
 
 
-def signed_logsumexp(log_magnitudes, signs):
-    """Sum of signed log-domain terms over the last axis, one shift per sum.
-
-    Each sum shifts its terms by their largest live exponent and adds them
-    with math.fsum, which rounds the exact sum once, so the result does
-    not depend on the order of the terms.  Returns (sign, log_magnitude),
-    each of the shape of the inputs without their last axis; sign 0
-    encodes exact zero (or no terms).
-    """
-    logs = np.asarray(log_magnitudes, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    live = (signs != 0) & np.isfinite(logs)
-    logs = np.where(live, logs, -np.inf)
-    shift = logs.max(axis=-1, initial=-np.inf)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(live, signs * np.exp(logs - shift[..., None]), 0.0)
-    rows = terms.reshape(shift.size, -1).tolist()
-    total = np.array(list(map(math.fsum, rows))).reshape(shift.shape)
-    with np.errstate(divide="ignore"):
-        log_sum = np.where(total == 0, -np.inf, shift + np.log(abs(total)))
-    return np.sign(total).astype(int)[()], log_sum[()]
-
-
 def _twice(value, name):
     """Twice an integer or half-integer value (or array), as integers."""
     value = np.asarray(value, dtype=float)
@@ -101,8 +82,8 @@ def wigner_d(s, m_prime, m, theta):
 
     Returns:
         d^s_{m'm}(theta): a float for scalar indices, else an array of
-        their broadcast shape.  Each element is one signed_logsumexp over
-        the terms k = 0..2s, the terms outside the element's range zero.
+        their broadcast shape.  Each element is one math.fsum over the
+        terms k = 0..2s, the terms outside the element's range zero.
     """
     two_s = int(_twice(s, "s"))
     two_mp, two_m = np.broadcast_arrays(_twice(m_prime, "m_prime"), _twice(m, "m"))
@@ -117,30 +98,29 @@ def wigner_d(s, m_prime, m, theta):
     s_minus_mp = (two_s - two_mp)[..., None] // 2
     m_minus_mp = (two_m - two_mp)[..., None] // 2
     k = np.arange(two_s + 1)
-    log_factorials = np.array([math.lgamma(i + 1.0) for i in range(two_s + 1)])
-    log_fact_at = functools.partial(np.take, log_factorials, mode="clip")
-    log_prefactor = 0.5 * (
-        log_fact_at(s_plus_m)
-        + log_fact_at(two_s - s_plus_m)
-        + log_fact_at(two_s - s_minus_mp)
-        + log_fact_at(s_minus_mp)
+    fact_at = functools.partial(np.take, [float(math.factorial(i)) for i in k], mode="clip")
+    cos_at = functools.partial(np.take, math.cos(0.5 * theta) ** k, mode="clip")
+    sin_at = functools.partial(np.take, math.sin(0.5 * theta) ** k, mode="clip")
+    prefactor = np.sqrt(
+        fact_at(s_plus_m)
+        * fact_at(two_s - s_plus_m)
+        * fact_at(two_s - s_minus_mp)
+        * fact_at(s_minus_mp)
     )
-    cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    cos_power = two_s - 2 * k + m_minus_mp
-    sin_power = 2 * k - m_minus_mp
-    log_mag = log_prefactor - (
-        log_fact_at(s_plus_m - k)
-        + log_fact_at(s_minus_mp - k)
-        + log_fact_at(k - m_minus_mp)
-        + log_fact_at(k)
+    denominator = (
+        fact_at(s_plus_m - k) * fact_at(s_minus_mp - k) * fact_at(k - m_minus_mp) * fact_at(k)
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for power, half in ((cos_power, cos_half), (sin_power, sin_half)):
-            log_mag += np.where(power > 0, power * np.log(abs(half)), 0.0)
-    parity = k - m_minus_mp + cos_power * (cos_half < 0) + sin_power * (sin_half < 0)
+    terms = (
+        (-1.0) ** (k - m_minus_mp)
+        * prefactor
+        / denominator
+        * cos_at(two_s - 2 * k + m_minus_mp)
+        * sin_at(2 * k - m_minus_mp)
+    )
     in_range = (k >= m_minus_mp) & (k <= np.minimum(s_plus_m, s_minus_mp))
-    sign, log_sum = signed_logsumexp(log_mag, np.where(in_range, 1 - 2 * (parity % 2), 0))
-    out = np.where(sign == 0, 0.0, sign * np.exp(log_sum))
+    terms = np.where(in_range, terms, 0.0)
+    rows = terms.reshape(-1, two_s + 1).tolist()
+    out = np.array(list(map(math.fsum, rows))).reshape(terms.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 

@@ -351,6 +351,42 @@ def test_oversized_flags_are_exit_2_before_any_array(argv, error, monkeypatch, c
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--model", "ir", "--lengths", "100000"],
+        ["evolve", "--model", "nn", "--lengths", "100000"],
+        ["renyi2", "--model", "ir", "--lengths", "100000"],
+        ["renyi2", "--model", "nn", "--lengths", "14"],
+        ["wavepacket", "--model", "ir", "--lengths", "4096"],
+        ["wavepacket", "--model", "nn", "--lengths", "4096"],
+    ],
+)
+def test_largest_tau_is_served_at_the_largest_length(argv, tmp_path, capsys):
+    """At tau = TAU_MAX every command that takes tau runs at its largest
+    length without a warning, and every numeric cell is finite."""
+    code, text = run_cli(argv + ["--tau-list", repr(cli.TAU_MAX)], tmp_path)
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = rows_of(text)
+    assert rows and float(rows[0]["tau"]) == cli.TAU_MAX
+    cells = [value for row in rows for key, value in row.items() if key != "model" and value]
+    assert all(math.isfinite(float(value)) for value in cells)
+
+
+@pytest.mark.parametrize("command", ["evolve", "renyi2", "wavepacket"])
+@pytest.mark.parametrize("model", ["nn", "ir"])
+def test_tau_past_the_bound_is_exit_2(command, model, tmp_path, capsys):
+    """A tau just above TAU_MAX is one error line naming it, and nothing
+    is written."""
+    above = float(np.nextafter(cli.TAU_MAX, np.inf))
+    out = tmp_path / "out.csv"
+    argv = [command, "--model", model, "--lengths", "8", "--tau-list", f"0.5,{above!r}"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: tau: values must be <= 1e+300, got {above!r}\n")
+    assert not out.exists()
+
+
 def test_tau_grid_of_the_largest_count_is_served(tmp_path):
     code, text = run_cli(
         ["evolve", "--model", "nn", "--lengths", "4", "--tau", f"0:1:{cli.TAU_COUNT_MAX}"],
@@ -469,6 +505,28 @@ def test_moments_match_exact_binomial_route(tmp_path):
 def test_moments_nmax_beyond_information_content_errors(capsys):
     assert cli.main(["moments", "--model", "ir", "--lengths", "4"]) == 2
     assert "n_max" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "model, length, nmax, error",
+    [
+        ("nn", "1000", "200", "moment mu_132 overflows binary64 (Krylov dimension 1000)"),
+        ("ir", "2000", "400", "moment mu_103 overflows binary64 (Krylov dimension 1001)"),
+        ("nn", "100000", "20000", "moment mu_96 overflows binary64 (Krylov dimension 100000)"),
+    ],
+)
+def test_moments_overflow_is_exit_3_with_nothing_written(
+    model, length, nmax, error, fmt, tmp_path, capsys
+):
+    """The first moment past binary64 stops the run: one error line, no
+    inf or nan row, no warning, and no output file."""
+    out = tmp_path / f"out.{fmt}"
+    argv = ["moments", "--model", model, "--lengths", length, "--nmax", nmax]
+    assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"error: numerical failure: {error}\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- renyi2

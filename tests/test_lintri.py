@@ -125,7 +125,7 @@ def test_krylov_batch_rejects_bad_rows():
     row, a negative tau, a non-finite entry, or a shape mismatch."""
     good = np.array([[1.0, 0.0], [0.6, 0.8]])
     batch = KrylovState(taus=[0.0, 1.0], psi=good)
-    assert batch.dim == 2 and batch.taus.tolist() == [0.0, 1.0]
+    assert batch.psi.shape[-1] == 2 and batch.taus.tolist() == [0.0, 1.0]
     for taus, psi, match in (
         ([0.0, 1.0], [[1.0, 0.0], [0.6, 0.8 + 1e-9]], "unit-normalized"),
         ([0.0, -1e-300], good, "nonnegative"),

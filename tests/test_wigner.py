@@ -23,52 +23,12 @@ from dekrylov.wigner import (
     WAVEPACKET_MAX_LENGTH,
     psi_ir_asymptotic_profile,
     psi_ir_exact_profile,
-    signed_logsumexp,
     wigner_column_stable,
     wigner_d,
 )
 
 
-# ------------------------------------------------------------ log arithmetic
-
-
-def test_signed_log_value_round_trip():
-    """A single term comes back as (sign, log|value|)."""
-    for value in (1.0, -3.5, 1e-280, -2e200):
-        sign, log_mag = signed_logsumexp([math.log(abs(value))], [math.copysign(1, value)])
-        back = sign * math.exp(log_mag)
-        # exp(log x) loses ~|log x| ulp of relative precision at huge magnitudes
-        assert back == pytest.approx(value, rel=1e-12, abs=0.0) or back == value
-    assert signed_logsumexp([0.0], [0]) == (0, -math.inf)
-
-
-def test_signed_logsumexp_degenerate_cases():
-    exact_zero = signed_logsumexp(np.array([0.0, 0.0]), np.array([1, -1]))
-    assert exact_zero[0] == 0
-    empty = signed_logsumexp(np.array([]), np.array([]))
-    assert empty[0] == 0
-    sign, log_mag = signed_logsumexp(np.array([math.log(2.0)]), np.array([-1]))
-    assert sign == -1 and log_mag == pytest.approx(math.log(2.0), rel=1e-15)
-
-
-@given(
-    st.lists(
-        st.tuples(st.floats(-200.0, 200.0), st.sampled_from([-1, 1])),
-        min_size=1,
-        max_size=12,
-    )
-)
-@settings(max_examples=80)
-def test_signed_logsumexp_matches_fsum(terms):
-    """Signed log-domain accumulation agrees with fsum up to cancellation."""
-    logs = np.array([t[0] for t in terms])
-    signs = np.array([t[1] for t in terms])
-    shift = logs.max()  # compare in a representable range
-    values = [s * math.exp(lg - shift) for lg, s in zip(logs, signs)]
-    expected = math.fsum(values)
-    sign, log_mag = signed_logsumexp(logs - shift, signs)
-    result = sign * math.exp(log_mag)
-    assert abs(result - expected) <= 1e-13 * math.fsum(map(abs, values))
+# ------------------------------------------------------------ log binomials
 
 
 def test_log_binomial_matches_exact_integers():
@@ -150,8 +110,7 @@ def _loop_wigner_d(s, m_prime, m, theta):
 @pytest.mark.parametrize("theta", [0.4, np.pi / 2, 1.9, 4.0])
 def test_array_wigner_d_equals_stacked_scalar_calls(theta):
     """One broadcast call gives the whole matrix, element for element the
-    scalar calls, and within 100 eps of its summed term magnitudes the
-    k-sum loop.  theta = 4.0 has cos(theta/2) < 0."""
+    scalar calls.  theta = 4.0 has cos(theta/2) < 0."""
     for two_s in range(21):
         s = two_s / 2
         ms = s - np.arange(two_s + 1)
@@ -160,9 +119,31 @@ def test_array_wigner_d_equals_stacked_scalar_calls(theta):
         assert matrix.shape == (two_s + 1, two_s + 1)
         assert all(type(value) is float for row in scalars for value in row)
         assert np.array_equal(matrix, scalars), (two_s, theta)
+
+
+@pytest.mark.parametrize("theta", [0.4, np.pi / 2, 1.9, 4.0])
+def test_wigner_d_matches_the_exact_loop(theta):
+    """Up to the cap 2s = 40, every element lies within 8 eps of its summed
+    term magnitudes of the k-sum loop over exact integer factorials."""
+    eps = np.finfo(float).eps
+    for two_s in range(wigner.DIRECT_SUM_MAX_TWO_S + 1):
+        s = two_s / 2
+        ms = s - np.arange(two_s + 1)
+        matrix = wigner_d(s, ms[:, None], ms, theta)
         loop = np.array([[_loop_wigner_d(s, mp, m, theta) for m in ms] for mp in ms])
-        eps = np.finfo(float).eps
-        assert np.all(np.abs(matrix - loop[..., 0]) <= 100 * eps * loop[..., 1]), (two_s, theta)
+        assert np.all(np.abs(matrix - loop[..., 0]) <= 8 * eps * loop[..., 1]), (two_s, theta)
+
+
+def test_wigner_routes_agree_on_the_criterion_grid():
+    """The factorial k-sum and the spectral route agree within 2e-14 on the
+    grid of the Wigner verification criterion (s <= 10)."""
+    for two_s in range(1, 21):
+        s = two_s / 2
+        ms = s - np.arange(two_s + 1)
+        for theta in (np.pi / 2, 0.4, 1.9):
+            direct = wigner_d(s, ms[:, None], ms, theta)
+            stable = wigner_column_stable(s, ms, theta)
+            assert np.max(np.abs(direct - stable)) <= 2e-14, (two_s, theta)
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 7, 20, 41, 200])
