@@ -23,8 +23,9 @@ Module map.  The production path, which every scan imports:
 The verification layer, whose names below load their module on first
 access (PEP 562), so that ``import dekrylov`` and the scans load none of it:
 
-  doubled  Choi vectorization, Pauli-Kraus channels, the models' composed
-           channels and seed, parity reduction: the map criterion 1 checks
+  doubled  Choi vectorization, Z-type Kraus channels on plain arrays, the
+           models' composed channels and seed, parity reduction: the map
+           criterion 1 checks
   lanczos  Lanczos recursion on a matvec callable, full reorthogonalization
   oracle   dense brute-force ground truth at small L, Gram-Schmidt Krylov
   checks   the acceptance-grade verification suite
@@ -59,10 +60,7 @@ from .evolve import (
 from .wigner import psi_ir_exact_profile, wigner_column_stable, wigner_d
 
 _VERIFICATION_MODULES = {
-    "DoubledState": "doubled",
     "KrausChannel": "doubled",
-    "PauliString": "doubled",
-    "Sector": "doubled",
     "apply_channel": "doubled",
     "tau_from_p": "doubled",
     "vectorize": "doubled",
@@ -89,10 +87,7 @@ __all__ = [
     "TridiagonalOperator",
     "eig_tridiag",
     "expm_action",
-    "DoubledState",
     "KrausChannel",
-    "PauliString",
-    "Sector",
     "apply_channel",
     "tau_from_p",
     "vectorize",

@@ -130,7 +130,7 @@ def check_lanczos_closed_forms(quick=False):
                 float(np.max(np.abs(dense.b - expected.tridiag.offdiag))),
             )
             diagonal = models.reduced_diagonal(spec)
-            seed = doubled.reduced_initial_state(spec).amplitudes
+            seed = doubled.reduced_initial_state(spec)
             iterative = lanczos.run_lanczos(lambda v: diagonal * v, seed)
             if not iterative.terminated or len(iterative.a) != expected.krylov_dim:
                 return False, (

@@ -189,6 +189,9 @@ def resolve_config(args, command):
         if model is ModelKind.IR and command == "evolve":
             taus = taus + IR_PLATEAU_TAUS
         explicit = False
+    # x + 0.0 turns -0.0 (and a negative underflow such as -1e-400) into
+    # +0.0, so every command prints 0 and -0 is not a second zero.
+    taus = tuple(tau + 0.0 for tau in taus)
 
     nmax = getattr(args, "nmax", None)
     return RunConfig(
@@ -409,12 +412,15 @@ def _attach_negative_values(argv):
     """Write ``--tau -1:2:3`` as ``--tau=-1:2:3``.
 
     argparse takes a token that starts with '-' for an option unless it is
-    a plain number, so a negative grid or list would end in a usage error
-    instead of reaching parse_tau_grid, parse_tau_list or parse_lengths.
+    a plain number, so a negative grid or list (or -inf, -nan in any case)
+    would end in a usage error instead of reaching parse_tau_grid,
+    parse_tau_list or parse_lengths.
     """
     out = []
     for token in argv:
-        if out and out[-1] in ("--tau", "--tau-list", "--lengths") and re.match(r"-[\d.]", token):
+        if out and out[-1] in ("--tau", "--tau-list", "--lengths") and re.match(
+            r"-([\d.]|inf|nan)", token, re.IGNORECASE
+        ):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

@@ -1,7 +1,7 @@
-"""Choi vectorization and Kraus channels in the doubled Hilbert space.
+"""Choi vectorization and Z-type Kraus channels in the doubled Hilbert space.
 
 A density matrix rho on L qubits is reshaped column-wise into a vector
-|rho> living on two copies of the chain:
+|rho> of 4^L plain float amplitudes on two copies of the chain:
 
     rho = [rho_11 rho_12; rho_21 rho_22]  ->  (rho_11, rho_21, rho_12, rho_22)
 
@@ -12,34 +12,30 @@ site label:
     index = upper + 2^L * lower.
 
 Under this map a channel E[rho] = Sum_m B_m rho B_m^dag acts as
-Sum_m (B_m^* (x) B_m) |rho>.  For Pauli-string Kraus operators the
-conjugation is a pure sign rule (Y -> -Y), so the whole layer stays in
-real arithmetic: X and Y flip the addressed bit in both layers, while Z
-and Y each contribute a sign (-1)^(upper bit + lower bit) at their site.
-The dense complex oracle in the test-suite validates this shortcut.
+Sum_m (B_m^* (x) B_m) |rho>.  Both models dephase with Z strings only, so
+each Kraus operator is sqrt(w_m) Z^{S_m} for an integer support S_m (bit
+i puts a Z on site i), and its doubled action is diagonal: the sign
+(-1)^popcount(index & (S_m | S_m << L)).  The whole layer stays in real
+arithmetic, and the dense complex oracle in the test-suite validates this
+shortcut.
 
 The paper's mapping is the chain vectorize -> apply_channel ->
 restrict_to_parity_sector: |+><+|^{(x)L} becomes the uniform
-positive-parity seed (reduced_initial_state), and the composed dephasing
-channel (build_nn_channel, build_ir_channel) becomes
+positive-parity seed (reduced_initial_state, 2^L amplitudes), and the
+composed dephasing channel (build_nn_channel, build_ir_channel) becomes
 prefactor * exp(-tau h) on it.  Criterion 1 checks that chain for L <= 6.
 
 Full-space operations are capped at L <= 7 (4^7 = 16384 amplitudes); they
 exist to validate the parity-reduced code paths, not for production scans.
 """
 
-from __future__ import annotations
-
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, DomainError
 from .models import ModelKind, ModelSpec
-
-PAULI_LETTERS = "IXYZ"
 
 FULL_SPACE_MAX_LENGTH = 7
 # Relative norm under which restrict_to_parity_sector finds no
@@ -48,78 +44,32 @@ FULL_SPACE_MAX_LENGTH = 7
 EMPTY_SECTOR_RTOL = 1e-12
 
 
-class Sector(enum.Enum):
-    """Basis sector a DoubledState lives in."""
-
-    FULL = "full"  # all 4^L doubled basis states
-    PARITY_REDUCED = "parity-reduced"  # positive-parity block, 2^L states
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-site Paulis, e.g. ``"IZZI"``."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ArgumentError("PauliString must have at least one site")
-        bad = set(self.letters) - set(PAULI_LETTERS)
-        if bad:
-            raise ArgumentError(f"invalid Pauli letters: {sorted(bad)}")
-
-    @property
-    def length(self):
-        return len(self.letters)
-
-
 @dataclass(frozen=True)
 class KrausChannel:
-    """A Pauli channel: terms (w_m, P_m) with Kraus operators sqrt(w_m) P_m."""
+    """A Z-type channel on `length` sites: terms (w_m, S_m), Kraus
+    operators sqrt(w_m) Z^{S_m}, where bit i of the integer support S_m
+    puts a Z on site i."""
 
+    length: int
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((float(w), op) for w, op in self.terms)
+        terms = tuple((float(w), support) for w, support in self.terms)
         if not terms:
             raise ArgumentError("channel needs at least one Kraus term")
-        length = terms[0][1].length
-        for w, op in terms:
-            if op.length != length:
-                raise ArgumentError("all Kraus strings must share one length")
+        if self.length < 1:
+            raise ArgumentError("channel needs at least one site")
+        for w, support in terms:
+            if not isinstance(support, (int, np.integer)) or not 0 <= support < 2**self.length:
+                raise ArgumentError(
+                    f"Z-support {support!r} is not an integer below 2^{self.length}"
+                )
             if not w > 0:
                 raise ArgumentError("Kraus weights must be strictly positive")
         total = math.fsum(w for w, _ in terms)
         if abs(total - 1.0) > 1e-12:
             raise ArgumentError(f"Kraus weights sum to {total!r}, expected 1")
         object.__setattr__(self, "terms", terms)
-
-    @property
-    def length(self):
-        return self.terms[0][1].length
-
-
-@dataclass(eq=False)
-class DoubledState:
-    """Amplitude vector over the doubled basis (full or parity-reduced)."""
-
-    length: int
-    sector: Sector
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=float)
-        expected = 4**self.length if self.sector is Sector.FULL else 2**self.length
-        if amps.shape != (expected,):
-            raise ArgumentError(
-                f"{self.sector.value} sector at L={self.length} needs "
-                f"{expected} amplitudes, got {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ArgumentError("amplitudes must be finite")
-        if not np.linalg.norm(amps) > 0:
-            raise ArgumentError("state must have positive norm")
-        self.amplitudes = amps
 
 
 def _check_full_length(length):
@@ -129,8 +79,23 @@ def _check_full_length(length):
         )
 
 
+def _full_length(vec):
+    """L of a full-space vector: 4^L finite amplitudes of positive norm."""
+    length = (vec.size.bit_length() - 1) // 2
+    if vec.shape != (4**length,):
+        raise ArgumentError(
+            f"a full doubled-space state has 4^L amplitudes, got shape {vec.shape}"
+        )
+    _check_full_length(length)
+    if not np.all(np.isfinite(vec)):
+        raise ArgumentError("amplitudes must be finite")
+    if not np.linalg.norm(vec) > 0:
+        raise ArgumentError("state must have positive norm")
+    return length
+
+
 def vectorize(rho):
-    """Column-reshape a Hermitian density matrix into a DoubledState.
+    """Column-reshape a Hermitian density matrix into its 4^L amplitudes.
 
     The input must be real-symmetric up to 1e-12: every state handled by
     this package is real in the computational basis, which is what keeps
@@ -148,59 +113,39 @@ def vectorize(rho):
         raise ArgumentError("rho must be Hermitian within 1e-12")
     if np.max(np.abs(np.imag(rho))) > 1e-12:
         raise ArgumentError("rho must be real within 1e-12 in this basis")
-    amps = np.real(rho).reshape(-1, order="F").copy()
-    return DoubledState(length=length, sector=Sector.FULL, amplitudes=amps)
+    amps = np.real(rho).reshape(-1, order="F").astype(float)
+    _full_length(amps)
+    return amps
 
 
-def _term_masks(op):
-    """Flip mask and sign mask (single layer) for one Pauli string."""
-    flip = 0
-    sign = 0
-    for site, letter in enumerate(op.letters):
-        if letter in "XY":
-            flip |= 1 << site
-        if letter in "ZY":
-            sign |= 1 << site
-    return flip, sign
+def _term_signs(channel):
+    """Yield (w_m, signs) per term, signs = (-1)^popcount(idx & (S | S << L))."""
+    length = channel.length
+    indices = np.arange(4**length)
+    for weight, support in channel.terms:
+        both = support | (support << length)
+        yield weight, 1.0 - 2.0 * (np.bitwise_count(indices & both) & 1)
 
 
 def apply_channel(channel, state):
-    """Apply Sum_m (B_m^* (x) B_m) to a full-sector doubled state."""
-    if state.sector is not Sector.FULL:
-        raise ArgumentError("apply_channel needs a full-sector state")
-    if channel.length != state.length:
-        raise ArgumentError(
-            f"channel length {channel.length} != state length {state.length}"
-        )
-    length = state.length
-    _check_full_length(length)
-    vec = state.amplitudes
-    indices = np.arange(4**length)
+    """Apply Sum_m (B_m^* (x) B_m) to a full-space state of 4^L amplitudes."""
+    vec = np.asarray(state, dtype=float)
+    length = _full_length(vec)
+    if channel.length != length:
+        raise ArgumentError(f"channel length {channel.length} != state length {length}")
     out = np.zeros_like(vec)
-    for weight, op in channel.terms:
-        flip, sign = _term_masks(op)
-        both_flip = flip | (flip << length)
-        both_sign = sign | (sign << length)
-        signs = 1.0 - 2.0 * (np.bitwise_count(indices & both_sign) & 1)
-        # out[idx ^ F] += w * sign(idx) * vec[idx], gathered form
-        out += (weight * signs * vec)[indices ^ both_flip]
-    return DoubledState(length=length, sector=Sector.FULL, amplitudes=out)
+    for weight, signs in _term_signs(channel):
+        out += weight * signs * vec
+    return out
 
 
 def channel_matrix(channel):
-    """Dense 4^L x 4^L superoperator matrix of a Pauli channel."""
-    length = channel.length
-    _check_full_length(length)
-    size = 4**length
-    indices = np.arange(size)
-    mat = np.zeros((size, size))
-    for weight, op in channel.terms:
-        flip, sign = _term_masks(op)
-        both_flip = flip | (flip << length)
-        both_sign = sign | (sign << length)
-        signs = 1.0 - 2.0 * (np.bitwise_count(indices & both_sign) & 1)
-        np.add.at(mat, (indices ^ both_flip, indices), weight * signs)
-    return mat
+    """Dense 4^L x 4^L superoperator matrix of a Z-type channel."""
+    _check_full_length(channel.length)
+    diagonal = np.zeros(4**channel.length)
+    for weight, signs in _term_signs(channel):
+        diagonal += weight * signs
+    return np.diag(diagonal)
 
 
 def effective_hamiltonian_check(channel, diagonal, prefactor, tau):
@@ -230,11 +175,11 @@ def tau_from_p(p):
 
 
 def restrict_to_parity_sector(state):
-    """Overlaps of a full-sector state with the parity-sector basis.
+    """Overlaps of a full-space state with the 2^L parity-sector basis states.
 
     The positive-parity basis state labeled by bits r embeds as
     2^{-L/2} Sum_u |upper=u, lower=u xor r>, so component r is
-    2^{-L/2} Sum_u amplitudes[u + 2^L (u xor r)].  These basis states are
+    2^{-L/2} Sum_u state[u + 2^L (u xor r)].  These basis states are
     orthonormal, so the restriction is a projection and never longer
     than the state.
 
@@ -243,49 +188,35 @@ def restrict_to_parity_sector(state):
             is, the restriction's norm is at most EMPTY_SECTOR_RTOL times
             the state's (a state odd under a layer-swap parity).
     """
-    if state.sector is not Sector.FULL:
-        raise ArgumentError("restrict_to_parity_sector needs a full-sector state")
-    length = state.length
+    vec = np.asarray(state, dtype=float)
+    length = _full_length(vec)
     dim = 2**length
     upper = np.arange(dim)
     reduced = np.empty(dim)
     for r in range(dim):
-        reduced[r] = np.sum(state.amplitudes[upper + dim * (upper ^ r)])
+        reduced[r] = np.sum(vec[upper + dim * (upper ^ r)])
     reduced *= 2.0 ** (-length / 2.0)
     reduced_norm = np.linalg.norm(reduced)
-    norm = np.linalg.norm(state.amplitudes)
+    norm = np.linalg.norm(vec)
     if reduced_norm <= EMPTY_SECTOR_RTOL * norm:
         raise DomainError(
             "the positive-parity sector of this state is empty: its restriction "
             f"has norm {reduced_norm:.3g} against a state norm of {norm:.3g}"
         )
-    return DoubledState(
-        length=length, sector=Sector.PARITY_REDUCED, amplitudes=reduced
-    )
+    return reduced
 
 
 def reduced_initial_state(model):
-    """Uniform positive-parity state, amplitudes 2^{-L/2}."""
-    length = model.length
-    amps = np.full(2**length, 2.0 ** (-length / 2.0))
-    return DoubledState(
-        length=length, sector=Sector.PARITY_REDUCED, amplitudes=amps
-    )
-
-
-def _z_string(length, support):
-    letters = "".join(
-        "Z" if support & (1 << site) else "I" for site in range(length)
-    )
-    return PauliString(letters=letters)
+    """Uniform positive-parity state: 2^L amplitudes 2^{-L/2}."""
+    return np.full(2**model.length, 2.0 ** (-model.length / 2.0))
 
 
 def build_nn_channel(length, p):
     """The composed NN bond channel as an explicit Kraus sum.
 
-    Expands Prod_i [(1-p) id + p ZZ_i] into 2^{L-1} Pauli-string terms
+    Expands Prod_i [(1-p) id + p ZZ_i] into 2^{L-1} Z-support terms
     (bond supports XOR freely, so every subset of bonds gives a distinct
-    Z-string).  Intended for the full doubled-space validation path.
+    support).  Intended for the full doubled-space validation path.
     """
     if length < 2:
         raise ArgumentError("length must be at least 2")
@@ -298,9 +229,8 @@ def build_nn_channel(length, p):
         weight = p ** subset.bit_count() * (1.0 - p) ** (bonds - subset.bit_count())
         if weight == 0.0:
             continue
-        support = subset ^ (subset << 1)
-        terms.append((weight, _z_string(length, support)))
-    return KrausChannel(terms=tuple(terms))
+        terms.append((weight, subset ^ (subset << 1)))
+    return KrausChannel(length, tuple(terms))
 
 
 def build_ir_channel(length, tau):
@@ -308,7 +238,7 @@ def build_ir_channel(length, tau):
 
     Each pair (i, j) applies (w+ id + w- Z_i Z_j) with
     w(+/-) = (1 +/- e^{-2 tau/L})/2; the product over all pairs is
-    convolved in the space of Z-supports (at most 2^L distinct strings).
+    convolved in the space of Z-supports (at most 2^L distinct terms).
     """
     ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
     _check_full_length(length)
@@ -323,9 +253,5 @@ def build_ir_channel(length, tau):
         for j in range(i + 1, length):
             mask = (1 << i) | (1 << j)
             weights = w_plus * weights + w_minus * weights[supports ^ mask]
-    terms = tuple(
-        (float(weights[s]), _z_string(length, s))
-        for s in range(2**length)
-        if weights[s] > 0.0
-    )
-    return KrausChannel(terms=terms)
+    terms = tuple((float(weights[s]), s) for s in range(2**length) if weights[s] > 0.0)
+    return KrausChannel(length, terms)

@@ -135,9 +135,9 @@ def vectorized_map_vs_exponential(model, p_or_tau):
         doubled.apply_channel(channel, doubled.vectorize(rho_init))
     )
     tau, prefactor = _tau_and_prefactor(model, p_or_tau)
-    seed = doubled.reduced_initial_state(model).amplitudes
+    seed = doubled.reduced_initial_state(model)
     target = prefactor * np.exp(-tau * reduced_diagonal(model)) * seed
-    return float(np.max(np.abs(image.amplitudes - target)))
+    return float(np.max(np.abs(image - target)))
 
 
 def dense_expm(mat):
@@ -193,7 +193,7 @@ def dense_krylov(model):
             f"dense Krylov construction is capped at L <= {KRYLOV_MAX_LENGTH}"
         )
     diag = reduced_diagonal(model)
-    power = doubled.reduced_initial_state(model).amplitudes
+    power = doubled.reduced_initial_state(model)
     basis = []
     for _ in range(min(2**length, length + 1) + 1):
         residual = np.array(power, dtype=float)

@@ -387,6 +387,39 @@ def test_tau_past_the_bound_is_exit_2(command, model, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "renyi2", "wavepacket"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_negative_zero_tau_prints_as_zero(command, fmt, tmp_path):
+    """-0, a negative underflow and a grid starting at -0 print tau 0, and
+    the order of 0 and -0 in a list does not change the bytes."""
+    base = [command, "--model", "ir", "--lengths", "4", "--format", fmt]
+    for flags, reference in (
+        (["--tau-list", "-0"], ["--tau-list", "0"]),
+        (["--tau-list", "1,-1e-400"], ["--tau-list", "1,0"]),
+        (["--tau=-0:1:1"], ["--tau-list", "0"]),
+        (["--tau=-0:1:3"], ["--tau-list", "0,0.5,1"]),
+        (["--tau-list", "-0,0"], ["--tau-list", "0,-0"]),
+    ):
+        code, text = run_cli(base + flags, tmp_path)
+        assert code == 0 and text == run_cli(base + reference, tmp_path)[1], flags
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tau-list", "-inf"], "values must be finite and >= 0, got -inf"),
+        (["--tau-list", "-NaN"], "values must be finite and >= 0, got nan"),
+        (["--tau-list", "-Infinity,1"], "values must be finite and >= 0, got -inf"),
+        (["--tau", "-inf:1:2"], "start and stop must be finite, got '-inf:1:2'"),
+    ],
+    ids=["list-inf", "list-nan", "list-infinity", "grid-inf"],
+)
+def test_negative_inf_and_nan_reach_the_tau_parsers(flags, message, capsys):
+    """argparse would take -inf or -nan for an option and print its usage."""
+    assert cli.main(["evolve", "--model", "nn", "--lengths", "4"] + flags) == 2
+    assert capsys.readouterr() == ("", f"error: tau: {message}\n")
+
+
 def test_tau_grid_of_the_largest_count_is_served(tmp_path):
     code, text = run_cli(
         ["evolve", "--model", "nn", "--lengths", "4", "--tau", f"0:1:{cli.TAU_COUNT_MAX}"],

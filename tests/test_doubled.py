@@ -1,4 +1,4 @@
-"""Doubled-space vectorization, Pauli channels, and parity reduction."""
+"""Doubled-space vectorization, Z-type channels, and parity reduction."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov.doubled import (
-    DoubledState,
     KrausChannel,
-    PauliString,
-    Sector,
     apply_channel,
     build_nn_channel,
     channel_matrix,
@@ -22,19 +19,14 @@ from dekrylov.doubled import (
 from dekrylov.errors import ArgumentError, DomainError
 from dekrylov.models import ModelKind, ModelSpec
 
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def dense_pauli(letters):
-    """Complex matrix of a Pauli string; site 0 is the least significant bit."""
+def dense_z_string(length, support):
+    """Complex matrix of Z^support; site 0 is the least significant bit."""
     out = np.eye(1, dtype=complex)
-    for ch in reversed(letters):
-        out = np.kron(out, PAULI[ch])
+    for site in reversed(range(length)):
+        out = np.kron(out, PAULI_Z if support >> site & 1 else np.eye(2))
     return out
 
 
@@ -44,26 +36,23 @@ def symmetric_rho(length, seed):
     return (raw + raw.T) / 2
 
 
-def pauli_channels(max_length=3):
-    """Random few-term Pauli channels with weights summing to one."""
+def z_channels(max_length=3):
+    """Random few-term Z-type channels with weights summing to one."""
 
     def build(length):
-        strings = st.lists(
-            st.text(alphabet="IXYZ", min_size=length, max_size=length),
-            min_size=1,
-            max_size=4,
-            unique=True,
+        supports = st.lists(
+            st.integers(0, 2**length - 1), min_size=1, max_size=4, unique=True
         )
         raws = st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4)
-        return st.tuples(strings, raws).map(_assemble)
+        return st.tuples(st.just(length), supports, raws).map(_assemble)
 
-    def _assemble(pair):
-        strings, raws = pair
-        weights = np.asarray(raws[: len(strings)])
+    def _assemble(triple):
+        length, supports, raws = triple
+        weights = np.asarray(raws[: len(supports)])
         weights = weights / weights.sum()
         weights[-1] = 1.0 - weights[:-1].sum()
         return KrausChannel(
-            tuple((float(w), PauliString(s)) for w, s in zip(weights, strings))
+            length, tuple((float(w), s) for w, s in zip(weights, supports))
         )
 
     return st.integers(1, max_length).flatmap(build)
@@ -75,10 +64,7 @@ def pauli_channels(max_length=3):
 def test_vectorize_uses_column_order():
     """rho[upper, lower] lands at doubled index upper + 2^L * lower."""
     rho = np.array([[1.0, 2.0], [2.0, 3.0]])
-    state = vectorize(rho)
-    assert state.length == 1
-    assert state.sector is Sector.FULL
-    assert_allclose(state.amplitudes, [1.0, 2.0, 2.0, 3.0])
+    assert_allclose(vectorize(rho), [1.0, 2.0, 2.0, 3.0])
 
 
 @given(st.integers(1, 3), st.integers(0, 2**31 - 1))
@@ -86,7 +72,7 @@ def test_vectorize_uses_column_order():
 def test_vectorize_round_trip(length, seed):
     rho = symmetric_rho(length, seed)
     dim = 2**length
-    assert_allclose(vectorize(rho).amplitudes.reshape((dim, dim), order="F"), rho, atol=0)
+    assert_allclose(vectorize(rho).reshape((dim, dim), order="F"), rho, atol=0)
 
 
 def test_vectorize_rejects_non_hermitian():
@@ -97,57 +83,63 @@ def test_vectorize_rejects_non_hermitian():
 def test_trace_functional_reads_diagonal():
     """The trace of rho sits on the doubled indices with upper = lower."""
     rho = np.diag([0.4, 0.25, 0.25, 0.1])
-    image = vectorize(rho).amplitudes.reshape((4, 4), order="F")
+    image = vectorize(rho).reshape((4, 4), order="F")
     assert np.trace(image) == pytest.approx(1.0, abs=1e-15)
 
 
 # ------------------------------------------------------------ channel action
 
 
-@given(pauli_channels(), st.integers(0, 2**31 - 1))
+@given(z_channels(), st.integers(0, 2**31 - 1))
 @settings(max_examples=40)
 def test_apply_channel_matches_complex_kraus_oracle(channel, seed):
     """Real doubled-space action reproduces sum_m w_m B_m rho B_m^dagger."""
-    length = len(channel.terms[0][1].letters)
+    length = channel.length
     rho = symmetric_rho(length, seed)
     expected = np.zeros_like(rho, dtype=complex)
-    for weight, string in channel.terms:
-        mat = dense_pauli(string.letters)
+    for weight, support in channel.terms:
+        mat = dense_z_string(length, support)
         expected += weight * (mat @ rho @ mat.conj().T)
     assert np.max(np.abs(expected.imag)) < 1e-12
     out = apply_channel(channel, vectorize(rho))
     dim = 2**length
-    assert_allclose(out.amplitudes.reshape((dim, dim), order="F"), expected.real, atol=1e-12)
+    assert_allclose(out.reshape((dim, dim), order="F"), expected.real, atol=1e-12)
 
 
-@given(pauli_channels(), st.integers(0, 2**31 - 1))
+@given(z_channels(), st.integers(0, 2**31 - 1))
 @settings(max_examples=40)
 def test_channel_preserves_trace_and_symmetry(channel, seed):
-    length = len(channel.terms[0][1].letters)
+    length = channel.length
     rho = symmetric_rho(length, seed)
-    state = vectorize(rho)
-    out = apply_channel(channel, state)
+    out = apply_channel(channel, vectorize(rho))
     dim = 2**length
-    image = out.amplitudes.reshape((dim, dim), order="F")
+    image = out.reshape((dim, dim), order="F")
     assert np.trace(image) == pytest.approx(np.trace(rho), abs=1e-12)
     assert_allclose(image, image.T, atol=1e-12)
 
 
-@given(pauli_channels(max_length=2), st.integers(0, 2**31 - 1))
+@given(z_channels(max_length=2), st.integers(0, 2**31 - 1))
 @settings(max_examples=30)
 def test_channel_matrix_composes_like_repeated_application(channel, seed):
-    length = len(channel.terms[0][1].letters)
-    state = vectorize(symmetric_rho(length, seed))
+    state = vectorize(symmetric_rho(channel.length, seed))
     twice = apply_channel(channel, apply_channel(channel, state))
     mat = channel_matrix(channel)
-    assert_allclose(mat @ (mat @ state.amplitudes), twice.amplitudes, atol=1e-12)
+    assert_allclose(mat @ (mat @ state), twice, atol=1e-12)
 
 
-def test_apply_channel_requires_full_sector():
+def test_full_space_operations_reject_a_wrong_vector():
+    """A vector that is not 4^L long, or whose L is not the channel's, is
+    an argument error; a parity-sector seed at L = 2 (4 amplitudes) reads
+    as a full-space state at L = 1."""
     channel = build_nn_channel(2, 0.3)
-    reduced = DoubledState(2, Sector.PARITY_REDUCED, np.full(4, 0.5))
-    with pytest.raises(ArgumentError):
-        apply_channel(channel, reduced)
+    seed = reduced_initial_state(ModelSpec(ModelKind.NN, 2))
+    with pytest.raises(ArgumentError, match="channel length 2 != state length 1"):
+        apply_channel(channel, seed)
+    for bad in (np.ones(8), np.ones((4, 4)), np.ones(2), np.ones(0), np.ones(4**8)):
+        with pytest.raises(ArgumentError):
+            apply_channel(channel, bad)
+        with pytest.raises(ArgumentError):
+            restrict_to_parity_sector(bad)
 
 
 # ------------------------------------------------------------------- parity
@@ -161,12 +153,11 @@ def test_restriction_ignores_antisymmetric_component(length, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(4**length)
     idx = np.arange(4**length)
-    base = restrict_to_parity_sector(DoubledState(length, Sector.FULL, x)).amplitudes
+    base = restrict_to_parity_sector(x)
     for site in range(length):
         mask = (1 << site) | (1 << (site + length))
         odd = x - x[idx ^ mask]
-        shifted = DoubledState(length, Sector.FULL, x + odd)
-        assert_allclose(restrict_to_parity_sector(shifted).amplitudes, base, atol=1e-13)
+        assert_allclose(restrict_to_parity_sector(x + odd), base, atol=1e-13)
 
 
 @pytest.mark.parametrize("length", [2, 3])
@@ -177,9 +168,8 @@ def test_parity_odd_state_has_an_empty_sector(length):
     idx = np.arange(4**length)
     for site in range(length):
         mask = (1 << site) | (1 << (site + length))
-        odd = DoubledState(length, Sector.FULL, x - x[idx ^ mask])
         with pytest.raises(DomainError, match="positive-parity sector"):
-            restrict_to_parity_sector(odd)
+            restrict_to_parity_sector(x - x[idx ^ mask])
 
 
 def test_plus_state_restricts_to_uniform_seed():
@@ -188,7 +178,7 @@ def test_plus_state_restricts_to_uniform_seed():
         rho = np.full((2**length, 2**length), 2.0**-length)
         reduced = restrict_to_parity_sector(vectorize(rho))
         seed = reduced_initial_state(ModelSpec(ModelKind.NN, length))
-        assert_allclose(reduced.amplitudes, seed.amplitudes, atol=1e-15)
+        assert_allclose(reduced, seed, atol=1e-15)
 
 
 # -------------------------------------------------------------- parametrics
@@ -204,4 +194,12 @@ def test_tau_from_p_values_and_domain():
 
 def test_kraus_weights_must_sum_to_one():
     with pytest.raises(ArgumentError):
-        KrausChannel(((0.5, PauliString("Z")), (0.4, PauliString("I"))))
+        KrausChannel(1, ((0.5, 1), (0.4, 0)))
+
+
+def test_kraus_supports_must_fit_the_length():
+    """Bit i of a support is a Z on site i, so a support needs S < 2^L."""
+    assert KrausChannel(2, ((0.5, 0b11), (0.5, 0))).terms == ((0.5, 3), (0.5, 0))
+    for bad in (0b100, -1, 1.0):
+        with pytest.raises(ArgumentError, match=r"is not an integer below 2\^2"):
+            KrausChannel(2, ((0.5, bad), (0.5, 0)))

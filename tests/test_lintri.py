@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dekrylov.doubled import DoubledState, Sector
 from dekrylov import lintri
 from dekrylov.errors import ArgumentError
 from dekrylov.lanczos import run_lanczos
@@ -190,16 +189,11 @@ def test_array_dataclasses_compare_by_identity():
     twin = analytic_lanczos(ModelSpec(ModelKind.NN, 4))
     state = expm_from_eig(spec.tridiag, [0.0, 1.0])
     mat = dense(spec.tridiag.diag, spec.tridiag.offdiag)
-    amplitudes = np.ones(4)
     for obj, other in (
         (spec.tridiag, twin.tridiag),
         (state, expm_from_eig(spec.tridiag, [0.0, 1.0])),
         (spec, twin),
         (run_lanczos(mat.__matmul__, np.eye(4)[0]), run_lanczos(mat.__matmul__, np.eye(4)[0])),
-        (
-            DoubledState(2, Sector.PARITY_REDUCED, amplitudes),
-            DoubledState(2, Sector.PARITY_REDUCED, amplitudes),
-        ),
     ):
         assert obj == obj
         assert not obj == other

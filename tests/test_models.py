@@ -91,7 +91,7 @@ def test_reduced_diagonal_matches_site_spins_bitwise(spec):
 
 def test_reduced_initial_state_is_uniform():
     state = reduced_initial_state(ModelSpec(ModelKind.NN, 4))
-    assert_allclose(state.amplitudes, np.full(16, 0.25))
+    assert_allclose(state, np.full(16, 0.25))
 
 
 def test_reduced_sector_length_cap():
@@ -280,12 +280,10 @@ def test_volume_law_plateau_is_quarter_length():
 
 
 def test_nn_channel_terms_by_hand():
-    """L = 3, p = 0.2: bond factors expand to four Z-strings."""
+    """L = 3, p = 0.2: bond factors expand to four Z-supports (bit i is site i)."""
     channel = build_nn_channel(3, 0.2)
-    terms = {string.letters: weight for weight, string in channel.terms}
-    assert terms == pytest.approx(
-        {"III": 0.64, "ZZI": 0.16, "IZZ": 0.16, "ZIZ": 0.04}
-    )
+    terms = {support: weight for weight, support in channel.terms}
+    assert terms == pytest.approx({0b000: 0.64, 0b011: 0.16, 0b110: 0.16, 0b101: 0.04})
 
 
 @given(st.integers(2, 6), st.floats(0.0, 0.49))
@@ -302,14 +300,13 @@ def test_nn_channel_matches_bond_product_expansion(length, p):
                 weight *= p
             else:
                 weight *= 1 - p
-        letters = "".join("Z" if support >> i & 1 else "I" for i in range(length))
-        expected[letters] = expected.get(letters, 0.0) + weight
+        expected[support] = expected.get(support, 0.0) + weight
     channel = build_nn_channel(length, p)
-    actual = {string.letters: weight for weight, string in channel.terms}
+    actual = {support: weight for weight, support in channel.terms}
     # zero-weight terms may be dropped from the channel
     assert set(actual) <= set(expected)
-    for letters, weight in expected.items():
-        assert actual.get(letters, 0.0) == pytest.approx(weight, abs=1e-14)
+    for support, weight in expected.items():
+        assert actual.get(support, 0.0) == pytest.approx(weight, abs=1e-14)
 
 
 def test_channel_term_counts_and_support_parity():
@@ -319,7 +316,7 @@ def test_channel_term_counts_and_support_parity():
     for length in (4, 6):
         ir = build_ir_channel(length, 0.7)
         assert len(ir.terms) == 2 ** (length - 1)
-        assert all(p.letters.count("Z") % 2 == 0 for _, p in ir.terms)
+        assert all(support.bit_count() % 2 == 0 for _, support in ir.terms)
         assert all(w >= 0 for w, _ in ir.terms)
 
 

@@ -140,5 +140,5 @@ def test_scans_load_no_verification_layer():
     assert report["codes"] == [0] * 10
     assert report["scans_loaded"] == []
     assert report["verify_code"] == 0 and report["verify_loaded"]
-    assert report["names"] == 37
+    assert report["names"] == 34
     assert report["misplaced"] == [] and report["unbound"] == []
