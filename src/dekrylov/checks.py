@@ -3,9 +3,8 @@
 Each check cross-validates independent routes to the same quantity
 (closed form vs dense brute force vs tridiagonal propagation vs the
 log-domain Gaussian integral) and reports the worst measured deviation
-next to its tolerance.  ``run_checks("quick")`` finishes in seconds and sticks
-to reduced grids around the small-L oracles; ``run_checks("full")``
-runs everything, including the L = 500 scans, well inside ten minutes.
+next to its tolerance.  ``run_checks()`` runs all twelve, the L = 500
+scans included, in about a fifth of a second of CPU time.
 
 The checks share no state, so on Linux with two or more usable CPUs they
 run at the same time in forked worker processes, one per CPU, the longest
@@ -50,7 +49,7 @@ class CheckResult:
     elapsed: float
 
 
-def check_channel_exponential(quick=False):
+def check_channel_exponential():
     """Composed channels equal prefactor * exp(-tau H) on the doubled space.
 
     Four routes: per-bond/per-pair diagonal products; the paper's map,
@@ -58,12 +57,11 @@ def check_channel_exponential(quick=False):
     restricts to the parity sector; the explicit Kraus expansion as a
     dense superoperator; and a generic matrix exponential.
     """
-    max_len = 4 if quick else 6
     worst = 0.0
     mapped = 0
     grid = [(ModelKind.NN, p) for p in (0.0, 0.1, 0.2, 0.3, 0.45)]
     grid += [(ModelKind.IR, tau) for tau in (0.0, 0.3, 0.7, 1.2, 2.0)]
-    for length in range(2, max_len + 1):
+    for length in range(2, 7):
         for kind, p_or_tau in grid:
             if kind is ModelKind.IR and length % 2:
                 continue
@@ -110,9 +108,9 @@ def check_channel_exponential(quick=False):
     )
 
 
-def check_lanczos_closed_forms(quick=False):
+def check_lanczos_closed_forms():
     """Dense Gram-Schmidt and iterative Lanczos match the closed forms."""
-    lengths = (4, 6, 8) if quick else (4, 6, 8, 10, 12)
+    lengths = (4, 6, 8, 10, 12)
     worst = 0.0
     for length in lengths:
         for kind in (ModelKind.NN, ModelKind.IR):
@@ -159,14 +157,13 @@ def check_lanczos_closed_forms(quick=False):
     )
 
 
-def check_nn_closed_forms(quick=False):
+def check_nn_closed_forms():
     """Tridiagonal propagation reproduces the NN binomial wavepacket."""
-    lengths = (10,) if quick else (10, 100)
     taus = np.linspace(0.0, 3.0, 31)
     worst_psi = 0.0
     worst_k = 0.0
     plateau_dev = 0.0
-    for length in lengths:
+    for length in (10, 100):
         spec = analytic_lanczos(ModelSpec(kind=ModelKind.NN, length=length))
         batch = lintri.expm_from_eig(spec.tridiag, [*taus, 5.0])
         ks = complexity(batch.psi)
@@ -207,7 +204,7 @@ def _seed_overlap_log_error(kind, length):
         return float(np.max(np.abs(np.log(np.abs(seed)) - 0.5 * log_sq)))
 
 
-def check_ir_exact_amplitudes(quick=False):
+def check_ir_exact_amplitudes():
     """Exact IR amplitudes (the Gaussian integral) equal tridiagonal propagation.
 
     The L = 500 and 600 points guard the eigensolver: there the seed's
@@ -220,8 +217,7 @@ def check_ir_exact_amplitudes(quick=False):
     """
     grid = np.linspace(0.0, 3.0, 31)
     large = (0.5, 2.0, 10.0)
-    cases = [(8, grid), (40, grid)] + ([] if quick else [(100, grid)])
-    cases += [(500, large), (600, large)]
+    cases = [(8, grid), (40, grid), (100, grid), (500, large), (600, large)]
     passed = True
     parts = []
     for length, taus in cases:
@@ -247,7 +243,7 @@ def check_ir_exact_amplitudes(quick=False):
     )
 
 
-def check_area_law_convergence(quick=False):
+def check_area_law_convergence():
     """Finite-L complexity and wavepacket converge to the area-law limits.
 
     Below the transition K_L tends to tau^2/(2(1-2 tau)) and psi_L(n) to
@@ -284,7 +280,7 @@ def check_area_law_convergence(quick=False):
     )
 
 
-def check_volume_law_plateau(quick=False):
+def check_volume_law_plateau():
     """K = L/4 exactly for the flat profile; tridiagonal K/L -> 1/4 at large tau."""
     worst_exact = 0.0
     worst_float = 0.0
@@ -301,9 +297,8 @@ def check_volume_law_plateau(quick=False):
             worst_float,
             abs(complexity(profile) - models.volume_law_k(length)),
         )
-    lengths = (100,) if quick else (100, 200)
     worst_plateau = 0.0
-    for length in lengths:
+    for length in (100, 200):
         spec = analytic_lanczos(ModelSpec(kind=ModelKind.IR, length=length))
         psi = lintri.expm_from_eig(spec.tridiag, 10.0).psi
         worst_plateau = max(worst_plateau, abs(complexity(psi) / length - 0.25))
@@ -315,7 +310,7 @@ def check_volume_law_plateau(quick=False):
     )
 
 
-def check_crossover_sharpening(quick=False):
+def check_crossover_sharpening():
     """The K/L slope peak (magnetization sums) grows with L and sits near
     tau = 1/2 at L = 5000."""
     lengths = (50, 100, 200, 500, 1000, 2000, 5000)
@@ -338,7 +333,7 @@ def check_crossover_sharpening(quick=False):
     )
 
 
-def check_renyi2_diagnostics(quick=False):
+def check_renyi2_diagnostics():
     """chi(0) = 1/L; route agreement; IR curves cross, NN curves do not."""
     worst_zero = 0.0
     for length in range(4, 15, 2):
@@ -349,17 +344,16 @@ def check_renyi2_diagnostics(quick=False):
         chi0 = renyi2_tridiag(spec, lintri.expm_from_eig(spec.tridiag, 0.0).psi)
         worst_zero = max(worst_zero, abs(chi0 - 1.0 / length))
 
-    route_lengths = (4, 6, 8) if quick else (4, 6, 8, 10, 12)
     worst_route = 0.0
-    for length in route_lengths:
+    for length in (4, 6, 8, 10, 12):
         model = ModelSpec(kind=ModelKind.IR, length=length)
         spec = analytic_lanczos(model)
         taus = np.linspace(0.0, 5.0, 26)
         chis = renyi2_tridiag(spec, lintri.expm_from_eig(spec.tridiag, taus).psi)
         worst_route = max(worst_route, float(np.max(np.abs(chis - renyi2_dense(model, taus)))))
 
-    lengths = (8, 10, 12) if quick else (8, 10, 12, 14)
-    taus_ir = np.linspace(0.0, 5.0, 201 if quick else 501)
+    lengths = (8, 10, 12, 14)
+    taus_ir = np.linspace(0.0, 5.0, 501)
     ir_curves = {
         length: renyi2_dense(ModelSpec(kind=ModelKind.IR, length=length), taus_ir)
         for length in lengths
@@ -407,11 +401,10 @@ def check_renyi2_diagnostics(quick=False):
     )
 
 
-def check_moment_consistency(quick=False):
+def check_moment_consistency():
     """Exact integer survival moments equal the tridiagonal moments."""
-    lengths = (6, 10) if quick else (6, 10, 30)
     worst = 0.0
-    for length in lengths:
+    for length in (6, 10, 30):
         exact = survival_moments_nn(length, 10)
         if exact[0] != 1.0 or exact[1] != 0.0 or exact[2] != float(length - 1):
             return False, (
@@ -438,11 +431,11 @@ def check_moment_consistency(quick=False):
     )
 
 
-def check_wigner_layer(quick=False):
+def check_wigner_layer():
     """Orthonormality, route agreement, the m = s column, and symmetries,
     each route called once per (s, theta) for the whole matrix."""
     theta = 0.5 * math.pi
-    spins = (0.5, 5.0, 20.0) if quick else (0.5, 5.0, 20.0, 100.0)
+    spins = (0.5, 5.0, 20.0, 100.0)
     worst_orth = 0.0
     for s in spins:
         two_s = int(round(2 * s))
@@ -450,10 +443,9 @@ def check_wigner_layer(quick=False):
         gram = dmat.T @ dmat
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(two_s + 1)))))
 
-    route_spins = (0.5, 1.0, 2.5, 5.0) if quick else (0.5, 1.0, 2.5, 5.0, 7.5, 10.0)
     worst_route = 0.0
     worst_column = 0.0
-    for s in route_spins:
+    for s in (0.5, 1.0, 2.5, 5.0, 7.5, 10.0):
         two_s = int(round(2 * s))
         rows = np.arange(two_s + 1)
         magnetics = s - rows
@@ -494,20 +486,16 @@ def check_wigner_layer(quick=False):
     )
 
 
-def check_error_state_interpretation(quick=False):
+def check_error_state_interpretation():
     """Every Krylov vector is an n-error state orthogonal to lower spans."""
-    if quick:
-        cases = ((ModelKind.NN, 4), (ModelKind.IR, 4), (ModelKind.IR, 6))
-    else:
-        cases = (
-            (ModelKind.NN, 4),
-            (ModelKind.NN, 6),
-            (ModelKind.IR, 4),
-            (ModelKind.IR, 6),
-            (ModelKind.IR, 8),
-        )
     checked = 0
-    for kind, length in cases:
+    for kind, length in (
+        (ModelKind.NN, 4),
+        (ModelKind.NN, 6),
+        (ModelKind.IR, 4),
+        (ModelKind.IR, 6),
+        (ModelKind.IR, 8),
+    ):
         spec = ModelSpec(kind=kind, length=length)
         failing = oracle.error_state_interpretation_check(spec)
         if failing is not None:
@@ -522,7 +510,7 @@ def check_error_state_interpretation(quick=False):
     )
 
 
-def check_cli_determinism(quick=False):
+def check_cli_determinism():
     """cmd_evolve output is byte-identical across three reruns."""
     argv = [
         "evolve",
@@ -564,14 +552,10 @@ CHECKS = (
     (12, "CLI output is byte-identical across reruns", check_cli_determinism),
 )
 
-# The quick level skips the L = 500 scans (5, 7) and the CLI round trip (12).
-QUICK_NUMBERS = frozenset({1, 2, 3, 4, 6, 8, 9, 10, 11})
-
 # The longest criterion, submitted to the worker pool first.  Run
-# in-process on a 2-vCPU Xeon, criterion 4 takes about 0.13 s at either
-# level (three eig_tridiag calls at dimension 601-1001), against about
-# 0.12 s for the other eleven together at the full level and 0.04 s at
-# the quick level.
+# in-process on a 2-vCPU Xeon with one BLAS thread (median of seven runs),
+# criterion 4 takes about 0.11 s (three eig_tridiag calls at dimension
+# 601-1001), against about 0.10 s for the other eleven together.
 CRITICAL_PATH = 4
 
 
@@ -587,14 +571,14 @@ def _start_worker(started_by):
     _started_by = started_by
 
 
-def _run_check(index, quick):
+def _run_check(index):
     """Run CHECKS[index], timed here; a raised exception is a failed result."""
     number, name, fn = CHECKS[index]
     if _started_by is not None:
         _started_by[index] = os.getpid()
     started = time.perf_counter()
     try:
-        passed, detail = fn(quick=quick)
+        passed, detail = fn()
     except Exception as err:  # a crashed check is a failed check
         passed, detail = False, f"raised {type(err).__name__}: {err}"
     return CheckResult(
@@ -606,16 +590,16 @@ def _run_check(index, quick):
     )
 
 
-def _worker_count(criteria):
-    """Forked workers for ``criteria`` checks: one per usable CPU on Linux,
-    at most one per check; 1 means run them in this process."""
+def _worker_count():
+    """Forked workers for CHECKS: one per usable CPU on Linux, at most one
+    per check; 1 means run them in this process."""
     if sys.platform != "linux":
         return 1
-    return min(criteria, len(os.sched_getaffinity(0)))
+    return min(len(CHECKS), len(os.sched_getaffinity(0)))
 
 
 def run_checks(level="full"):
-    """Run the verification suite at ``level`` in {"quick", "full"}.
+    """Run every check of CHECKS; ``level`` must be "full", the only level.
 
     Results come in CHECKS order.  The workers are forked, one criterion
     per task, so they inherit the imported package, patched attributes
@@ -626,17 +610,12 @@ def run_checks(level="full"):
     yet finished.  The pool is shut down and its workers joined before
     this returns.
     """
-    if level not in ("quick", "full"):
-        raise ArgumentError(f"level must be 'quick' or 'full', got {level!r}")
-    quick = level == "quick"
-    selected = [
-        index
-        for index, (number, _, _) in enumerate(CHECKS)
-        if not quick or number in QUICK_NUMBERS
-    ]
-    workers = _worker_count(len(selected))
+    if level != "full":
+        raise ArgumentError(f"level must be 'full', got {level!r}")
+    indices = range(len(CHECKS))
+    workers = _worker_count()
     if workers == 1:
-        return [_run_check(index, quick) for index in selected]
+        return [_run_check(index) for index in indices]
 
     # Imported here, not at module level: these take ~15 ms to import, which
     # every scan would pay at start-up.
@@ -653,14 +632,14 @@ def run_checks(level="full"):
         initializer=_start_worker,
         initargs=(started_by,),
     ) as pool:
-        order = sorted(selected, key=lambda index: CHECKS[index][0] != CRITICAL_PATH)
-        futures = {index: pool.submit(_run_check, index, quick) for index in order}
+        order = sorted(indices, key=lambda index: CHECKS[index][0] != CRITICAL_PATH)
+        futures = {index: pool.submit(_run_check, index) for index in order}
         for index, future in futures.items():
             try:
                 results[index] = future.result()
             except BrokenProcessPool:
                 pass
-    lost = [index for index in selected if index not in results]
+    lost = [index for index in indices if index not in results]
     dead = ", ".join(map(str, sorted({int(started_by[index]) for index in lost} - {0})))
     for index in lost:
         number, name, _ = CHECKS[index]
@@ -672,4 +651,4 @@ def run_checks(level="full"):
         results[index] = CheckResult(
             number=number, name=name, passed=False, detail=detail, elapsed=0.0
         )
-    return [results[index] for index in selected]
+    return [results[index] for index in indices]

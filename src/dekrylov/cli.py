@@ -7,7 +7,7 @@ Subcommands map one observable to one plot-ready file:
   wavepacket  Krylov wavepacket psi_n at explicit tau values
   renyi2      Renyi-2 correlator chi
   moments     survival moments mu_n from the tridiagonal representation
-  verify      run the verification suite (quick | full)
+  verify      run the verification suite (all twelve criteria)
 
 Each scan runs one pass per length on the calling thread, and the rows
 are built from whole arrays over tau, with no object per tau.  `evolve`
@@ -397,13 +397,13 @@ def build_parser():
     )
     add_scan_flags(moments, with_tau=False)
     moments.add_argument("--nmax", type=int, help=f"highest moment (default {DEFAULT_NMAX})")
-    verify = sub.add_parser("verify", help="run the verification suite")
+    verify = sub.add_parser("verify", help="run all twelve verification criteria")
     verify.add_argument(
         "level",
-        choices=("quick", "full"),
+        choices=("full",),
         nargs="?",
-        default="quick",
-        help="quick: seconds-scale reduced grids; full: everything",
+        default="full",
+        help="the only level, the default; `verify` alone runs the same suite",
     )
     return parser
 

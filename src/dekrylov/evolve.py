@@ -149,7 +149,9 @@ def ir_magnetization_sums(model, taus):
         N   = a_0^2 + 2 Sum_{m>=1} a_m^2.
 
     Every term is positive, so nothing cancels: K keeps its relative
-    accuracy at small tau, and K(0) = 0 exactly.  The weights
+    accuracy at small tau, and K(0) = 0 exactly.  At tau = 0,
+    Sum_k C(L, k) (2k - L)^2 = L 2^L gives chi = 1/L, which is returned
+    as such: the log-gamma weights would round it.  The weights
     log a_m^2 = log C(L, s+m) + 4 m^2 tau / L are shifted by their
     largest value per tau, so none overflows, and the taus go TAU_BLOCK
     at a time through two (TAU_BLOCK, s+1) work arrays, updated in place.
@@ -196,6 +198,7 @@ def ir_magnetization_sums(model, taus):
         steps *= weights[:, 1:]
         k[start:stop] = np.einsum("ij,j->i", steps, k_weights) / norm
         chi[start:stop] = np.einsum("ij,j->i", weights, chi_weights) / norm
+        chi[start:stop][block[:, 0] == 0.0] = 1.0 / length
         del weights, steps  # freed before the next block allocates its own
     k, chi = k.reshape(tau_arr.shape), chi.reshape(tau_arr.shape)
     if tau_arr.ndim == 0:

@@ -1,9 +1,9 @@
-"""Acceptance gate: the twelve full-level verification criteria.
+"""Acceptance gate: the twelve verification criteria.
 
-Each test runs one registered check at its full parameters, so `pytest -v`
-prints one pass/fail line per criterion.  On failure the assertion message
-carries the check's own measured detail (deviations, tolerances, timings).
-These are the same checks `dekrylov verify full` runs.
+Each test runs one registered check, so `pytest -v` prints one pass/fail
+line per criterion.  On failure the assertion message carries the check's
+own measured detail (deviations and tolerances).  These are the same
+checks `dekrylov verify` runs.
 """
 
 from dekrylov.checks import CHECKS
@@ -13,7 +13,7 @@ _BY_NUMBER = {number: (name, fn) for number, name, fn in CHECKS}
 
 def run_criterion(number):
     name, fn = _BY_NUMBER[number]
-    passed, detail = fn(quick=False)
+    passed, detail = fn()
     line = f"{'PASS' if passed else 'FAIL'} [{number:02d}] {name}: {detail}"
     print(line)
     assert passed, line

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from dekrylov.checks import CRITICAL_PATH, QUICK_NUMBERS
+from dekrylov.checks import CRITICAL_PATH
 from test_startup import run_fresh
 
 pytestmark = pytest.mark.skipif(
@@ -43,23 +43,19 @@ def test_pool_and_in_process_runs_give_the_same_results():
         + """
 out = {}
 use_cpus(1)
-for level in ("quick", "full"):
-    out[level + "_serial"] = rows(checks.run_checks(level))
+out["serial"] = rows(checks.run_checks())
 out["serial_imported_pool"] = "concurrent.futures" in sys.modules
 use_cpus(2)
-for level in ("quick", "full"):
-    out[level + "_pool"] = rows(checks.run_checks(level))
+out["pool"] = rows(checks.run_checks())
 out["pool_imported"] = "concurrent.futures" in sys.modules
 out["children"] = len(multiprocessing.active_children())
 print(json.dumps(out))
 """
     )
-    quick = sorted(QUICK_NUMBERS)
-    for level, numbers in (("quick", quick), ("full", list(range(1, 13)))):
-        serial, pool = report[f"{level}_serial"], report[f"{level}_pool"]
-        assert [row[0] for row in serial] == numbers
-        assert pool == serial
-        assert all(row[2] for row in pool), pool
+    serial, pool = report["serial"], report["pool"]
+    assert [row[0] for row in serial] == list(range(1, 13))
+    assert pool == serial
+    assert all(row[2] for row in pool), pool
     assert report["serial_imported_pool"] is False
     assert report["pool_imported"] is True
     assert report["children"] == 0
@@ -80,34 +76,28 @@ def submit(self, fn, index, *args):
 
 ProcessPoolExecutor.submit = submit
 use_cpus(2)
-out = {}
-for level in ("quick", "full"):
-    submitted.clear()
-    out[level] = {
-        "numbers": [r.number for r in checks.run_checks(level)],
-        "submitted": list(submitted),
-    }
-print(json.dumps(out))
+numbers = [r.number for r in checks.run_checks()]
+print(json.dumps({"numbers": numbers, "submitted": submitted}))
 """
     )
-    for level, numbers in (("quick", sorted(QUICK_NUMBERS)), ("full", list(range(1, 13)))):
-        assert report[level]["numbers"] == numbers
-        rest = [number for number in numbers if number != CRITICAL_PATH]
-        assert report[level]["submitted"] == [CRITICAL_PATH] + rest
+    numbers = list(range(1, 13))
+    assert report["numbers"] == numbers
+    rest = [number for number in numbers if number != CRITICAL_PATH]
+    assert report["submitted"] == [CRITICAL_PATH] + rest
 
 
 def test_a_raising_criterion_is_a_failed_result_on_both_paths():
     report = run_fresh(
         PRELUDE
         + """
-def broken(quick=False):
+def broken():
     raise ValueError("tampered criterion")
 
 patch(3, broken)
 out = {}
 for cpus in (1, 2):
     use_cpus(cpus)
-    out[str(cpus)] = rows(checks.run_checks("quick"))
+    out[str(cpus)] = rows(checks.run_checks())
 out["children"] = len(multiprocessing.active_children())
 print(json.dumps(out))
 """
@@ -129,17 +119,17 @@ def test_a_dead_worker_fails_its_criterion_and_every_unfinished_one(death):
     report = run_fresh(
         PRELUDE
         + f"""
-def dies(quick=False):
+def dies():
     {death}
 
-def sleeps(quick=False):
+def sleeps():
     time.sleep(600)
 
 patch(2, dies)
 patch(4, sleeps)
 use_cpus(2)
-results = rows(checks.run_checks("quick"))
-code = cli.main(["verify", "quick"])
+results = rows(checks.run_checks())
+code = cli.main(["verify"])
 print(json.dumps({{
     "results": results,
     "code": code,
@@ -149,7 +139,7 @@ print(json.dumps({{
         timeout=60,
     )
     results = report["results"]
-    assert [row[0] for row in results] == sorted(QUICK_NUMBERS)
+    assert [row[0] for row in results] == list(range(1, 13))
     by_number = {row[0]: row for row in results}
     _, _, passed, detail = by_number[2]
     assert not passed

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov import checks, cli, lintri
+from dekrylov.errors import ArgumentError
 from dekrylov.models import (
     KrylovSpec,
     ModelKind,
@@ -578,6 +580,20 @@ def test_renyi2_starts_at_one_over_l(tmp_path):
             assert float(row["chi"]) == pytest.approx(1 / int(row["L"]), abs=1e-12)
 
 
+@pytest.mark.parametrize("command", ["evolve", "renyi2"])
+def test_ir_chi_at_zero_prints_the_bytes_of_one_over_l(command, tmp_path):
+    """Sum_k C(L, k) (2k - L)^2 = L 2^L, so chi(0) = 1/L exactly, at every L."""
+    lengths = (2, 8, 100, 100_000)
+    code, text = run_cli(
+        [command, "--model", "ir", "--lengths", ",".join(map(str, lengths)), "--tau-list", "0"],
+        tmp_path,
+    )
+    assert code == 0
+    assert [(r["L"], r["chi"]) for r in rows_of(text)] == [
+        (str(length), "%.17g" % (1.0 / length)) for length in lengths
+    ]
+
+
 @pytest.mark.parametrize("model, lengths", [("ir", "8,12"), ("nn", "8,14")])
 def test_renyi2_and_evolve_write_the_same_chi_bytes(model, lengths, tmp_path):
     """The two commands keep separate chi loops; their bytes must agree."""
@@ -657,7 +673,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert len(lengths_of(evolve + ["--tau-list", "0.5"])) == 1
     assert len(lengths_of(evolve)) == 403
     assert cli.main(["verify"]) == 0
-    assert "(quick level)" in capsys.readouterr().out
+    assert "(full level)" in capsys.readouterr().out
 
 
 def test_config_flag_is_a_usage_error(capsys):
@@ -678,11 +694,23 @@ def test_unknown_subcommand_is_usage_error(capsys):
 # ------------------------------------------------------------------- verify
 
 
-def test_verify_quick_passes(capsys):
-    assert cli.main(["verify", "quick"]) == 0
+def test_verify_passes(capsys):
+    assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert "9/9 checks passed" in out
+    assert "12/12 checks passed (full level)" in out
     assert "FAIL" not in out
+
+
+def test_verify_and_verify_full_print_the_same_lines(capsys):
+    """`full` is the only level and selects nothing: the two invocations
+    print the same lines once each check's seconds are stripped."""
+
+    def lines(argv):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        return [re.sub(r" \([0-9.]+s\)$", "", line) for line in out.splitlines()]
+
+    assert lines(["verify"]) == lines(["verify", "full"])
 
 
 def test_verify_names_failing_check_on_tampered_coefficients(capsys, monkeypatch):
@@ -701,7 +729,7 @@ def test_verify_names_failing_check_on_tampered_coefficients(capsys, monkeypatch
         return spec
 
     monkeypatch.setattr(checks, "analytic_lanczos", tampered)
-    assert cli.main(["verify", "quick"]) == 1
+    assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -711,10 +739,18 @@ def test_verify_names_failing_check_on_tampered_coefficients(capsys, monkeypatch
 
 
 def test_verify_rejects_unknown_level(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["verify", "exhaustive"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    """`full` is the only level; `quick`, the old reduced one, is gone."""
+    for level in ("quick", "exhaustive"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", level])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["quick", "exhaustive"])
+def test_run_checks_rejects_every_level_but_full(level):
+    with pytest.raises(ArgumentError, match="level must be 'full'"):
+        checks.run_checks(level)
 
 
 # ------------------------------------------------------------- entry points

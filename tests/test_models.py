@@ -1,6 +1,7 @@
 """Model definitions, closed-form Lanczos data, and channel construction."""
 
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -229,6 +230,31 @@ def test_nn_complexity_matches_tridiagonal_propagation(length, tau):
     assert complexity(expm_from_eig(spec.tridiag, tau).psi) == pytest.approx(
         k_nn_analytic(length, tau), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.5, 10.0])
+def test_nn_wavepacket_at_the_wavepacket_cap_matches_decimal_binomials(tau):
+    """At L = 4096, the largest L `wavepacket` serves, every entry matches
+    (-1)^n sqrt(C(L-1, n) lambda^n (1-lambda)^(L-1-n)) in 50-digit decimals,
+    built by the running ratio t_{n+1} = t_n (L-1-n)/(n+1) lambda/(1-lambda)."""
+    length = 4096
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sinh_sq = ((Decimal(tau).exp() - Decimal(-tau).exp()) / 2) ** 2
+        lam = sinh_sq / (1 + 2 * sinh_sq)
+        ratio = lam / (1 - lam)
+        term = (1 - lam) ** (length - 1)
+        exact = []
+        for n in range(length):
+            exact.append(float((-1) ** n * term.sqrt()))
+            term = term * (length - 1 - n) / (n + 1) * ratio
+    exact = np.array(exact)
+    psi = psi_nn_analytic(length, tau).psi
+    normal = np.abs(exact) >= np.finfo(float).tiny
+    assert_allclose(psi[normal], exact[normal], rtol=1e-10, atol=0)
+    assert_allclose(psi, exact, rtol=0, atol=1e-12)
+    # Underflowed entries included: the zeros fall in the same places.
+    assert np.array_equal(np.sign(psi), np.sign(exact))
 
 
 # ------------------------------------------------- thermodynamic-limit forms

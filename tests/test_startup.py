@@ -84,7 +84,7 @@ with tempfile.TemporaryDirectory() as tmp:
     ]
 scans_loaded = [name for name in layer if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
-    verify_code = cli.main(["verify", "quick"])
+    verify_code = cli.main(["verify"])
 verify_loaded = "dekrylov.checks" in sys.modules
 
 def home(obj):
