@@ -7,17 +7,27 @@ next to its tolerance.  ``run_checks()`` runs all twelve, the L = 500
 scans included, in about a fifth of a second of CPU time.
 
 The checks share no state, so on Linux with two or more usable CPUs they
-run at the same time in forked worker processes, one per CPU, the longest
-one (criterion 4, ``CRITICAL_PATH``) submitted first and the rest in
-CHECKS order; otherwise they run in the calling process, one after
-another, in CHECKS order.  Either way results come in CHECKS order and
-each check's seconds are measured in the process that ran it.
+run at the same time in plain forked worker processes, one per CPU.  One
+pipe holds the indices of the checks, one byte each, the longest one
+(criterion 4, ``CRITICAL_PATH``) first and the rest in CHECKS order; each
+worker reads the next byte whenever it is free and sends the index, then
+the pickled result, back through a pipe of its own.  Otherwise they run
+in the calling process, one after another, in CHECKS order.  Either way
+results come in CHECKS order and each check's seconds are measured in
+the process that ran it.
+
+No check calls a threaded BLAS routine (its matrix products are einsums),
+so a forked worker stays one thread and does not compete for the CPUs
+with an OpenBLAS helper thread.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import pickle
+import select
 import sys
 import tempfile
 import time
@@ -440,7 +450,7 @@ def check_wigner_layer():
     for s in spins:
         two_s = int(round(2 * s))
         dmat = wigner.wigner_column_stable(s, s - np.arange(two_s + 1), theta)
-        gram = dmat.T @ dmat
+        gram = np.einsum("ri,rj->ij", dmat, dmat)  # no BLAS thread, as in wigner
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(two_s + 1)))))
 
     worst_route = 0.0
@@ -552,30 +562,18 @@ CHECKS = (
     (12, "CLI output is byte-identical across reruns", check_cli_determinism),
 )
 
-# The longest criterion, submitted to the worker pool first.  Run
-# in-process on a 2-vCPU Xeon with one BLAS thread (median of seven runs),
-# criterion 4 takes about 0.11 s (three eig_tridiag calls at dimension
-# 601-1001), against about 0.10 s for the other eleven together.
+# The longest criterion, handed to the workers first.  Run in-process on a
+# 2-vCPU Xeon with one BLAS thread (median of seven runs), criterion 4
+# takes about 0.097 s (three eig_tridiag calls at dimension 601-1001),
+# against about 0.092 s for the other eleven together.
 CRITICAL_PATH = 4
-
-
-# Set in each forked worker by _start_worker: one slot per entry of CHECKS,
-# in memory shared with the parent, where the worker writes its pid as it
-# starts that check, so the parent can name the worker behind a check that
-# never returned.  None in the parent.
-_started_by = None
-
-
-def _start_worker(started_by):
-    global _started_by
-    _started_by = started_by
+# The signal that ends a worker at once, whatever it is running (Linux).
+_SIGKILL = 9
 
 
 def _run_check(index):
     """Run CHECKS[index], timed here; a raised exception is a failed result."""
     number, name, fn = CHECKS[index]
-    if _started_by is not None:
-        _started_by[index] = os.getpid()
     started = time.perf_counter()
     try:
         passed, detail = fn()
@@ -598,57 +596,131 @@ def _worker_count():
     return min(len(CHECKS), len(os.sched_getaffinity(0)))
 
 
-def run_checks(level="full"):
-    """Run every check of CHECKS; ``level`` must be "full", the only level.
+def _write_all(fd, data):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
-    Results come in CHECKS order.  The workers are forked, one criterion
-    per task, so they inherit the imported package, patched attributes
-    included, instead of importing it again.  CRITICAL_PATH is submitted
-    first and the rest follow in CHECKS order, so the longest criterion
-    starts at once while the others share the remaining workers.  A
-    worker that dies fails the check it was running and every check not
-    yet finished.  The pool is shut down and its workers joined before
-    this returns.
+
+def _serve(tasks, results):
+    """Life of a forked worker; never returns.
+
+    Claims one task byte (an index into CHECKS) at a time from ``tasks``,
+    the pipe every worker reads, until it is empty, and writes to
+    ``results``, its own pipe, the claimed index and then the pickled
+    CheckResult.  It leaves through os._exit, so it flushes none of the
+    buffers it inherited and runs no exit handler; an interrupt, or
+    anything else a check raises past _run_check, ends it silently with
+    status 1.
     """
-    if level != "full":
-        raise ArgumentError(f"level must be 'full', got {level!r}")
-    indices = range(len(CHECKS))
-    workers = _worker_count()
-    if workers == 1:
-        return [_run_check(index) for index in indices]
+    code = 1
+    try:
+        while claim := os.read(tasks, 1):
+            _write_all(results, claim)
+            _write_all(results, pickle.dumps(_run_check(claim[0])))
+        code = 0
+    finally:
+        os._exit(code)
 
-    # Imported here, not at module level: these take ~15 ms to import, which
-    # every scan would pay at start-up.
-    import mmap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    started_by = np.frombuffer(mmap.mmap(-1, 8 * len(CHECKS)), dtype=np.int64)
-    results = {}
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(started_by,),
-    ) as pool:
-        order = sorted(indices, key=lambda index: CHECKS[index][0] != CRITICAL_PATH)
-        futures = {index: pool.submit(_run_check, index) for index in order}
-        for index, future in futures.items():
-            try:
-                results[index] = future.result()
-            except BrokenProcessPool:
-                pass
-    lost = [index for index in indices if index not in results]
-    dead = ", ".join(map(str, sorted({int(started_by[index]) for index in lost} - {0})))
-    for index in lost:
-        number, name, _ = CHECKS[index]
-        if started_by[index]:
-            detail = f"worker process {started_by[index]} ended before the check finished"
+def _received(stream):
+    """The indices one worker claimed, in order, and the CheckResults it
+    finished, by index; a result cut off by the worker's end is not one."""
+    claims, done = [], {}
+    reader = io.BytesIO(stream)
+    while claim := reader.read(1):
+        claims.append(claim[0])
+        try:
+            done[claim[0]] = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            break
+    return claims, done
+
+
+def _run_forked(workers):
+    """Run CHECKS on ``workers`` forked processes; results in CHECKS order.
+
+    The task pipe holds every index once, CRITICAL_PATH first, and each
+    worker takes the next byte when it is free.  The parent polls the
+    result pipes, reading while it waits, so no worker blocks on a full
+    pipe.  A pipe at its end means its worker has exited: the parent reaps
+    it at once, and if it died (a nonzero status, or a claimed check with
+    no result) kills the other workers, keeps what they finished and fails
+    the rest.  Every worker is reaped and every pipe closed before this
+    returns or raises, an interrupt included.
+    """
+    order = sorted(range(len(CHECKS)), key=lambda index: CHECKS[index][0] != CRITICAL_PATH)
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(order))  # a dozen bytes: the pipe takes them at once
+    os.close(feed)
+    pids = {}  # read end of each worker's result pipe -> its pid
+    streams = {}  # read end -> every byte received on it
+    running = set()  # read ends of the workers not yet reaped
+    dead = []
+    try:
+        for _ in range(workers):
+            fd, sink = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                for inherited in (fd, *pids):
+                    os.close(inherited)
+                _serve(tasks, sink)
+            os.close(sink)
+            pids[fd], streams[fd] = pid, bytearray()
+            running.add(fd)
+        poller = select.poll()
+        for fd in running:
+            poller.register(fd, select.POLLIN)
+        while running and not dead:
+            for fd, _ in poller.poll():
+                chunk = os.read(fd, 1 << 16)
+                streams[fd] += chunk
+                if chunk:
+                    continue
+                poller.unregister(fd)
+                running.remove(fd)
+                claims, done = _received(streams[fd])
+                if os.waitpid(pids[fd], 0)[1] or len(done) < len(claims):
+                    dead.append(pids[fd])
+    finally:
+        for fd in running:
+            os.kill(pids[fd], _SIGKILL)
+            while chunk := os.read(fd, 1 << 16):  # what it finished before the kill
+                streams[fd] += chunk
+            os.waitpid(pids[fd], 0)
+        for fd in (tasks, *streams):
+            os.close(fd)
+
+    results, claimed_by = {}, {}
+    for fd, stream in streams.items():
+        claims, done = _received(stream)
+        claimed_by.update(dict.fromkeys(claims, pids[fd]))
+        results.update(done)
+    broke = ", ".join(map(str, dead))
+    for index, (number, name, _) in enumerate(CHECKS):
+        if index in results:
+            continue
+        if index in claimed_by:
+            detail = f"worker process {claimed_by[index]} ended before the check finished"
         else:
-            who = f"worker process(es) {dead}" if dead else "a worker process"
-            detail = f"not run: the worker pool broke when {who} ended"
+            detail = f"not run: the worker pool broke when worker process(es) {broke} ended"
         results[index] = CheckResult(
             number=number, name=name, passed=False, detail=detail, elapsed=0.0
         )
-    return [results[index] for index in indices]
+    return [results[index] for index in range(len(CHECKS))]
+
+
+def run_checks(level="full"):
+    """Run every check of CHECKS; ``level`` must be "full", the only level.
+
+    Results come in CHECKS order.  With two or more workers (see
+    _worker_count) the checks run in forked processes (_run_forked), which
+    inherit the imported package, patched attributes included, instead of
+    importing it again; otherwise they run here, one after another.
+    """
+    if level != "full":
+        raise ArgumentError(f"level must be 'full', got {level!r}")
+    workers = _worker_count()
+    if workers == 1:
+        return [_run_check(index) for index in range(len(CHECKS))]
+    return _run_forked(workers)

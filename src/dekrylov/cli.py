@@ -27,7 +27,8 @@ built on the first call, serves every `main` call of a process, and CSV
 rows are formatted by one %-template per row shape (the tuple of cell
 types).  Flags are the only input.  Exit codes: 0 success, 1 verification
 failure, 2 invalid arguments or an --out path that cannot be written,
-3 numerical failure (a LinAlgError).
+3 numerical failure (a LinAlgError), 130 interrupted (SIGINT, Ctrl-C; one
+`error: interrupted` line, no traceback).
 """
 
 from __future__ import annotations
@@ -448,6 +449,9 @@ def main(argv=None):
     except np.linalg.LinAlgError as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ Two independent routes to d^s_{m'm}(theta) = <s,m'| e^{-i theta S_y} |s,m>:
 
 Both routes take arrays of indices and give a whole matrix in one call:
 wigner_d sums every element's k terms over one (..., 2s+1) term array,
-wigner_column_stable forms every requested column with one product.
+wigner_column_stable forms every requested column with one einsum for A
+and one for B, which, unlike a matrix product, starts no BLAS thread.
 
 The exact infinite-range wavepacket is a positive Gaussian integral:
 e^{2 tau S_z^2 / L} averages e^{phi S_z} over a Gaussian in phi, which
@@ -162,8 +163,9 @@ def wigner_column_stable(s, n_col, theta):
     col = (two_s - two_n) // 2  # m = s - col; row r holds m' = s - r
     values, vectors = _sy_decomposition(two_s)
     seeds = vectors[col]  # n_col.shape + (2s+1,), over the eigenvectors
-    a_part = (np.cos(theta * values) * seeds) @ vectors.T
-    b_part = (np.sin(theta * values) * seeds) @ vectors.T
+    # einsum, not BLAS: a matrix product here would start an OpenBLAS thread.
+    a_part = np.einsum("...k,rk->...r", np.cos(theta * values) * seeds, vectors)
+    b_part = np.einsum("...k,rk->...r", np.sin(theta * values) * seeds, vectors)
     phase = (np.arange(two_s + 1) - col[..., None]) % 4
     magnitude = np.where(phase % 2 == 0, a_part, b_part)
     entries = np.where(phase < 2, magnitude, -magnitude)

@@ -1,27 +1,38 @@
 """How `checks.run_checks` runs the criteria: forked workers or in-process.
 
-With two or more usable CPUs on Linux the criteria run in forked worker
-processes, the critical-path criterion submitted first; with one they run
-in the calling process.  Each test runs its program in a fresh
-interpreter under a timeout, so a hung pool or a worker that kills its
-parent fails the test instead of the suite.  The programs
-set the usable CPUs by replacing `os.sched_getaffinity`, which is what
-`run_checks` reads.
+With two or more usable CPUs on Linux the criteria run in plain forked
+worker processes that take their tasks, one byte each, from one pipe,
+the critical-path criterion first; with one they run in the calling
+process.  Each test runs its program in a fresh interpreter under a
+timeout, so a hung worker or a worker that kills its parent fails the
+test instead of the suite.  The programs set the usable CPUs by
+replacing `os.sched_getaffinity`, which is what `run_checks` reads, and
+look for a leftover child with `os.waitpid(-1, os.WNOHANG)`, which
+raises `ChildProcessError` once there is none.  Further tests: an
+interrupted `verify` exits 130 with one line and leaves no worker, no
+criterion starts a thread (a threaded BLAS call would), and text the
+caller printed before `run_checks` is written once, not once more by
+every worker.
 """
 
+import os
+import pathlib
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
 from dekrylov.checks import CRITICAL_PATH
-from test_startup import run_fresh
+from test_startup import fresh_env, run_fresh, run_fresh_process
 
 pytestmark = pytest.mark.skipif(
     sys.platform != "linux", reason="the criteria run in forked workers only on Linux"
 )
 
 PRELUDE = """
-import json, multiprocessing, os, signal, sys, time
+import json, os, signal, sys, time
 from dekrylov import checks, cli
 
 def use_cpus(count):
@@ -34,6 +45,18 @@ def patch(number, fn):
     checks.CHECKS = tuple(
         (n, name, fn if n == number else check) for n, name, check in checks.CHECKS
     )
+
+def children_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+def pool_modules():
+    return sorted(
+        name for name in sys.modules if name.split(".")[0] in ("multiprocessing", "concurrent")
+    )
 """
 
 
@@ -44,11 +67,10 @@ def test_pool_and_in_process_runs_give_the_same_results():
 out = {}
 use_cpus(1)
 out["serial"] = rows(checks.run_checks())
-out["serial_imported_pool"] = "concurrent.futures" in sys.modules
 use_cpus(2)
 out["pool"] = rows(checks.run_checks())
-out["pool_imported"] = "concurrent.futures" in sys.modules
-out["children"] = len(multiprocessing.active_children())
+out["pool_modules"] = pool_modules()
+out["children"] = children_left()
 print(json.dumps(out))
 """
     )
@@ -56,34 +78,37 @@ print(json.dumps(out))
     assert [row[0] for row in serial] == list(range(1, 13))
     assert pool == serial
     assert all(row[2] for row in pool), pool
-    assert report["serial_imported_pool"] is False
-    assert report["pool_imported"] is True
-    assert report["children"] == 0
+    assert report["pool_modules"] == []
+    assert report["children"] is False
 
 
 def test_the_critical_path_is_submitted_first_and_results_keep_their_order():
+    """The first write of the calling process is the task pipe's content,
+    one byte per index into CHECKS."""
     report = run_fresh(
         PRELUDE
         + """
-from concurrent.futures import ProcessPoolExecutor
+parent = os.getpid()
+writes = []
+real_write = os.write
 
-submitted = []
-real_submit = ProcessPoolExecutor.submit
+def write(fd, data):
+    if os.getpid() == parent:
+        writes.append(bytes(data))
+    return real_write(fd, data)
 
-def submit(self, fn, index, *args):
-    submitted.append(checks.CHECKS[index][0])
-    return real_submit(self, fn, index, *args)
-
-ProcessPoolExecutor.submit = submit
+os.write = write
 use_cpus(2)
 numbers = [r.number for r in checks.run_checks()]
-print(json.dumps({"numbers": numbers, "submitted": submitted}))
+os.write = real_write
+tasks = [checks.CHECKS[index][0] for index in writes[0]]
+print(json.dumps({"numbers": numbers, "tasks": tasks}))
 """
     )
     numbers = list(range(1, 13))
     assert report["numbers"] == numbers
     rest = [number for number in numbers if number != CRITICAL_PATH]
-    assert report["submitted"] == [CRITICAL_PATH] + rest
+    assert report["tasks"] == [CRITICAL_PATH] + rest
 
 
 def test_a_raising_criterion_is_a_failed_result_on_both_paths():
@@ -98,7 +123,7 @@ out = {}
 for cpus in (1, 2):
     use_cpus(cpus)
     out[str(cpus)] = rows(checks.run_checks())
-out["children"] = len(multiprocessing.active_children())
+out["children"] = children_left()
 print(json.dumps(out))
 """
     )
@@ -109,7 +134,7 @@ print(json.dumps(out))
             assert detail == "raised ValueError: tampered criterion"
         else:
             assert passed, detail
-    assert report["children"] == 0
+    assert report["children"] is False
 
 
 @pytest.mark.parametrize(
@@ -133,7 +158,7 @@ code = cli.main(["verify"])
 print(json.dumps({{
     "results": results,
     "code": code,
-    "children": len(multiprocessing.active_children()),
+    "children": children_left(),
 }}))
 """,
         timeout=60,
@@ -152,8 +177,111 @@ print(json.dumps({{
             assert detail.startswith(
                 ("worker process ", "not run: the worker pool broke when worker process")
             ), detail
-    # Criterion 4 sleeps until the broken pool terminates its worker, so it
-    # is unfinished, and failed, whatever order the workers ran in.
+    # Criterion 4 sleeps until the parent kills its worker, so it is
+    # unfinished, and failed, whatever order the workers ran in.
     assert not by_number[4][2]
     assert report["code"] == 1
-    assert report["children"] == 0
+    assert report["children"] is False
+
+
+INTERRUPTED = (
+    PRELUDE
+    + """
+def sleeps():
+    with open(sys.argv[1] + ".tmp", "w") as handle:
+        handle.write(str(os.getpid()))
+    os.rename(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(600)
+
+patch(4, sleeps)
+use_cpus(2)
+sys.exit(cli.main(["verify"]))
+"""
+)
+
+
+def test_an_interrupted_verify_exits_130_with_one_line_and_no_worker_left(tmp_path):
+    """SIGINT to the whole process group, as Ctrl-C in a terminal sends it,
+    while criterion 4 sleeps in its worker."""
+    marker = tmp_path / "criterion-4-worker"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED, str(marker)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=fresh_env(),
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert proc.poll() is None, proc.communicate()[1]
+            assert time.monotonic() < deadline, "criterion 4 never started"
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err.splitlines() == ["error: interrupted"]
+    assert "Traceback" not in err
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(marker.read_text()), 0)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no process of the session is left
+
+
+@pytest.mark.skipif(
+    not pathlib.Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task"
+)
+def test_no_criterion_starts_a_thread():
+    """One forked child per criterion counts its threads before and after;
+    a matrix product through a threaded BLAS would leave a helper thread."""
+    counts = run_fresh(
+        """
+import json, os
+from dekrylov import checks
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+counts = {}
+for number, _, fn in checks.CHECKS:
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        before = threads()
+        passed, _ = fn()
+        os.write(writer, json.dumps([before, threads(), bool(passed)]).encode())
+        os._exit(0)
+    os.close(writer)
+    counts[number] = json.loads(os.read(reader, 1024))
+    os.close(reader)
+    os.waitpid(pid, 0)
+print(json.dumps(counts))
+"""
+    )
+    assert counts == {str(number): [1, 1, True] for number in range(1, 13)}
+
+
+def test_text_printed_before_the_run_is_written_once():
+    """The workers inherit the caller's unflushed stdout buffer and leave
+    through os._exit, which flushes nothing.  Stdout is a pipe, so it is
+    block-buffered unless PYTHONUNBUFFERED says otherwise."""
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = run_fresh_process(
+        PRELUDE
+        + """
+print("pending before run_checks")
+use_cpus(2)
+failed = [r.number for r in checks.run_checks() if not r.passed]
+print(json.dumps(failed))
+""",
+        env=env,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines.count("pending before run_checks") == 1
+    assert lines[-1] == "[]"

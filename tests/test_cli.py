@@ -442,6 +442,19 @@ def test_numerical_failure_is_exit_3_without_traceback(error, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+def test_an_interrupted_scan_is_exit_130_with_one_line(monkeypatch, capsys):
+    def interrupted(model, taus):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "ir_magnetization_sums", interrupted)
+    try:
+        code = cli.main(["renyi2", "--model", "ir", "--lengths", "8"])
+    except KeyboardInterrupt:  # escaping, it would end the whole test session
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

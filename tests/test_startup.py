@@ -1,5 +1,5 @@
 """What a fresh interpreter loads: no scipy anywhere, no process pool at
-import, and no verification layer on the scan path.
+import or in `verify`, and no verification layer on the scan path.
 
 Importing scipy costs more than a whole figure scan, and the package
 needs it nowhere: every operator carries its exact spectrum, so no
@@ -8,10 +8,10 @@ eigensolver runs, and scipy is a test dependency only
 interpreter runs the figure scans, the large-L benchmark scans and the
 full verification suite, then reports which scipy modules were loaded.
 
-`checks.run_checks` runs the criteria in forked workers, but imports
-`multiprocessing` and `concurrent.futures` (~15 ms) only when it starts
-them, so importing the package, `checks`, `cli` and `wigner` loads
-neither, and no scan pays for them at start-up.
+`checks.run_checks` runs the criteria in plain forked workers, fed and
+read through pipes, so neither importing the package, `checks`, `cli`
+and `wigner` nor running `verify` on two CPUs loads `multiprocessing` or
+`concurrent.futures` (12-23 ms to import).
 
 `import dekrylov` and the five scan commands load only the production
 modules: the verification layer (`checks`, `oracle`, `doubled`,
@@ -54,13 +54,22 @@ print(json.dumps({"codes": codes, "failed": failed, "scipy": loaded}))
 
 
 IMPORTS = """
-import json, sys
+import contextlib, io, json, os, sys
 
 import dekrylov
 from dekrylov import checks, cli, wigner
 
-roots = ("multiprocessing", "concurrent")
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] in roots)))
+def pool_modules():
+    roots = ("multiprocessing", "concurrent")
+    return sorted(name for name in sys.modules if name.split(".")[0] in roots)
+
+if sys.argv[1:] == ["verify"]:
+    os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs: forked workers
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify"])
+    print(json.dumps({"code": code, "after_verify": pool_modules()}))
+else:
+    print(json.dumps(pool_modules()))
 """
 
 SPLIT = """
@@ -103,19 +112,30 @@ print(json.dumps({
 """
 
 
-def run_fresh(program, *args, timeout=300):
-    """Run ``program`` in a fresh interpreter; return its last line as JSON."""
+def fresh_env():
+    """This environment, with the package's source directory on PYTHONPATH."""
     src = pathlib.Path(dekrylov.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_fresh_process(program, *args, timeout=300, env=None):
+    """Run ``program`` in a fresh interpreter, its stdout a pipe; it must exit 0."""
     proc = subprocess.run(
         [sys.executable, "-c", program, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=fresh_env() if env is None else env,
         timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def run_fresh(program, *args, timeout=300):
+    """Run ``program`` in a fresh interpreter; return its last line as JSON."""
+    proc = run_fresh_process(program, *args, timeout=timeout)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -128,6 +148,11 @@ def test_scans_and_verify_full_never_import_scipy():
 
 def test_importing_the_package_loads_no_process_pool():
     assert run_fresh(IMPORTS) == []
+
+
+def test_verify_on_two_cpus_loads_no_process_pool():
+    """The forked workers of `verify` need only os, pickle and select."""
+    assert run_fresh(IMPORTS, "verify") == {"code": 0, "after_verify": []}
 
 
 def test_scans_load_no_verification_layer():
