@@ -4,17 +4,16 @@ Each check cross-validates independent routes to the same quantity
 (closed form vs dense brute force vs tridiagonal propagation vs the
 log-domain Gaussian integral) and reports the worst measured deviation
 next to its tolerance.  ``run_checks()`` runs all twelve, the L = 500
-scans included, in about a fifth of a second of CPU time.
+scans included, in about a quarter of a second of CPU time.
 
 The checks share no state, so on Linux with two or more usable CPUs they
-run at the same time in plain forked worker processes, one per CPU.  One
-pipe holds the indices of the checks, one byte each, the longest one
-(criterion 4, ``CRITICAL_PATH``) first and the rest in CHECKS order; each
-worker reads the next byte whenever it is free and sends the index, then
-the pickled result, back through a pipe of its own.  Otherwise they run
-in the calling process, one after another, in CHECKS order.  Either way
-results come in CHECKS order and each check's seconds are measured in
-the process that ran it.
+run at the same time on two plain forked worker processes.  Criterion 4
+(``CRITICAL_PATH``) takes about as long as the other eleven together, so
+one worker runs it alone and the other runs the rest in CHECKS order;
+each sends every pickled result back through a pipe of its own.  On one
+CPU they run in the calling process, one after another, in CHECKS order.
+Either way results come in CHECKS order and each check's seconds are
+measured in the process that ran it.
 
 No check calls a threaded BLAS routine (its matrix products are einsums),
 so a forked worker stays one thread and does not compete for the CPUs
@@ -23,11 +22,9 @@ with an OpenBLAS helper thread.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import pickle
-import select
 import sys
 import tempfile
 import time
@@ -562,13 +559,11 @@ CHECKS = (
     (12, "CLI output is byte-identical across reruns", check_cli_determinism),
 )
 
-# The longest criterion, handed to the workers first.  Run in-process on a
-# 2-vCPU Xeon with one BLAS thread (median of seven runs), criterion 4
-# takes about 0.097 s (three eig_tridiag calls at dimension 601-1001),
-# against about 0.092 s for the other eleven together.
+# The longest criterion, which gets a forked worker of its own.  Run
+# in-process on a 2-vCPU Xeon with one BLAS thread (median of nine fresh
+# processes), criterion 4 takes about 0.13 s (three eig_tridiag calls at
+# dimension 601-1001), against about 0.12 s for the other eleven together.
 CRITICAL_PATH = 4
-# The signal that ends a worker at once, whatever it is running (Linux).
-_SIGKILL = 9
 
 
 def _run_check(index):
@@ -588,139 +583,95 @@ def _run_check(index):
     )
 
 
-def _worker_count():
-    """Forked workers for CHECKS: one per usable CPU on Linux, at most one
-    per check; 1 means run them in this process."""
-    if sys.platform != "linux":
-        return 1
-    return min(len(CHECKS), len(os.sched_getaffinity(0)))
+def _fork_worker(indices, inherited):
+    """Fork a worker that runs CHECKS[i] for each i in ``indices``; return
+    its pid and the read end of the pipe it writes to.
 
-
-def _write_all(fd, data):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _serve(tasks, results):
-    """Life of a forked worker; never returns.
-
-    Claims one task byte (an index into CHECKS) at a time from ``tasks``,
-    the pipe every worker reads, until it is empty, and writes to
-    ``results``, its own pipe, the claimed index and then the pickled
-    CheckResult.  It leaves through os._exit, so it flushes none of the
-    buffers it inherited and runs no exit handler; an interrupt, or
-    anything else a check raises past _run_check, ends it silently with
-    status 1.
+    The worker closes every read end, its own and ``inherited``, so a write
+    that nobody will read fails instead of blocking.  It writes each pickled
+    CheckResult once finished and leaves through os._exit, so it flushes
+    none of the buffers it inherited and runs no exit handler; anything a
+    check raises past _run_check ends it with status 1.
     """
+    fd, sink = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(sink)
+        return pid, fd
     code = 1
     try:
-        while claim := os.read(tasks, 1):
-            _write_all(results, claim)
-            _write_all(results, pickle.dumps(_run_check(claim[0])))
+        for unused in (fd, *inherited):
+            os.close(unused)
+        with open(sink, "wb") as out:
+            for index in indices:
+                pickle.dump(_run_check(index), out)
+                out.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def _received(stream):
-    """The indices one worker claimed, in order, and the CheckResults it
-    finished, by index; a result cut off by the worker's end is not one."""
-    claims, done = [], {}
-    reader = io.BytesIO(stream)
-    while claim := reader.read(1):
-        claims.append(claim[0])
-        try:
-            done[claim[0]] = pickle.load(reader)
-        except (EOFError, pickle.UnpicklingError):
-            break
-    return claims, done
+def _run_forked():
+    """Run CHECKS on two forked workers; results in CHECKS order.
 
-
-def _run_forked(workers):
-    """Run CHECKS on ``workers`` forked processes; results in CHECKS order.
-
-    The task pipe holds every index once, CRITICAL_PATH first, and each
-    worker takes the next byte when it is free.  The parent polls the
-    result pipes, reading while it waits, so no worker blocks on a full
-    pipe.  A pipe at its end means its worker has exited: the parent reaps
-    it at once, and if it died (a nonzero status, or a claimed check with
-    no result) kills the other workers, keeps what they finished and fails
-    the rest.  Every worker is reaped and every pipe closed before this
-    returns or raises, an interrupt included.
+    One worker runs CRITICAL_PATH, the other the rest in CHECKS order.  The
+    parent reads the two pipes one after the other, each to its end, and
+    reaps each worker.  A worker only ever waits for its own pipe to be
+    read, so nothing deadlocks.  A check with no result failed with its
+    worker; the other worker's results stand.  The workers are forked with
+    SIGINT blocked and keep it so: Ctrl-C interrupts this process alone,
+    whose ``finally`` kills and reaps them.
     """
-    order = sorted(range(len(CHECKS)), key=lambda index: CHECKS[index][0] != CRITICAL_PATH)
-    tasks, feed = os.pipe()
-    os.write(feed, bytes(order))  # a dozen bytes: the pipe takes them at once
-    os.close(feed)
-    pids = {}  # read end of each worker's result pipe -> its pid
-    streams = {}  # read end -> every byte received on it
-    running = set()  # read ends of the workers not yet reaped
-    dead = []
-    try:
-        for _ in range(workers):
-            fd, sink = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                for inherited in (fd, *pids):
-                    os.close(inherited)
-                _serve(tasks, sink)
-            os.close(sink)
-            pids[fd], streams[fd] = pid, bytearray()
-            running.add(fd)
-        poller = select.poll()
-        for fd in running:
-            poller.register(fd, select.POLLIN)
-        while running and not dead:
-            for fd, _ in poller.poll():
-                chunk = os.read(fd, 1 << 16)
-                streams[fd] += chunk
-                if chunk:
-                    continue
-                poller.unregister(fd)
-                running.remove(fd)
-                claims, done = _received(streams[fd])
-                if os.waitpid(pids[fd], 0)[1] or len(done) < len(claims):
-                    dead.append(pids[fd])
-    finally:
-        for fd in running:
-            os.kill(pids[fd], _SIGKILL)
-            while chunk := os.read(fd, 1 << 16):  # what it finished before the kill
-                streams[fd] += chunk
-            os.waitpid(pids[fd], 0)
-        for fd in (tasks, *streams):
-            os.close(fd)
+    import signal  # only this path needs it, and no scan loads it
 
-    results, claimed_by = {}, {}
-    for fd, stream in streams.items():
-        claims, done = _received(stream)
-        claimed_by.update(dict.fromkeys(claims, pids[fd]))
-        results.update(done)
-    broke = ", ".join(map(str, dead))
-    for index, (number, name, _) in enumerate(CHECKS):
-        if index in results:
-            continue
-        if index in claimed_by:
-            detail = f"worker process {claimed_by[index]} ended before the check finished"
-        else:
-            detail = f"not run: the worker pool broke when worker process(es) {broke} ended"
-        results[index] = CheckResult(
-            number=number, name=name, passed=False, detail=detail, elapsed=0.0
-        )
-    return [results[index] for index in range(len(CHECKS))]
+    shares = ([], [])
+    for index, (number, _, _) in enumerate(CHECKS):
+        shares[number != CRITICAL_PATH].append(index)
+    workers = {}  # pid -> read end of its pipe, in fork order
+    owner = {}  # index into CHECKS -> pid of the worker that runs it
+    done = {}  # check number -> CheckResult
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        for share in shares:
+            pid, fd = _fork_worker(share, workers.values())
+            workers[pid] = fd
+            owner.update(dict.fromkeys(share, pid))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for pid, fd in list(workers.items()):
+            with open(fd, "rb", closefd=False) as stream:
+                try:
+                    while True:
+                        result = pickle.load(stream)
+                        done[result.number] = result
+                except (EOFError, pickle.UnpicklingError):
+                    pass  # the pipe's end, or a result cut off by the worker's
+            os.waitpid(pid, 0)
+            os.close(workers.pop(pid))
+    finally:
+        for pid, fd in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    ended = "worker process {} ended before the check finished"
+    return [
+        done.get(number)
+        or CheckResult(number, name, passed=False, detail=ended.format(owner[index]), elapsed=0.0)
+        for index, (number, name, _) in enumerate(CHECKS)
+    ]
 
 
 def run_checks(level="full"):
     """Run every check of CHECKS; ``level`` must be "full", the only level.
 
-    Results come in CHECKS order.  With two or more workers (see
-    _worker_count) the checks run in forked processes (_run_forked), which
-    inherit the imported package, patched attributes included, instead of
-    importing it again; otherwise they run here, one after another.
+    Results come in CHECKS order.  On Linux with two or more usable CPUs
+    the checks run on two forked workers (_run_forked), which inherit the
+    imported package, patched attributes included, instead of importing it
+    again; otherwise they run here, one after another, which is faster on
+    one CPU than two workers sharing it.
     """
     if level != "full":
         raise ArgumentError(f"level must be 'full', got {level!r}")
-    workers = _worker_count()
-    if workers == 1:
-        return [_run_check(index) for index in range(len(CHECKS))]
-    return _run_forked(workers)
+    if sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1:
+        return _run_forked()
+    return [_run_check(index) for index in range(len(CHECKS))]

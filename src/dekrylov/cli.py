@@ -26,9 +26,10 @@ significant digits (binary64 round-trip exact).  One argparse parser,
 built on the first call, serves every `main` call of a process, and CSV
 rows are formatted by one %-template per row shape (the tuple of cell
 types).  Flags are the only input.  Exit codes: 0 success, 1 verification
-failure, 2 invalid arguments or an --out path that cannot be written,
-3 numerical failure (a LinAlgError), 130 interrupted (SIGINT, Ctrl-C; one
-`error: interrupted` line, no traceback).
+failure, 2 invalid arguments or an --out path or a stdout that cannot be
+written (one `error:` line, no traceback), 3 numerical failure (a
+LinAlgError), 130 interrupted (SIGINT, Ctrl-C; one `error: interrupted`
+line, no traceback).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -224,7 +226,8 @@ def _row_template(shape):
 def write_rows(out, fmt, header, rows):
     """Write tuple rows as CSV (17-digit floats, \\n endings) or JSON objects.
 
-    A path that cannot be written raises ArgumentError (exit code 2).
+    A path or a stdout that cannot be written raises ArgumentError (exit
+    code 2).
     """
     if fmt == "csv":
         lines = [",".join(header)]
@@ -240,13 +243,31 @@ def write_rows(out, fmt, header, rows):
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     try:
         with open(out, "wb") as handle:
             handle.write(text.encode("utf-8"))
     except OSError as err:
         raise ArgumentError(f"out: cannot write {out!r}: {err.strerror or err}") from None
+
+
+def _write_stdout(text):
+    """Write ``text`` to stdout and flush it.
+
+    A stdout that cannot be written (a pipe whose reader has gone, a full
+    device) raises ArgumentError, as an unwritable --out does.  Its file
+    descriptor then points at os.devnull, so the text left in its buffer
+    does not fail a second time when the interpreter flushes it at exit.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ArgumentError(f"stdout: cannot write: {err.strerror or err}") from None
 
 
 def _models(config):
@@ -350,17 +371,14 @@ def cmd_verify(level):
     from . import checks  # the verification layer, which no scan loads
 
     results = checks.run_checks(level)
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(
-            f"{status}  [{result.number:2d}] {result.name}: {result.detail} "
-            f"({result.elapsed:.2f}s)"
-        )
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'}  [{r.number:2d}] {r.name}: {r.detail} "
+        f"({r.elapsed:.2f}s)\n"
+        for r in results
+    ]
     failed = [r for r in results if not r.passed]
-    print(
-        f"{len(results) - len(failed)}/{len(results)} checks passed "
-        f"({level} level)"
-    )
+    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed ({level} level)\n")
+    _write_stdout("".join(lines))
     return 0 if not failed else 1
 
 

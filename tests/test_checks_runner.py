@@ -1,18 +1,19 @@
 """How `checks.run_checks` runs the criteria: forked workers or in-process.
 
-With two or more usable CPUs on Linux the criteria run in plain forked
-worker processes that take their tasks, one byte each, from one pipe,
-the critical-path criterion first; with one they run in the calling
-process.  Each test runs its program in a fresh interpreter under a
-timeout, so a hung worker or a worker that kills its parent fails the
-test instead of the suite.  The programs set the usable CPUs by
-replacing `os.sched_getaffinity`, which is what `run_checks` reads, and
-look for a leftover child with `os.waitpid(-1, os.WNOHANG)`, which
-raises `ChildProcessError` once there is none.  Further tests: an
-interrupted `verify` exits 130 with one line and leaves no worker, no
-criterion starts a thread (a threaded BLAS call would), and text the
-caller printed before `run_checks` is written once, not once more by
-every worker.
+With two or more usable CPUs on Linux the criteria run on two plain
+forked worker processes, one for the critical-path criterion alone and
+one for the other eleven; with one they run in the calling process.
+Each test runs its program in a fresh interpreter under a timeout, so a
+hung worker or a worker that kills its parent fails the test instead of
+the suite.  The programs set the usable CPUs by replacing
+`os.sched_getaffinity`, which is what `run_checks` reads, and look for a
+leftover child with `os.waitpid(-1, os.WNOHANG)`, which raises
+`ChildProcessError` once there is none.  Further tests: a dead worker
+fails only the criteria it had not finished, results larger than a pipe
+buffer come back whole, an interrupted `verify` exits 130 with one line
+and leaves no worker, no criterion starts a thread (a threaded BLAS call
+would), and text the caller printed before `run_checks` is written once,
+not once more by every worker.
 """
 
 import os
@@ -82,33 +83,29 @@ print(json.dumps(out))
     assert report["children"] is False
 
 
-def test_the_critical_path_is_submitted_first_and_results_keep_their_order():
-    """The first write of the calling process is the task pipe's content,
-    one byte per index into CHECKS."""
+def test_the_critical_path_runs_alone_and_the_other_eleven_share_one_worker():
+    """Every criterion reports the pid of the process that ran it."""
     report = run_fresh(
         PRELUDE
         + """
-parent = os.getpid()
-writes = []
-real_write = os.write
+def reports_pid():
+    return True, str(os.getpid())
 
-def write(fd, data):
-    if os.getpid() == parent:
-        writes.append(bytes(data))
-    return real_write(fd, data)
-
-os.write = write
+checks.CHECKS = tuple((number, name, reports_pid) for number, name, _ in checks.CHECKS)
 use_cpus(2)
-numbers = [r.number for r in checks.run_checks()]
-os.write = real_write
-tasks = [checks.CHECKS[index][0] for index in writes[0]]
-print(json.dumps({"numbers": numbers, "tasks": tasks}))
+results = rows(checks.run_checks())
+print(json.dumps({"parent": os.getpid(), "results": results, "children": children_left()}))
 """
     )
-    numbers = list(range(1, 13))
-    assert report["numbers"] == numbers
-    rest = [number for number in numbers if number != CRITICAL_PATH]
-    assert report["tasks"] == [CRITICAL_PATH] + rest
+    results = report["results"]
+    assert [row[0] for row in results] == list(range(1, 13))
+    assert all(row[2] for row in results)
+    pids = {row[0]: int(row[3]) for row in results}
+    alone = pids.pop(CRITICAL_PATH)
+    shared = set(pids.values())
+    assert len(shared) == 1
+    assert len({alone, *shared, report["parent"]}) == 3
+    assert report["children"] is False
 
 
 def test_a_raising_criterion_is_a_failed_result_on_both_paths():
@@ -137,50 +134,71 @@ print(json.dumps(out))
     assert report["children"] is False
 
 
-@pytest.mark.parametrize(
-    "death", ["os._exit(3)", "os.kill(os.getpid(), signal.SIGKILL)"]
-)
-def test_a_dead_worker_fails_its_criterion_and_every_unfinished_one(death):
+@pytest.mark.parametrize("dying", [2, CRITICAL_PATH])
+@pytest.mark.parametrize("death", ["os._exit(3)", "os.kill(os.getpid(), signal.SIGKILL)"])
+def test_a_dead_worker_fails_its_criterion_and_every_unfinished_one(death, dying):
+    """Criterion 2 takes the other eleven's worker down after criterion 1;
+    criterion 4 takes only its own.  The other worker's results stand."""
     report = run_fresh(
         PRELUDE
         + f"""
 def dies():
     {death}
 
-def sleeps():
-    time.sleep(600)
-
-patch(2, dies)
-patch(4, sleeps)
+patch({dying}, dies)
 use_cpus(2)
 results = rows(checks.run_checks())
 code = cli.main(["verify"])
 print(json.dumps({{
+    "parent": os.getpid(),
     "results": results,
     "code": code,
     "children": children_left(),
 }}))
-""",
-        timeout=60,
+"""
     )
     results = report["results"]
     assert [row[0] for row in results] == list(range(1, 13))
-    by_number = {row[0]: row for row in results}
-    _, _, passed, detail = by_number[2]
-    assert not passed
-    assert detail.startswith("worker process ") and detail.endswith(
-        " ended before the check finished"
-    )
-    assert int(detail.split()[2]) > 0
-    for number, _, passed, detail in results:
-        if not passed:
-            assert detail.startswith(
-                ("worker process ", "not run: the worker pool broke when worker process")
-            ), detail
-    # Criterion 4 sleeps until the parent kills its worker, so it is
-    # unfinished, and failed, whatever order the workers ran in.
-    assert not by_number[4][2]
+    failed = {row[0]: row[3] for row in results if not row[2]}
+    if dying == CRITICAL_PATH:
+        assert list(failed) == [CRITICAL_PATH]
+    else:
+        assert list(failed) == [2, 3, 5, 6, 7, 8, 9, 10, 11, 12]
+    pids = set()
+    for detail in failed.values():
+        assert detail.startswith("worker process ") and detail.endswith(
+            " ended before the check finished"
+        ), detail
+        pids.add(int(detail.split()[2]))
+    assert len(pids) == 1 and pids.pop() not in (0, report["parent"])
     assert report["code"] == 1
+    assert report["children"] is False
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_whole():
+    """Each worker writes about 1 MiB, far more than a 64 KiB pipe buffer,
+    and waits for the parent to read it."""
+    report = run_fresh(
+        PRELUDE
+        + """
+def large(number):
+    return lambda: (True, f"{number:02d}" * (1 << 19))
+
+patch(4, large(4))
+patch(12, large(12))
+use_cpus(2)
+results = checks.run_checks()
+print(json.dumps({
+    "numbers": [r.number for r in results],
+    "passed": all(r.passed for r in results),
+    "intact": [r.detail == f"{n:02d}" * (1 << 19) for r in results for n in (4, 12) if r.number == n],
+    "children": children_left(),
+}))
+"""
+    )
+    assert report["numbers"] == list(range(1, 13))
+    assert report["passed"] is True
+    assert report["intact"] == [True, True]
     assert report["children"] is False
 
 
@@ -202,7 +220,8 @@ sys.exit(cli.main(["verify"]))
 
 def test_an_interrupted_verify_exits_130_with_one_line_and_no_worker_left(tmp_path):
     """SIGINT to the whole process group, as Ctrl-C in a terminal sends it,
-    while criterion 4 sleeps in its worker."""
+    while criterion 4 sleeps in its worker, which keeps SIGINT blocked and
+    is killed by the parent."""
     marker = tmp_path / "criterion-4-worker"
     proc = subprocess.Popen(
         [sys.executable, "-c", INTERRUPTED, str(marker)],

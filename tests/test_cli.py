@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from dekrylov.models import (
 )
 from dekrylov.evolve import ir_magnetization_sums, survival_moments_nn
 from exact_spectrum import with_spectrum
+from test_startup import fresh_env
 
 
 def run_cli(args, tmp_path=None, out_name="out.csv"):
@@ -637,6 +639,54 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out: ")
     assert not out.exists()
+
+
+STDOUT_COMMANDS = [
+    ["verify"],
+    ["coeffs", "--model", "nn", "--lengths", "4"],
+    ["evolve", "--model", "ir", "--lengths", "8", "--tau-list", "0.5"],
+]
+
+
+def run_with_stdout(argv, stdout, buffered):
+    """Run the CLI in a fresh interpreter with ``stdout`` as its stdout,
+    block-buffered or (PYTHONUNBUFFERED) unbuffered."""
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "dekrylov.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_closed_stdout_pipe_is_exit_2_with_one_line(argv, buffered):
+    """Stdout is a pipe whose read end is closed, as after `| head -1`."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = run_with_stdout(argv, writer, buffered)
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: stdout: cannot write: Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_full_stdout_is_exit_2_with_one_line(argv, buffered):
+    with open("/dev/full", "w") as full:
+        proc = run_with_stdout(argv, full, buffered)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: stdout: cannot write: No space left on device"]
 
 
 def test_malformed_grid_arguments(capsys):

@@ -8,10 +8,10 @@ eigensolver runs, and scipy is a test dependency only
 interpreter runs the figure scans, the large-L benchmark scans and the
 full verification suite, then reports which scipy modules were loaded.
 
-`checks.run_checks` runs the criteria in plain forked workers, fed and
-read through pipes, so neither importing the package, `checks`, `cli`
-and `wigner` nor running `verify` on two CPUs loads `multiprocessing` or
-`concurrent.futures` (12-23 ms to import).
+`checks.run_checks` runs the criteria on two plain forked workers, each
+read through a pipe of its own, so neither importing the package,
+`checks`, `cli` and `wigner` nor running `verify` on two CPUs loads
+`multiprocessing` or `concurrent.futures` (12-23 ms to import).
 
 `import dekrylov` and the five scan commands load only the production
 modules: the verification layer (`checks`, `oracle`, `doubled`,
@@ -151,7 +151,7 @@ def test_importing_the_package_loads_no_process_pool():
 
 
 def test_verify_on_two_cpus_loads_no_process_pool():
-    """The forked workers of `verify` need only os, pickle and select."""
+    """The forked workers of `verify` need only os, pickle and signal."""
     assert run_fresh(IMPORTS, "verify") == {"code": 0, "after_verify": []}
 
 
