@@ -57,7 +57,7 @@ from .evolve import (
     scan_point,
     survival_moments_nn,
 )
-from .wigner import psi_ir_exact_profile, wigner_column_stable, wigner_d
+from .wigner import psi_ir_exact_profile, wigner_d, wigner_d_stable
 
 _VERIFICATION_MODULES = {
     "KrausChannel": "doubled",
@@ -110,8 +110,8 @@ __all__ = [
     "scan_point",
     "survival_moments_nn",
     "psi_ir_exact_profile",
-    "wigner_column_stable",
     "wigner_d",
+    "wigner_d_stable",
     "CheckResult",
     "run_checks",
     "__version__",

@@ -445,20 +445,18 @@ def check_wigner_layer():
     spins = (0.5, 5.0, 20.0, 100.0)
     worst_orth = 0.0
     for s in spins:
-        two_s = int(round(2 * s))
-        dmat = wigner.wigner_column_stable(s, s - np.arange(two_s + 1), theta)
+        dmat = wigner.wigner_d_stable(s, theta)
         gram = np.einsum("ri,rj->ij", dmat, dmat)  # no BLAS thread, as in wigner
-        worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(two_s + 1)))))
+        worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(len(dmat))))))
 
     worst_route = 0.0
     worst_column = 0.0
     for s in (0.5, 1.0, 2.5, 5.0, 7.5, 10.0):
         two_s = int(round(2 * s))
         rows = np.arange(two_s + 1)
-        magnetics = s - rows
         for angle in (0.5 * math.pi, 0.4, 1.9):
-            stable = wigner.wigner_column_stable(s, magnetics, angle)
-            direct = wigner.wigner_d(s, magnetics[:, None], magnetics, angle)
+            stable = wigner.wigner_d_stable(s, angle)
+            direct = wigner.wigner_d(s, angle)
             worst_route = max(worst_route, float(np.max(np.abs(direct - stable))))
             closed = (
                 np.sqrt([float(math.comb(two_s, r)) for r in rows])
@@ -469,12 +467,12 @@ def check_wigner_layer():
 
     worst_sym = 0.0
     for s in (1.0, 2.5, 6.0):
-        magnetics = s - np.arange(int(round(2 * s)) + 1)
-        base = wigner.wigner_d(s, magnetics[:, None], magnetics, 0.7)
-        parity = (-1.0) ** (magnetics[:, None] - magnetics)
+        base = wigner.wigner_d(s, 0.7)
+        rows = np.arange(len(base))
+        parity = (-1.0) ** (rows[:, None] - rows)
         # d_{m'm}(t) = d_{mm'}(-t) = (-1)^{m'-m} d_{mm'}(t) = (-1)^{m'-m} d_{-m',-m}(t)
         for image in (
-            wigner.wigner_d(s, magnetics[:, None], magnetics, -0.7).T,
+            wigner.wigner_d(s, -0.7).T,
             parity * base.T,
             parity * base[::-1, ::-1],
         ):

@@ -27,8 +27,8 @@ built on the first call, serves every `main` call of a process, and CSV
 rows are formatted by one %-template per row shape (the tuple of cell
 types).  Flags are the only input.  Exit codes: 0 success, 1 verification
 failure, 2 invalid arguments or an --out path or a stdout that cannot be
-written (one `error:` line, no traceback), 3 numerical failure (a
-LinAlgError), 130 interrupted (SIGINT, Ctrl-C; one `error: interrupted`
+written, for --help too (one `error:` line, no traceback), 3 numerical
+failure (a LinAlgError), 130 interrupted (SIGINT, Ctrl-C; one `error: interrupted`
 line, no traceback).
 """
 
@@ -181,6 +181,8 @@ def resolve_config(args, command):
 
     tau_list = getattr(args, "tau_list", None)
     tau_grid = getattr(args, "tau", None)
+    if tau_list is not None and tau_grid is not None:
+        raise ArgumentError("tau: give --tau or --tau-list, not both")
     if tau_list is not None:
         taus = parse_tau_list(tau_list)
         explicit = True
@@ -382,10 +384,20 @@ def cmd_verify(level):
     return 0 if not failed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes --help (of subparsers too, built with this class) through
+    _write_stdout: argparse itself ignores an OSError from its write."""
+
+    def print_help(self, file=None):
+        if file is None:
+            return _write_stdout(self.format_help())
+        super().print_help(file)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The argparse parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dekrylov",
         description=(
             "Krylov complexity and Renyi-2 scans for symmetric dephasing "
@@ -448,8 +460,8 @@ def _attach_negative_values(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
+        args = build_parser().parse_args(_attach_negative_values(argv))
         if args.command == "verify":
             return cmd_verify(args.level)
         config = resolve_config(args, args.command)

@@ -72,7 +72,7 @@ class KrausChannel:
         object.__setattr__(self, "terms", terms)
 
 
-def _check_full_length(length):
+def check_full_length(length):
     if length > FULL_SPACE_MAX_LENGTH:
         raise ArgumentError(
             f"full doubled-space path is capped at L <= {FULL_SPACE_MAX_LENGTH}"
@@ -86,7 +86,7 @@ def _full_length(vec):
         raise ArgumentError(
             f"a full doubled-space state has 4^L amplitudes, got shape {vec.shape}"
         )
-    _check_full_length(length)
+    check_full_length(length)
     if not np.all(np.isfinite(vec)):
         raise ArgumentError("amplitudes must be finite")
     if not np.linalg.norm(vec) > 0:
@@ -108,7 +108,7 @@ def vectorize(rho):
     length = dim.bit_length() - 1
     if 2**length != dim:
         raise ArgumentError(f"matrix size {dim} is not a power of two")
-    _check_full_length(length)
+    check_full_length(length)
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
         raise ArgumentError("rho must be Hermitian within 1e-12")
     if np.max(np.abs(np.imag(rho))) > 1e-12:
@@ -139,32 +139,26 @@ def apply_channel(channel, state):
     return out
 
 
-def channel_matrix(channel):
-    """Dense 4^L x 4^L superoperator matrix of a Z-type channel."""
-    _check_full_length(channel.length)
+def channel_diagonal(channel):
+    """The 4^L superoperator diagonal of a Z-type channel, all it has."""
+    check_full_length(channel.length)
     diagonal = np.zeros(4**channel.length)
     for weight, signs in _term_signs(channel):
         diagonal += weight * signs
-    return np.diag(diagonal)
+    return diagonal
 
 
 def effective_hamiltonian_check(channel, diagonal, prefactor, tau):
     """Max-abs deviation between a channel and prefactor * exp(-tau H).
 
-    H is diagonal on the full doubled space and given by its diagonal, so
-    exp(-tau H) is exponentiated elementwise.  Returns
-    max |channel_matrix - prefactor * exp(-tau H)|.
+    Both are diagonal on the full doubled space, H given by its diagonal:
+    returns max |channel_diagonal - prefactor * exp(-tau H)| elementwise.
     """
-    length = channel.length
-    if length > 6:
-        raise ArgumentError("effective_hamiltonian_check is capped at L <= 6")
+    channel_diag = channel_diagonal(channel)
     diagonal = np.asarray(diagonal, dtype=float)
-    size = 4**length
-    if diagonal.shape != (size,):
-        raise ArgumentError(f"diagonal shape {diagonal.shape} != ({size},)")
-    mat = channel_matrix(channel)
-    target = np.diag(np.exp(-tau * diagonal))
-    return float(np.max(np.abs(mat - prefactor * target)))
+    if diagonal.shape != channel_diag.shape:
+        raise ArgumentError(f"diagonal shape {diagonal.shape} != {channel_diag.shape}")
+    return float(np.max(np.abs(channel_diag - prefactor * np.exp(-tau * diagonal))))
 
 
 def tau_from_p(p):
@@ -220,7 +214,7 @@ def build_nn_channel(length, p):
     """
     if length < 2:
         raise ArgumentError("length must be at least 2")
-    _check_full_length(length)
+    check_full_length(length)
     if not 0 <= p < 0.5:
         raise DomainError(f"p must lie in [0, 1/2), got {p!r}")
     bonds = length - 1
@@ -241,8 +235,8 @@ def build_ir_channel(length, tau):
     convolved in the space of Z-supports (at most 2^L distinct terms).
     """
     ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
-    _check_full_length(length)
-    if tau < 0:
+    check_full_length(length)
+    if not tau >= 0:
         raise ArgumentError("tau must be nonnegative")
     w_plus = 0.5 * (1.0 + math.exp(-2.0 * tau / length))
     w_minus = 0.5 * (1.0 - math.exp(-2.0 * tau / length))

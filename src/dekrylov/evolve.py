@@ -116,7 +116,7 @@ def renyi2_dense(model, taus):
     an array of the same shape.
     """
     tau_arr = np.asarray(taus, dtype=float)
-    if np.any(tau_arr < 0):
+    if not np.all(tau_arr >= 0):
         raise ArgumentError("tau must be nonnegative")
     length = model.length
     level, energies = reduced_levels(model)  # enforces the L <= 14 cap
@@ -170,7 +170,7 @@ def ir_magnetization_sums(model, taus):
     if length > SCAN_MAX_LENGTH:
         raise ArgumentError(f"IR sums are capped at L <= {SCAN_MAX_LENGTH}, got {length}")
     tau_arr = np.asarray(taus, dtype=float)
-    if np.any(tau_arr < 0):
+    if not np.all(tau_arr >= 0):
         raise ArgumentError("tau must be nonnegative")
     flat = tau_arr.reshape(-1)
     spin = length // 2

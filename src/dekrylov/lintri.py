@@ -149,7 +149,7 @@ class KrylovState:
                 f"psi shape {psi.shape} must be taus shape {taus.shape} + (dim,), "
                 "with 0-d or 1-d taus"
             )
-        if np.any(taus < 0):
+        if not np.all(taus >= 0):
             raise ArgumentError("tau must be nonnegative")
         # A non-finite entry makes its row's sum of squares non-finite, so
         # both checks run on the (m,) sums without an (m, dim) temporary.

@@ -196,7 +196,7 @@ def nn_lambda(tau):
     float or an array; the result is a float or an array of its shape.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
+    if not np.all(tau >= 0):
         raise ArgumentError("tau must be nonnegative")
     e2 = np.exp(-2.0 * tau)
     lam = 0.5 * (1.0 - 2.0 * e2 / (1.0 + e2 * e2))

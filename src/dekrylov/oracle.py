@@ -3,8 +3,9 @@
 Ground truth for the rest of the package: full 4^L channel application,
 one two-pass Gram-Schmidt over the powers {H^n |rho_init>} for the Krylov
 basis, and the interpretation of the n-th Krylov vector as the n-error
-state.  Nothing here is performance-sensitive; the caps (4^L path at
-L <= 6, reduced 2^L path at L <= 12) keep every check at the seconds scale.
+state.  Nothing here is performance-sensitive; the caps (the doubled
+module's 4^L path at L <= 7, the reduced 2^L path at L <= 12) keep every
+check at the seconds scale.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import ArgumentError
 from .lanczos import LanczosResult
 from .models import ModelKind, analytic_lanczos, reduced_diagonal, site_spins
 
-DENSE_MAX_LENGTH = 6
 KRYLOV_MAX_LENGTH = 12
 ERROR_STATE_MAX_LENGTH = 8
 ERROR_STATE_TOL = 1e-8
@@ -33,6 +33,7 @@ def _layer_agreement_spins(length):
     Doubled index i = upper + 2^L lower; the product is the tau^z value of
     the bit string upper xor lower.
     """
+    doubled.check_full_length(length)
     indices = np.arange(4**length)
     return site_spins(length)[(indices & (2**length - 1)) ^ (indices >> length)]
 
@@ -45,8 +46,6 @@ def doubled_hamiltonian_diagonal(model):
     basis.  Index convention: upper bits low, lower bits shifted by L.
     """
     length = model.length
-    if length > DENSE_MAX_LENGTH:
-        raise ArgumentError(f"doubled dense path is capped at L <= {DENSE_MAX_LENGTH}")
     zz = _layer_agreement_spins(length)
     if model.kind is ModelKind.NN:
         return -np.sum(zz[:, :-1] * zz[:, 1:], axis=1)
@@ -73,7 +72,7 @@ def _per_factor_diagonals(model, p_or_tau):
             factors.append((1.0 - p) + p * zz[:, bond] * zz[:, bond + 1])
     else:
         tau = p_or_tau
-        if tau < 0:
+        if not tau >= 0:
             raise ArgumentError("tau must be nonnegative")
         w_plus = 0.5 * (1.0 + np.exp(-2.0 * tau / length))
         w_minus = 0.5 * (1.0 - np.exp(-2.0 * tau / length))
@@ -89,15 +88,14 @@ def channel_vs_exponential(model, p_or_tau):
     The channel superoperator is assembled as the explicit product over
     bond (NN) / pair (IR) factors; the exponential side is
     prefactor * exp(-tau H) with H the diagonal doubled Hamiltonian,
-    exponentiated elementwise.  That H is diagonal is checked elsewhere:
-    doubled.effective_hamiltonian_check compares the full 4^L x 4^L
-    channel_matrix of the Kraus sum with a diagonal target (criterion 1,
-    L <= 4).  For NN, tau = -ln(1-2p)/2 and the prefactor is
-    e^{-(L-1) tau}; for IR the mapping has no prefactor.
+    exponentiated elementwise.  Z-type Kraus operators make the channel
+    diagonal by construction; the tests check its diagonal
+    (doubled.channel_diagonal) against a np.kron Z-string oracle, and
+    criterion 1 (L <= 4) compares it with the target through
+    doubled.effective_hamiltonian_check.  For NN, tau = -ln(1-2p)/2, the
+    prefactor e^{-(L-1) tau}; for IR the mapping has no prefactor.
     """
     length = model.length
-    if length > DENSE_MAX_LENGTH:
-        raise ArgumentError(f"oracle dense path is capped at L <= {DENSE_MAX_LENGTH}")
     product = np.ones(4**length)
     for factor in _per_factor_diagonals(model, p_or_tau):
         product = product * factor
@@ -124,8 +122,6 @@ def vectorized_map_vs_exponential(model, p_or_tau):
     diagonal; tau and the prefactor are those of channel_vs_exponential.
     """
     length = model.length
-    if length > DENSE_MAX_LENGTH:
-        raise ArgumentError(f"oracle dense path is capped at L <= {DENSE_MAX_LENGTH}")
     if model.kind is ModelKind.NN:
         channel = doubled.build_nn_channel(length, p_or_tau)
     else:

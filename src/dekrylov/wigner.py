@@ -23,10 +23,10 @@ Two independent routes to d^s_{m'm}(theta) = <s,m'| e^{-i theta S_y} |s,m>:
      phase is tracked as an exact period-4 integer counter, never as a
      complex float, picking A, B, -A, -B by (r-c) mod 4.
 
-Both routes take arrays of indices and give a whole matrix in one call:
-wigner_d sums every element's k terms over one (..., 2s+1) term array,
-wigner_column_stable forms every requested column with one einsum for A
-and one for B, which, unlike a matrix product, starts no BLAS thread.
+Each route gives the whole matrix, entry [r, c] at m' = s - r, m = s - c:
+wigner_d sums every entry's k terms over one (2s+1)^3 term array, and
+wigner_d_stable forms every column with one einsum for A and one for B,
+which, unlike a matrix product, starts no BLAS thread.
 
 The exact infinite-range wavepacket is a positive Gaussian integral:
 e^{2 tau S_z^2 / L} averages e^{phi S_z} over a Gaussian in phi, which
@@ -61,44 +61,25 @@ NODES_PER_WIDTH = 8  # IR trapezoid nodes per peak width sqrt(4 tau / L)
 TAIL_WIDTHS = 40  # peak widths of tail beyond the outermost saddles
 
 
-def _twice(value, name):
-    """Twice an integer or half-integer value (or array), as integers."""
-    value = np.asarray(value, dtype=float)
-    doubled = np.rint(2.0 * value)
-    bad = value[np.abs(2.0 * value - doubled) > 1e-9]
-    if bad.size:
-        raise ArgumentError(f"{name} must be integer or half-integer, got {bad.tolist()[0]!r}")
-    return doubled.astype(int)
+def _twice_spin(s, max_two_s):
+    """2s of an integer or half-integer spin 0 <= s <= max_two_s / 2."""
+    two_s = 2.0 * s  # NaN fails the first comparison, before round()
+    if not (0 <= two_s <= max_two_s and abs(two_s - round(two_s)) <= 1e-9):
+        raise ArgumentError(f"s must be integer or half-integer in [0, {max_two_s // 2}]: {s!r}")
+    return round(two_s)
 
 
-def wigner_d(s, m_prime, m, theta):
-    """Wigner small-d elements by the direct factorial k-sum (s <= 20).
+def wigner_d(s, theta):
+    """The matrix d^s(theta) by the direct factorial k-sum (s <= 20).
 
-    Args:
-        s: spin (integer or half-integer).
-        m_prime: row magnetic index, a float or an array.
-        m: column magnetic index, a float or an array; it broadcasts
-            against m_prime.
-        theta: rotation angle in radians.
-
-    Returns:
-        d^s_{m'm}(theta): a float for scalar indices, else an array of
-        their broadcast shape.  Each element is one math.fsum over the
-        terms k = 0..2s, the terms outside the element's range zero.
+    Entry [r, c] is d^s_{m'm}(theta) with m' = s - r and m = s - c, one
+    math.fsum over the terms k = 0..2s, the terms outside its range zero.
     """
-    two_s = int(_twice(s, "s"))
-    two_mp, two_m = np.broadcast_arrays(_twice(m_prime, "m_prime"), _twice(m, "m"))
-    if two_s < 0 or two_s > DIRECT_SUM_MAX_TWO_S:
-        raise ArgumentError(f"direct-sum route requires 0 <= s <= 20, got s={s!r}")
-    if np.any(np.abs(two_mp) > two_s) or np.any(np.abs(two_m) > two_s):
-        raise ArgumentError("|m|, |m_prime| must not exceed s")
-    if np.any((two_s + two_m) % 2) or np.any((two_s + two_mp) % 2):
-        raise ArgumentError("s - m and s - m_prime must be integers")
-
-    s_plus_m = (two_s + two_m)[..., None] // 2
-    s_minus_mp = (two_s - two_mp)[..., None] // 2
-    m_minus_mp = (two_m - two_mp)[..., None] // 2
+    two_s = _twice_spin(s, DIRECT_SUM_MAX_TWO_S)
     k = np.arange(two_s + 1)
+    s_minus_mp = k[:, None, None]  # r
+    s_plus_m = two_s - k[:, None]  # 2s - c, broadcast over the last two axes
+    m_minus_mp = s_minus_mp + s_plus_m - two_s  # r - c
     fact_at = functools.partial(np.take, [float(math.factorial(i)) for i in k], mode="clip")
     cos_at = functools.partial(np.take, math.cos(0.5 * theta) ** k, mode="clip")
     sin_at = functools.partial(np.take, math.sin(0.5 * theta) ** k, mode="clip")
@@ -121,8 +102,7 @@ def wigner_d(s, m_prime, m, theta):
     in_range = (k >= m_minus_mp) & (k <= np.minimum(s_plus_m, s_minus_mp))
     terms = np.where(in_range, terms, 0.0)
     rows = terms.reshape(-1, two_s + 1).tolist()
-    out = np.array(list(map(math.fsum, rows))).reshape(terms.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+    return np.array(list(map(math.fsum, rows))).reshape(two_s + 1, two_s + 1)
 
 
 def _sy_operator(two_s):
@@ -142,36 +122,29 @@ def _sy_decomposition(two_s):
     return op.spectrum, eig_tridiag(op)
 
 
-def wigner_column_stable(s, n_col, theta):
-    """Columns of d^s(theta), stable to s = 300, as a read-only array.
+def wigner_d_stable(s, theta):
+    """The matrix d^s(theta), stable to s = 300, as a read-only array.
 
-    Entries are indexed by the row r = 0..2s with m' = s - r, first: a
-    scalar n_col gives the (2s+1,) column, an array of n_col the array
-    (2s+1,) + n_col.shape of their columns, so n_col = s - arange(2s+1)
-    gives the whole matrix.
+    Indexed as wigner_d.  It is computed column by column, as a (c, r)
+    array, and returned as the transposed view: einsum sums in layout
+    order, so the layout fixes the last bits.
 
     Raises:
-        ArgumentError: on invalid indices, or if a column is not unit
-            norm within 1e-10.
+        ArgumentError: on an invalid s, or if a column is not unit norm
+            within 1e-10.
     """
-    two_s = int(_twice(s, "s"))
-    two_n = _twice(n_col, "n_col")
-    if two_s < 0 or two_s > STABLE_MAX_TWO_S:
-        raise ArgumentError(f"stable route requires 0 <= s <= 300, got s={s!r}")
-    if np.any(np.abs(two_n) > two_s) or np.any((two_s + two_n) % 2):
-        raise ArgumentError("n_col must satisfy |n_col| <= s with s - n_col integer")
-    col = (two_s - two_n) // 2  # m = s - col; row r holds m' = s - r
+    two_s = _twice_spin(s, STABLE_MAX_TWO_S)
     values, vectors = _sy_decomposition(two_s)
-    seeds = vectors[col]  # n_col.shape + (2s+1,), over the eigenvectors
     # einsum, not BLAS: a matrix product here would start an OpenBLAS thread.
-    a_part = np.einsum("...k,rk->...r", np.cos(theta * values) * seeds, vectors)
-    b_part = np.einsum("...k,rk->...r", np.sin(theta * values) * seeds, vectors)
-    phase = (np.arange(two_s + 1) - col[..., None]) % 4
+    a_part = np.einsum("ck,rk->cr", np.cos(theta * values) * vectors, vectors)
+    b_part = np.einsum("ck,rk->cr", np.sin(theta * values) * vectors, vectors)
+    index = np.arange(two_s + 1)
+    phase = (index - index[:, None]) % 4  # (r - c) mod 4
     magnitude = np.where(phase % 2 == 0, a_part, b_part)
-    entries = np.where(phase < 2, magnitude, -magnitude)
-    if np.any(np.abs(np.einsum("...r,...r->...", entries, entries) - 1.0) > 1e-10):
+    columns = np.where(phase < 2, magnitude, -magnitude)
+    if np.any(np.abs(np.einsum("cr,cr->c", columns, columns) - 1.0) > 1e-10):
         raise ArgumentError("column of a rotation matrix must be unit norm")
-    entries = np.moveaxis(entries, -1, 0)
+    entries = columns.T
     entries.setflags(write=False)
     return entries
 
@@ -211,13 +184,13 @@ def psi_ir_exact_profile(length, tau):
 
     Raises:
         DomainError: for odd L.
-        ArgumentError: for tau < 0 or L > WAVEPACKET_MAX_LENGTH.
+        ArgumentError: for tau < 0 or NaN, or L > WAVEPACKET_MAX_LENGTH.
     """
     if length % 2 or length < 2:
         raise DomainError("exact IR amplitudes require even L >= 2")
     if length > WAVEPACKET_MAX_LENGTH:
         raise ArgumentError(f"exact IR amplitudes are capped at L <= {WAVEPACKET_MAX_LENGTH}")
-    if tau < 0:
+    if not tau >= 0:
         raise ArgumentError("tau must be nonnegative")
     n = np.arange(length // 2 + 1.0)
     if tau == 0:

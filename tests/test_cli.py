@@ -689,6 +689,49 @@ def test_a_full_stdout_is_exit_2_with_one_line(argv, buffered):
     assert proc.stderr.splitlines() == ["error: stdout: cannot write: No space left on device"]
 
 
+HELP_COMMANDS = [["--help"], ["verify", "--help"], ["evolve", "--help"]]
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", HELP_COMMANDS, ids=lambda argv: "-".join(argv[:-1]) or "top")
+def test_help_to_an_unwritable_stdout_is_exit_2_with_one_line(argv, buffered):
+    """argparse would lose the help (unbuffered, exit 0) or fail at the last
+    flush (buffered, exit 120); help goes the way of scan output instead."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = run_with_stdout(argv, writer, buffered)
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: stdout: cannot write: Broken pipe"]
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = run_with_stdout(argv, full, buffered)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: stdout: cannot write: No space left on device"
+        ]
+
+
+@pytest.mark.parametrize("argv", HELP_COMMANDS, ids=lambda argv: "-".join(argv[:-1]) or "top")
+def test_help_to_a_working_stdout_is_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: dekrylov") and captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["evolve", "wavepacket", "renyi2"])
+def test_tau_and_tau_list_together_is_exit_2(command, capsys):
+    argv = [command, "--model", "ir", "--lengths", "8", "--tau-list", "0.5", "--tau", "0:1:3"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tau: give --tau or --tau-list, not both\n"
+
+
 def test_malformed_grid_arguments(capsys):
     """Malformed, fractional and non-finite values are one clean error."""
     for flags in (

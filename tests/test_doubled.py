@@ -1,5 +1,7 @@
 """Doubled-space vectorization, Z-type channels, and parity reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov.doubled import (
+    FULL_SPACE_MAX_LENGTH,
     KrausChannel,
     apply_channel,
     build_nn_channel,
-    channel_matrix,
+    channel_diagonal,
+    effective_hamiltonian_check,
     reduced_initial_state,
     restrict_to_parity_sector,
     tau_from_p,
@@ -18,6 +22,7 @@ from dekrylov.doubled import (
 )
 from dekrylov.errors import ArgumentError, DomainError
 from dekrylov.models import ModelKind, ModelSpec
+from dekrylov.oracle import doubled_hamiltonian_diagonal
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -101,9 +106,10 @@ def test_apply_channel_matches_complex_kraus_oracle(channel, seed):
         mat = dense_z_string(length, support)
         expected += weight * (mat @ rho @ mat.conj().T)
     assert np.max(np.abs(expected.imag)) < 1e-12
-    out = apply_channel(channel, vectorize(rho))
+    state = vectorize(rho)
     dim = 2**length
-    assert_allclose(out.reshape((dim, dim), order="F"), expected.real, atol=1e-12)
+    for out in (apply_channel(channel, state), channel_diagonal(channel) * state):
+        assert_allclose(out.reshape((dim, dim), order="F"), expected.real, atol=1e-12)
 
 
 @given(z_channels(), st.integers(0, 2**31 - 1))
@@ -123,8 +129,38 @@ def test_channel_preserves_trace_and_symmetry(channel, seed):
 def test_channel_matrix_composes_like_repeated_application(channel, seed):
     state = vectorize(symmetric_rho(channel.length, seed))
     twice = apply_channel(channel, apply_channel(channel, state))
-    mat = channel_matrix(channel)
-    assert_allclose(mat @ (mat @ state), twice, atol=1e-12)
+    diagonal = channel_diagonal(channel)
+    assert_allclose(diagonal * (diagonal * state), twice, atol=1e-12)
+
+
+def test_channel_diagonal_serves_the_full_space_cap_in_little_memory():
+    """At L = 7 the diagonal is 4^7 amplitudes (128 KiB), where a dense
+    superoperator matrix would take 2 GiB; L = 8 is refused before any
+    4^L array exists."""
+    length = FULL_SPACE_MAX_LENGTH
+    channel = build_nn_channel(length, 0.3)
+    hamiltonian = doubled_hamiltonian_diagonal(ModelSpec(ModelKind.NN, length))
+    tau = tau_from_p(0.3)
+    tracemalloc.start()
+    try:
+        diagonal = channel_diagonal(channel)
+        deviation = effective_hamiltonian_check(
+            channel, hamiltonian, np.exp(-(length - 1) * tau), tau
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diagonal.shape == (4**length,)
+    assert deviation <= 1e-12
+    assert peak < 2 * 2**20, peak
+    wide = KrausChannel(length + 1, ((1.0, 0b11),))
+    for call in (
+        lambda: channel_diagonal(wide),
+        lambda: effective_hamiltonian_check(wide, np.zeros(4 ** (length + 1)), 1.0, 0.0),
+        lambda: doubled_hamiltonian_diagonal(ModelSpec(ModelKind.NN, length + 1)),
+    ):
+        with pytest.raises(ArgumentError, match="capped at L <= 7"):
+            call()
 
 
 def test_full_space_operations_reject_a_wrong_vector():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dekrylov import evolve
+from dekrylov import doubled, evolve, oracle
 from dekrylov.errors import ArgumentError
 from dekrylov.evolve import (
     complexity,
@@ -20,16 +20,18 @@ from dekrylov.evolve import (
     scan_point,
     survival_moments_nn,
 )
-from dekrylov.lintri import expm_from_eig
+from dekrylov.lintri import KrylovState, expm_from_eig
 from dekrylov.models import (
     ModelKind,
     ModelSpec,
     analytic_lanczos,
     area_law_k,
+    k_nn_analytic,
     nn_lambda,
     reduced_diagonal,
     site_spins,
 )
+from dekrylov.wigner import psi_ir_exact_profile
 from exact_spectrum import dense, with_spectrum
 
 
@@ -334,6 +336,30 @@ def test_ir_sums_reject_nn_long_chains_and_negative_tau():
         ir_magnetization_sums(ModelSpec(ModelKind.IR, 100_002), 0.5)
     with pytest.raises(ArgumentError, match="nonnegative"):
         ir_magnetization_sums(ModelSpec(ModelKind.IR, 8), [0.5, -1e-3])
+
+
+NAN_TAU_GUARDS = {
+    "nn_lambda": lambda tau: nn_lambda(tau),
+    "k_nn_analytic": lambda tau: k_nn_analytic(8, [0.5, tau]),
+    "renyi2_dense": lambda tau: renyi2_dense(ModelSpec(ModelKind.NN, 8), [tau]),
+    "ir_magnetization_sums": lambda tau: ir_magnetization_sums(ModelSpec(ModelKind.IR, 8), tau),
+    "scan_point_nn": lambda tau: scan_point(ModelSpec(ModelKind.NN, 8), [tau]),
+    "scan_point_ir": lambda tau: scan_point(ModelSpec(ModelKind.IR, 8), [tau]),
+    "psi_ir_exact_profile": lambda tau: psi_ir_exact_profile(8, tau),
+    "KrylovState": lambda tau: KrylovState(taus=tau, psi=np.array([1.0, 0.0])),
+    "build_ir_channel": lambda tau: doubled.build_ir_channel(4, tau),
+    "channel_vs_exponential": lambda tau: oracle.channel_vs_exponential(
+        ModelSpec(ModelKind.IR, 4), tau
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(NAN_TAU_GUARDS))
+def test_a_nan_tau_is_refused_as_a_negative_one_is(guard):
+    """Every public tau guard is written `not tau >= 0`, so NaN fails it."""
+    for tau in (-1.0, math.nan):
+        with pytest.raises(ArgumentError, match="tau must be nonnegative"):
+            NAN_TAU_GUARDS[guard](tau)
 
 
 def test_ir_complexity_approaches_its_limits_as_one_over_l():

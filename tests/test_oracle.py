@@ -12,7 +12,7 @@ from dekrylov.doubled import (
     apply_channel,
     build_ir_channel,
     build_nn_channel,
-    channel_matrix,
+    channel_diagonal,
     restrict_to_parity_sector,
     tau_from_p,
     vectorize,
@@ -68,15 +68,15 @@ def test_elementwise_exponential_matches_scaling_and_squaring():
 @given(st.integers(1, 3), st.floats(0.01, 0.45), st.integers(0, 2**31 - 1))
 @settings(max_examples=25)
 def test_dense_superoperator_action_matches_gather_route(half, p, seed):
-    """The assembled 4^L matrix and the per-term action agree on random states."""
+    """The assembled 4^L superoperator diagonal and the per-term action agree
+    on random states."""
     length = 2 * half
     channel = build_nn_channel(length, p)
-    matrix = channel_matrix(channel)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((2**length, 2**length))
     state = vectorize((raw + raw.T) / 2)
     assert_allclose(
-        matrix @ state,
+        channel_diagonal(channel) * state,
         apply_channel(channel, state),
         atol=1e-12,
     )
@@ -170,8 +170,13 @@ def test_error_state_check_reports_the_first_failing_vector(monkeypatch):
 
 
 def test_oracle_length_caps():
+    """The 4^L routes share the doubled module's cap, L <= 7."""
+    assert channel_vs_exponential(ModelSpec(ModelKind.NN, 7), 0.2) < 1e-12
+    for route in (channel_vs_exponential, oracle.vectorized_map_vs_exponential):
+        with pytest.raises(ArgumentError, match="capped at L <= 7"):
+            route(ModelSpec(ModelKind.NN, 8), 0.2)
     with pytest.raises(ArgumentError):
-        channel_vs_exponential(ModelSpec(ModelKind.NN, 7), 0.2)
+        expm_elementwise_vs_generic(ModelSpec(ModelKind.NN, 5), 0.2)
     with pytest.raises(ArgumentError):
         dense_krylov(ModelSpec(ModelKind.NN, 13))
     with pytest.raises(ArgumentError):

@@ -23,8 +23,8 @@ from dekrylov.wigner import (
     WAVEPACKET_MAX_LENGTH,
     psi_ir_asymptotic_profile,
     psi_ir_exact_profile,
-    wigner_column_stable,
     wigner_d,
+    wigner_d_stable,
 )
 
 
@@ -43,13 +43,13 @@ def test_log_binomial_matches_exact_integers():
 
 
 def test_spin_half_rotation_matrix():
-    """d^{1/2}(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
+    """d^{1/2}(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]], rows and
+    columns ordered m = 1/2, -1/2."""
     for theta in (0.0, 0.4, np.pi / 2, 2.5):
-        half = theta / 2
-        assert wigner_d(0.5, 0.5, 0.5, theta) == pytest.approx(np.cos(half), abs=1e-14)
-        assert wigner_d(0.5, 0.5, -0.5, theta) == pytest.approx(-np.sin(half), abs=1e-14)
-        assert wigner_d(0.5, -0.5, 0.5, theta) == pytest.approx(np.sin(half), abs=1e-14)
-        assert wigner_d(0.5, -0.5, -0.5, theta) == pytest.approx(np.cos(half), abs=1e-14)
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        expected = [[c, -s], [s, c]]
+        assert_allclose(wigner_d(0.5, theta), expected, rtol=0, atol=1e-14)
+        assert_allclose(wigner_d_stable(0.5, theta), expected, rtol=0, atol=1e-14)
 
 
 def test_spin_one_rotation_matrix():
@@ -62,30 +62,35 @@ def test_spin_one_rotation_matrix():
             [(1 - c) / 2, s / np.sqrt(2), (1 + c) / 2],
         ]
     )
-    ms = (1.0, 0.0, -1.0)
-    actual = np.array([[wigner_d(1.0, mp, m, theta) for m in ms] for mp in ms])
-    assert_allclose(actual, expected, atol=1e-14)
+    assert_allclose(wigner_d(1.0, theta), expected, rtol=0, atol=1e-14)
+    assert_allclose(wigner_d_stable(1, theta), expected, rtol=0, atol=1e-14)
 
 
 @given(st.integers(1, 30), st.floats(0.05, 3.1))
 @settings(max_examples=40)
 def test_rotation_columns_are_orthonormal(two_s, theta):
-    s = two_s / 2
-    cols = np.array(
-        [wigner_column_stable(s, s - k, theta) for k in range(two_s + 1)]
-    ).T
-    assert_allclose(cols.T @ cols, np.eye(two_s + 1), atol=1e-11)
+    matrix = wigner_d_stable(two_s / 2, theta)
+    assert matrix.shape == (two_s + 1, two_s + 1) and not matrix.flags.writeable
+    assert_allclose(matrix.T @ matrix, np.eye(two_s + 1), atol=1e-11)
+
+
+@pytest.mark.parametrize("two_s", [100, 301, 600])
+def test_stable_route_is_orthonormal_up_to_its_cap(two_s):
+    """Columns stay orthonormal to 1e-12 up to 2s = 600, where the factorial
+    k-sum has long failed."""
+    for theta in (0.4, np.pi / 2, 4.0):
+        matrix = wigner_d_stable(two_s / 2, theta)
+        gram = np.einsum("ri,rj->ij", matrix, matrix)
+        assert np.max(np.abs(gram - np.eye(two_s + 1))) <= 1e-12, (two_s, theta)
 
 
 @given(st.integers(1, 24), st.floats(0.05, 3.1))
 @settings(max_examples=40)
 def test_stable_column_matches_direct_sum(two_s, theta):
     """The spectral route reproduces the factorial k-sum where both exist."""
-    s = two_s / 2
-    n_col = s - (two_s // 2)
-    column = wigner_column_stable(s, n_col, theta)
-    direct = [wigner_d(s, s - r, n_col, theta) for r in range(two_s + 1)]
-    assert_allclose(column, direct, atol=1e-10)
+    column = two_s // 2
+    stable = wigner_d_stable(two_s / 2, theta)
+    assert_allclose(stable[:, column], wigner_d(two_s / 2, theta)[:, column], atol=1e-10)
 
 
 def _loop_wigner_d(s, m_prime, m, theta):
@@ -108,29 +113,17 @@ def _loop_wigner_d(s, m_prime, m, theta):
 
 
 @pytest.mark.parametrize("theta", [0.4, np.pi / 2, 1.9, 4.0])
-def test_array_wigner_d_equals_stacked_scalar_calls(theta):
-    """One broadcast call gives the whole matrix, element for element the
-    scalar calls.  theta = 4.0 has cos(theta/2) < 0."""
-    for two_s in range(21):
-        s = two_s / 2
-        ms = s - np.arange(two_s + 1)
-        matrix = wigner_d(s, ms[:, None], ms, theta)
-        scalars = [[wigner_d(s, mp, m, theta) for m in ms] for mp in ms]
-        assert matrix.shape == (two_s + 1, two_s + 1)
-        assert all(type(value) is float for row in scalars for value in row)
-        assert np.array_equal(matrix, scalars), (two_s, theta)
-
-
-@pytest.mark.parametrize("theta", [0.4, np.pi / 2, 1.9, 4.0])
 def test_wigner_d_matches_the_exact_loop(theta):
     """Up to the cap 2s = 40, every element lies within 8 eps of its summed
-    term magnitudes of the k-sum loop over exact integer factorials."""
+    term magnitudes of the k-sum loop over exact integer factorials.
+    theta = 4.0 has cos(theta/2) < 0."""
     eps = np.finfo(float).eps
     for two_s in range(wigner.DIRECT_SUM_MAX_TWO_S + 1):
         s = two_s / 2
         ms = s - np.arange(two_s + 1)
-        matrix = wigner_d(s, ms[:, None], ms, theta)
+        matrix = wigner_d(s, theta)
         loop = np.array([[_loop_wigner_d(s, mp, m, theta) for m in ms] for mp in ms])
+        assert matrix.shape == (two_s + 1, two_s + 1)
         assert np.all(np.abs(matrix - loop[..., 0]) <= 8 * eps * loop[..., 1]), (two_s, theta)
 
 
@@ -138,47 +131,20 @@ def test_wigner_routes_agree_on_the_criterion_grid():
     """The factorial k-sum and the spectral route agree within 2e-14 on the
     grid of the Wigner verification criterion (s <= 10)."""
     for two_s in range(1, 21):
-        s = two_s / 2
-        ms = s - np.arange(two_s + 1)
         for theta in (np.pi / 2, 0.4, 1.9):
-            direct = wigner_d(s, ms[:, None], ms, theta)
-            stable = wigner_column_stable(s, ms, theta)
+            direct = wigner_d(two_s / 2, theta)
+            stable = wigner_d_stable(two_s / 2, theta)
             assert np.max(np.abs(direct - stable)) <= 2e-14, (two_s, theta)
 
 
-@pytest.mark.parametrize("two_s", [1, 2, 7, 20, 41, 200])
-def test_array_stable_columns_equal_stacked_columns(two_s):
-    """An array of n_col gives its columns, row index first.  One matrix
-    product serves all columns, so entries agree with the one-column calls
-    to rounding, not bitwise."""
-    s = two_s / 2
-    for theta in (0.4, 1.9, 4.0):
-        cols = s - np.arange(two_s + 1)
-        matrix = wigner_column_stable(s, cols, theta)
-        assert matrix.shape == (two_s + 1, two_s + 1) and not matrix.flags.writeable
-        stacked = np.stack([wigner_column_stable(s, c, theta) for c in cols], axis=1)
-        assert_allclose(matrix, stacked, rtol=0, atol=1e-15)
-        pair = wigner_column_stable(s, cols[[-1, 0]].reshape(2, 1), theta)
-        assert pair.shape == (two_s + 1, 2, 1)
-        assert_allclose(pair[:, :, 0], stacked[:, [-1, 0]], rtol=0, atol=1e-15)
-
-
 def test_wigner_argument_validation():
-    with pytest.raises(ArgumentError):
-        wigner_d(21, 0, 0, 1.0)  # factorial route cap
-    with pytest.raises(ArgumentError):
-        wigner_d(1, 2, 0, 1.0)
-    with pytest.raises(ArgumentError):
-        wigner_d(1, 0.5, 0, 1.0)
-    with pytest.raises(ArgumentError):
-        wigner_column_stable(301, 0, 1.0)
-    # Array indices are checked element by element.
-    for m_prime, m in (([0, 2], 0), (0, [1, 0.5]), ([[0], [0.3]], [0, 1])):
-        with pytest.raises(ArgumentError):
-            wigner_d(1, m_prime, m, 1.0)
-    for n_col in ([0, 2], [1, 0.5], [0.3]):
-        with pytest.raises(ArgumentError):
-            wigner_column_stable(1, n_col, 1.0)
+    """Each route refuses a spin past its cap, a negative spin, and one that
+    is neither integer nor half-integer."""
+    for route, cap in ((wigner_d, 20), (wigner_d_stable, 300)):
+        route(cap, 1.0)
+        for s in (cap + 0.5, -0.5, 0.3, 1.25, math.nan, math.inf):
+            with pytest.raises(ArgumentError, match="integer or half-integer in"):
+                route(s, 1.0)
 
 
 # ------------------------------------------------------ exact IR amplitudes
