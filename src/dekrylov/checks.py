@@ -189,26 +189,13 @@ def check_nn_closed_forms():
 
 
 def _seed_overlap_log_error(kind, length):
-    """max_k |log|V[0,k]| - log|c_k|| against the closed-form seed overlaps.
-
-    T is a collective-spin operator, so the overlaps of e_0 with its
-    eigenvectors are binomial: NN, c_k^2 = C(L-1, k) / 2^(L-1); IR, the
-    k-th ascending eigenvalue is L/2 - 2 m^2 / L with m = L/2 - k and
-    c_k^2 = C(L, L/2 + m) (2 - delta_{m0}) / 2^L.
-    """
-    spec = analytic_lanczos(ModelSpec(kind=kind, length=length))
-    seed = lintri.eig_tridiag(spec.tridiag)[0]
-    if kind is ModelKind.NN:
-        log_sq = models.log_binomial(length - 1, np.arange(length)) - (length - 1) * math.log(2.0)
-    else:
-        m = length // 2 - np.arange(length // 2 + 1)
-        log_sq = (
-            models.log_binomial(length, length / 2 + m)
-            + np.log(2.0 - (m == 0))
-            - length * math.log(2.0)
-        )
+    """max_k |log|V[0,k]| - log|c_k|| against the closed-form seed overlaps,
+    the square roots of the model's spectral_measure weights."""
+    model = ModelSpec(kind=kind, length=length)
+    seed = lintri.eig_tridiag(analytic_lanczos(model).tridiag)[0]
+    log_weights = models.spectral_measure(model)[1]
     with np.errstate(divide="ignore"):
-        return float(np.max(np.abs(np.log(np.abs(seed)) - 0.5 * log_sq)))
+        return float(np.max(np.abs(np.log(np.abs(seed)) - 0.5 * log_weights)))
 
 
 def check_ir_exact_amplitudes():
@@ -312,7 +299,7 @@ def check_volume_law_plateau():
     passed = worst_exact <= 1e-10 and worst_float <= 1e-9 and worst_plateau <= 0.02
     return passed, (
         f"identity dev {worst_exact:.1e} (tol 1e-10, rational equality exact), "
-        f"log-gamma profile route {worst_float:.2e} (tol 1e-9), "
+        f"binomial profile route {worst_float:.2e} (tol 1e-9), "
         f"tridiagonal |K/L - 1/4| at tau=10: {worst_plateau:.2e} (tol 0.02)"
     )
 

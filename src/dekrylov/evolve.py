@@ -35,8 +35,8 @@ from .models import (
     REDUCED_MAX_LENGTH,
     ModelKind,
     k_nn_analytic,
-    log_binomial,
     reduced_levels,
+    spectral_measure,
 )
 
 # Longest chain the scans serve: the IR sums hold (TAU_BLOCK, L/2+1) work
@@ -151,12 +151,13 @@ def ir_magnetization_sums(model, taus):
     Every term is positive, so nothing cancels: K keeps its relative
     accuracy at small tau, and K(0) = 0 exactly.  At tau = 0,
     Sum_k C(L, k) (2k - L)^2 = L 2^L gives chi = 1/L, which is returned
-    as such: the log-gamma weights would round it.  The weights
-    log a_m^2 = log C(L, s+m) + 4 m^2 tau / L are shifted by their
-    largest value per tau, so none overflows, and the taus go TAU_BLOCK
-    at a time through two (TAU_BLOCK, s+1) work arrays, updated in place.
-    Each row is reduced on its own (einsum: a BLAS product's summation
-    order depends on the row count), so no tau's bits depend on the others.
+    as such.  The folded weights 2 a_m^2 (m > 0) and a_0^2 are the
+    spectral_measure, reversed to m = 0..s, times e^{4 m^2 tau / L}; their
+    logs are shifted by their largest value per tau, so none overflows,
+    and the taus go TAU_BLOCK at a time through two (TAU_BLOCK, s+1) work
+    arrays, updated in place.  Each row is reduced on its own (einsum: a
+    BLAS product's summation order depends on the row count), so no tau's
+    bits depend on the others.
 
     ``taus`` is a float or a sequence of floats.  Returns (K, chi), each a
     float or an array of the shape of ``taus``.
@@ -175,23 +176,21 @@ def ir_magnetization_sums(model, taus):
     flat = tau_arr.reshape(-1)
     spin = length // 2
     m = np.arange(spin + 1.0)
-    log_binom = log_binomial(length, spin + m)
+    log_measure = spectral_measure(model)[1][::-1]
     rates = 4.0 * m * m / length
     decays = -2.0 * (2.0 * m[1:] - 1.0) / length
-    fold = np.full(m.size, 2.0)
-    fold[0] = 1.0
-    k_weights = (spin + m[1:]) / 2.0
-    chi_weights = 8.0 * m * m / length**2
+    k_weights = (spin + m[1:]) / 4.0
+    chi_weights = 4.0 * m * m / length**2
     k = np.empty(flat.size)
     chi = np.empty(flat.size)
     for start in range(0, flat.size, TAU_BLOCK):
         block = flat[start : start + TAU_BLOCK, None]
         stop = start + block.shape[0]
         weights = np.multiply(block, rates)
-        weights += log_binom
+        weights += log_measure
         weights -= weights.max(axis=1, keepdims=True)
         np.exp(weights, out=weights)
-        norm = np.einsum("ij,j->i", weights, fold)
+        norm = np.einsum("ij->i", weights)
         steps = np.multiply(block, decays)
         np.expm1(steps, out=steps)
         np.square(steps, out=steps)

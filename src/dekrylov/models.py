@@ -21,9 +21,9 @@ Closed forms: the NN Krylov space has dimension exactly L with b_n =
 sqrt(n(L-n)) (a free collective spin after the Kramers-Wannier map); the
 IR Krylov space has dimension L/2+1 with the collective-spin coefficients
 implemented in analytic_lanczos.  Both tridiagonals carry their exact
-spectra, so their eigendecomposition needs no eigensolver.  Binomials
-beyond L = 30 go through log-gamma (math.lgamma, elementwise); tests
-cross-check against exact integer arithmetic below that.  The explicit
+spectra (their eigendecomposition needs no eigensolver), and the seed's
+overlaps with their eigenvectors are binomial (spectral_measure), built
+from exact ratios in log_binomial_pmf, with no log-gamma.  The explicit
 Kraus channels and the seed as a doubled-space state belong to the
 verification layer and live in dekrylov.doubled, so this module, which
 every scan imports, imports only errors and lintri.
@@ -41,9 +41,6 @@ from .errors import ArgumentError, DomainError
 from .lintri import KrylovState, TridiagonalOperator
 
 REDUCED_MAX_LENGTH = 14  # dense 2^L paths stop here (16384 amplitudes)
-
-# math.lgamma over an array; every argument here is an integer plus 1.
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 class ModelKind(enum.Enum):
@@ -134,9 +131,33 @@ def reduced_levels(model):
     return np.abs(magnetization), (length**2 - levels**2) / (2.0 * length)
 
 
-def log_binomial(n, k):
-    """log C(n, k) via log-gamma, elementwise over integer values 0 <= k <= n."""
-    return _lgamma(n + 1.0) - _lgamma(k + 1.0) - _lgamma(n - k + 1.0)
+def log_binomial_pmf(n):
+    """log(C(n, k) / 2^n) for k = 0..n: one cumsum of the exact ratios
+    log C(n, k+1) - log C(n, k) = log1p((n - 2k - 1)/(k + 1)) from the
+    centre k = n//2 up, its mirror below, and one log-sum-exp."""
+    k = np.arange(n // 2, n, dtype=float)
+    upper = np.concatenate(([0.0], np.cumsum(np.log1p((n - 2.0 * k - 1.0) / (k + 1.0)))))
+    logs = np.concatenate((upper[::-1][: n // 2], upper))
+    return logs - math.log(np.exp(logs).sum())
+
+
+def spectral_measure(model):
+    """(nodes, log_weights): the ascending eigenvalues of the closed-form
+    tridiagonal and the squared overlaps of e_0 with their eigenvectors.
+
+    NN: nodes 2k - (L-1), weights C(L-1, k) / 2^(L-1), k = 0..L-1;
+    IR: nodes L/2 - 2 m^2/L, weights C(L, L/2+m) (2 - delta_{m0}) / 2^L,
+        m = L/2 down to 0.  The weights sum to 1.
+    """
+    length = model.length
+    if model.kind is ModelKind.NN:
+        nodes = 2.0 * np.arange(length) - (length - 1.0)
+        return nodes, log_binomial_pmf(length - 1)
+    magnetization = np.arange(length // 2, -1, -1.0)
+    nodes = length / 2.0 - 2.0 * magnetization**2 / length
+    log_weights = log_binomial_pmf(length)[length // 2 :][::-1]
+    log_weights[:-1] += math.log(2.0)
+    return nodes, log_weights
 
 
 def kw_transform_nn(length):
@@ -159,21 +180,18 @@ def kw_transform_nn(length):
 
 
 def analytic_lanczos(model):
-    """Closed-form Lanczos coefficients and spectrum of a model.
+    """Closed-form Lanczos coefficients, spectrum from spectral_measure.
 
-    NN: a_n = 0, b_n = sqrt(n(L-n)), Krylov dimension L; eigenvalues
-        2k - (L-1) for k = 0..L-1.
+    NN: a_n = 0, b_n = sqrt(n(L-n)), Krylov dimension L.
     IR: a_n = -2n + 4n^2/L - 1/2 + L/2 for n = 0..L/2 and
-        b_n = sqrt(2n(L-2n+1)(2n-1)(L-2n+2)) / (2L), dimension L/2+1;
-        eigenvalues L/2 - 2m^2/L for m = L/2 down to 0.
+        b_n = sqrt(2n(L-2n+1)(2n-1)(L-2n+2)) / (2L), dimension L/2+1.
     """
     length = model.length
+    spectrum = spectral_measure(model)[0]
     if model.kind is ModelKind.NN:
         steps = np.arange(1.0, length)
         tridiag = TridiagonalOperator(
-            diag=np.zeros(length),
-            offdiag=np.sqrt(steps * (length - steps)),
-            spectrum=2.0 * np.arange(length) - (length - 1.0),
+            diag=np.zeros(length), offdiag=np.sqrt(steps * (length - steps)), spectrum=spectrum
         )
         return KrylovSpec(model=model, tridiag=tridiag)
     n = np.arange(0.0, length // 2 + 1)
@@ -182,8 +200,6 @@ def analytic_lanczos(model):
     offdiag = np.sqrt(
         2.0 * m * (length - 2.0 * m + 1.0) * (2.0 * m - 1.0) * (length - 2.0 * m + 2.0)
     ) / (2.0 * length)
-    magnetization = np.arange(length // 2, -1, -1.0)
-    spectrum = length / 2.0 - 2.0 * magnetization**2 / length
     tridiag = TridiagonalOperator(diag=diag, offdiag=offdiag, spectrum=spectrum)
     return KrylovSpec(model=model, tridiag=tridiag)
 
@@ -207,9 +223,8 @@ def psi_nn_analytic(length, tau):
     """Closed-form NN wavepacket.
 
     psi_n = (-1)^n sqrt(C(L-1, n) lambda^n (1-lambda)^{L-1-n}); the signed
-    square root of a binomial profile.  Log-gamma binomials keep this
-    valid to L = 1e4.  Returns a single KrylovState: 0-d ``taus`` and a
-    (L,) ``psi``.
+    square root of a binomial profile, each entry to relative accuracy.
+    Returns a single KrylovState: 0-d ``taus`` and a (L,) ``psi``.
     """
     if length < 2:
         raise ArgumentError("length must be at least 2")
@@ -220,9 +235,9 @@ def psi_nn_analytic(length, tau):
         return KrylovState(taus=float(tau), psi=psi)
     n = np.arange(length)
     log_psi2 = (
-        log_binomial(length - 1, n)
-        + n * math.log(lam)
-        + (length - 1 - n) * math.log1p(-lam)
+        log_binomial_pmf(length - 1)
+        + n * math.log(2.0 * lam)
+        + (length - 1 - n) * math.log(2.0 - 2.0 * lam)
     )
     psi = (-1.0) ** n * np.exp(0.5 * log_psi2)
     psi /= np.linalg.norm(psi)
@@ -246,8 +261,9 @@ def area_law_psi(n, tau):
             (1-2 tau)^{1/4},
 
     normalizable only for 0 <= tau < 1/2 (the (1-2 tau)^{1/4} factor is
-    real there); tau >= 1/2 is a domain error.  ``n`` is an integer or an
-    integer array; the result is a float or an array of its shape.
+    real there); tau >= 1/2 is a domain error.  The prefactor squared is
+    C(2n, n) / 4^n = Prod_{k=1..n} (1 - 1/(2k)).  ``n`` is an integer or
+    an integer array; the result is a float or an array of its shape.
     """
     n = np.asarray(n)
     if np.any(n < 0):
@@ -257,10 +273,9 @@ def area_law_psi(n, tau):
     if tau == 0.0:
         psi = (n == 0).astype(float)
     else:
+        log_central = np.cumsum(np.log1p(-0.5 / np.arange(1.0, n.max(initial=0) + 1)))
         log_mag = (
-            0.5 * _lgamma(2 * n + 1.0)
-            - n * math.log(2.0)
-            - _lgamma(n + 1.0)
+            0.5 * np.concatenate(([0.0], log_central))[n]
             - 0.5 * math.log1p(-tau)
             + n * (math.log(tau) - math.log1p(-tau))
             + 0.25 * math.log1p(-2.0 * tau)

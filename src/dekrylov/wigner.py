@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError
 from .lintri import TridiagonalOperator, eig_tridiag
-from .models import log_binomial
+from .models import log_binomial_pmf
 
 DIRECT_SUM_MAX_TWO_S = 40  # s <= 20 for the factorial k-sum route
 STABLE_MAX_TWO_S = 600  # s <= 300, matrix dimension 601
@@ -207,7 +207,7 @@ def psi_ir_exact_profile(length, tau):
     shifts = logs.max(axis=1)
     logs -= shifts[:, None]
     np.exp(logs, out=logs)
-    log_sq = log_binomial(length, 2.0 * n) + 2.0 * (shifts + np.log(logs.sum(axis=1)))
+    log_sq = log_binomial_pmf(length)[::2] + 2.0 * (shifts + np.log(logs.sum(axis=1)))
     log_sq -= log_sq.max()
     log_sq -= math.log(np.exp(log_sq).sum())
     return (-1.0) ** n * np.exp(0.5 * log_sq)
@@ -218,5 +218,4 @@ def psi_ir_asymptotic_profile(length):
     if length % 2 or length < 2:
         raise DomainError("asymptotic IR amplitudes require even L >= 2")
     n = np.arange(length // 2 + 1)
-    log_binom = log_binomial(length, 2.0 * n)
-    return (-1.0) ** n * np.exp(0.5 * (log_binom + (1.0 - length) * math.log(2.0)))
+    return (-1.0) ** n * np.exp(0.5 * (log_binomial_pmf(length)[::2] + math.log(2.0)))

@@ -1,6 +1,7 @@
 """Static checks of the source tree: no dead public API, no unused imports,
-no scipy import anywhere in the package, and every name the benchmark
-harness reads from the package is still where the harness looks for it.
+no scipy import and no log-gamma anywhere in the package, and every name
+the benchmark harness reads from the package is still where the harness
+looks for it.
 
 The checks parse the files with the standard-library ``ast`` module.  Only
 the benchmark check imports the package, to look up the names it found.
@@ -99,6 +100,25 @@ def test_package_never_imports_scipy():
             if any(m == "scipy" or m.startswith("scipy.") for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"scipy imports: {offenders}"
+
+
+def test_binomial_weights_have_one_home():
+    """No module reaches math.lgamma or np.vectorize, by attribute or by a
+    from-import: every binomial weight comes from models.log_binomial_pmf."""
+    banned = {("math", "lgamma"), ("np", "vectorize"), ("numpy", "vectorize")}
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "", alias.name) for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {a}.{b}" for a, b in names if (a, b) in banned
+            ]
+    assert not offenders, f"log-gamma or vectorized binomials: {offenders}"
 
 
 SUBMODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}

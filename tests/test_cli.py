@@ -609,6 +609,20 @@ def test_ir_chi_at_zero_prints_the_bytes_of_one_over_l(command, tmp_path):
     ]
 
 
+def test_ir_chi_just_above_zero_is_one_over_l_to_a_few_ulp(tmp_path):
+    """At tau = 1e-300 chi is the rounded sum Sum_m w_m 4 m^2 / L^2 over the
+    binomial weights, not the tau = 0 shortcut: L chi stays within 8 ulp of
+    1 up to the scan cap only if every weight keeps its relative accuracy."""
+    lengths = (8, 100, 2000, 10_000, 100_000)
+    grid = ["--lengths", ",".join(map(str, lengths)), "--tau-list", "1e-300"]
+    code, text = run_cli(["renyi2", "--model", "ir"] + grid, tmp_path)
+    assert code == 0
+    rows = rows_of(text)
+    assert [int(r["L"]) for r in rows] == list(lengths)
+    for row in rows:
+        assert abs(Decimal(row["chi"]) * int(row["L"]) - 1) <= 8 * Decimal(2) ** -52, row
+
+
 @pytest.mark.parametrize("model, lengths", [("ir", "8,12"), ("nn", "8,14")])
 def test_renyi2_and_evolve_write_the_same_chi_bytes(model, lengths, tmp_path):
     """The two commands keep separate chi loops; their bytes must agree."""

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +193,36 @@ def test_tridiag_moments_respect_power_cap():
         moments_from_tridiag(tri, 9)
 
 
+def _exact_moments(model, n_max):
+    """mu_n = Sum_k w_k x_k^n over the closed-form spectral measure, as
+    exact Fractions: NN x = 2k - (L-1), w = C(L-1, k) / 2^(L-1); IR
+    x = (L^2 - 4 m^2) / (2L), w = C(L, L/2+m) (2 - delta_{m0}) / 2^L."""
+    length = model.length
+    if model.kind is ModelKind.NN:
+        measure = [(2 * k - length + 1, math.comb(length - 1, k)) for k in range(length)]
+        scale, node_scale = 2 ** (length - 1), 1
+    else:
+        half = length // 2
+        measure = [
+            (length * length - 4 * m * m, math.comb(length, half + m) * (2 - (m == 0)))
+            for m in range(half + 1)
+        ]
+        scale, node_scale = 2**length, 2 * length
+    return [
+        Fraction(sum(w * x**n for x, w in measure), scale * node_scale**n)
+        for n in range(n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_tridiag_moments_at_scale_match_exact_rational_moments(kind):
+    """The recursion on the closed-form coefficients reproduces the exact
+    moments of the closed-form measure at L = 2000, far past criterion 9."""
+    model = ModelSpec(kind, 2000)
+    mu = moments_from_tridiag(analytic_lanczos(model).tridiag, 10)
+    assert_allclose(mu, [float(v) for v in _exact_moments(model, 10)], rtol=1e-14, atol=0)
+
+
 def test_nn_moments_agree_between_exact_and_tridiagonal_routes():
     for length in (4, 8, 12):
         tri = analytic_lanczos(ModelSpec(ModelKind.NN, length)).tridiag
@@ -318,6 +349,42 @@ def test_ir_sums_match_80_digit_decimal_sums(length):
         k_exact, chi_exact = _ir_decimal(length, tau)
         assert abs(Decimal(k_value) / k_exact - 1) < Decimal("1e-12"), tau
         assert abs(Decimal(chi_value) / chi_exact - 1) < Decimal("1e-12"), tau
+
+
+def _ir_positive_form_decimal(length, taus, digits=34):
+    """(K, chi) per tau from the positive form of ir_magnetization_sums in
+    34-digit decimals, with log a0_m^2 - log a0_0^2 summed as decimal ln of
+    the exact ratios C(L, s+m+1) / C(L, s+m) = (s-m) / (s+m+1)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        spin = length // 2
+        log_binom = [Decimal(0)]
+        for m in range(spin):
+            log_binom.append(log_binom[-1] + (Decimal(spin - m) / (spin + m + 1)).ln())
+        results = []
+        for tau in map(Decimal, taus):
+            sq = [(lb + 4 * m * m * tau / length).exp() for m, lb in enumerate(log_binom)]
+            norm = sq[0] + 2 * sum(sq[1:])
+            k = sum(
+                (spin + m) * sq[m] * ((-2 * (2 * m - 1) * tau / length).exp() - 1) ** 2
+                for m in range(1, spin + 1)
+            ) / (2 * norm)
+            chi = sum(8 * m * m * sq[m] for m in range(1, spin + 1)) / (length * length * norm)
+            results.append((k, chi))
+        return results
+
+
+@pytest.mark.parametrize("length", [2000, 10_000])
+def test_ir_sums_at_scale_match_34_digit_decimal_sums(length):
+    """Relative accuracy where the scans run: binomial weights built from
+    exact ratios keep K and chi within 1e-13 of the decimal sums."""
+    taus = [1e-3, 0.3, 0.5, 0.7, 2.0]
+    k, chi = ir_magnetization_sums(ModelSpec(ModelKind.IR, length), taus)
+    for tau, k_value, chi_value, (k_exact, chi_exact) in zip(
+        taus, k, chi, _ir_positive_form_decimal(length, taus)
+    ):
+        assert abs(Decimal(k_value) / k_exact - 1) <= Decimal("1e-13"), tau
+        assert abs(Decimal(chi_value) / chi_exact - 1) <= Decimal("1e-13"), tau
 
 
 def test_ir_sums_keep_the_shape_of_tau_and_start_at_zero():

@@ -1,5 +1,6 @@
 """Model definitions, closed-form Lanczos data, and channel construction."""
 
+import math
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -23,10 +24,12 @@ from dekrylov.models import (
     area_law_psi,
     k_nn_analytic,
     kw_transform_nn,
+    log_binomial_pmf,
     nn_lambda,
     psi_nn_analytic,
     reduced_diagonal,
     site_spins,
+    spectral_measure,
     volume_law_k,
 )
 from dekrylov.oracle import channel_vs_exponential, dense_krylov
@@ -108,6 +111,53 @@ def test_ir_diagonal_is_nonnegative_with_zero_ground(spec):
     assert np.min(diag) == 0.0
     assert diag[0] == 0.0 and diag[-1] == 0.0
     assert np.all(diag >= 0.0)
+
+
+# --------------------------------------------------------- spectral measure
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 1001, 2000, 4095])
+def test_log_binomial_pmf_matches_decimal_logs(n):
+    """Every log(C(n, k) / 2^n), tails included, within 4e-15 of its size
+    (measured at most 1.6e-15, at n = 4095) of a 40-digit decimal ln of
+    the exact integer ratio."""
+    logs = log_binomial_pmf(n)
+    assert logs.shape == (n + 1,)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k, value in enumerate(logs.tolist()):
+            exact = (Decimal(math.comb(n, k)) / Decimal(2) ** n).ln()
+            assert abs(Decimal(value) - exact) <= Decimal("4e-15") * abs(exact), k
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("length", [2, 4, 8, 100, 2000, 100_000])
+def test_spectral_measure_is_normalized_on_the_closed_form_spectrum(kind, length):
+    model = ModelSpec(kind, length)
+    nodes, log_weights = spectral_measure(model)
+    assert np.array_equal(nodes, analytic_lanczos(model).tridiag.spectrum)
+    assert log_weights.shape == nodes.shape
+    top = log_weights.max()
+    assert abs(top + math.log(np.exp(log_weights - top).sum())) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_spectral_measure_weights_are_the_folded_binomials(kind):
+    """NN: C(L-1, k) / 2^(L-1) at 2k - (L-1); IR: C(L, L/2+m) (2 - delta_{m0})
+    / 2^L at L/2 - 2 m^2/L, m = L/2 down to 0, from exact integers."""
+    length = 12
+    nodes, log_weights = spectral_measure(ModelSpec(kind, length))
+    if kind is ModelKind.NN:
+        exact_nodes = [2 * k - length + 1 for k in range(length)]
+        exact_weights = [math.comb(length - 1, k) / 2 ** (length - 1) for k in range(length)]
+    else:
+        sectors = range(length // 2, -1, -1)
+        exact_nodes = [length / 2 - 2 * m * m / length for m in sectors]
+        exact_weights = [
+            math.comb(length, length // 2 + m) * (2 - (m == 0)) / 2**length for m in sectors
+        ]
+    assert_allclose(nodes, exact_nodes, rtol=0, atol=1e-15)
+    assert_allclose(np.exp(log_weights), exact_weights, rtol=1e-15, atol=0)
 
 
 # -------------------------------------------------------- closed-form Lanczos

@@ -17,7 +17,6 @@ from dekrylov.models import (
     ModelSpec,
     analytic_lanczos,
     area_law_psi,
-    log_binomial,
 )
 from dekrylov.wigner import (
     WAVEPACKET_MAX_LENGTH,
@@ -26,17 +25,6 @@ from dekrylov.wigner import (
     wigner_d,
     wigner_d_stable,
 )
-
-
-# ------------------------------------------------------------ log binomials
-
-
-def test_log_binomial_matches_exact_integers():
-    for n in (0, 1, 7, 23, 40):
-        for k in range(n + 1):
-            assert log_binomial(n, k) == pytest.approx(
-                math.log(math.comb(n, k)), abs=1e-12
-            )
 
 
 # ------------------------------------------------------------- d-matrix layer
@@ -190,7 +178,7 @@ def _per_index_profile(length, tau):
             logs.append(value + (math.log(0.5) if j == 0 else 0.0))
         shift = max(logs)
         log_integral = shift + math.log(math.fsum(math.exp(v - shift) for v in logs))
-        log_sq.append(log_binomial(length, 2 * n) + 2.0 * log_integral)
+        log_sq.append(math.log(math.comb(length, 2 * n)) + 2.0 * log_integral)
     top = max(log_sq)
     log_norm = top + math.log(math.fsum(math.exp(v - top) for v in log_sq))
     return np.array(
