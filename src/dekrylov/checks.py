@@ -545,9 +545,10 @@ CHECKS = (
 )
 
 # The longest criterion, which gets a forked worker of its own.  Run
-# in-process on a 2-vCPU Xeon with one BLAS thread (median of nine fresh
-# processes), criterion 4 takes about 0.13 s (three eig_tridiag calls at
-# dimension 601-1001), against about 0.12 s for the other eleven together.
+# in-process on 2 vCPUs, pinned to one CPU with one BLAS thread (eleven
+# fresh processes on a noisy host), criterion 4 takes 120-174 ms, median
+# 169 ms (three eig_tridiag calls at dimension 601-1001), against
+# 104-165 ms, median 156 ms, for the other eleven together.
 CRITICAL_PATH = 4
 
 

@@ -186,9 +186,7 @@ def restrict_to_parity_sector(state):
     length = _full_length(vec)
     dim = 2**length
     upper = np.arange(dim)
-    reduced = np.empty(dim)
-    for r in range(dim):
-        reduced[r] = np.sum(vec[upper + dim * (upper ^ r)])
+    reduced = vec[upper + dim * (upper ^ upper[:, None])].sum(axis=1)
     reduced *= 2.0 ** (-length / 2.0)
     reduced_norm = np.linalg.norm(reduced)
     norm = np.linalg.norm(vec)
@@ -218,13 +216,12 @@ def build_nn_channel(length, p):
     if not 0 <= p < 0.5:
         raise DomainError(f"p must lie in [0, 1/2), got {p!r}")
     bonds = length - 1
-    terms = []
-    for subset in range(2**bonds):
-        weight = p ** subset.bit_count() * (1.0 - p) ** (bonds - subset.bit_count())
-        if weight == 0.0:
-            continue
-        terms.append((weight, subset ^ (subset << 1)))
-    return KrausChannel(length, tuple(terms))
+    subsets = np.arange(2**bonds)
+    by_count = np.array([p**k * (1.0 - p) ** (bonds - k) for k in range(bonds + 1)])
+    weights = by_count[np.bitwise_count(subsets)]
+    kept = weights != 0.0
+    supports = (subsets ^ (subsets << 1))[kept]
+    return KrausChannel(length, tuple(zip(weights[kept].tolist(), supports.tolist())))
 
 
 def build_ir_channel(length, tau):

@@ -31,6 +31,7 @@ from math import comb
 import numpy as np
 
 from .errors import ArgumentError
+from .lintri import exp_from_max
 from .models import (
     REDUCED_MAX_LENGTH,
     ModelKind,
@@ -153,7 +154,8 @@ def ir_magnetization_sums(model, taus):
     Sum_k C(L, k) (2k - L)^2 = L 2^L gives chi = 1/L, which is returned
     as such.  The folded weights 2 a_m^2 (m > 0) and a_0^2 are the
     spectral_measure, reversed to m = 0..s, times e^{4 m^2 tau / L}; their
-    logs are shifted by their largest value per tau, so none overflows,
+    logs are shifted by their largest value per tau (lintri.exp_from_max,
+    which zeroes the weights that would be subnormal), so none overflows,
     and the taus go TAU_BLOCK at a time through two (TAU_BLOCK, s+1) work
     arrays, updated in place.  Each row is reduced on its own (einsum: a
     BLAS product's summation order depends on the row count), so no tau's
@@ -188,8 +190,7 @@ def ir_magnetization_sums(model, taus):
         stop = start + block.shape[0]
         weights = np.multiply(block, rates)
         weights += log_measure
-        weights -= weights.max(axis=1, keepdims=True)
-        np.exp(weights, out=weights)
+        exp_from_max(weights)
         norm = np.einsum("ij->i", weights)
         steps = np.multiply(block, decays)
         np.expm1(steps, out=steps)

@@ -55,31 +55,27 @@ def doubled_hamiltonian_diagonal(model):
 
 
 def _per_factor_diagonals(model, p_or_tau):
-    """Superoperator diagonal of each bond/pair factor of the channel.
+    """(factors, 4^L) superoperator diagonals, one row per bond (NN) or
+    pair i < j in row-major order (IR).
 
     Z-type Kraus terms make every factor diagonal; the full channel is
     the matrix product of the factors, i.e. the elementwise product of
-    these diagonals.
+    these rows.
     """
     length = model.length
-    zz = _layer_agreement_spins(length)
-    factors = []
+    zz = _layer_agreement_spins(length).T
     if model.kind is ModelKind.NN:
         p = p_or_tau
         if not 0 <= p < 0.5:
             raise ArgumentError(f"p must lie in [0, 1/2), got {p!r}")
-        for bond in range(length - 1):
-            factors.append((1.0 - p) + p * zz[:, bond] * zz[:, bond + 1])
-    else:
-        tau = p_or_tau
-        if not tau >= 0:
-            raise ArgumentError("tau must be nonnegative")
-        w_plus = 0.5 * (1.0 + np.exp(-2.0 * tau / length))
-        w_minus = 0.5 * (1.0 - np.exp(-2.0 * tau / length))
-        for i in range(length):
-            for j in range(i + 1, length):
-                factors.append(w_plus + w_minus * zz[:, i] * zz[:, j])
-    return factors
+        return (1.0 - p) + p * zz[:-1] * zz[1:]
+    tau = p_or_tau
+    if not tau >= 0:
+        raise ArgumentError("tau must be nonnegative")
+    w_plus = 0.5 * (1.0 + np.exp(-2.0 * tau / length))
+    w_minus = 0.5 * (1.0 - np.exp(-2.0 * tau / length))
+    i, j = np.triu_indices(length, 1)
+    return w_plus + w_minus * zz[i] * zz[j]
 
 
 def channel_vs_exponential(model, p_or_tau):
@@ -95,10 +91,7 @@ def channel_vs_exponential(model, p_or_tau):
     doubled.effective_hamiltonian_check.  For NN, tau = -ln(1-2p)/2, the
     prefactor e^{-(L-1) tau}; for IR the mapping has no prefactor.
     """
-    length = model.length
-    product = np.ones(4**length)
-    for factor in _per_factor_diagonals(model, p_or_tau):
-        product = product * factor
+    product = np.multiply.reduce(_per_factor_diagonals(model, p_or_tau), axis=0)
     tau, prefactor = _tau_and_prefactor(model, p_or_tau)
     target = prefactor * np.exp(-tau * doubled_hamiltonian_diagonal(model))
     return float(np.max(np.abs(product - target)))

@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .lintri import TridiagonalOperator, eig_tridiag
+from .lintri import TridiagonalOperator, eig_tridiag, exp_from_max
 from .models import log_binomial_pmf
 
 DIRECT_SUM_MAX_TWO_S = 40  # s <= 20 for the factorial k-sum route
@@ -204,9 +204,7 @@ def psi_ir_exact_profile(length, tau):
         logs = np.multiply.outer(2.0 * n, log_tanh)
     logs[0] = 0.0  # 0 * log tanh(0) is NaN; the n = 0 integrand has no tanh
     logs += base
-    shifts = logs.max(axis=1)
-    logs -= shifts[:, None]
-    np.exp(logs, out=logs)
+    shifts = exp_from_max(logs)
     log_sq = log_binomial_pmf(length)[::2] + 2.0 * (shifts + np.log(logs.sum(axis=1)))
     log_sq -= log_sq.max()
     log_sq -= math.log(np.exp(log_sq).sum())

@@ -121,6 +121,90 @@ def test_binomial_weights_have_one_home():
     assert not offenders, f"log-gamma or vectorized binomials: {offenders}"
 
 
+def row_max_subtractions(tree):
+    """(function, line) of each subtraction of a maximum taken along an axis,
+    directly (``x - y.max(axis=1)``, ``x -= np.max(y, 1)[:, None]``) or
+    through a name that the function bound to one: the shift half of an
+    open-coded shift-and-exp over a block of logs."""
+
+    def is_row_max(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"max", "amax"}
+        ):
+            return False
+        on_numpy = isinstance(node.func.value, ast.Name) and node.func.value.id in {"np", "numpy"}
+        return any(k.arg == "axis" for k in node.keywords) or len(node.args) > on_numpy
+
+    found = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        bound = {
+            target.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign) and is_row_max(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+
+        def shifts(node):
+            while isinstance(node, ast.Subscript):
+                node = node.value
+            return is_row_max(node) or (isinstance(node, ast.Name) and node.id in bound)
+
+        for node in ast.walk(function):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
+                subtrahend = node.value
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                subtrahend = node.right
+            else:
+                continue
+            if shifts(subtrahend):
+                found.add((function.name, node.lineno))
+    return sorted(found)
+
+
+def test_shifted_logs_are_exponentiated_only_through_exp_from_max():
+    """lintri.exp_from_max is the one place that shifts a block of logs by
+    its row maxima and exponentiates it, so that no kernel pays np.exp's
+    subnormal path for values too small to count.  The three kernels that
+    need it call it, and no other function subtracts a maximum taken along
+    an axis.  A maximum over a whole vector, as in the final normalization
+    of a wavepacket over its L/2 + 1 printed amplitudes, is no row shift."""
+    sample = ast.parse(
+        "def f(logs):\n"
+        "    logs -= logs.max(axis=1, keepdims=True)\n"
+        "    return np.exp(logs)\n"
+        "def g(logs):\n"
+        "    top = np.max(logs, 1)\n"
+        "    return np.exp(logs - top[:, None]), logs - logs.max()\n"
+    )
+    assert row_max_subtractions(sample) == [("f", 2), ("g", 6)]
+    offenders = [
+        f"{path.name}:{line} in {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name, line in row_max_subtractions(parse(path))
+        if (path.stem, name) != ("lintri", "exp_from_max")
+    ]
+    assert not offenders, f"open-coded shifts by a row maximum: {offenders}"
+    kernels = {
+        "lintri": "expm_from_eig",
+        "evolve": "ir_magnetization_sums",
+        "wigner": "psi_ir_exact_profile",
+    }
+    for module, kernel in kernels.items():
+        (function,) = (
+            node
+            for node in parse(PACKAGE / f"{module}.py").body
+            if isinstance(node, ast.FunctionDef) and node.name == kernel
+        )
+        assert "exp_from_max" in referenced_names(function), f"{module}.{kernel}"
+
+
 SUBMODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
 

@@ -208,6 +208,18 @@ def test_parity_odd_state_has_an_empty_sector(length):
             restrict_to_parity_sector(x - x[idx ^ mask])
 
 
+@pytest.mark.parametrize("length", range(1, FULL_SPACE_MAX_LENGTH + 1))
+def test_restriction_is_the_per_component_sum_bit_for_bit(length):
+    """Component r is the contiguous sum over u of state[u + 2^L (u xor r)],
+    taken with np.sum one r at a time, then scaled by 2^{-L/2}."""
+    state = np.random.default_rng(length).standard_normal(4**length)
+    dim = 2**length
+    upper = np.arange(dim)
+    expected = np.array([np.sum(state[upper + dim * (upper ^ r)]) for r in range(dim)])
+    expected *= 2.0 ** (-length / 2.0)
+    assert restrict_to_parity_sector(state).tobytes() == expected.tobytes()
+
+
 def test_plus_state_restricts_to_uniform_seed():
     """Vectorized |+...+><+...+| is the uniform positive-parity seed."""
     for length in (2, 3, 4):

@@ -1,5 +1,6 @@
 """Tridiagonal operators, their eigenvectors and the propagation kernel."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dekrylov import lintri
+from dekrylov import evolve, lintri, wigner
 from dekrylov.errors import ArgumentError
 from dekrylov.lanczos import run_lanczos
 from dekrylov.lintri import (
@@ -544,3 +545,92 @@ def test_propagation_satisfies_imaginary_time_ode(op, tau):
     rhs = -(t_psi - (psi @ t_psi) * psi)
     norm = 1.0 + np.max(np.abs(op.spectrum))
     assert np.linalg.norm(deriv - rhs) <= 1e-4 * norm
+
+
+# ------------------------------------------------------ shifted exponentials
+
+
+def plain_exp_from_max(logs, dying):
+    """exp_from_max as an open-coded shift and np.exp; appends to ``dying``
+    the number of results below the smallest normal float."""
+    shifts = logs.max(axis=-1)
+    logs -= shifts[..., None]
+    dying.append(np.count_nonzero(logs < lintri.LOG_TINY))
+    np.exp(logs, out=logs)
+    return shifts
+
+
+def test_exp_from_max_zeroes_only_what_exp_makes_subnormal():
+    """Entries whose exponential is subnormal or zero (-inf included) come
+    out as exact zeros, every other entry as under a plain shift and
+    np.exp: the row maximum gives exactly 1, a row holding NaN or only
+    -inf gives NaN, and the shifts are the row maxima."""
+    tiny = np.finfo(float).tiny
+    below = np.nextafter(lintri.LOG_TINY, -np.inf)
+    rows = np.array(
+        [
+            [0.0, -1.0, -700.0, -720.0, -800.0, -np.inf, 3.0],
+            [1.0, np.nan, -2.0, 0.0, -710.0, -1e300, 5.0],
+            [-np.inf] * 7,
+            [lintri.LOG_TINY, 0.0, below, -740.0, -745.2, -1e300, -np.inf],
+        ]
+    )
+    expected, actual = rows.copy(), rows.copy()
+    with np.errstate(invalid="ignore"):  # -inf - (-inf) in the third row
+        expected_shifts = plain_exp_from_max(expected, [])
+        shifts = lintri.exp_from_max(actual)
+    np.testing.assert_array_equal(shifts, [3.0, np.nan, -np.inf, 0.0])
+    np.testing.assert_array_equal(shifts, expected_shifts)
+    subnormal = expected < tiny
+    assert np.count_nonzero(subnormal & (expected > 0.0)) == 3  # -723, below, -740
+    assert expected[3, 0] >= tiny  # LOG_TINY itself still exponentiates to a normal
+    np.testing.assert_array_equal(actual, np.where(subnormal, 0.0, expected))
+    assert actual[0, 6] == actual[3, 1] == 1.0
+    vector = np.array([-3.0, -1000.0, 2.0])
+    assert lintri.exp_from_max(vector) == 2.0
+    assert vector.tolist() == [math.exp(-5.0), 0.0, 1.0]
+
+
+IR_GRID = np.linspace(0.0, 2.0, 401)  # the CLI's default IR tau grid
+# The three kernels that exponentiate shifted logs, with inputs where a
+# share of the shifted logs lies below LOG_TINY.
+SHIFTED_EXP_KERNELS = {
+    "ir_magnetization_sums": (
+        evolve,
+        lambda: [
+            evolve.ir_magnetization_sums(
+                ModelSpec(ModelKind.IR, length), [*IR_GRID, 1e-300, 1e5, 1e300]
+            )
+            for length in (1200, 2000, 10_000)
+        ],
+    ),
+    "psi_ir_exact_profile": (
+        wigner,
+        lambda: [
+            wigner.psi_ir_exact_profile(length, tau)
+            for length in (100, 1000, 4096)
+            for tau in (0.01, 0.5, 2.0, 10.0, 100.0)
+        ],
+    ),
+    "expm_from_eig": (
+        lintri,
+        lambda: [
+            expm_from_eig(analytic_lanczos(ModelSpec(ModelKind.IR, length)).tridiag, IR_GRID).psi
+            for length in (500, 2000)
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(SHIFTED_EXP_KERNELS))
+def test_kernels_keep_their_bits_without_subnormal_exponentials(kernel, monkeypatch):
+    """Each kernel gives the same bits through exp_from_max as through a
+    plain shift and np.exp, although some of its shifted logs die: next to
+    a 1, no sum feels the subnormal values that exp_from_max zeroes."""
+    module, run = SHIFTED_EXP_KERNELS[kernel]
+    actual = run()
+    dying = []
+    monkeypatch.setattr(module, "exp_from_max", functools.partial(plain_exp_from_max, dying=dying))
+    expected = run()
+    assert sum(dying) > 0
+    assert [np.asarray(x).tobytes() for x in actual] == [np.asarray(x).tobytes() for x in expected]

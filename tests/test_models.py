@@ -385,6 +385,22 @@ def test_nn_channel_matches_bond_product_expansion(length, p):
         assert actual.get(support, 0.0) == pytest.approx(weight, abs=1e-14)
 
 
+@pytest.mark.parametrize("length", range(2, 8))
+@pytest.mark.parametrize("p", [0, 0.1, 0.3, 0.49])
+def test_nn_channel_weights_are_the_per_subset_products_bit_for_bit(length, p):
+    """Bond subset s has the weight p^|s| (1-p)^(L-1-|s|), as a Python float,
+    and the Python-int support s xor (s << 1); zero weights are dropped."""
+    bonds = length - 1
+    expected = []
+    for subset in range(2**bonds):
+        weight = p ** subset.bit_count() * (1.0 - p) ** (bonds - subset.bit_count())
+        if weight != 0.0:
+            expected.append((weight, subset ^ (subset << 1)))
+    terms = build_nn_channel(length, p).terms
+    assert [(type(w), type(s)) for w, s in terms] == [(float, int)] * len(expected)
+    assert [(w.hex(), s) for w, s in terms] == [(w.hex(), s) for w, s in expected]
+
+
 def test_channel_term_counts_and_support_parity():
     for length in (3, 4, 5):
         nn = build_nn_channel(length, 0.2)
