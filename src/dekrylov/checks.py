@@ -40,7 +40,6 @@ from .evolve import (
     moments_from_tridiag,
     renyi2_dense,
     renyi2_tridiag,
-    survival_moments_nn,
 )
 from .models import ModelKind, ModelSpec, analytic_lanczos
 
@@ -134,7 +133,7 @@ def check_lanczos_closed_forms():
                 float(np.max(np.abs(dense.a - expected.tridiag.diag))),
                 float(np.max(np.abs(dense.b - expected.tridiag.offdiag))),
             )
-            diagonal = models.reduced_diagonal(spec)
+            diagonal = oracle.reduced_diagonal(spec)
             seed = doubled.reduced_initial_state(spec)
             iterative = lanczos.run_lanczos(lambda v: diagonal * v, seed)
             if not iterative.terminated or len(iterative.a) != expected.krylov_dim:
@@ -149,7 +148,7 @@ def check_lanczos_closed_forms():
                 float(np.max(np.abs(iterative.b - expected.tridiag.offdiag))),
             )
         # Third route for NN: the dual transverse-field image on L-1 links.
-        dual = lanczos.run_lanczos(*models.kw_transform_nn(length))
+        dual = lanczos.run_lanczos(*oracle.kw_transform_nn(length))
         expected = analytic_lanczos(ModelSpec(kind=ModelKind.NN, length=length))
         if not dual.terminated or len(dual.a) != length:
             return False, f"dual image at L={length} closed at {len(dual.a)} != {length}"
@@ -252,8 +251,8 @@ def check_area_law_convergence():
         psi_gaps = []
         for length in lengths:
             profile = wigner.psi_ir_exact_profile(length, tau)
-            limit = models.area_law_psi(np.arange(profile.size), tau)
-            k_gaps.append(abs(complexity(profile) - models.area_law_k(tau)))
+            limit = oracle.area_law_psi(np.arange(profile.size), tau)
+            k_gaps.append(abs(complexity(profile) - oracle.area_law_k(tau)))
             psi_gaps.append(float(np.max(np.abs(profile - limit))))
         for key, gaps in (("K", k_gaps), ("psi", psi_gaps)):
             if not all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1)):
@@ -284,12 +283,12 @@ def check_volume_law_plateau():
             return False, f"exact rational identity fails at L={length}"
         worst_exact = max(
             worst_exact,
-            abs(total / 2 ** (length - 1) - models.volume_law_k(length)),
+            abs(total / 2 ** (length - 1) - oracle.volume_law_k(length)),
         )
-        profile = wigner.psi_ir_asymptotic_profile(length)
+        profile = oracle.psi_ir_asymptotic_profile(length)
         worst_float = max(
             worst_float,
-            abs(complexity(profile) - models.volume_law_k(length)),
+            abs(complexity(profile) - oracle.volume_law_k(length)),
         )
     worst_plateau = 0.0
     for length in (100, 200):
@@ -399,7 +398,7 @@ def check_moment_consistency():
     """Exact integer survival moments equal the tridiagonal moments."""
     worst = 0.0
     for length in (6, 10, 30):
-        exact = survival_moments_nn(length, 10)
+        exact = oracle.survival_moments_nn(length, 10)
         if exact[0] != 1.0 or exact[1] != 0.0 or exact[2] != float(length - 1):
             return False, (
                 f"NN L={length}: low moments {exact[:3]} != (1, 0, L-1) exactly"
@@ -412,7 +411,7 @@ def check_moment_consistency():
         )
     for length in (8, 12):
         model = ModelSpec(kind=ModelKind.IR, length=length)
-        diag = models.reduced_diagonal(model)
+        diag = oracle.reduced_diagonal(model)
         dense_mu = np.array([float(np.mean(diag**n)) for n in range(11)])
         tri = moments_from_tridiag(analytic_lanczos(model).tridiag, 10)
         worst = max(

@@ -278,27 +278,17 @@ def _models(config):
         yield ModelSpec(kind=config.model, length=length)
 
 
-def _specs(config):
-    """Yield the closed-form Krylov spec of each distinct length, in order."""
-    for model in _models(config):
-        yield analytic_lanczos(model)
-
-
 def cmd_coeffs(config):
     """Lanczos coefficients; b_0 is written as an empty field."""
+    model = config.model.value
     rows = []
-    for spec in _specs(config):
-        diag, offdiag = spec.tridiag.diag, spec.tridiag.offdiag
-        for n in range(spec.krylov_dim):
-            rows.append(
-                (
-                    config.model.value,
-                    spec.model.length,
-                    n,
-                    float(diag[n]),
-                    None if n == 0 else float(offdiag[n - 1]),
-                )
-            )
+    for spec in _models(config):
+        tridiag = analytic_lanczos(spec).tridiag
+        offdiag = [None] + tridiag.offdiag.tolist()
+        rows.extend(
+            (model, spec.length, n, a, b)
+            for n, (a, b) in enumerate(zip(tridiag.diag.tolist(), offdiag))
+        )
     write_rows(config.out, config.format, ("model", "L", "n", "a_n", "b_n"), rows)
     return 0
 
@@ -359,11 +349,11 @@ def cmd_renyi2(config):
 
 def cmd_moments(config):
     """Survival moments mu_n from the analytic tridiagonal representation."""
+    model = config.model.value
     rows = []
-    for spec in _specs(config):
-        mu = moments_from_tridiag(spec.tridiag, config.nmax)
-        for n, value in enumerate(mu):
-            rows.append((config.model.value, spec.model.length, n, float(value)))
+    for spec in _models(config):
+        mu = moments_from_tridiag(analytic_lanczos(spec).tridiag, config.nmax)
+        rows.extend((model, spec.length, n, value) for n, value in enumerate(mu.tolist()))
     write_rows(config.out, config.format, ("model", "L", "n", "mu_n"), rows)
     return 0
 

@@ -9,8 +9,9 @@ functionals of the normalized wavepacket psi:
   * the Renyi-2 correlator chi(tau) = (1/L^2) Sum_ij <rho| Z_i^u Z_i^l
     Z_j^u Z_j^l |rho> / <rho|rho>, the order diagnostic for
     strong-to-weak symmetry breaking;
-  * survival moments mu_n = <rho_init| H^n |rho_init>, cross-checkable
-    against the tridiagonal representation.
+  * survival moments mu_n = <rho_init| H^n |rho_init>, read off the
+    tridiagonal representation (the exact NN integers that verification
+    compares them with are oracle.survival_moments_nn).
 
 Both models are collective spins, so the scans need no wavepacket: NN K is
 the closed form (L-1) lambda(tau), and IR K and chi are positive sums over
@@ -26,7 +27,6 @@ compare the sums with them.  Every function here is pure, and scan rows are plai
 from __future__ import annotations
 
 from itertools import repeat
-from math import comb
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "renyi2_tridiag",
     "renyi2_dense",
     "ir_magnetization_sums",
-    "survival_moments_nn",
     "moments_from_tridiag",
     "scan_point",
 ]
@@ -204,27 +203,6 @@ def ir_magnetization_sums(model, taus):
     if tau_arr.ndim == 0:
         return float(k), float(chi)
     return k, chi
-
-
-def survival_moments_nn(length, n_max):
-    """Exact NN survival moments mu_n = E[(2k - L + 1)^n], k ~ Bin(L-1, 1/2).
-
-    Evaluated in exact integer arithmetic; the one int / int true division
-    per moment rounds once.  mu_0 = 1, mu_1 = 0, mu_2 = L - 1 hold exactly.
-    """
-    if length < 2 or length > 64:
-        raise ArgumentError("length must lie in [2, 64]")
-    if not 0 <= n_max <= 20:
-        raise ArgumentError("n_max must lie in [0, 20]")
-    scale = 2 ** (length - 1)
-    moments = []
-    for n in range(n_max + 1):
-        total = sum(
-            comb(length - 1, k) * (2 * k - length + 1) ** n
-            for k in range(length)
-        )
-        moments.append(total / scale)
-    return np.array(moments)
 
 
 def moments_from_tridiag(tri, n_max):

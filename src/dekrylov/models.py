@@ -1,4 +1,4 @@
-"""Decohered Ising models: specs and closed-form references.
+"""Decohered Ising models: specs and closed forms.
 
 Two dephasing channels on an open chain of L qubits are covered:
 
@@ -23,10 +23,13 @@ IR Krylov space has dimension L/2+1 with the collective-spin coefficients
 implemented in analytic_lanczos.  Both tridiagonals carry their exact
 spectra (their eigendecomposition needs no eigensolver), and the seed's
 overlaps with their eigenvectors are binomial (spectral_measure), built
-from exact ratios in log_binomial_pmf, with no log-gamma.  The explicit
-Kraus channels and the seed as a doubled-space state belong to the
-verification layer and live in dekrylov.doubled, so this module, which
-every scan imports, imports only errors and lintri.
+from exact ratios in log_binomial_pmf, with no log-gamma.  Only what a
+scan needs lives here.  The explicit Kraus channels and the seed as a
+doubled-space state live in dekrylov.doubled; the per-site spins, the
+dense reduced diagonal, the Kramers-Wannier dual and the area- and
+volume-law limits, which only verification compares against, live in
+dekrylov.oracle.  This module, which every scan imports, imports only
+errors and lintri.
 """
 
 from __future__ import annotations
@@ -75,43 +78,6 @@ class KrylovSpec:
         return self.tridiag.dim
 
 
-def _check_reduced_length(length):
-    if length > REDUCED_MAX_LENGTH:
-        raise ArgumentError(
-            f"dense reduced-sector path is capped at L <= {REDUCED_MAX_LENGTH}"
-        )
-
-
-def site_spins(length):
-    """(2^L, L) array of tau^z = +/-1 values per basis state and site."""
-    states = np.arange(2**length)
-    bits = (states[:, None] >> np.arange(length)) & 1
-    return 1.0 - 2.0 * bits
-
-
-def _domain_walls(states, length):
-    """Domain walls z_i != z_{i+1} of each basis state, as bit counts."""
-    return np.bitwise_count((states ^ (states >> 1)) & ((1 << (length - 1)) - 1))
-
-
-def reduced_diagonal(model):
-    """Diagonal of the reduced Hamiltonian in the tau^z product basis.
-
-    Basis state x has z_i = 1 - 2 bit_i(x), so both diagonals follow from
-    bit counts: Sum_i z_i z_{i+1} = (L-1) - 2 w with w the domain walls
-    of x, and Sum_i z_i = L - 2 popcount(x).  The values, signed zeros
-    included, are those of the products and sums over site_spins.
-    """
-    _check_reduced_length(model.length)
-    length = model.length
-    states = np.arange(2**length)
-    if model.kind is ModelKind.NN:
-        return -((length - 1) - 2.0 * _domain_walls(states, length))
-    total = length - 2.0 * np.bitwise_count(states)
-    pair_sum = 0.5 * (total**2 - length)  # Sum_{i<j} z_i z_j
-    return -(pair_sum - length * (length - 1) / 2.0) / length
-
-
 def reduced_levels(model):
     """Energy levels of the reduced Hamiltonian, indexed by an integer.
 
@@ -120,12 +86,18 @@ def reduced_levels(model):
     closed form.  NN levels are the domain-wall counts w, with energy 2w;
     IR levels are |M|, M = Sum_i z_i, with energy (L^2 - M^2)/(2L).  The
     IR levels of the wrong parity, which no state takes, are listed too.
+    A domain wall of x is a bond with z_i != z_{i+1}, a set bit of
+    x ^ (x >> 1) below bit L-1.
     """
-    _check_reduced_length(model.length)
     length = model.length
+    if length > REDUCED_MAX_LENGTH:
+        raise ArgumentError(
+            f"dense reduced-sector path is capped at L <= {REDUCED_MAX_LENGTH}"
+        )
     states = np.arange(2**length)
     if model.kind is ModelKind.NN:
-        return _domain_walls(states, length), 2.0 * np.arange(length)
+        walls = np.bitwise_count((states ^ (states >> 1)) & ((1 << (length - 1)) - 1))
+        return walls, 2.0 * np.arange(length)
     levels = np.arange(length + 1)
     magnetization = length - 2 * np.bitwise_count(states).astype(np.int64)
     return np.abs(magnetization), (length**2 - levels**2) / (2.0 * length)
@@ -158,25 +130,6 @@ def spectral_measure(model):
     log_weights = log_binomial_pmf(length)[length // 2 :][::-1]
     log_weights[:-1] += math.log(2.0)
     return nodes, log_weights
-
-
-def kw_transform_nn(length):
-    """Kramers-Wannier image of the reduced NN model, matrix-free.
-
-    Returns the pair (apply, v0): apply(v) is H v for H = -Sum_i tau^x_i
-    on the L-1 link spins, -Sum_link v[x ^ (1 << link)] at each basis
-    state x, in O(L 2^{L-1}) with no 2^{L-1} x 2^{L-1} array; v0 is the
-    all-up link state.  The Krylov space generated from v0 matches the
-    NN chain's: same Lanczos coefficients, dimension exactly L.
-    """
-    if length < 2:
-        raise ArgumentError("length must be at least 2")
-    _check_reduced_length(length)
-    links = length - 1
-    flips = np.arange(2**links) ^ (1 << np.arange(links))[:, None]
-    initial = np.zeros(2**links)
-    initial[0] = 1.0
-    return (lambda vec: -vec[flips].sum(axis=0)), initial
 
 
 def analytic_lanczos(model):
@@ -252,47 +205,3 @@ def k_nn_analytic(length, tau):
     if length < 2:
         raise ArgumentError("length must be at least 2")
     return (length - 1) * nn_lambda(tau)
-
-
-def area_law_psi(n, tau):
-    """Large-L area-law wavepacket amplitude at Krylov index n.
-
-    psi_n = [sqrt((2n)!) / (2^n n!)] sqrt(1/(1-tau)) (-tau/(1-tau))^n
-            (1-2 tau)^{1/4},
-
-    normalizable only for 0 <= tau < 1/2 (the (1-2 tau)^{1/4} factor is
-    real there); tau >= 1/2 is a domain error.  The prefactor squared is
-    C(2n, n) / 4^n = Prod_{k=1..n} (1 - 1/(2k)).  ``n`` is an integer or
-    an integer array; the result is a float or an array of its shape.
-    """
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ArgumentError("n must be nonnegative")
-    if not 0 <= tau < 0.5:
-        raise DomainError(f"area-law profile requires 0 <= tau < 1/2, got {tau!r}")
-    if tau == 0.0:
-        psi = (n == 0).astype(float)
-    else:
-        log_central = np.cumsum(np.log1p(-0.5 / np.arange(1.0, n.max(initial=0) + 1)))
-        log_mag = (
-            0.5 * np.concatenate(([0.0], log_central))[n]
-            - 0.5 * math.log1p(-tau)
-            + n * (math.log(tau) - math.log1p(-tau))
-            + 0.25 * math.log1p(-2.0 * tau)
-        )
-        psi = (-1.0) ** n * np.exp(log_mag)
-    return float(psi) if psi.ndim == 0 else psi
-
-
-def area_law_k(tau):
-    """Area-law Krylov complexity K = tau^2 / (2(1-2 tau)), 0 <= tau < 1/2."""
-    if not 0 <= tau < 0.5:
-        raise DomainError(f"area-law K requires 0 <= tau < 1/2, got {tau!r}")
-    return tau * tau / (2.0 * (1.0 - 2.0 * tau))
-
-
-def volume_law_k(length):
-    """Volume-law Krylov complexity K = L/4 (even L)."""
-    if length % 2 or length < 2:
-        raise DomainError("volume law is defined for even L >= 2")
-    return length / 4.0

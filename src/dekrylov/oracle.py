@@ -1,11 +1,14 @@
-"""Brute-force dense verification at small L.
+"""Independent references for verification: dense brute force at small L,
+exact integer moments, closed-form limits.
 
-Ground truth for the rest of the package: full 4^L channel application,
-one two-pass Gram-Schmidt over the powers {H^n |rho_init>} for the Krylov
-basis, and the interpretation of the n-th Krylov vector as the n-error
-state.  Nothing here is performance-sensitive; the caps (the doubled
-module's 4^L path at L <= 7, the reduced 2^L path at L <= 12) keep every
-check at the seconds scale.
+Ground truth for the rest of the package: per-site spins and the dense
+reduced diagonal, full 4^L channel application, one two-pass
+Gram-Schmidt over the powers {H^n |rho_init>} for the Krylov basis, the
+Kramers-Wannier dual, the n-error-state reading of the Krylov vectors,
+the exact NN survival moments and the area- and volume-law limits.  No
+scan imports this module.  Nothing here is performance-sensitive; the
+caps (4^L paths at L <= 7, 2^L paths at L <= 14, the dense Krylov basis
+at L <= 12) keep every check at the seconds scale.
 """
 
 from __future__ import annotations
@@ -15,9 +18,15 @@ import math
 import numpy as np
 
 from . import doubled
-from .errors import ArgumentError
+from .errors import ArgumentError, DomainError
 from .lanczos import LanczosResult
-from .models import ModelKind, analytic_lanczos, reduced_diagonal, site_spins
+from .models import (
+    REDUCED_MAX_LENGTH,
+    ModelKind,
+    analytic_lanczos,
+    log_binomial_pmf,
+    reduced_levels,
+)
 
 KRYLOV_MAX_LENGTH = 12
 ERROR_STATE_MAX_LENGTH = 8
@@ -27,15 +36,39 @@ ERROR_STATE_TOL = 1e-8
 CLOSURE_RTOL = 1e-12
 
 
-def _layer_agreement_spins(length):
-    """(4^L, L) array of z_i^u z_i^l = +/-1, +1 where the two layers agree.
+def site_spins(length):
+    """(2^L, L) array of tau^z = +/-1 values per basis state and site."""
+    states = np.arange(2**length)
+    bits = (states[:, None] >> np.arange(length)) & 1
+    return 1.0 - 2.0 * bits
 
-    Doubled index i = upper + 2^L lower; the product is the tau^z value of
-    the bit string upper xor lower.
+
+def reduced_diagonal(model):
+    """Diagonal of the reduced Hamiltonian in the tau^z product basis.
+
+    Read off models.reduced_levels: NN -(Sum_i z_i z_{i+1}) with
+    Sum_i z_i z_{i+1} = (L-1) - 2w at w domain walls, IR
+    -(Sum_{i<j} z_i z_j - L(L-1)/2) / L with the pair sum
+    (M^2 - L) / 2 at level |M|.  The values, signed zeros included, are
+    those of the products and sums over site_spins (L <= 14).
+    """
+    level, energies = reduced_levels(model)
+    length = model.length
+    if model.kind is ModelKind.NN:
+        return -((length - 1) - energies[level])
+    pair_sum = 0.5 * (np.arange(length + 1.0) ** 2 - length)
+    return (-(pair_sum - length * (length - 1) / 2.0) / length)[level]
+
+
+def _layer_mismatch(length):
+    """upper xor lower of each doubled index i = upper + 2^L lower (L <= 7).
+
+    Its bits are where the two layers disagree: z_i^u z_i^l is the tau^z
+    value of that bit string.
     """
     doubled.check_full_length(length)
     indices = np.arange(4**length)
-    return site_spins(length)[(indices & (2**length - 1)) ^ (indices >> length)]
+    return (indices & (2**length - 1)) ^ (indices >> length)
 
 
 def doubled_hamiltonian_diagonal(model):
@@ -43,15 +76,13 @@ def doubled_hamiltonian_diagonal(model):
 
     Both models are sums of Z-strings acting identically on the two
     layers, so the doubled Hamiltonian is diagonal in the doubled Z
-    basis.  Index convention: upper bits low, lower bits shifted by L.
+    basis, and each product z_i^u z_i^l z_j^u z_j^l depends only on the
+    layer mismatch: the diagonal is reduced_diagonal pulled back through
+    upper xor lower.  Index convention: upper bits low, lower bits
+    shifted by L.
     """
-    length = model.length
-    zz = _layer_agreement_spins(length)
-    if model.kind is ModelKind.NN:
-        return -np.sum(zz[:, :-1] * zz[:, 1:], axis=1)
-    total = zz.sum(axis=1)
-    pair_sum = 0.5 * (total**2 - length)
-    return -(pair_sum - length * (length - 1) / 2.0) / length
+    mismatch = _layer_mismatch(model.length)  # enforces the L <= 7 cap first
+    return reduced_diagonal(model)[mismatch]
 
 
 def _per_factor_diagonals(model, p_or_tau):
@@ -63,11 +94,9 @@ def _per_factor_diagonals(model, p_or_tau):
     these rows.
     """
     length = model.length
-    zz = _layer_agreement_spins(length).T
+    zz = site_spins(length)[_layer_mismatch(length)].T
     if model.kind is ModelKind.NN:
-        p = p_or_tau
-        if not 0 <= p < 0.5:
-            raise ArgumentError(f"p must lie in [0, 1/2), got {p!r}")
+        p = p_or_tau  # in [0, 1/2): channel_vs_exponential reads tau_from_p(p) first
         return (1.0 - p) + p * zz[:-1] * zz[1:]
     tau = p_or_tau
     if not tau >= 0:
@@ -91,8 +120,8 @@ def channel_vs_exponential(model, p_or_tau):
     doubled.effective_hamiltonian_check.  For NN, tau = -ln(1-2p)/2, the
     prefactor e^{-(L-1) tau}; for IR the mapping has no prefactor.
     """
-    product = np.multiply.reduce(_per_factor_diagonals(model, p_or_tau), axis=0)
     tau, prefactor = _tau_and_prefactor(model, p_or_tau)
+    product = np.multiply.reduce(_per_factor_diagonals(model, p_or_tau), axis=0)
     target = prefactor * np.exp(-tau * doubled_hamiltonian_diagonal(model))
     return float(np.max(np.abs(product - target)))
 
@@ -205,6 +234,24 @@ def dense_krylov(model):
     return LanczosResult(a=a, b=b, basis=basis, terminated=True)
 
 
+def kw_transform_nn(length):
+    """Kramers-Wannier image of the reduced NN model, matrix-free.
+
+    Returns the pair (apply, v0): apply(v) is H v for H = -Sum_i tau^x_i
+    on the L-1 link spins, -Sum_link v[x ^ (1 << link)] at each basis
+    state x, in O(L 2^{L-1}) with no 2^{L-1} x 2^{L-1} array; v0 is the
+    all-up link state.  The Krylov space generated from v0 matches the
+    NN chain's: same Lanczos coefficients, dimension exactly L.
+    """
+    if not 2 <= length <= REDUCED_MAX_LENGTH:
+        raise ArgumentError(f"Kramers-Wannier image needs 2 <= L <= {REDUCED_MAX_LENGTH}")
+    links = length - 1
+    flips = np.arange(2**links) ^ (1 << np.arange(links))[:, None]
+    initial = np.zeros(2**links)
+    initial[0] = 1.0
+    return (lambda vec: -vec[flips].sum(axis=0)), initial
+
+
 def _error_operator_masks(model):
     """Z-support masks of the single-error operators (bonds or pairs)."""
     length = model.length
@@ -256,3 +303,76 @@ def error_state_interpretation_check(model):
         frontier = {s ^ m for s in frontier for m in masks} - reached
         lower, reached = reached, reached | frontier
     return None
+
+
+def survival_moments_nn(length, n_max):
+    """Exact NN survival moments mu_n = E[(2k - L + 1)^n], k ~ Bin(L-1, 1/2).
+
+    Evaluated in exact integer arithmetic; the one int / int true division
+    per moment rounds once.  mu_0 = 1, mu_1 = 0, mu_2 = L - 1 hold exactly.
+    """
+    if length < 2 or length > 64:
+        raise ArgumentError("length must lie in [2, 64]")
+    if not 0 <= n_max <= 20:
+        raise ArgumentError("n_max must lie in [0, 20]")
+    scale = 2 ** (length - 1)
+    moments = []
+    for n in range(n_max + 1):
+        total = sum(
+            math.comb(length - 1, k) * (2 * k - length + 1) ** n
+            for k in range(length)
+        )
+        moments.append(total / scale)
+    return np.array(moments)
+
+
+def area_law_psi(n, tau):
+    """Large-L area-law wavepacket amplitude at Krylov index n.
+
+    psi_n = [sqrt((2n)!) / (2^n n!)] sqrt(1/(1-tau)) (-tau/(1-tau))^n
+            (1-2 tau)^{1/4},
+
+    normalizable only for 0 <= tau < 1/2 (the (1-2 tau)^{1/4} factor is
+    real there); tau >= 1/2 is a domain error.  The prefactor squared is
+    C(2n, n) / 4^n = Prod_{k=1..n} (1 - 1/(2k)).  ``n`` is an integer or
+    an integer array; the result is a float or an array of its shape.
+    """
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ArgumentError("n must be nonnegative")
+    if not 0 <= tau < 0.5:
+        raise DomainError(f"area-law profile requires 0 <= tau < 1/2, got {tau!r}")
+    if tau == 0.0:
+        psi = (n == 0).astype(float)
+    else:
+        log_central = np.cumsum(np.log1p(-0.5 / np.arange(1.0, n.max(initial=0) + 1)))
+        log_mag = (
+            0.5 * np.concatenate(([0.0], log_central))[n]
+            - 0.5 * math.log1p(-tau)
+            + n * (math.log(tau) - math.log1p(-tau))
+            + 0.25 * math.log1p(-2.0 * tau)
+        )
+        psi = (-1.0) ** n * np.exp(log_mag)
+    return float(psi) if psi.ndim == 0 else psi
+
+
+def area_law_k(tau):
+    """Area-law Krylov complexity K = tau^2 / (2(1-2 tau)), 0 <= tau < 1/2."""
+    if not 0 <= tau < 0.5:
+        raise DomainError(f"area-law K requires 0 <= tau < 1/2, got {tau!r}")
+    return tau * tau / (2.0 * (1.0 - 2.0 * tau))
+
+
+def volume_law_k(length):
+    """Volume-law Krylov complexity K = L/4 (even L)."""
+    if length % 2 or length < 2:
+        raise DomainError("volume law is defined for even L >= 2")
+    return length / 4.0
+
+
+def psi_ir_asymptotic_profile(length):
+    """Large-tau/large-L asymptotic IR wavepacket over n = 0..L/2."""
+    if length % 2 or length < 2:
+        raise DomainError("asymptotic IR amplitudes require even L >= 2")
+    n = np.arange(length // 2 + 1)
+    return (-1.0) ** n * np.exp(0.5 * (log_binomial_pmf(length)[::2] + math.log(2.0)))

@@ -38,7 +38,9 @@ average over +-phi cancels the odd numbers of x-flips, so
 
 Nothing cancels, so every amplitude keeps its relative accuracy, however
 small.  The integrand is even in phi, so the trapezoid rule with weight
-1/2 at phi = 0 converges exponentially.
+1/2 at phi = 0 converges exponentially.  Its large-tau limit, the flat
+volume-law profile that verification compares against, is
+oracle.psi_ir_asymptotic_profile.
 """
 
 from __future__ import annotations
@@ -209,11 +211,3 @@ def psi_ir_exact_profile(length, tau):
     log_sq -= log_sq.max()
     log_sq -= math.log(np.exp(log_sq).sum())
     return (-1.0) ** n * np.exp(0.5 * log_sq)
-
-
-def psi_ir_asymptotic_profile(length):
-    """Large-tau/large-L asymptotic IR wavepacket over n = 0..L/2."""
-    if length % 2 or length < 2:
-        raise DomainError("asymptotic IR amplitudes require even L >= 2")
-    n = np.arange(length // 2 + 1)
-    return (-1.0) ** n * np.exp(0.5 * (log_binomial_pmf(length)[::2] + math.log(2.0)))

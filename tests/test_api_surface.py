@@ -1,7 +1,8 @@
 """Static checks of the source tree: no dead public API, no unused imports,
-no scipy import and no log-gamma anywhere in the package, and every name
-the benchmark harness reads from the package is still where the harness
-looks for it.
+no scipy import and no log-gamma anywhere in the package, no
+verification-only reference in a module that the scans import, and every
+name the benchmark harness reads from the package is still where the
+harness looks for it.
 
 The checks parse the files with the standard-library ``ast`` module.  Only
 the benchmark check imports the package, to look up the names it found.
@@ -119,6 +120,32 @@ def test_binomial_weights_have_one_home():
                 f"{path.name}:{node.lineno} {a}.{b}" for a, b in names if (a, b) in banned
             ]
     assert not offenders, f"log-gamma or vectorized binomials: {offenders}"
+
+
+def top_level_functions(module):
+    tree = parse(PACKAGE / f"{module}.py")
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_verify_only_references_live_in_oracle():
+    """The references that only verify and the tests compare against (the
+    per-site spins, the dense reduced diagonal, the Kramers-Wannier dual,
+    the exact NN moments and the area- and volume-law limits) are defined
+    in oracle, and none of the scan modules models, evolve and wigner
+    defines one of them."""
+    verify_only = {
+        "site_spins",
+        "reduced_diagonal",
+        "kw_transform_nn",
+        "area_law_psi",
+        "area_law_k",
+        "volume_law_k",
+        "survival_moments_nn",
+        "psi_ir_asymptotic_profile",
+    }
+    assert verify_only <= top_level_functions("oracle")
+    for module in ("models", "evolve", "wigner"):
+        assert not verify_only & top_level_functions(module), module
 
 
 def row_max_subtractions(tree):

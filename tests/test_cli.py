@@ -29,7 +29,8 @@ from dekrylov.models import (
     nn_lambda,
     psi_nn_analytic,
 )
-from dekrylov.evolve import ir_magnetization_sums, survival_moments_nn
+from dekrylov.evolve import ir_magnetization_sums
+from dekrylov.oracle import survival_moments_nn
 from exact_spectrum import with_spectrum
 from test_startup import fresh_env
 

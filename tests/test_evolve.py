@@ -19,19 +19,16 @@ from dekrylov.evolve import (
     renyi2_dense,
     renyi2_tridiag,
     scan_point,
-    survival_moments_nn,
 )
 from dekrylov.lintri import KrylovState, expm_from_eig
 from dekrylov.models import (
     ModelKind,
     ModelSpec,
     analytic_lanczos,
-    area_law_k,
     k_nn_analytic,
     nn_lambda,
-    reduced_diagonal,
-    site_spins,
 )
+from dekrylov.oracle import area_law_k, reduced_diagonal, site_spins, survival_moments_nn
 from dekrylov.wigner import psi_ir_exact_profile
 from exact_spectrum import dense, with_spectrum
 

@@ -20,19 +20,23 @@ from dekrylov.models import (
     ModelKind,
     ModelSpec,
     analytic_lanczos,
-    area_law_k,
-    area_law_psi,
     k_nn_analytic,
-    kw_transform_nn,
     log_binomial_pmf,
     nn_lambda,
     psi_nn_analytic,
+    spectral_measure,
+)
+from dekrylov.oracle import (
+    area_law_k,
+    area_law_psi,
+    channel_vs_exponential,
+    dense_krylov,
+    kw_transform_nn,
     reduced_diagonal,
     site_spins,
-    spectral_measure,
+    vectorized_map_vs_exponential,
     volume_law_k,
 )
-from dekrylov.oracle import channel_vs_exponential, dense_krylov
 
 
 def nn_specs(max_length=40):
@@ -426,7 +430,15 @@ def test_channel_equals_elementwise_exponential(kind, half, arg):
 
 
 def test_channel_parameter_domains():
-    with pytest.raises(DomainError):
-        build_nn_channel(3, 0.5)
+    """A p outside [0, 1/2) is one DomainError on every route to the NN channel."""
+    nn = ModelSpec(ModelKind.NN, 3)
+    for route in (
+        lambda p: build_nn_channel(3, p),
+        lambda p: channel_vs_exponential(nn, p),
+        lambda p: vectorized_map_vs_exponential(nn, p),
+    ):
+        for p in (0.5, -0.1, math.nan):
+            with pytest.raises(DomainError, match=r"p must lie in \[0, 1/2\)"):
+                route(p)
     with pytest.raises(ArgumentError):
         build_ir_channel(4, -0.1)

@@ -19,12 +19,7 @@ from dekrylov.doubled import (
 )
 from dekrylov.errors import ArgumentError
 from dekrylov.lanczos import LanczosResult
-from dekrylov.models import (
-    ModelKind,
-    ModelSpec,
-    analytic_lanczos,
-    reduced_diagonal,
-)
+from dekrylov.models import ModelKind, ModelSpec, analytic_lanczos
 from dekrylov.oracle import (
     channel_vs_exponential,
     dense_expm,
@@ -32,6 +27,8 @@ from dekrylov.oracle import (
     doubled_hamiltonian_diagonal,
     error_state_interpretation_check,
     expm_elementwise_vs_generic,
+    reduced_diagonal,
+    site_spins,
 )
 
 
@@ -115,16 +112,25 @@ def test_dense_krylov_basis_is_orthonormal():
 
 
 def test_doubled_diagonal_depends_only_on_layer_mismatch():
-    """h(upper, lower) is a function of r = upper xor lower and matches the
-    reduced diagonal at that r."""
-    for kind, length in ((ModelKind.NN, 3), (ModelKind.IR, 4), (ModelKind.NN, 4)):
-        spec = ModelSpec(kind, length)
+    """The pullback of the reduced diagonal through upper xor lower is, bit
+    for bit and signed zeros included, each model's Z-string sum over the
+    layer-agreement spins zz_i = z_i^u z_i^l: NN -Sum_i zz_i zz_{i+1}, IR
+    -(Sum_{i<j} zz_i zz_j - L(L-1)/2) / L, at every L <= 7."""
+    specs = [ModelSpec(ModelKind.NN, length) for length in range(2, 8)]
+    specs += [ModelSpec(ModelKind.IR, length) for length in (2, 4, 6)]
+    for spec in specs:
+        length = spec.length
+        indices = np.arange(4**length)
+        spins = site_spins(length)
+        zz = spins[indices % 2**length] * spins[indices >> length]
+        if spec.kind is ModelKind.NN:
+            reference = -np.sum(zz[:, :-1] * zz[:, 1:], axis=1)
+        else:
+            pair_sum = 0.5 * (zz.sum(axis=1) ** 2 - length)
+            reference = -(pair_sum - length * (length - 1) / 2.0) / length
         full = doubled_hamiltonian_diagonal(spec)
-        reduced = reduced_diagonal(spec)
-        dim = 2**length
-        for r in range(dim):
-            values = [full[u + dim * (u ^ r)] for u in range(dim)]
-            assert_allclose(values, reduced[r], atol=0)
+        assert np.array_equal(full, reference), spec
+        assert np.array_equal(np.signbit(full), np.signbit(reference)), spec
 
 
 def test_repeated_channel_equals_reduced_imaginary_time_flow():

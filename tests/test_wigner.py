@@ -16,11 +16,10 @@ from dekrylov.models import (
     ModelKind,
     ModelSpec,
     analytic_lanczos,
-    area_law_psi,
 )
+from dekrylov.oracle import area_law_psi, psi_ir_asymptotic_profile
 from dekrylov.wigner import (
     WAVEPACKET_MAX_LENGTH,
-    psi_ir_asymptotic_profile,
     psi_ir_exact_profile,
     wigner_d,
     wigner_d_stable,
