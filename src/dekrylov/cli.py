@@ -11,14 +11,16 @@ Subcommands map one observable to one plot-ready file:
 
 Each scan runs one pass per length on the calling thread, and the rows
 are built from whole arrays over tau, with no object per tau.  `evolve`
-and `renyi2` need no wavepacket: K and chi are closed forms or O(L) sums
-over the magnetization sectors, so they serve L <= 100000.  `wavepacket`
-prints the exact wavepacket: the NN binomial closed form, and the IR
-Gaussian integral of dekrylov.wigner, both accurate to the last digits of
-every entry, however small; it serves L <= 4096.  `coeffs` and `moments`
-serve L <= 100000 too, a --tau grid holds at most 100000 points, and
-every tau is at most 1e300, so no kernel overflows.  Longer chains and
-grids and larger taus exit 2 before anything is allocated.  No scan
+and IR `renyi2` need no wavepacket: K and chi are closed forms or O(L)
+sums over the magnetization sectors, so they serve L <= 100000; NN
+`renyi2` sums the dense levels and serves L <= 14.  `wavepacket` prints
+the exact wavepacket: the NN binomial closed form, and the IR Gaussian
+integral of dekrylov.wigner, both accurate to the last digits of every
+entry, however small; it serves L <= 4096.  `coeffs` and `moments` serve
+L <= 100000 too, a --tau grid holds at most 100000 points, and every tau
+is at most 1e300, so no kernel overflows.  Longer chains and grids and
+larger taus exit 2 before anything is allocated.  `main` resolves the
+flags once, the command builds its rows, and `main` writes them.  No scan
 reaches the tridiagonal eigensolver, which serves `verify` and the tests,
 and no scan imports the verification layer: `verify` loads it.  Output
 is bitwise deterministic across runs, and floats are written with 17
@@ -28,8 +30,8 @@ rows are formatted by one %-template per row shape (the tuple of cell
 types).  Flags are the only input.  Exit codes: 0 success, 1 verification
 failure, 2 invalid arguments or an --out path or a stdout that cannot be
 written, for --help too (one `error:` line, no traceback), 3 numerical
-failure (a LinAlgError), 130 interrupted (SIGINT, Ctrl-C; one `error: interrupted`
-line, no traceback).
+failure (a LinAlgError), 130 interrupted (SIGINT, Ctrl-C; one
+`error: interrupted` line, no traceback).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -53,7 +56,7 @@ from .evolve import (
     renyi2_dense,
     scan_point,
 )
-from .models import ModelKind, ModelSpec, analytic_lanczos, psi_nn_analytic
+from .models import REDUCED_MAX_LENGTH, ModelKind, ModelSpec, analytic_lanczos, psi_nn_analytic
 from .wigner import WAVEPACKET_MAX_LENGTH, psi_ir_exact_profile
 
 # Figure-scale default grids.
@@ -72,32 +75,12 @@ TAU_MAX = 1e300
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved scan parameters for the data-producing subcommands."""
+    """The models of the distinct lengths and the distinct taus, ascending,
+    and --nmax (None when it is not given)."""
 
-    model: ModelKind
-    lengths: tuple
+    models: tuple
     taus: tuple
-    explicit_taus: bool
-    out: Optional[str]
-    format: str
-    nmax: int
-
-    def __post_init__(self):
-        if not self.lengths:
-            raise ArgumentError("lengths: need at least one length")
-        for length in self.lengths:
-            ModelSpec(kind=self.model, length=length)  # validates length parity
-        taus = np.asarray(self.taus, dtype=float)
-        ok = (taus >= 0) & (taus < np.inf)  # false for nan and +-inf
-        if not ok.all():
-            tau = self.taus[int(ok.argmin())]
-            raise ArgumentError(f"tau: values must be finite and >= 0, got {tau!r}")
-        too_large = taus > TAU_MAX
-        if too_large.any():
-            tau = self.taus[int(too_large.argmax())]
-            raise ArgumentError(f"tau: values must be <= {TAU_MAX:g}, got {tau!r}")
-        if self.nmax < 0:
-            raise ArgumentError(f"nmax: must be >= 0, got {self.nmax!r}")
+    nmax: Optional[int]
 
 
 def _as_int(text, key):
@@ -157,57 +140,64 @@ def parse_tau_list(text):
 
 
 def grid_taus(grid):
-    start, stop, count = grid
-    if count == 1:
-        return (start,)
-    return tuple(float(t) for t in np.linspace(start, stop, count))
+    return tuple(np.linspace(*grid).tolist())
 
 
-def resolve_config(args, command):
-    """Turn the parsed flags into a RunConfig, filling in the default grids."""
+def resolve_config(args):
+    """Turn the parsed flags into a RunConfig, filling in the defaults.
+
+    The lengths are checked first (the command's cap, then IR parity),
+    then the taus of the commands that take them, then --nmax.
+    """
     if args.model is None:
         raise ArgumentError("model: required (--model nn|ir)")
-    model = ModelKind(args.model)
+    kind = ModelKind(args.model)
+    command = args.command
 
     if args.lengths is not None:
         lengths = parse_lengths(args.lengths)
     elif command == "renyi2":
         lengths = RENYI2_DEFAULT_LENGTHS
     else:
-        lengths = DEFAULT_LENGTHS[model]
-    cap = WAVEPACKET_MAX_LENGTH if command == "wavepacket" else SCAN_MAX_LENGTH
+        lengths = DEFAULT_LENGTHS[kind]
+    name, cap = command, WAVEPACKET_MAX_LENGTH if command == "wavepacket" else SCAN_MAX_LENGTH
+    if command == "renyi2" and kind is ModelKind.NN:
+        name, cap = "renyi2 --model nn", REDUCED_MAX_LENGTH
     if max(lengths) > cap:
-        raise ArgumentError(f"lengths: {command} serves L <= {cap}, got {max(lengths)}")
+        raise ArgumentError(f"lengths: {name} serves L <= {cap}, got {max(lengths)}")
+    models = tuple(ModelSpec(kind=kind, length=length) for length in sorted(set(lengths)))
 
-    tau_list = getattr(args, "tau_list", None)
-    tau_grid = getattr(args, "tau", None)
-    if tau_list is not None and tau_grid is not None:
+    taus = resolve_taus(args, kind) if hasattr(args, "tau") else ()
+    nmax = getattr(args, "nmax", None)
+    if nmax is not None and nmax < 0:
+        raise ArgumentError(f"nmax: must be >= 0, got {nmax!r}")
+    return RunConfig(models=models, taus=taus, nmax=nmax)
+
+
+def resolve_taus(args, kind):
+    """The distinct taus of evolve, wavepacket or renyi2, ascending."""
+    if args.tau_list is not None and args.tau is not None:
         raise ArgumentError("tau: give --tau or --tau-list, not both")
-    if tau_list is not None:
-        taus = parse_tau_list(tau_list)
-        explicit = True
-    elif tau_grid is not None:
-        taus = grid_taus(parse_tau_grid(tau_grid))
-        explicit = True
+    if args.tau_list is not None:
+        taus = parse_tau_list(args.tau_list)
+    elif args.tau is not None:
+        taus = grid_taus(parse_tau_grid(args.tau))
+    elif args.command == "wavepacket":
+        raise ArgumentError("tau: wavepacket requires an explicit tau list (--tau-list or --tau)")
     else:
-        taus = grid_taus(DEFAULT_TAU_GRID[model])
-        if model is ModelKind.IR and command == "evolve":
-            taus = taus + IR_PLATEAU_TAUS
-        explicit = False
+        taus = grid_taus(DEFAULT_TAU_GRID[kind])
+        if kind is ModelKind.IR and args.command == "evolve":
+            taus += IR_PLATEAU_TAUS
+    values = np.asarray(taus, dtype=float)
+    ok = (values >= 0) & (values < np.inf)  # false for nan and +-inf
+    if not ok.all():
+        raise ArgumentError(f"tau: values must be finite and >= 0, got {taus[ok.argmin()]!r}")
+    above = values > TAU_MAX
+    if above.any():
+        raise ArgumentError(f"tau: values must be <= {TAU_MAX:g}, got {taus[above.argmax()]!r}")
     # x + 0.0 turns -0.0 (and a negative underflow such as -1e-400) into
     # +0.0, so every command prints 0 and -0 is not a second zero.
-    taus = tuple(tau + 0.0 for tau in taus)
-
-    nmax = getattr(args, "nmax", None)
-    return RunConfig(
-        model=model,
-        lengths=lengths,
-        taus=taus,
-        explicit_taus=explicit,
-        out=args.out,
-        format=args.format or "csv",
-        nmax=DEFAULT_NMAX if nmax is None else nmax,
-    )
+    return tuple(sorted({tau + 0.0 for tau in taus}))
 
 
 def _row_template(shape):
@@ -272,90 +262,66 @@ def _write_stdout(text):
         raise ArgumentError(f"stdout: cannot write: {err.strerror or err}") from None
 
 
-def _models(config):
-    """Yield the model of each distinct length, in ascending order."""
-    for length in sorted(set(config.lengths)):
-        yield ModelSpec(kind=config.model, length=length)
-
-
 def cmd_coeffs(config):
     """Lanczos coefficients; b_0 is written as an empty field."""
-    model = config.model.value
     rows = []
-    for spec in _models(config):
-        tridiag = analytic_lanczos(spec).tridiag
+    for spec in config.models:
+        model, tridiag = spec.kind.value, analytic_lanczos(spec).tridiag
         offdiag = [None] + tridiag.offdiag.tolist()
         rows.extend(
             (model, spec.length, n, a, b)
             for n, (a, b) in enumerate(zip(tridiag.diag.tolist(), offdiag))
         )
-    write_rows(config.out, config.format, ("model", "L", "n", "a_n", "b_n"), rows)
-    return 0
+    return rows
 
 
 def cmd_evolve(config):
     """K, K_norm and chi over the (L, tau) grid, sorted by (L, tau)."""
-    taus = sorted(set(config.taus))
-    model = config.model.value
-    rows = [
-        (model,) + row
-        for spec in _models(config)
-        for row in scan_point(spec, taus)
-    ]
-    write_rows(
-        config.out, config.format, ("model", "L", "tau", "K", "K_norm", "chi"), rows
-    )
-    return 0
+    rows = []
+    for spec in config.models:
+        tag = (spec.kind.value,)
+        rows.extend(tag + row for row in scan_point(spec, config.taus))
+    return rows
 
 
 def cmd_wavepacket(config):
     """psi_n at explicit taus, one row per Krylov index: NN binomial, IR Gaussian integral."""
-    if not config.explicit_taus:
-        raise ArgumentError(
-            "tau: wavepacket requires an explicit tau list (--tau-list or --tau)"
-        )
-    taus = sorted(set(config.taus))
-    model = config.model.value
     rows = []
-    for spec in _models(config):
-        for tau in taus:
-            if config.model is ModelKind.IR:
+    for spec in config.models:
+        model = spec.kind.value
+        for tau in config.taus:
+            if spec.kind is ModelKind.IR:
                 psi = psi_ir_exact_profile(spec.length, tau)
             else:
                 psi = psi_nn_analytic(spec.length, tau).psi
             rows.extend(
                 (model, spec.length, tau, n, a, a * a) for n, a in enumerate(psi.tolist())
             )
-    write_rows(
-        config.out, config.format, ("model", "L", "tau", "n", "psi", "psi2"), rows
-    )
-    return 0
+    return rows
 
 
 def cmd_renyi2(config):
     """chi over the (L, tau) grid: dense for NN (L <= 14), magnetization sums for IR."""
-    taus = sorted(set(config.taus))
-    model = config.model.value
     rows = []
-    for spec in _models(config):
-        if config.model is ModelKind.IR:
-            _, chis = ir_magnetization_sums(spec, taus)
+    for spec in config.models:
+        if spec.kind is ModelKind.IR:
+            _, chis = ir_magnetization_sums(spec, config.taus)
         else:
-            chis = renyi2_dense(spec, taus)
-        rows.extend((model, spec.length, tau, chi) for tau, chi in zip(taus, chis.tolist()))
-    write_rows(config.out, config.format, ("model", "L", "tau", "chi"), rows)
-    return 0
+            chis = renyi2_dense(spec, config.taus)
+        rows.extend(zip(repeat(spec.kind.value), repeat(spec.length), config.taus, chis.tolist()))
+    return rows
 
 
 def cmd_moments(config):
-    """Survival moments mu_n from the analytic tridiagonal representation."""
-    model = config.model.value
+    """Survival moments mu_n from the analytic tridiagonal representation, to
+    --nmax, by default to DEFAULT_NMAX or 2 x the Krylov dimension if lower."""
     rows = []
-    for spec in _models(config):
-        mu = moments_from_tridiag(analytic_lanczos(spec).tridiag, config.nmax)
+    for spec in config.models:
+        model, tridiag = spec.kind.value, analytic_lanczos(spec).tridiag
+        nmax = min(DEFAULT_NMAX, 2 * tridiag.dim) if config.nmax is None else config.nmax
+        mu = moments_from_tridiag(tridiag, nmax)
         rows.extend((model, spec.length, n, value) for n, value in enumerate(mu.tolist()))
-    write_rows(config.out, config.format, ("model", "L", "n", "mu_n"), rows)
-    return 0
+    return rows
 
 
 def cmd_verify(level):
@@ -454,15 +420,16 @@ def main(argv=None):
         args = build_parser().parse_args(_attach_negative_values(argv))
         if args.command == "verify":
             return cmd_verify(args.level)
-        config = resolve_config(args, args.command)
-        handler = {
-            "coeffs": cmd_coeffs,
-            "evolve": cmd_evolve,
-            "wavepacket": cmd_wavepacket,
-            "renyi2": cmd_renyi2,
-            "moments": cmd_moments,
+        # Looked up on each call, so a cmd_* patched on the module is the one run.
+        handler, header = {
+            "coeffs": (cmd_coeffs, ("model", "L", "n", "a_n", "b_n")),
+            "evolve": (cmd_evolve, ("model", "L", "tau", "K", "K_norm", "chi")),
+            "wavepacket": (cmd_wavepacket, ("model", "L", "tau", "n", "psi", "psi2")),
+            "renyi2": (cmd_renyi2, ("model", "L", "tau", "chi")),
+            "moments": (cmd_moments, ("model", "L", "n", "mu_n")),
         }[args.command]
-        return handler(config)
+        write_rows(args.out, args.format or "csv", header, handler(resolve_config(args)))
+        return 0
     except ArgumentError as err:  # DomainError included
         print(f"error: {err}", file=sys.stderr)
         return 2

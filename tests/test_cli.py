@@ -340,17 +340,24 @@ def test_scan_past_the_length_cap_is_exit_2_before_allocating(argv, capsys):
             ["renyi2", "--model", "ir", "--lengths", "8", "--tau", "0:1:100001"],
             "tau: count must lie in [1, 100000], got 100001",
         ),
+        (
+            ["renyi2", "--model", "nn", "--lengths", "8,10000"],
+            "lengths: renyi2 --model nn serves L <= 14, got 10000",
+        ),
     ],
 )
 def test_oversized_flags_are_exit_2_before_any_array(argv, error, monkeypatch, capsys):
-    """coeffs and moments share the scans' L <= 10^5 cap, and a --tau grid
-    holds at most TAU_COUNT_MAX points: past either, one error line, and
-    neither the coefficients nor the tau grid is ever built."""
+    """coeffs and moments share the scans' L <= 10^5 cap, NN renyi2 (dense
+    level sums) serves L <= 14, and a --tau grid holds at most
+    TAU_COUNT_MAX points: past any of these, one error line, and neither
+    the coefficients, nor the tau grid, nor a shorter length's chi is ever
+    built."""
 
     def unreachable(*args, **kwargs):
         raise AssertionError("an oversized flag reached the computation")
 
     monkeypatch.setattr(cli, "analytic_lanczos", unreachable)
+    monkeypatch.setattr(cli, "renyi2_dense", unreachable)
     monkeypatch.setattr(np, "linspace", unreachable)
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -554,8 +561,22 @@ def test_moments_match_exact_binomial_route(tmp_path):
 
 
 def test_moments_nmax_beyond_information_content_errors(capsys):
-    assert cli.main(["moments", "--model", "ir", "--lengths", "4"]) == 2
-    assert "n_max" in capsys.readouterr().err
+    assert cli.main(["moments", "--model", "ir", "--lengths", "4", "--nmax", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: n_max must lie in [0, 6]\n")
+
+
+@pytest.mark.parametrize(
+    "model, lengths, counts",
+    [("nn", "2,20", [5, 11]), ("ir", "2,4,6", [5, 7, 9])],
+)
+def test_moments_default_serves_every_length(model, lengths, counts, tmp_path):
+    """Without --nmax each length gets min(DEFAULT_NMAX, 2 x Krylov dimension)
+    moments: the short chains are capped, the longer ones get n <= 10."""
+    code, text = run_cli(["moments", "--model", model, "--lengths", lengths], tmp_path)
+    assert code == 0
+    rows = rows_of(text)
+    assert [sum(r["L"] == length for r in rows) for length in lengths.split(",")] == counts
+    assert [r["mu_n"] for r in rows if r["n"] == "0"] == ["1"] * len(counts)
 
 
 @pytest.mark.filterwarnings("error")
@@ -795,6 +816,79 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert len(lengths_of(evolve)) == 403
     assert cli.main(["verify"]) == 0
     assert "(full level)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--model", "nn", "--lengths", "4"],
+        ["moments", "--model", "ir", "--lengths", "8"],
+    ],
+)
+def test_scans_without_tau_build_no_tau_grid(argv, monkeypatch, capsys):
+    """coeffs and moments take no --tau and read no tau grid."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a scan without tau built a tau grid")
+
+    monkeypatch.setattr(np, "linspace", unreachable)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+SCAN_COMMANDS = [
+    ["coeffs", "--model", "ir", "--lengths", "4,2"],
+    ["evolve", "--model", "nn", "--lengths", "6,4", "--tau-list", "1,0.5,1"],
+    ["wavepacket", "--model", "ir", "--lengths", "4", "--tau-list", "0.5"],
+    ["renyi2", "--model", "ir", "--lengths", "8", "--tau", "0:1:3"],
+    ["moments", "--model", "nn", "--lengths", "4", "--nmax", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", SCAN_COMMANDS, ids=lambda argv: argv[0])
+def test_main_looks_up_the_command_when_it_runs(argv, monkeypatch, capsys):
+    """A cmd_* patched on the module after import is the one that runs,
+    once per call, and the rows it returns are written unchanged."""
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    original = getattr(cli, f"cmd_{argv[0]}")
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", counting)
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr() == (expected, "")
+
+
+EVEN = "IR model requires even L"
+NMAX = "nmax: must be >= 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["evolve", "--model", "ir", "--lengths", "7", "--tau-list", "-1"], EVEN),
+        (["wavepacket", "--model", "ir", "--lengths", "7"], EVEN),
+        (
+            ["wavepacket", "--model", "nn", "--lengths", "8"],
+            "tau: wavepacket requires an explicit tau list (--tau-list or --tau)",
+        ),
+        (
+            ["evolve", "--model", "ir", "--lengths", "8,100002", "--tau-list", "-1"],
+            "lengths: evolve serves L <= 100000, got 100002",
+        ),
+        (["moments", "--model", "ir", "--lengths", "7", "--nmax", "-1"], EVEN),
+        (["moments", "--model", "nn", "--lengths", "3", "--nmax", "-1"], NMAX),
+    ],
+)
+def test_lengths_are_checked_before_tau_and_nmax(argv, error, capsys):
+    """The length cap and IR parity come first, then tau, then --nmax."""
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_config_flag_is_a_usage_error(capsys):
