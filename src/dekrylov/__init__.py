@@ -9,6 +9,10 @@ strong-to-weak symmetry-breaking crossover apart from a genuine
 mixed-state transition: the Krylov complexity K(tau) and the Renyi-2
 correlator chi(tau).
 
+Each name is reached through its home module (``dekrylov.checks.run_checks``,
+``dekrylov.errors.ArgumentError``); the root re-exports only the five names
+that the benchmark harness reads from it.
+
 Module map.  The production path, which every scan imports:
 
   lintri   tridiagonal operators; O(d^2) eigenvectors and exp(-tau T) e_0 (verify only)
@@ -20,8 +24,9 @@ Module map.  The production path, which every scan imports:
            Gaussian integral (L <= 4096)
   cli      deterministic CSV/JSON scans (entry point: ``dekrylov``)
 
-The verification layer, whose names below load their module on first
-access (PEP 562), so that ``import dekrylov`` and the scans load none of it:
+The verification layer, which loads only when one of its modules is
+imported (``dekrylov verify`` imports ``checks``), so that
+``import dekrylov`` and the scans load none of it:
 
   doubled  Choi vectorization, Z-type Kraus channels on plain arrays, the
            models' composed channels and seed, parity reduction: the map
@@ -33,88 +38,17 @@ access (PEP 562), so that ``import dekrylov`` and the scans load none of it:
   checks   the acceptance-grade verification suite
 """
 
-import importlib
-
-from .errors import ArgumentError, DomainError
-from .lintri import KrylovState, TridiagonalOperator, eig_tridiag
-# Kept for perfbench/test_harness.py, which propagates through this name.
+from .lintri import eig_tridiag
 from .lintri import expm_from_eig as expm_action
-from .models import (
-    KrylovSpec,
-    ModelKind,
-    ModelSpec,
-    analytic_lanczos,
-    k_nn_analytic,
-    psi_nn_analytic,
-)
-from .evolve import (
-    complexity,
-    ir_magnetization_sums,
-    moments_from_tridiag,
-    renyi2_dense,
-    renyi2_tridiag,
-    scan_point,
-)
-from .wigner import psi_ir_exact_profile, wigner_d, wigner_d_stable
-
-_VERIFICATION_MODULES = {
-    "KrausChannel": "doubled",
-    "apply_channel": "doubled",
-    "tau_from_p": "doubled",
-    "vectorize": "doubled",
-    "LanczosResult": "lanczos",
-    "run_lanczos": "lanczos",
-    "area_law_k": "oracle",
-    "area_law_psi": "oracle",
-    "survival_moments_nn": "oracle",
-    "volume_law_k": "oracle",
-    "CheckResult": "checks",
-    "run_checks": "checks",
-}
-
-
-def __getattr__(name):
-    module = _VERIFICATION_MODULES.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-
+from .models import ModelKind, ModelSpec, analytic_lanczos
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentError",
-    "DomainError",
-    "KrylovState",
-    "TridiagonalOperator",
-    "eig_tridiag",
-    "expm_action",
-    "KrausChannel",
-    "apply_channel",
-    "tau_from_p",
-    "vectorize",
-    "KrylovSpec",
     "ModelKind",
     "ModelSpec",
     "analytic_lanczos",
-    "area_law_k",
-    "area_law_psi",
-    "k_nn_analytic",
-    "psi_nn_analytic",
-    "volume_law_k",
-    "LanczosResult",
-    "run_lanczos",
-    "complexity",
-    "ir_magnetization_sums",
-    "moments_from_tridiag",
-    "renyi2_dense",
-    "renyi2_tridiag",
-    "scan_point",
-    "survival_moments_nn",
-    "psi_ir_exact_profile",
-    "wigner_d",
-    "wigner_d_stable",
-    "CheckResult",
-    "run_checks",
+    "eig_tridiag",
+    "expm_action",
     "__version__",
 ]

@@ -61,8 +61,13 @@ def check_channel_exponential():
     Four routes: per-bond/per-pair diagonal products; the paper's map,
     which vectorizes |+><+|^{(x)L}, applies the Kraus channel and
     restricts to the parity sector; the explicit Kraus expansion as a
-    dense superoperator; and a generic matrix exponential.
+    superoperator diagonal; and a generic matrix exponential.
     """
+    routes = (
+        oracle.channel_vs_exponential,
+        oracle.vectorized_map_vs_exponential,
+        oracle.kraus_sum_vs_exponential,
+    )
     worst = 0.0
     mapped = 0
     grid = [(ModelKind.NN, p) for p in (0.0, 0.1, 0.2, 0.3, 0.45)]
@@ -72,34 +77,9 @@ def check_channel_exponential():
             if kind is ModelKind.IR and length % 2:
                 continue
             spec = ModelSpec(kind=kind, length=length)
-            worst = max(
-                worst,
-                oracle.channel_vs_exponential(spec, p_or_tau),
-                oracle.vectorized_map_vs_exponential(spec, p_or_tau),
-            )
+            worst = max(worst, *(route(spec, p_or_tau) for route in routes))
             mapped += 1
-    cases = 2 * mapped
-    for length in range(2, 5):
-        nn = ModelSpec(kind=ModelKind.NN, length=length)
-        tau = doubled.tau_from_p(0.3)
-        dev = doubled.effective_hamiltonian_check(
-            doubled.build_nn_channel(length, 0.3),
-            oracle.doubled_hamiltonian_diagonal(nn),
-            math.exp(-(length - 1) * tau),
-            tau,
-        )
-        worst = max(worst, dev)
-        cases += 1
-        if length % 2 == 0:
-            ir = ModelSpec(kind=ModelKind.IR, length=length)
-            dev = doubled.effective_hamiltonian_check(
-                doubled.build_ir_channel(length, 0.7),
-                oracle.doubled_hamiltonian_diagonal(ir),
-                1.0,
-                0.7,
-            )
-            worst = max(worst, dev)
-            cases += 1
+    cases = len(routes) * mapped
     for spec in (
         ModelSpec(kind=ModelKind.NN, length=2),
         ModelSpec(kind=ModelKind.NN, length=3),

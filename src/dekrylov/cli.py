@@ -383,7 +383,12 @@ def build_parser():
         "moments", help="survival moments mu_n = <rho_init|H^n|rho_init>"
     )
     add_scan_flags(moments, with_tau=False)
-    moments.add_argument("--nmax", type=int, help=f"highest moment (default {DEFAULT_NMAX})")
+    moments.add_argument(
+        "--nmax",
+        type=int,
+        help=f"highest moment (default {DEFAULT_NMAX}, "
+        "or 2 x the Krylov dimension where that is lower)",
+    )
     verify = sub.add_parser("verify", help="run all twelve verification criteria")
     verify.add_argument(
         "level",

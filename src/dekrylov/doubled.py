@@ -118,47 +118,26 @@ def vectorize(rho):
     return amps
 
 
-def _term_signs(channel):
-    """Yield (w_m, signs) per term, signs = (-1)^popcount(idx & (S | S << L))."""
-    length = channel.length
-    indices = np.arange(4**length)
-    for weight, support in channel.terms:
-        both = support | (support << length)
-        yield weight, 1.0 - 2.0 * (np.bitwise_count(indices & both) & 1)
-
-
 def apply_channel(channel, state):
     """Apply Sum_m (B_m^* (x) B_m) to a full-space state of 4^L amplitudes."""
     vec = np.asarray(state, dtype=float)
     length = _full_length(vec)
     if channel.length != length:
         raise ArgumentError(f"channel length {channel.length} != state length {length}")
-    out = np.zeros_like(vec)
-    for weight, signs in _term_signs(channel):
-        out += weight * signs * vec
-    return out
+    return channel_diagonal(channel) * vec
 
 
 def channel_diagonal(channel):
-    """The 4^L superoperator diagonal of a Z-type channel, all it has."""
-    check_full_length(channel.length)
-    diagonal = np.zeros(4**channel.length)
-    for weight, signs in _term_signs(channel):
-        diagonal += weight * signs
+    """The 4^L superoperator diagonal of a Z-type channel, all it has:
+    Sum_m w_m (-1)^popcount(index & (S_m | S_m << L))."""
+    length = channel.length
+    check_full_length(length)
+    indices = np.arange(4**length)
+    diagonal = np.zeros(4**length)
+    for weight, support in channel.terms:
+        both = support | (support << length)
+        diagonal += weight * (1.0 - 2.0 * (np.bitwise_count(indices & both) & 1))
     return diagonal
-
-
-def effective_hamiltonian_check(channel, diagonal, prefactor, tau):
-    """Max-abs deviation between a channel and prefactor * exp(-tau H).
-
-    Both are diagonal on the full doubled space, H given by its diagonal:
-    returns max |channel_diagonal - prefactor * exp(-tau H)| elementwise.
-    """
-    channel_diag = channel_diagonal(channel)
-    diagonal = np.asarray(diagonal, dtype=float)
-    if diagonal.shape != channel_diag.shape:
-        raise ArgumentError(f"diagonal shape {diagonal.shape} != {channel_diag.shape}")
-    return float(np.max(np.abs(channel_diag - prefactor * np.exp(-tau * diagonal))))
 
 
 def tau_from_p(p):

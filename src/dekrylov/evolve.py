@@ -47,15 +47,6 @@ SCAN_MAX_LENGTH = 100_000
 # small whatever the length of the tau grid.
 TAU_BLOCK = 64
 
-__all__ = [
-    "complexity",
-    "renyi2_tridiag",
-    "renyi2_dense",
-    "ir_magnetization_sums",
-    "moments_from_tridiag",
-    "scan_point",
-]
-
 
 def complexity(psi):
     """Krylov complexity K = Sum_n n psi_n^2 / Sum_n psi_n^2 of a wavepacket.

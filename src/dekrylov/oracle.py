@@ -116,9 +116,9 @@ def channel_vs_exponential(model, p_or_tau):
     exponentiated elementwise.  Z-type Kraus operators make the channel
     diagonal by construction; the tests check its diagonal
     (doubled.channel_diagonal) against a np.kron Z-string oracle, and
-    criterion 1 (L <= 4) compares it with the target through
-    doubled.effective_hamiltonian_check.  For NN, tau = -ln(1-2p)/2, the
-    prefactor e^{-(L-1) tau}; for IR the mapping has no prefactor.
+    kraus_sum_vs_exponential compares it with the same target.  For NN,
+    tau = -ln(1-2p)/2, the prefactor e^{-(L-1) tau}; for IR the mapping
+    has no prefactor.
     """
     tau, prefactor = _tau_and_prefactor(model, p_or_tau)
     product = np.multiply.reduce(_per_factor_diagonals(model, p_or_tau), axis=0)
@@ -134,6 +134,27 @@ def _tau_and_prefactor(model, p_or_tau):
     return p_or_tau, 1.0
 
 
+def _composed_channel(model, p_or_tau):
+    """The model's composed channel as an explicit Kraus sum."""
+    if model.kind is ModelKind.NN:
+        return doubled.build_nn_channel(model.length, p_or_tau)
+    return doubled.build_ir_channel(model.length, p_or_tau)
+
+
+def kraus_sum_vs_exponential(model, p_or_tau):
+    """Max-abs deviation of the explicit Kraus sum from prefactor * exp(-tau H).
+
+    The superoperator diagonal of the composed channel (build_nn_channel /
+    build_ir_channel, then doubled.channel_diagonal) against the doubled
+    Hamiltonian's exponential; tau and the prefactor are those of
+    channel_vs_exponential.
+    """
+    tau, prefactor = _tau_and_prefactor(model, p_or_tau)
+    diagonal = doubled.channel_diagonal(_composed_channel(model, p_or_tau))
+    target = prefactor * np.exp(-tau * doubled_hamiltonian_diagonal(model))
+    return float(np.max(np.abs(diagonal - target)))
+
+
 def vectorized_map_vs_exponential(model, p_or_tau):
     """Max-abs deviation of the literal rho -> |rho>> route from exp(-tau h).
 
@@ -144,13 +165,9 @@ def vectorized_map_vs_exponential(model, p_or_tau):
     diagonal; tau and the prefactor are those of channel_vs_exponential.
     """
     length = model.length
-    if model.kind is ModelKind.NN:
-        channel = doubled.build_nn_channel(length, p_or_tau)
-    else:
-        channel = doubled.build_ir_channel(length, p_or_tau)
     rho_init = np.full((2**length, 2**length), 2.0**-length)
     image = doubled.restrict_to_parity_sector(
-        doubled.apply_channel(channel, doubled.vectorize(rho_init))
+        doubled.apply_channel(_composed_channel(model, p_or_tau), doubled.vectorize(rho_init))
     )
     tau, prefactor = _tau_and_prefactor(model, p_or_tau)
     seed = doubled.reduced_initial_state(model)

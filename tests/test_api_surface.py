@@ -1,8 +1,9 @@
 """Static checks of the source tree: no dead public API, no unused imports,
 no scipy import and no log-gamma anywhere in the package, no
-verification-only reference in a module that the scans import, and every
+verification-only reference in a module that the scans import, every
 name the benchmark harness reads from the package is still where the
-harness looks for it.
+harness looks for it, the package root re-exports only the names the
+harness reads from it, and no module loads names lazily.
 
 The checks parse the files with the standard-library ``ast`` module.  Only
 the benchmark check imports the package, to look up the names it found.
@@ -314,3 +315,41 @@ def test_benchmark_reads_still_resolve():
             if getattr(getattr(home, function, None), "__module__", None) != home.__name__:
                 missing.append(f"span {span}")
     assert not missing, f"names the benchmark reads are gone: {missing}"
+
+
+def test_the_root_exports_only_what_the_benchmark_reads():
+    """The package root re-exports exactly the names that perfbench/ reads
+    from it, plus ``__version__``; every other name is reached through its
+    home module."""
+    root_reads = {
+        attr
+        for path in python_files("perfbench")
+        for module, attr in package_reads(parse(path))
+        if not module
+    }
+    assert root_reads, "perfbench/ reads nothing from the package root"
+    exported = ast.literal_eval(assigned_values(parse(PACKAGE / "__init__.py"))["__all__"])
+    assert sorted(exported) == sorted(root_reads | {"__version__"})
+
+
+def test_each_name_has_one_way_in():
+    """No module loads names lazily (a module-level ``__getattr__`` or an
+    ``importlib`` import) and none but the root lists its names in
+    ``__all__``."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        if "__getattr__" in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}:
+            offenders.append(f"{path.name}: __getattr__")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "importlib" in modules:
+                offenders.append(f"{path.name}:{node.lineno} importlib")
+        if path.name != "__init__.py" and "__all__" in assigned_values(tree):
+            offenders.append(f"{path.name}: __all__")
+    assert not offenders, offenders

@@ -725,7 +725,7 @@ def test_a_full_stdout_is_exit_2_with_one_line(argv, buffered):
     assert proc.stderr.splitlines() == ["error: stdout: cannot write: No space left on device"]
 
 
-HELP_COMMANDS = [["--help"], ["verify", "--help"], ["evolve", "--help"]]
+HELP_COMMANDS = [["--help"], ["verify", "--help"], ["evolve", "--help"], ["moments", "--help"]]
 
 
 @pytest.mark.parametrize("buffered", [True, False])
@@ -757,6 +757,11 @@ def test_help_to_a_working_stdout_is_exit_0(argv, capsys):
     assert exit_info.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: dekrylov") and captured.err == ""
+    if argv[0] == "moments":
+        assert (
+            "highest moment (default 10, or 2 x the Krylov dimension where that is lower)"
+            in " ".join(captured.out.split())
+        )
 
 
 @pytest.mark.parametrize("command", ["evolve", "wavepacket", "renyi2"])

@@ -14,7 +14,6 @@ from dekrylov.doubled import (
     apply_channel,
     build_nn_channel,
     channel_diagonal,
-    effective_hamiltonian_check,
     reduced_initial_state,
     restrict_to_parity_sector,
     tau_from_p,
@@ -22,7 +21,7 @@ from dekrylov.doubled import (
 )
 from dekrylov.errors import ArgumentError, DomainError
 from dekrylov.models import ModelKind, ModelSpec
-from dekrylov.oracle import doubled_hamiltonian_diagonal
+from dekrylov.oracle import doubled_hamiltonian_diagonal, kraus_sum_vs_exponential
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -139,14 +138,10 @@ def test_channel_diagonal_serves_the_full_space_cap_in_little_memory():
     4^L array exists."""
     length = FULL_SPACE_MAX_LENGTH
     channel = build_nn_channel(length, 0.3)
-    hamiltonian = doubled_hamiltonian_diagonal(ModelSpec(ModelKind.NN, length))
-    tau = tau_from_p(0.3)
     tracemalloc.start()
     try:
         diagonal = channel_diagonal(channel)
-        deviation = effective_hamiltonian_check(
-            channel, hamiltonian, np.exp(-(length - 1) * tau), tau
-        )
+        deviation = kraus_sum_vs_exponential(ModelSpec(ModelKind.NN, length), 0.3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -156,7 +151,7 @@ def test_channel_diagonal_serves_the_full_space_cap_in_little_memory():
     wide = KrausChannel(length + 1, ((1.0, 0b11),))
     for call in (
         lambda: channel_diagonal(wide),
-        lambda: effective_hamiltonian_check(wide, np.zeros(4 ** (length + 1)), 1.0, 0.0),
+        lambda: kraus_sum_vs_exponential(ModelSpec(ModelKind.NN, length + 1), 0.3),
         lambda: doubled_hamiltonian_diagonal(ModelSpec(ModelKind.NN, length + 1)),
     ):
         with pytest.raises(ArgumentError, match="capped at L <= 7"):

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov import oracle
@@ -12,7 +10,6 @@ from dekrylov.doubled import (
     apply_channel,
     build_ir_channel,
     build_nn_channel,
-    channel_diagonal,
     restrict_to_parity_sector,
     tau_from_p,
     vectorize,
@@ -60,23 +57,6 @@ def test_elementwise_exponential_matches_scaling_and_squaring():
     for kind in (ModelKind.NN, ModelKind.IR):
         for tau in (0.0, 0.3, 1.5):
             assert expm_elementwise_vs_generic(ModelSpec(kind, 4), tau) < 1e-12
-
-
-@given(st.integers(1, 3), st.floats(0.01, 0.45), st.integers(0, 2**31 - 1))
-@settings(max_examples=25)
-def test_dense_superoperator_action_matches_gather_route(half, p, seed):
-    """The assembled 4^L superoperator diagonal and the per-term action agree
-    on random states."""
-    length = 2 * half
-    channel = build_nn_channel(length, p)
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((2**length, 2**length))
-    state = vectorize((raw + raw.T) / 2)
-    assert_allclose(
-        channel_diagonal(channel) * state,
-        apply_channel(channel, state),
-        atol=1e-12,
-    )
 
 
 def test_dense_krylov_two_site_chain_by_hand():

@@ -15,8 +15,7 @@ read through a pipe of its own, so neither importing the package,
 
 `import dekrylov` and the five scan commands load only the production
 modules: the verification layer (`checks`, `oracle`, `doubled`,
-`lanczos`) loads when `verify` runs or one of its names is first read
-from the package.
+`lanczos`) loads when `verify` runs or one of its modules is imported.
 """
 
 import json
@@ -158,12 +157,12 @@ def test_verify_on_two_cpus_loads_no_process_pool():
 def test_scans_load_no_verification_layer():
     """The five scan commands of both models, after ``import dekrylov``,
     load none of the verification layer and no ``fractions``; ``verify``
-    then loads ``checks``, and every public name of the package, whether
-    imported at start-up or on first access, is its home module's object,
-    and ``from dekrylov import *`` binds each of them."""
+    then loads ``checks``; the package root lists six names, each name it
+    re-exports is its home module's object, and ``from dekrylov import *``
+    binds each of them."""
     report = run_fresh(SPLIT)
     assert report["codes"] == [0] * 10
     assert report["scans_loaded"] == []
     assert report["verify_code"] == 0 and report["verify_loaded"]
-    assert report["names"] == 34
+    assert report["names"] == 6
     assert report["misplaced"] == [] and report["unbound"] == []
