@@ -375,32 +375,34 @@ def check_renyi2_diagnostics():
 
 
 def check_moment_consistency():
-    """Exact integer survival moments equal the tridiagonal moments."""
+    """Exact integer survival moments equal the tridiagonal moments, and
+    so do the dense IR moments at small L."""
     worst = 0.0
+
+    def deviation(reference, tri):
+        return float(np.max(np.abs(reference - tri) / np.maximum(np.abs(reference), 1.0)))
+
     for length in (6, 10, 30):
-        exact = oracle.survival_moments_nn(length, 10)
+        model = ModelSpec(kind=ModelKind.NN, length=length)
+        exact = oracle.survival_moments(model, 10)
         if exact[0] != 1.0 or exact[1] != 0.0 or exact[2] != float(length - 1):
             return False, (
                 f"NN L={length}: low moments {exact[:3]} != (1, 0, L-1) exactly"
             )
-        spec = analytic_lanczos(ModelSpec(kind=ModelKind.NN, length=length))
-        tri = moments_from_tridiag(spec.tridiag, 10)
-        worst = max(
-            worst,
-            float(np.max(np.abs(exact - tri) / np.maximum(np.abs(exact), 1.0))),
-        )
-    for length in (8, 12):
-        model = ModelSpec(kind=ModelKind.IR, length=length)
-        diag = oracle.reduced_diagonal(model)
-        dense_mu = np.array([float(np.mean(diag**n)) for n in range(11)])
         tri = moments_from_tridiag(analytic_lanczos(model).tridiag, 10)
-        worst = max(
-            worst,
-            float(np.max(np.abs(dense_mu - tri) / np.maximum(np.abs(dense_mu), 1.0))),
-        )
+        worst = max(worst, deviation(exact, tri))
+    for length in (8, 12, 30):
+        model = ModelSpec(kind=ModelKind.IR, length=length)
+        tri = moments_from_tridiag(analytic_lanczos(model).tridiag, 10)
+        worst = max(worst, deviation(oracle.survival_moments(model, 10), tri))
+        if length <= 12:
+            diag = oracle.reduced_diagonal(model)
+            dense_mu = np.array([float(np.mean(diag**n)) for n in range(11)])
+            worst = max(worst, deviation(dense_mu, tri))
     return worst <= 1e-10, (
-        f"max relative moment deviation {worst:.2e} for n <= 10 "
-        "(tol 1e-10; mu_0, mu_1, mu_2 exact)"
+        f"max relative moment deviation {worst:.2e} for n <= 10, exact sums at "
+        "NN L in (6, 10, 30) and IR L in (8, 12, 30), dense IR at L in (8, 12) "
+        "(tol 1e-10; NN mu_0, mu_1, mu_2 exact)"
     )
 
 

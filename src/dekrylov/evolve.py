@@ -10,8 +10,8 @@ functionals of the normalized wavepacket psi:
     Z_j^u Z_j^l |rho> / <rho|rho>, the order diagnostic for
     strong-to-weak symmetry breaking;
   * survival moments mu_n = <rho_init| H^n |rho_init>, read off the
-    tridiagonal representation (the exact NN integers that verification
-    compares them with are oracle.survival_moments_nn).
+    tridiagonal representation (the exact integer sums that verification
+    compares them with are oracle.survival_moments).
 
 Both models are collective spins, so the scans need no wavepacket: NN K is
 the closed form (L-1) lambda(tau), and IR K and chi are positive sums over

@@ -157,44 +157,53 @@ def analytic_lanczos(model):
     return KrylovSpec(model=model, tridiag=tridiag)
 
 
-def nn_lambda(tau):
-    """The NN spreading weight lambda = sinh^2(tau) / (1 + 2 sinh^2(tau)).
+def signed_unit_profile(log_sq):
+    """(-1)^n sqrt(p_n) for the unit-sum profile p_n proportional to
+    exp(log_sq[n]), normalized in the log domain: one shift by the largest
+    log, one log-sum-exp.  Entries of -inf give zeros."""
+    log_sq = log_sq - log_sq.max()
+    log_sq -= math.log(np.exp(log_sq).sum())
+    return (-1.0) ** np.arange(log_sq.size) * np.exp(0.5 * log_sq)
 
-    Evaluated as (1 - sech(2 tau))/2 through decaying exponentials, which
-    stays accurate for arbitrarily large tau (limit 1/2).  ``tau`` is a
-    float or an array; the result is a float or an array of its shape.
+
+def nn_lambda(tau):
+    """The NN spreading weight lambda = sinh^2(tau) / cosh(2 tau).
+
+    Evaluated as expm1(-2 tau)^2 / (2 (1 + e^{-4 tau})), from decaying
+    exponentials only: nothing cancels, so lambda keeps its relative
+    accuracy as tau -> 0, and it reaches its limit 1/2 at large tau
+    without overflow.  ``tau`` is a float or an array; the result is a
+    float or an array of its shape.
     """
     tau = np.asarray(tau, dtype=float)
     if not np.all(tau >= 0):
         raise ArgumentError("tau must be nonnegative")
-    e2 = np.exp(-2.0 * tau)
-    lam = 0.5 * (1.0 - 2.0 * e2 / (1.0 + e2 * e2))
+    lam = np.expm1(-2.0 * tau) ** 2 / (2.0 * (1.0 + np.exp(-4.0 * tau)))
     return float(lam) if lam.ndim == 0 else lam
 
 
 def psi_nn_analytic(length, tau):
     """Closed-form NN wavepacket.
 
-    psi_n = (-1)^n sqrt(C(L-1, n) lambda^n (1-lambda)^{L-1-n}); the signed
-    square root of a binomial profile, each entry to relative accuracy.
-    Returns a single KrylovState: 0-d ``taus`` and a (L,) ``psi``.
+    psi_n = (-1)^n sqrt(C(L-1, n) lambda^n (1-lambda)^{L-1-n}).  With
+    lambda / (1 - lambda) = tanh^2 tau, log psi_n^2 is
+    log(C(L-1, n) / 2^(L-1)) + 2n log tanh tau up to a constant, and
+    signed_unit_profile normalizes it, so every entry keeps its relative
+    accuracy, down to tau -> 0.  log tanh tau = -log1p(2 / expm1(2 tau))
+    is 0 once expm1 overflows.  tau = 0 gives e_0 exactly.  Returns a
+    single KrylovState: 0-d ``taus`` and a (L,) ``psi``.
     """
     if length < 2:
         raise ArgumentError("length must be at least 2")
-    lam = nn_lambda(tau)
-    if lam == 0.0:
-        psi = np.zeros(length)
-        psi[0] = 1.0
-        return KrylovState(taus=float(tau), psi=psi)
-    n = np.arange(length)
-    log_psi2 = (
-        log_binomial_pmf(length - 1)
-        + n * math.log(2.0 * lam)
-        + (length - 1 - n) * math.log(2.0 - 2.0 * lam)
-    )
-    psi = (-1.0) ** n * np.exp(0.5 * log_psi2)
-    psi /= np.linalg.norm(psi)
-    return KrylovState(taus=float(tau), psi=psi)
+    if not tau >= 0:
+        raise ArgumentError("tau must be nonnegative")
+    if tau == 0:
+        return KrylovState(taus=0.0, psi=(np.arange(length) == 0).astype(float))
+    with np.errstate(over="ignore"):
+        log_tanh = -np.log1p(2.0 / np.expm1(2.0 * tau))
+    log_sq = log_binomial_pmf(length - 1)
+    log_sq[1:] += 2.0 * np.arange(1.0, length) * log_tanh
+    return KrylovState(taus=float(tau), psi=signed_unit_profile(log_sq))
 
 
 def k_nn_analytic(length, tau):

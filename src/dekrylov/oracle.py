@@ -5,10 +5,11 @@ Ground truth for the rest of the package: per-site spins and the dense
 reduced diagonal, full 4^L channel application, one two-pass
 Gram-Schmidt over the powers {H^n |rho_init>} for the Krylov basis, the
 Kramers-Wannier dual, the n-error-state reading of the Krylov vectors,
-the exact NN survival moments and the area- and volume-law limits.  No
-scan imports this module.  Nothing here is performance-sensitive; the
-caps (4^L paths at L <= 7, 2^L paths at L <= 14, the dense Krylov basis
-at L <= 12) keep every check at the seconds scale.
+the exact survival moments of both models and the area- and volume-law
+limits.  No scan imports this module.  Nothing here is
+performance-sensitive; the caps (4^L paths at L <= 7, 2^L paths at
+L <= 14, the dense Krylov basis at L <= 12, the exact moments' L-bit
+integers at L <= 4096) keep every check at the seconds scale.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .models import (
 )
 
 KRYLOV_MAX_LENGTH = 12
+MOMENTS_MAX_LENGTH = 4096
 ERROR_STATE_MAX_LENGTH = 8
 ERROR_STATE_TOL = 1e-8
 # Relative residual norm at or under which a power H^n v0 lies in the span
@@ -322,24 +324,49 @@ def error_state_interpretation_check(model):
     return None
 
 
-def survival_moments_nn(length, n_max):
-    """Exact NN survival moments mu_n = E[(2k - L + 1)^n], k ~ Bin(L-1, 1/2).
+def _binomial_row(n):
+    """[C(n, 0), ..., C(n, n)] as exact integers, by the running ratio
+    C(n, k+1) = C(n, k) (n - k) / (k + 1), each division exact."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
 
-    Evaluated in exact integer arithmetic; the one int / int true division
-    per moment rounds once.  mu_0 = 1, mu_1 = 0, mu_2 = L - 1 hold exactly.
+
+def survival_moments(model, n_max):
+    """Exact survival moments mu_n = Sum_k w_k x_k^n, n = 0..n_max, over the
+    closed-form spectral measure of models.spectral_measure:
+
+      NN: x = 2k - (L-1), w = C(L-1, k) / 2^(L-1), k = 0..L-1;
+      IR: x = (L^2 - 4 m^2) / (2L), w = C(L, L/2+m) (2 - delta_{m0}) / 2^L,
+          m = 0..L/2.
+
+    The sums run over exact integers, and the one int / int true division
+    per moment rounds once, so mu_0 = 1 and, for NN, mu_1 = 0 and
+    mu_2 = L - 1 hold exactly.
+
+    Raises:
+        ArgumentError: for L > MOMENTS_MAX_LENGTH or n_max outside [0, 20].
     """
-    if length < 2 or length > 64:
-        raise ArgumentError("length must lie in [2, 64]")
+    length = model.length
+    if length > MOMENTS_MAX_LENGTH:
+        raise ArgumentError(f"exact moments are capped at L <= {MOMENTS_MAX_LENGTH}")
     if not 0 <= n_max <= 20:
         raise ArgumentError("n_max must lie in [0, 20]")
-    scale = 2 ** (length - 1)
+    if model.kind is ModelKind.NN:
+        nodes = range(1 - length, length, 2)
+        terms = _binomial_row(length - 1)
+        scale, node_scale = 2 ** (length - 1), 1
+    else:
+        half = length // 2
+        nodes = [length * length - 4 * m * m for m in range(half + 1)]
+        terms = _binomial_row(length)[half:]
+        terms[1:] = [2 * term for term in terms[1:]]
+        scale, node_scale = 2**length, 2 * length
     moments = []
     for n in range(n_max + 1):
-        total = sum(
-            math.comb(length - 1, k) * (2 * k - length + 1) ** n
-            for k in range(length)
-        )
-        moments.append(total / scale)
+        moments.append(sum(terms) / (scale * node_scale**n))
+        terms = [term * x for term, x in zip(terms, nodes)]
     return np.array(moments)
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError
 from .lintri import TridiagonalOperator, eig_tridiag, exp_from_max
-from .models import log_binomial_pmf
+from .models import log_binomial_pmf, signed_unit_profile
 
 DIRECT_SUM_MAX_TWO_S = 40  # s <= 20 for the factorial k-sum route
 STABLE_MAX_TWO_S = 600  # s <= 300, matrix dimension 601
@@ -207,7 +207,6 @@ def psi_ir_exact_profile(length, tau):
     logs[0] = 0.0  # 0 * log tanh(0) is NaN; the n = 0 integrand has no tanh
     logs += base
     shifts = exp_from_max(logs)
-    log_sq = log_binomial_pmf(length)[::2] + 2.0 * (shifts + np.log(logs.sum(axis=1)))
-    log_sq -= log_sq.max()
-    log_sq -= math.log(np.exp(log_sq).sum())
-    return (-1.0) ** n * np.exp(0.5 * log_sq)
+    return signed_unit_profile(
+        log_binomial_pmf(length)[::2] + 2.0 * (shifts + np.log(logs.sum(axis=1)))
+    )

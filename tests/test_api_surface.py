@@ -1,9 +1,10 @@
 """Static checks of the source tree: no dead public API, no unused imports,
-no scipy import and no log-gamma anywhere in the package, no
-verification-only reference in a module that the scans import, every
-name the benchmark harness reads from the package is still where the
-harness looks for it, the package root re-exports only the names the
-harness reads from it, and no module loads names lazily.
+no scipy import and no log-gamma anywhere in the package, one home for
+the tests' exact references, no verification-only reference in a module
+that the scans import, every name the benchmark harness reads from the
+package is still where the harness looks for it, the package root
+re-exports only the names the harness reads from it, and no module loads
+names lazily.
 
 The checks parse the files with the standard-library ``ast`` module.  Only
 the benchmark check imports the package, to look up the names it found.
@@ -123,6 +124,33 @@ def test_binomial_weights_have_one_home():
     assert not offenders, f"log-gamma or vectorized binomials: {offenders}"
 
 
+def test_exact_references_have_one_home():
+    """Only tests/exact_reference.py touches a decimal context (its
+    precision), imports fractions or calls math.lgamma, by attribute or by
+    a from-import: every other test takes its exact references from there."""
+    offenders = []
+    for path in python_files("tests"):
+        if path.name == "exact_reference.py":
+            continue
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "", alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [(alias.name, "") for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {a}.{b}"
+                for a, b in names
+                if (a == "decimal" and b.endswith("context"))
+                or a == "fractions"
+                or (a, b) == ("math", "lgamma")
+            ]
+    assert not offenders, f"exact references outside exact_reference.py: {offenders}"
+
+
 def top_level_functions(module):
     tree = parse(PACKAGE / f"{module}.py")
     return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -131,7 +159,7 @@ def top_level_functions(module):
 def test_verify_only_references_live_in_oracle():
     """The references that only verify and the tests compare against (the
     per-site spins, the dense reduced diagonal, the Kramers-Wannier dual,
-    the exact NN moments and the area- and volume-law limits) are defined
+    the exact moments and the area- and volume-law limits) are defined
     in oracle, and none of the scan modules models, evolve and wigner
     defines one of them."""
     verify_only = {
@@ -141,7 +169,7 @@ def test_verify_only_references_live_in_oracle():
         "area_law_psi",
         "area_law_k",
         "volume_law_k",
-        "survival_moments_nn",
+        "survival_moments",
         "psi_ir_asymptotic_profile",
     }
     assert verify_only <= top_level_functions("oracle")

@@ -11,7 +11,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,7 +30,8 @@ from dekrylov.models import (
     psi_nn_analytic,
 )
 from dekrylov.evolve import ir_magnetization_sums
-from dekrylov.oracle import survival_moments_nn
+from dekrylov.oracle import survival_moments
+import exact_reference
 from exact_spectrum import with_spectrum
 from test_startup import fresh_env
 
@@ -526,14 +527,9 @@ def test_wavepacket_nn_tail_matches_decimal_binomial(tmp_path):
     )
     assert code == 0
     psi = {int(r["n"]): float(r["psi"]) for r in rows_of(text)}
-    with localcontext() as ctx:
-        ctx.prec = 60
-        tau = Decimal("0.1")
-        sinh_sq = ((tau.exp() - (-tau).exp()) / 2) ** 2
-        lam = sinh_sq / (1 + 2 * sinh_sq)
-        for n in (23, 40, 99):
-            exact = (math.comb(99, n) * lam**n * (1 - lam) ** (99 - n)).sqrt()
-            assert psi[n] == pytest.approx((-1) ** n * float(exact), rel=1e-10)
+    exact = exact_reference.nn_wavepacket(100, 0.1, 60)
+    for n in (23, 40, 99):
+        assert psi[n] == pytest.approx(exact[n], rel=1e-10)
     assert psi[99] < 0 and abs(psi[99]) < 1e-99
 
 
@@ -557,7 +553,7 @@ def test_moments_match_exact_binomial_route(tmp_path):
     )
     assert code == 0
     values = [float(r["mu_n"]) for r in rows_of(text)]
-    assert_allclose(values, survival_moments_nn(6, 8), rtol=1e-12)
+    assert_allclose(values, survival_moments(ModelSpec(ModelKind.NN, 6), 8), rtol=1e-12)
 
 
 def test_moments_nmax_beyond_information_content_errors(capsys):

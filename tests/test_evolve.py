@@ -1,8 +1,7 @@
 """Imaginary-time scans: complexity, Renyi-2 correlator, survival moments."""
 
 import math
-from decimal import Decimal, localcontext
-from fractions import Fraction
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -28,8 +27,15 @@ from dekrylov.models import (
     k_nn_analytic,
     nn_lambda,
 )
-from dekrylov.oracle import area_law_k, reduced_diagonal, site_spins, survival_moments_nn
+from dekrylov.oracle import (
+    MOMENTS_MAX_LENGTH,
+    area_law_k,
+    reduced_diagonal,
+    site_spins,
+    survival_moments,
+)
 from dekrylov.wigner import psi_ir_exact_profile
+import exact_reference
 from exact_spectrum import dense, with_spectrum
 
 
@@ -156,7 +162,7 @@ def test_survival_moments_match_binomial_formulas():
     """mu_2 = m, mu_4 = 3m^2 - 2m, mu_6 = 15m^3 - 30m^2 + 16m for m = L-1."""
     for length in (3, 6, 11, 30):
         m = length - 1
-        mu = survival_moments_nn(length, 6)
+        mu = survival_moments(ModelSpec(ModelKind.NN, length), 6)
         assert mu[0] == 1.0 and mu[1] == 0.0 and mu[3] == 0.0 and mu[5] == 0.0
         assert mu[2] == m
         assert mu[4] == 3 * m**2 - 2 * m
@@ -164,10 +170,12 @@ def test_survival_moments_match_binomial_formulas():
 
 
 def test_survival_moments_length_domain():
-    with pytest.raises(ArgumentError):
-        survival_moments_nn(65, 2)
-    with pytest.raises(ArgumentError):
-        survival_moments_nn(1, 2)
+    past_cap = ((ModelKind.NN, MOMENTS_MAX_LENGTH + 1), (ModelKind.IR, MOMENTS_MAX_LENGTH + 2))
+    for kind, length in past_cap:
+        with pytest.raises(ArgumentError, match="capped"):
+            survival_moments(ModelSpec(kind, length), 2)
+    with pytest.raises(ArgumentError, match="n_max"):
+        survival_moments(ModelSpec(ModelKind.NN, 6), 21)
 
 
 @given(st.integers(2, 8), st.integers(0, 2**31 - 1), st.integers(0, 6))
@@ -190,40 +198,19 @@ def test_tridiag_moments_respect_power_cap():
         moments_from_tridiag(tri, 9)
 
 
-def _exact_moments(model, n_max):
-    """mu_n = Sum_k w_k x_k^n over the closed-form spectral measure, as
-    exact Fractions: NN x = 2k - (L-1), w = C(L-1, k) / 2^(L-1); IR
-    x = (L^2 - 4 m^2) / (2L), w = C(L, L/2+m) (2 - delta_{m0}) / 2^L."""
-    length = model.length
-    if model.kind is ModelKind.NN:
-        measure = [(2 * k - length + 1, math.comb(length - 1, k)) for k in range(length)]
-        scale, node_scale = 2 ** (length - 1), 1
-    else:
-        half = length // 2
-        measure = [
-            (length * length - 4 * m * m, math.comb(length, half + m) * (2 - (m == 0)))
-            for m in range(half + 1)
-        ]
-        scale, node_scale = 2**length, 2 * length
-    return [
-        Fraction(sum(w * x**n for x, w in measure), scale * node_scale**n)
-        for n in range(n_max + 1)
-    ]
-
-
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_tridiag_moments_at_scale_match_exact_rational_moments(kind):
     """The recursion on the closed-form coefficients reproduces the exact
     moments of the closed-form measure at L = 2000, far past criterion 9."""
     model = ModelSpec(kind, 2000)
     mu = moments_from_tridiag(analytic_lanczos(model).tridiag, 10)
-    assert_allclose(mu, [float(v) for v in _exact_moments(model, 10)], rtol=1e-14, atol=0)
+    assert_allclose(mu, survival_moments(model, 10), rtol=1e-14, atol=0)
 
 
 def test_nn_moments_agree_between_exact_and_tridiagonal_routes():
     for length in (4, 8, 12):
         tri = analytic_lanczos(ModelSpec(ModelKind.NN, length)).tridiag
-        exact = survival_moments_nn(length, 6)
+        exact = survival_moments(ModelSpec(ModelKind.NN, length), 6)
         recursive = moments_from_tridiag(tri, 6)
         assert_allclose(recursive, exact, rtol=1e-12, atol=1e-12)
 
@@ -318,57 +305,14 @@ def test_nn_closed_form_k_matches_the_propagated_wavepacket(length):
     assert_allclose(k, complexity(psi), rtol=0, atol=1e-8)
 
 
-def _ir_decimal(length, tau, digits=80):
-    """(K, chi) of the IR model as 80-digit sums over the states |s, m>:
-    exact integer binomials, Decimal.exp, and K = (s - <S_x>)/2 evaluated
-    directly, not through the positive form."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        spin, tau = length // 2, Decimal(tau)
-        amps = {
-            m: Decimal(math.comb(length, spin + m)).sqrt() * (2 * m * m * tau / length).exp()
-            for m in range(-spin, spin + 1)
-        }
-        norm = sum(a * a for a in amps.values())
-        s_x = sum(
-            Decimal(spin * (spin + 1) - m * (m - 1)).sqrt() * amps[m] * amps[m - 1]
-            for m in range(1 - spin, spin + 1)
-        ) / norm
-        chi = sum(4 * m * m * a * a for m, a in amps.items()) / (length * length * norm)
-        return (spin - s_x) / 2, chi
-
-
 @pytest.mark.parametrize("length", [8, 20, 40])
 def test_ir_sums_match_80_digit_decimal_sums(length):
     taus = [1e-4, 1e-3, 0.3, 0.5, 2.0, 10.0]
     k, chi = ir_magnetization_sums(ModelSpec(ModelKind.IR, length), taus)
     for tau, k_value, chi_value in zip(taus, k, chi):
-        k_exact, chi_exact = _ir_decimal(length, tau)
+        k_exact, chi_exact = exact_reference.ir_direct_sums(length, tau)
         assert abs(Decimal(k_value) / k_exact - 1) < Decimal("1e-12"), tau
         assert abs(Decimal(chi_value) / chi_exact - 1) < Decimal("1e-12"), tau
-
-
-def _ir_positive_form_decimal(length, taus, digits=34):
-    """(K, chi) per tau from the positive form of ir_magnetization_sums in
-    34-digit decimals, with log a0_m^2 - log a0_0^2 summed as decimal ln of
-    the exact ratios C(L, s+m+1) / C(L, s+m) = (s-m) / (s+m+1)."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        spin = length // 2
-        log_binom = [Decimal(0)]
-        for m in range(spin):
-            log_binom.append(log_binom[-1] + (Decimal(spin - m) / (spin + m + 1)).ln())
-        results = []
-        for tau in map(Decimal, taus):
-            sq = [(lb + 4 * m * m * tau / length).exp() for m, lb in enumerate(log_binom)]
-            norm = sq[0] + 2 * sum(sq[1:])
-            k = sum(
-                (spin + m) * sq[m] * ((-2 * (2 * m - 1) * tau / length).exp() - 1) ** 2
-                for m in range(1, spin + 1)
-            ) / (2 * norm)
-            chi = sum(8 * m * m * sq[m] for m in range(1, spin + 1)) / (length * length * norm)
-            results.append((k, chi))
-        return results
 
 
 @pytest.mark.parametrize("length", [2000, 10_000])
@@ -378,7 +322,7 @@ def test_ir_sums_at_scale_match_34_digit_decimal_sums(length):
     taus = [1e-3, 0.3, 0.5, 0.7, 2.0]
     k, chi = ir_magnetization_sums(ModelSpec(ModelKind.IR, length), taus)
     for tau, k_value, chi_value, (k_exact, chi_exact) in zip(
-        taus, k, chi, _ir_positive_form_decimal(length, taus)
+        taus, k, chi, exact_reference.ir_positive_sums(length, taus)
     ):
         assert abs(Decimal(k_value) / k_exact - 1) <= Decimal("1e-13"), tau
         assert abs(Decimal(chi_value) / chi_exact - 1) <= Decimal("1e-13"), tau

@@ -24,6 +24,7 @@ from dekrylov.lintri import (
 )
 from dekrylov.models import ModelKind, ModelSpec, analytic_lanczos
 from dekrylov.wigner import _sy_operator, psi_ir_exact_profile
+import exact_reference
 from exact_spectrum import MIN_RELATIVE_GAP, dense, eigvalsh_spectrum, relative_gap, with_spectrum
 
 
@@ -408,33 +409,11 @@ def test_ir_neighbour_overlaps_keep_headroom_up_to_the_last_normal_length(length
     assert np.max(np.abs(overlaps)) < ORTHOGONALITY_TOL / 2
 
 
-def closed_form_log_overlaps(kind, length):
-    """log|c_k| of the seed overlaps with the ascending eigenvectors.
-
-    NN: c_k^2 = C(L-1, k) / 2^(L-1).  IR: c_k^2 = C(L, L/2 + m)
-    (2 - delta_m0) / 2^L with m = L/2 - k.
-    """
-    def log_binom(n, k):
-        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-    if kind is ModelKind.NN:
-        return [
-            0.5 * (log_binom(length - 1, k) - (length - 1) * math.log(2))
-            for k in range(length)
-        ]
-    expected = []
-    for k in range(length // 2 + 1):
-        m = length // 2 - k
-        log_sq = log_binom(length, length // 2 + m) + math.log(2 - (m == 0))
-        expected.append(0.5 * (log_sq - length * math.log(2)))
-    return expected
-
-
 def test_ir_seed_overlaps_match_closed_form_at_length_2000():
     """The IR closed form holds down to the ground-state overlap of ~1e-301."""
     length = 2000
     seed = eig_tridiag(analytic_lanczos(ModelSpec(ModelKind.IR, length)).tridiag)[0]
-    expected = closed_form_log_overlaps(ModelKind.IR, length)
+    expected = exact_reference.log_seed_overlaps(ModelKind.IR, length)
     assert 1e-303 < abs(seed[0]) < 1e-299
     assert np.max(np.abs(np.log(np.abs(seed)) - expected)) <= 1e-8
 
@@ -445,7 +424,7 @@ def test_seed_overlaps_match_closed_form_at_last_normal_length(kind):
     2^{-(L-1)/2}, is a normal float, so expm_from_eig still accepts it."""
     length = 2044
     seed = eig_tridiag(analytic_lanczos(ModelSpec(kind, length)).tridiag)[0]
-    expected = closed_form_log_overlaps(kind, length)
+    expected = exact_reference.log_seed_overlaps(kind, length)
     assert np.min(np.abs(seed)) >= np.finfo(float).tiny
     assert np.max(np.abs(np.log(np.abs(seed)) - expected)) <= 1e-8
 

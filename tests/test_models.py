@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from dekrylov.checks import check_lanczos_closed_forms
 from dekrylov.doubled import build_ir_channel, build_nn_channel, reduced_initial_state
 from dekrylov.errors import ArgumentError, DomainError
-from dekrylov.evolve import complexity
+from dekrylov.evolve import complexity, scan_point
 from dekrylov.lintri import expm_from_eig
 from dekrylov.lanczos import run_lanczos
 from dekrylov.models import (
@@ -37,6 +37,7 @@ from dekrylov.oracle import (
     vectorized_map_vs_exponential,
     volume_law_k,
 )
+import exact_reference
 
 
 def nn_specs(max_length=40):
@@ -127,11 +128,8 @@ def test_log_binomial_pmf_matches_decimal_logs(n):
     the exact integer ratio."""
     logs = log_binomial_pmf(n)
     assert logs.shape == (n + 1,)
-    with localcontext() as ctx:
-        ctx.prec = 40
-        for k, value in enumerate(logs.tolist()):
-            exact = (Decimal(math.comb(n, k)) / Decimal(2) ** n).ln()
-            assert abs(Decimal(value) - exact) <= Decimal("4e-15") * abs(exact), k
+    for k, (value, exact) in enumerate(zip(logs.tolist(), exact_reference.log_binomial_pmf(n))):
+        assert abs(Decimal(value) - exact) <= Decimal("4e-15") * abs(exact), k
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -292,23 +290,29 @@ def test_nn_wavepacket_at_the_wavepacket_cap_matches_decimal_binomials(tau):
     (-1)^n sqrt(C(L-1, n) lambda^n (1-lambda)^(L-1-n)) in 50-digit decimals,
     built by the running ratio t_{n+1} = t_n (L-1-n)/(n+1) lambda/(1-lambda)."""
     length = 4096
-    with localcontext() as ctx:
-        ctx.prec = 50
-        sinh_sq = ((Decimal(tau).exp() - Decimal(-tau).exp()) / 2) ** 2
-        lam = sinh_sq / (1 + 2 * sinh_sq)
-        ratio = lam / (1 - lam)
-        term = (1 - lam) ** (length - 1)
-        exact = []
-        for n in range(length):
-            exact.append(float((-1) ** n * term.sqrt()))
-            term = term * (length - 1 - n) / (n + 1) * ratio
-    exact = np.array(exact)
+    exact = np.array(exact_reference.nn_wavepacket(length, tau, 50))
     psi = psi_nn_analytic(length, tau).psi
     normal = np.abs(exact) >= np.finfo(float).tiny
     assert_allclose(psi[normal], exact[normal], rtol=1e-10, atol=0)
     assert_allclose(psi, exact, rtol=0, atol=1e-12)
     # Underflowed entries included: the zeros fall in the same places.
     assert np.array_equal(np.sign(psi), np.sign(exact))
+
+
+@pytest.mark.parametrize("length", [2, 100, 4096])
+@pytest.mark.parametrize("tau", [1e-9, 1e-6, 1e-3])
+def test_nn_closed_forms_keep_relative_accuracy_as_tau_vanishes(length, tau):
+    """lambda ~ tau^2 comes from no difference, so at small tau every
+    normal entry of the wavepacket stays within 1e-10 relative of 50-digit
+    decimals, and K from the `evolve` scan within 1e-14."""
+    exact = np.array(exact_reference.nn_wavepacket(length, tau, 50))
+    psi = psi_nn_analytic(length, tau).psi
+    normal = np.abs(exact) >= np.finfo(float).tiny
+    assert_allclose(psi[normal], exact[normal], rtol=1e-10, atol=0)
+    assert_allclose(psi, exact, rtol=0, atol=1e-12)
+    ((_, _, k, _, _),) = scan_point(ModelSpec(ModelKind.NN, length), [tau])
+    k_exact = (length - 1) * exact_reference.nn_lambda(tau, 50)
+    assert abs(Decimal(k) / k_exact - 1) <= Decimal("1e-14")
 
 
 # ------------------------------------------------- thermodynamic-limit forms

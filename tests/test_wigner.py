@@ -1,7 +1,6 @@
 """Wigner rotation layer and the exact IR wavepacket (a Gaussian integral)."""
 
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from dekrylov.wigner import (
     wigner_d,
     wigner_d_stable,
 )
+import exact_reference
 
 
 # ------------------------------------------------------------- d-matrix layer
@@ -195,44 +195,33 @@ def test_exact_profile_equals_per_index_sums(length):
         )
 
 
-def _krawtchouk_profile(length, tau):
-    """|psi_n| from exact integer Krawtchouk sums in 250-digit decimals.
-
-    e^{2 tau S_z^2 / L} |+>^{(x)L} has the amplitudes
-    A_j ~ sqrt(C(L, j)) Sum_k e^{tau (L - 2k)^2 / (2L)} K_k(j) on the
-    x-basis Dicke states with j flips, where
-    K_k(j) = Sum_i (-1)^i C(j, i) C(L - j, k - i); psi_n = A_{2n} / ||A||.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 250
-        weights = [
-            (Decimal(tau) * (length - 2 * k) ** 2 / (2 * length)).exp()
-            for k in range(length + 1)
-        ]
-        amps = []
-        for j in range(0, length + 1, 2):
-            total = sum(
-                weight
-                * sum(
-                    (-1) ** i * math.comb(j, i) * math.comb(length - j, k - i)
-                    for i in range(max(0, k - length + j), min(j, k) + 1)
-                )
-                for k, weight in enumerate(weights)
-            )
-            amps.append(Decimal(math.comb(length, j)).sqrt() * total)
-        norm = sum(a * a for a in amps).sqrt()
-        return [abs(float(a / norm)) for a in amps]
-
-
 @pytest.mark.parametrize("length", (8, 20, 40))
 def test_exact_profile_matches_decimal_krawtchouk_sums(length):
     """Every entry down to 1e-300 keeps its relative accuracy, with the
     sign (-1)^n of the Krylov basis."""
     for tau in (1e-3, 0.1, 0.5, 1.0, 2.0, 10.0):
         psi = psi_ir_exact_profile(length, tau)
-        for n, exact in enumerate(_krawtchouk_profile(length, tau)):
+        for n, exact in enumerate(exact_reference.ir_krawtchouk_profile(length, tau)):
             if exact >= 1e-300:
                 assert psi[n] == pytest.approx((-1) ** n * exact, rel=1e-10, abs=0), (tau, n)
+
+
+@pytest.mark.parametrize(
+    "length, tau", [(8, 1e-12), (8, 1e-200), (8, 1e-300), (40, 1e-12), (40, 1e-30)]
+)
+def test_exact_profile_keeps_relative_accuracy_as_tau_vanishes(length, tau):
+    """Every entry down to 1e-300 stays within 1e-12 relative of the
+    Krawtchouk sums.  These cancel about L |log10 tau| / 2 digits, so the
+    reference runs at L |log10 tau| + 100 digits, and agrees with itself at
+    1.5 times as many."""
+    digits = round(length * -math.log10(tau)) + 100
+    reference = exact_reference.ir_krawtchouk_profile(length, tau, digits)
+    finer = exact_reference.ir_krawtchouk_profile(length, tau, 3 * digits // 2)
+    assert_allclose(reference, finer, rtol=1e-15, atol=0)
+    psi = psi_ir_exact_profile(length, tau)
+    for n, exact in enumerate(reference):
+        if exact >= 1e-300:
+            assert psi[n] == pytest.approx((-1) ** n * exact, rel=1e-12, abs=0), n
 
 
 @pytest.mark.parametrize("length", (100, 2000, WAVEPACKET_MAX_LENGTH))
