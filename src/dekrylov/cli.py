@@ -18,8 +18,8 @@ the exact wavepacket: the NN binomial closed form, and the IR Gaussian
 integral of dekrylov.wigner, both accurate to the last digits of every
 entry, however small; it serves L <= 4096.  `coeffs` and `moments` serve
 L <= 100000 too, a --tau grid holds at most 100000 points, and every tau
-is at most 1e300, so no kernel overflows.  Longer chains and grids and
-larger taus exit 2 before anything is allocated.  `main` resolves the
+passes errors.check_taus (finite, at most 1e300, so no kernel overflows).
+Input past these bounds exits 2 before any allocation.  `main` resolves the
 flags once, the command builds its rows, and `main` writes them.  No scan
 reaches the tridiagonal eigensolver, which serves `verify` and the tests,
 and no scan imports the verification layer: `verify` loads it.  Output
@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_taus
 from .evolve import (
     SCAN_MAX_LENGTH,
     ir_magnetization_sums,
@@ -69,9 +69,6 @@ RENYI2_DEFAULT_LENGTHS = (8, 10, 12, 14)
 DEFAULT_NMAX = 10
 # Most points a --tau grid may have: 250 times the largest default grid.
 TAU_COUNT_MAX = 100_000
-# Largest tau: the IR sums form tau 4m^2 / L <= tau L, at most 1e305 at
-# L = 10^5, so no kernel overflows.
-TAU_MAX = 1e300
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -188,13 +185,7 @@ def resolve_taus(args, kind):
         taus = grid_taus(DEFAULT_TAU_GRID[kind])
         if kind is ModelKind.IR and args.command == "evolve":
             taus += IR_PLATEAU_TAUS
-    values = np.asarray(taus, dtype=float)
-    ok = (values >= 0) & (values < np.inf)  # false for nan and +-inf
-    if not ok.all():
-        raise ArgumentError(f"tau: values must be finite and >= 0, got {taus[ok.argmin()]!r}")
-    above = values > TAU_MAX
-    if above.any():
-        raise ArgumentError(f"tau: values must be <= {TAU_MAX:g}, got {taus[above.argmax()]!r}")
+    check_taus(taus)
     # x + 0.0 turns -0.0 (and a negative underflow such as -1e-400) into
     # +0.0, so every command prints 0 and -0 is not a second zero.
     return tuple(sorted({tau + 0.0 for tau in taus}))

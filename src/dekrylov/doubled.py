@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, check_taus
 from .models import ModelKind, ModelSpec
 
 FULL_SPACE_MAX_LENGTH = 7
@@ -189,11 +189,9 @@ def build_nn_channel(length, p):
     (bond supports XOR freely, so every subset of bonds gives a distinct
     support).  Intended for the full doubled-space validation path.
     """
-    if length < 2:
-        raise ArgumentError("length must be at least 2")
+    ModelSpec(kind=ModelKind.NN, length=length)  # validates L >= 2
     check_full_length(length)
-    if not 0 <= p < 0.5:
-        raise DomainError(f"p must lie in [0, 1/2), got {p!r}")
+    tau_from_p(p)  # validates p in [0, 1/2)
     bonds = length - 1
     subsets = np.arange(2**bonds)
     by_count = np.array([p**k * (1.0 - p) ** (bonds - k) for k in range(bonds + 1)])
@@ -212,8 +210,7 @@ def build_ir_channel(length, tau):
     """
     ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
     check_full_length(length)
-    if not tau >= 0:
-        raise ArgumentError("tau must be nonnegative")
+    check_taus(tau)
     w_plus = 0.5 * (1.0 + math.exp(-2.0 * tau / length))
     w_minus = 0.5 * (1.0 - math.exp(-2.0 * tau / length))
     weights = np.zeros(2**length)

@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_taus
 from .lintri import exp_from_max
 from .models import (
     REDUCED_MAX_LENGTH,
@@ -104,11 +104,10 @@ def renyi2_dense(model, taus):
     from the ground level, which keeps every exponential <= 1 at any tau.
 
     ``taus`` is a float or a sequence of floats; the result is a float or
-    an array of the same shape.
+    an array of the same shape.  L > 14, and a tau that errors.check_taus
+    refuses, raise ArgumentError.
     """
-    tau_arr = np.asarray(taus, dtype=float)
-    if not np.all(tau_arr >= 0):
-        raise ArgumentError("tau must be nonnegative")
+    tau_arr = check_taus(taus)
     length = model.length
     level, energies = reduced_levels(model)  # enforces the L <= 14 cap
     magnetization = length - 2.0 * np.bitwise_count(np.arange(level.size))
@@ -155,16 +154,15 @@ def ir_magnetization_sums(model, taus):
     float or an array of the shape of ``taus``.
 
     Raises:
-        ArgumentError: for the NN model, L > SCAN_MAX_LENGTH or tau < 0.
+        ArgumentError: for the NN model, L > SCAN_MAX_LENGTH or a tau
+            that errors.check_taus refuses.
     """
     if model.kind is not ModelKind.IR:
         raise ArgumentError("ir_magnetization_sums applies to the IR model only")
     length = model.length
     if length > SCAN_MAX_LENGTH:
         raise ArgumentError(f"IR sums are capped at L <= {SCAN_MAX_LENGTH}, got {length}")
-    tau_arr = np.asarray(taus, dtype=float)
-    if not np.all(tau_arr >= 0):
-        raise ArgumentError("tau must be nonnegative")
+    tau_arr = check_taus(taus)
     flat = tau_arr.reshape(-1)
     spin = length // 2
     m = np.arange(spin + 1.0)
@@ -245,7 +243,7 @@ def scan_point(model, taus):
     if np.any(k < 0):
         raise ArgumentError("K must be nonnegative")
     if chis is not None and not np.all((chis >= -1e-10) & (chis <= 1.0 + 1e-10)):
-        raise ArgumentError(f"chi out of [0, 1]: {chis.min()!r} to {chis.max()!r}")
+        raise ArgumentError(f"chi out of [0, 1]: {float(chis.min())!r} to {float(chis.max())!r}")
     return list(
         zip(
             repeat(length),

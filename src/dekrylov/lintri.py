@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_taus
 
 # Largest |v_k . v_{k+1}| accepted from the twisted-recursion eigenvectors,
 # half the 1e-10 orthonormality that the tests and criterion 10 require.
@@ -138,9 +138,9 @@ class KrylovState:
     ``taus`` is (m,) and ``psi`` (m, dim): row j is the state at taus[j].
     A single state has a 0-d ``taus`` and a (dim,) ``psi``.
 
-    The batch is validated once: every tau >= 0, every entry of psi
-    finite, and every row unit-normalized within 1e-12.  ``psi`` becomes a
-    read-only view of the given array, not a copy.
+    The batch is validated once: every tau by errors.check_taus, every
+    entry of psi finite, and every row unit-normalized within 1e-12.
+    ``psi`` becomes a read-only view of the given array, not a copy.
     """
 
     taus: np.ndarray
@@ -154,8 +154,7 @@ class KrylovState:
                 f"psi shape {psi.shape} must be taus shape {taus.shape} + (dim,), "
                 "with 0-d or 1-d taus"
             )
-        if not np.all(taus >= 0):
-            raise ArgumentError("tau must be nonnegative")
+        check_taus(taus)
         # A non-finite entry makes its row's sum of squares non-finite, so
         # both checks run on the (m,) sums without an (m, dim) temporary.
         norm_sq = np.einsum("...n,...n->...", psi, psi)
@@ -358,10 +357,11 @@ def expm_from_eig(op, taus):
         order.  A scalar tau gives a single state.
 
     Raises:
+        ArgumentError: before eig_tridiag, for a tau that check_taus refuses.
         numpy.linalg.LinAlgError: if eig_tridiag refuses the operator, or
             a seed overlap |V[0, k]| is zero or subnormal.
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = check_taus(taus)
     vectors = eig_tridiag(op)
     seed = vectors[0]
     magnitudes = np.abs(seed)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, check_taus
 from .lintri import KrylovState, TridiagonalOperator
 
 REDUCED_MAX_LENGTH = 14  # dense 2^L paths stop here (16384 amplitudes)
@@ -160,10 +160,11 @@ def analytic_lanczos(model):
 def signed_unit_profile(log_sq):
     """(-1)^n sqrt(p_n) for the unit-sum profile p_n proportional to
     exp(log_sq[n]), normalized in the log domain: one shift by the largest
-    log, one log-sum-exp.  Entries of -inf give zeros."""
+    log, one log-sum-exp.  Entries of -inf, and entries that underflow,
+    give +0.0: adding 0.0 clears a zero's sign and keeps every other value."""
     log_sq = log_sq - log_sq.max()
     log_sq -= math.log(np.exp(log_sq).sum())
-    return (-1.0) ** np.arange(log_sq.size) * np.exp(0.5 * log_sq)
+    return (-1.0) ** np.arange(log_sq.size) * np.exp(0.5 * log_sq) + 0.0
 
 
 def nn_lambda(tau):
@@ -173,11 +174,10 @@ def nn_lambda(tau):
     exponentials only: nothing cancels, so lambda keeps its relative
     accuracy as tau -> 0, and it reaches its limit 1/2 at large tau
     without overflow.  ``tau`` is a float or an array; the result is a
-    float or an array of its shape.
+    float or an array of its shape.  A tau that errors.check_taus refuses
+    raises its ArgumentError.
     """
-    tau = np.asarray(tau, dtype=float)
-    if not np.all(tau >= 0):
-        raise ArgumentError("tau must be nonnegative")
+    tau = check_taus(tau)
     lam = np.expm1(-2.0 * tau) ** 2 / (2.0 * (1.0 + np.exp(-4.0 * tau)))
     return float(lam) if lam.ndim == 0 else lam
 
@@ -193,10 +193,8 @@ def psi_nn_analytic(length, tau):
     is 0 once expm1 overflows.  tau = 0 gives e_0 exactly.  Returns a
     single KrylovState: 0-d ``taus`` and a (L,) ``psi``.
     """
-    if length < 2:
-        raise ArgumentError("length must be at least 2")
-    if not tau >= 0:
-        raise ArgumentError("tau must be nonnegative")
+    ModelSpec(kind=ModelKind.NN, length=length)  # validates L >= 2
+    check_taus(tau)
     if tau == 0:
         return KrylovState(taus=0.0, psi=(np.arange(length) == 0).astype(float))
     with np.errstate(over="ignore"):
@@ -211,6 +209,5 @@ def k_nn_analytic(length, tau):
 
     ``tau`` is a float or an array, as for nn_lambda.
     """
-    if length < 2:
-        raise ArgumentError("length must be at least 2")
+    ModelSpec(kind=ModelKind.NN, length=length)  # validates L >= 2
     return (length - 1) * nn_lambda(tau)

@@ -19,11 +19,12 @@ import math
 import numpy as np
 
 from . import doubled
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, check_taus
 from .lanczos import LanczosResult
 from .models import (
     REDUCED_MAX_LENGTH,
     ModelKind,
+    ModelSpec,
     analytic_lanczos,
     log_binomial_pmf,
     reduced_levels,
@@ -100,9 +101,7 @@ def _per_factor_diagonals(model, p_or_tau):
     if model.kind is ModelKind.NN:
         p = p_or_tau  # in [0, 1/2): channel_vs_exponential reads tau_from_p(p) first
         return (1.0 - p) + p * zz[:-1] * zz[1:]
-    tau = p_or_tau
-    if not tau >= 0:
-        raise ArgumentError("tau must be nonnegative")
+    tau = check_taus(p_or_tau)
     w_plus = 0.5 * (1.0 + np.exp(-2.0 * tau / length))
     w_minus = 0.5 * (1.0 - np.exp(-2.0 * tau / length))
     i, j = np.triu_indices(length, 1)
@@ -208,6 +207,7 @@ def expm_elementwise_vs_generic(model, tau):
     """
     if model.length > 4:
         raise ArgumentError("generic expm cross-check is capped at L <= 4")
+    tau = check_taus(tau)
     diag = doubled_hamiltonian_diagonal(model)
     elementwise = np.diag(np.exp(-tau * diag))
     generic = dense_expm(-tau * np.diag(diag))
@@ -384,7 +384,7 @@ def area_law_psi(n, tau):
     n = np.asarray(n)
     if np.any(n < 0):
         raise ArgumentError("n must be nonnegative")
-    if not 0 <= tau < 0.5:
+    if check_taus(tau) >= 0.5:
         raise DomainError(f"area-law profile requires 0 <= tau < 1/2, got {tau!r}")
     if tau == 0.0:
         psi = (n == 0).astype(float)
@@ -402,21 +402,19 @@ def area_law_psi(n, tau):
 
 def area_law_k(tau):
     """Area-law Krylov complexity K = tau^2 / (2(1-2 tau)), 0 <= tau < 1/2."""
-    if not 0 <= tau < 0.5:
+    if check_taus(tau) >= 0.5:
         raise DomainError(f"area-law K requires 0 <= tau < 1/2, got {tau!r}")
     return tau * tau / (2.0 * (1.0 - 2.0 * tau))
 
 
 def volume_law_k(length):
     """Volume-law Krylov complexity K = L/4 (even L)."""
-    if length % 2 or length < 2:
-        raise DomainError("volume law is defined for even L >= 2")
+    ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
     return length / 4.0
 
 
 def psi_ir_asymptotic_profile(length):
     """Large-tau/large-L asymptotic IR wavepacket over n = 0..L/2."""
-    if length % 2 or length < 2:
-        raise DomainError("asymptotic IR amplitudes require even L >= 2")
+    ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
     n = np.arange(length // 2 + 1)
     return (-1.0) ** n * np.exp(0.5 * (log_binomial_pmf(length)[::2] + math.log(2.0)))

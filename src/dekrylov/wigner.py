@@ -50,9 +50,9 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, check_taus
 from .lintri import TridiagonalOperator, eig_tridiag, exp_from_max
-from .models import log_binomial_pmf, signed_unit_profile
+from .models import ModelKind, ModelSpec, log_binomial_pmf, signed_unit_profile
 
 DIRECT_SUM_MAX_TWO_S = 40  # s <= 20 for the factorial k-sum route
 STABLE_MAX_TWO_S = 600  # s <= 300, matrix dimension 601
@@ -185,15 +185,13 @@ def psi_ir_exact_profile(length, tau):
     so its terms stay small where it matters.  tau = 0 gives e_0 exactly.
 
     Raises:
-        DomainError: for odd L.
-        ArgumentError: for tau < 0 or NaN, or L > WAVEPACKET_MAX_LENGTH.
+        ArgumentError: for L < 2, L > WAVEPACKET_MAX_LENGTH or odd L (a
+            DomainError), or for a tau that errors.check_taus refuses.
     """
-    if length % 2 or length < 2:
-        raise DomainError("exact IR amplitudes require even L >= 2")
+    ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
     if length > WAVEPACKET_MAX_LENGTH:
         raise ArgumentError(f"exact IR amplitudes are capped at L <= {WAVEPACKET_MAX_LENGTH}")
-    if not tau >= 0:
-        raise ArgumentError("tau must be nonnegative")
+    check_taus(tau)
     n = np.arange(length // 2 + 1.0)
     if tau == 0:
         return (n == 0).astype(float)

@@ -3,8 +3,8 @@ no scipy import and no log-gamma anywhere in the package, one home for
 the tests' exact references, no verification-only reference in a module
 that the scans import, every name the benchmark harness reads from the
 package is still where the harness looks for it, the package root
-re-exports only the names the harness reads from it, and no module loads
-names lazily.
+re-exports only the names the harness reads from it, no module loads
+names lazily, and only errors.check_taus bounds tau.
 
 The checks parse the files with the standard-library ``ast`` module.  Only
 the benchmark check imports the package, to look up the names it found.
@@ -122,6 +122,73 @@ def test_binomial_weights_have_one_home():
                 f"{path.name}:{node.lineno} {a}.{b}" for a, b in names if (a, b) in banned
             ]
     assert not offenders, f"log-gamma or vectorized binomials: {offenders}"
+
+
+def tau_bound_comparisons(tree):
+    """Line of each ordering comparison (<, <=, >, >=) of a tau-named value
+    (a name or attribute containing "tau", subscripted or not) with 0, or
+    of anything with TAU_MAX.  Chained comparisons count link by link, and
+    an exact ``tau == 0`` is no bound."""
+
+    def name_of(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+    def bounds(left, right):
+        is_zero = isinstance(right, ast.Constant) and right.value == 0 and right.value is not False
+        return (is_zero and "tau" in name_of(left).lower()) or name_of(right) == "TAU_MAX"
+
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            lines += [
+                node.lineno
+                for op, left, right in zip(node.ops, operands, operands[1:])
+                if isinstance(op, ordering) and (bounds(left, right) or bounds(right, left))
+            ]
+    return sorted(lines)
+
+
+def test_the_tau_rule_has_one_home():
+    """errors.check_taus is the one place that bounds tau: no other module
+    compares a tau-named value with 0, or any value with TAU_MAX, by an
+    ordering operator; each entry point that takes tau calls the rule."""
+    sample = ast.parse(
+        "ok = taus[0] >= 0\n"
+        "ok = 0 <= tau < 0.5\n"
+        "ok = np.all(self.tau_arr > 0.0)\n"
+        "ok = values <= errors.TAU_MAX\n"
+        "ok = tau == 0 or start < 0 or tau < 0.5\n"
+    )
+    assert tau_bound_comparisons(sample) == [1, 2, 3, 4]
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "errors.py"
+        for line in tau_bound_comparisons(parse(path))
+    ]
+    assert not offenders, f"tau bounds outside errors.check_taus: {offenders}"
+    guarded = {
+        "models": ("nn_lambda", "psi_nn_analytic"),
+        "evolve": ("renyi2_dense", "ir_magnetization_sums"),
+        "wigner": ("psi_ir_exact_profile",),
+        "lintri": ("KrylovState", "expm_from_eig"),
+        "doubled": ("build_ir_channel",),
+        "oracle": (
+            "_per_factor_diagonals",
+            "expm_elementwise_vs_generic",
+            "area_law_psi",
+            "area_law_k",
+        ),
+        "cli": ("resolve_taus",),
+    }
+    for module, names in guarded.items():
+        for node in parse(PACKAGE / f"{module}.py").body:
+            if getattr(node, "name", None) in names:
+                assert "check_taus" in referenced_names(node), f"{module}.{node.name}"
 
 
 def test_exact_references_have_one_home():

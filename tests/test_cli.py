@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dekrylov import checks, cli, lintri
-from dekrylov.errors import ArgumentError
+from dekrylov import checks, cli, evolve, lintri
+from dekrylov.errors import TAU_MAX, ArgumentError
 from dekrylov.models import (
     KrylovSpec,
     ModelKind,
@@ -379,10 +379,10 @@ def test_oversized_flags_are_exit_2_before_any_array(argv, error, monkeypatch, c
 def test_largest_tau_is_served_at_the_largest_length(argv, tmp_path, capsys):
     """At tau = TAU_MAX every command that takes tau runs at its largest
     length without a warning, and every numeric cell is finite."""
-    code, text = run_cli(argv + ["--tau-list", repr(cli.TAU_MAX)], tmp_path)
+    code, text = run_cli(argv + ["--tau-list", repr(TAU_MAX)], tmp_path)
     assert code == 0 and capsys.readouterr().err == ""
     rows = rows_of(text)
-    assert rows and float(rows[0]["tau"]) == cli.TAU_MAX
+    assert rows and float(rows[0]["tau"]) == TAU_MAX
     cells = [value for row in rows for key, value in row.items() if key != "model" and value]
     assert all(math.isfinite(float(value)) for value in cells)
 
@@ -392,7 +392,7 @@ def test_largest_tau_is_served_at_the_largest_length(argv, tmp_path, capsys):
 def test_tau_past_the_bound_is_exit_2(command, model, tmp_path, capsys):
     """A tau just above TAU_MAX is one error line naming it, and nothing
     is written."""
-    above = float(np.nextafter(cli.TAU_MAX, np.inf))
+    above = float(np.nextafter(TAU_MAX, np.inf))
     out = tmp_path / "out.csv"
     argv = [command, "--model", model, "--lengths", "8", "--tau-list", f"0.5,{above!r}"]
     assert cli.main(argv + ["--out", str(out)]) == 2
@@ -431,6 +431,16 @@ def test_negative_inf_and_nan_reach_the_tau_parsers(flags, message, capsys):
     """argparse would take -inf or -nan for an option and print its usage."""
     assert cli.main(["evolve", "--model", "nn", "--lengths", "4"] + flags) == 2
     assert capsys.readouterr() == ("", f"error: tau: {message}\n")
+
+
+def test_a_chi_out_of_bounds_is_one_plain_error_line(monkeypatch, capsys):
+    """scan_point's bound error names the values as plain floats, with no
+    numpy repr, and the CLI prints it as one line and exits 2."""
+    monkeypatch.setattr(
+        evolve, "ir_magnetization_sums", lambda model, taus: (np.zeros(1), np.full(1, np.nan))
+    )
+    assert cli.main(["evolve", "--model", "ir", "--lengths", "8", "--tau-list", "0.5"]) == 2
+    assert capsys.readouterr() == ("", "error: chi out of [0, 1]: nan to nan\n")
 
 
 def test_tau_grid_of_the_largest_count_is_served(tmp_path):
@@ -531,6 +541,20 @@ def test_wavepacket_nn_tail_matches_decimal_binomial(tmp_path):
     for n in (23, 40, 99):
         assert psi[n] == pytest.approx(exact[n], rel=1e-10)
     assert psi[99] < 0 and abs(psi[99]) < 1e-99
+
+
+@pytest.mark.parametrize("model, length", [("nn", 200), ("ir", 4096)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wavepacket_underflowed_entries_print_as_zero(model, length, fmt, tmp_path):
+    """An odd-index entry that underflows is +0, not -0, in both formats:
+    both models end in models.signed_unit_profile."""
+    argv = ["wavepacket", "--model", model, "--lengths", str(length), "--tau-list", "0.001"]
+    code, text = run_cli(argv + ["--format", fmt], tmp_path)
+    assert code == 0
+    rows = rows_of(text) if fmt == "csv" else json.loads(text)
+    zeros = [float(row["psi"]) for row in rows if float(row["psi"]) == 0.0]
+    assert zeros, "no entry underflows here"
+    assert all(math.copysign(1.0, zero) > 0 for zero in zeros)
 
 
 def test_wavepacket_ir_stays_localized_in_area_phase(tmp_path):

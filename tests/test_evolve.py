@@ -1,6 +1,7 @@
 """Imaginary-time scans: complexity, Renyi-2 correlator, survival moments."""
 
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov import doubled, evolve, oracle
-from dekrylov.errors import ArgumentError
+from dekrylov.errors import TAU_MAX, ArgumentError
 from dekrylov.evolve import (
     complexity,
     ir_magnetization_sums,
@@ -26,6 +27,7 @@ from dekrylov.models import (
     analytic_lanczos,
     k_nn_analytic,
     nn_lambda,
+    psi_nn_analytic,
 )
 from dekrylov.oracle import (
     MOMENTS_MAX_LENGTH,
@@ -342,12 +344,13 @@ def test_ir_sums_reject_nn_long_chains_and_negative_tau():
         ir_magnetization_sums(ModelSpec(ModelKind.NN, 8), 0.5)
     with pytest.raises(ArgumentError, match="100000"):
         ir_magnetization_sums(ModelSpec(ModelKind.IR, 100_002), 0.5)
-    with pytest.raises(ArgumentError, match="nonnegative"):
+    with pytest.raises(ArgumentError, match="finite and >= 0"):
         ir_magnetization_sums(ModelSpec(ModelKind.IR, 8), [0.5, -1e-3])
 
 
 NAN_TAU_GUARDS = {
     "nn_lambda": lambda tau: nn_lambda(tau),
+    "psi_nn_analytic": lambda tau: psi_nn_analytic(8, tau),
     "k_nn_analytic": lambda tau: k_nn_analytic(8, [0.5, tau]),
     "renyi2_dense": lambda tau: renyi2_dense(ModelSpec(ModelKind.NN, 8), [tau]),
     "ir_magnetization_sums": lambda tau: ir_magnetization_sums(ModelSpec(ModelKind.IR, 8), tau),
@@ -355,18 +358,31 @@ NAN_TAU_GUARDS = {
     "scan_point_ir": lambda tau: scan_point(ModelSpec(ModelKind.IR, 8), [tau]),
     "psi_ir_exact_profile": lambda tau: psi_ir_exact_profile(8, tau),
     "KrylovState": lambda tau: KrylovState(taus=tau, psi=np.array([1.0, 0.0])),
+    "expm_from_eig": lambda tau: expm_from_eig(
+        analytic_lanczos(ModelSpec(ModelKind.IR, 8)).tridiag, [0.5, tau]
+    ),
     "build_ir_channel": lambda tau: doubled.build_ir_channel(4, tau),
     "channel_vs_exponential": lambda tau: oracle.channel_vs_exponential(
         ModelSpec(ModelKind.IR, 4), tau
     ),
+    "expm_elementwise_vs_generic": lambda tau: oracle.expm_elementwise_vs_generic(
+        ModelSpec(ModelKind.NN, 3), tau
+    ),
+    "area_law_psi": lambda tau: oracle.area_law_psi(2, tau),
+    "area_law_k": lambda tau: oracle.area_law_k(tau),
 }
 
 
 @pytest.mark.parametrize("guard", sorted(NAN_TAU_GUARDS))
 def test_a_nan_tau_is_refused_as_a_negative_one_is(guard):
-    """Every public tau guard is written `not tau >= 0`, so NaN fails it."""
-    for tau in (-1.0, math.nan):
-        with pytest.raises(ArgumentError, match="tau must be nonnegative"):
+    """Every public tau guard is errors.check_taus: a negative, NaN or
+    infinite tau, and one just above TAU_MAX, each raise its error, with
+    the text that the command line prints."""
+    above = float(np.nextafter(TAU_MAX, np.inf))
+    cases = [(tau, "finite and >= 0") for tau in (-1.0, math.nan, math.inf, -math.inf)]
+    for tau, bound in cases + [(above, "<= 1e+300")]:
+        text = f"tau: values must be {bound}, got {tau!r}"
+        with pytest.raises(ArgumentError, match=f"^{re.escape(text)}$"):
             NAN_TAU_GUARDS[guard](tau)
 
 

@@ -129,7 +129,7 @@ def test_krylov_batch_rejects_bad_rows():
     assert batch.psi.shape[-1] == 2 and batch.taus.tolist() == [0.0, 1.0]
     for taus, psi, match in (
         ([0.0, 1.0], [[1.0, 0.0], [0.6, 0.8 + 1e-9]], "unit-normalized"),
-        ([0.0, -1e-300], good, "nonnegative"),
+        ([0.0, -1e-300], good, "finite and >= 0"),
         ([0.0, 1.0], [[1.0, 0.0], [np.nan, 0.8]], "finite"),
         ([0.0, 1.0], [[1.0, 0.0], [np.inf, 0.8]], "finite"),
         ([0.0, 1.0, 2.0], good, "shape"),
@@ -139,8 +139,21 @@ def test_krylov_batch_rejects_bad_rows():
     ):
         with pytest.raises(ArgumentError, match=match):
             KrylovState(taus=taus, psi=np.array(psi))
-    with pytest.raises(ArgumentError, match="nonnegative"):
+    with pytest.raises(ArgumentError, match="finite and >= 0"):
         expm_from_eig(analytic_lanczos(ModelSpec(ModelKind.IR, 8)).tridiag, [0.5, -1e-3])
+
+
+def test_expm_refuses_a_bad_tau_before_the_decomposition(monkeypatch):
+    """The tau rule runs first, so a bad tau costs no O(d^2) eigenvectors."""
+
+    def unreachable(op):
+        raise AssertionError("eig_tridiag ran before the tau check")
+
+    monkeypatch.setattr(lintri, "eig_tridiag", unreachable)
+    op = analytic_lanczos(ModelSpec(ModelKind.IR, 8)).tridiag
+    for tau in (-1.0, math.nan, math.inf, 1e301):
+        with pytest.raises(ArgumentError, match="^tau: values must be"):
+            expm_from_eig(op, [0.5, tau])
 
 
 def test_expm_batch_is_a_read_only_view_of_the_filled_array(monkeypatch):

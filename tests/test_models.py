@@ -32,11 +32,13 @@ from dekrylov.oracle import (
     channel_vs_exponential,
     dense_krylov,
     kw_transform_nn,
+    psi_ir_asymptotic_profile,
     reduced_diagonal,
     site_spins,
     vectorized_map_vs_exponential,
     volume_law_k,
 )
+from dekrylov.wigner import psi_ir_exact_profile
 import exact_reference
 
 
@@ -59,6 +61,29 @@ def test_model_spec_validation():
     with pytest.raises(DomainError):
         ModelSpec(ModelKind.IR, 5)
     assert ModelSpec(ModelKind.IR, 6).length == 6
+
+
+RAW_LENGTH_ENTRY_POINTS = {
+    "psi_nn_analytic": (ModelKind.NN, lambda length: psi_nn_analytic(length, 0.5)),
+    "k_nn_analytic": (ModelKind.NN, lambda length: k_nn_analytic(length, 0.5)),
+    "build_nn_channel": (ModelKind.NN, lambda length: build_nn_channel(length, 0.1)),
+    "psi_ir_exact_profile": (ModelKind.IR, lambda length: psi_ir_exact_profile(length, 0.5)),
+    "volume_law_k": (ModelKind.IR, volume_law_k),
+    "psi_ir_asymptotic_profile": (ModelKind.IR, psi_ir_asymptotic_profile),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RAW_LENGTH_ENTRY_POINTS))
+def test_raw_lengths_are_checked_by_model_spec(entry):
+    """Each entry point that takes a chain length, not a ModelSpec, builds
+    one, so it refuses a bad length with ModelSpec's own errors."""
+    kind, call = RAW_LENGTH_ENTRY_POINTS[entry]
+    with pytest.raises(ArgumentError, match="^length must be at least 2$") as raised:
+        call(1)
+    assert raised.type is ArgumentError
+    if kind is ModelKind.IR:
+        with pytest.raises(DomainError, match="^IR model requires even L$"):
+            call(7)
 
 
 # ------------------------------------------------------------ reduced sector
