@@ -70,14 +70,15 @@ def check_channel_exponential():
     )
     worst = 0.0
     mapped = 0
-    grid = [(ModelKind.NN, p) for p in (0.0, 0.1, 0.2, 0.3, 0.45)]
-    grid += [(ModelKind.IR, tau) for tau in (0.0, 0.3, 0.7, 1.2, 2.0)]
     for length in range(2, 7):
-        for kind, p_or_tau in grid:
-            if kind is ModelKind.IR and length % 2:
-                continue
+        # Per-factor dephasing p; for IR, p = (1 - e^{-2 tau/L})/2 at five taus.
+        points = [(ModelKind.NN, p) for p in (0.0, 0.1, 0.2, 0.3, 0.45)]
+        if length % 2 == 0:
+            taus = (0.0, 0.3, 0.7, 1.2, 2.0)
+            points += [(ModelKind.IR, -math.expm1(-2.0 * tau / length) / 2.0) for tau in taus]
+        for kind, p in points:
             spec = ModelSpec(kind=kind, length=length)
-            worst = max(worst, *(route(spec, p_or_tau) for route in routes))
+            worst = max(worst, *(route(spec, p) for route in routes))
             mapped += 1
     cases = len(routes) * mapped
     for spec in (

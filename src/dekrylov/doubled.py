@@ -22,7 +22,8 @@ shortcut.
 The paper's mapping is the chain vectorize -> apply_channel ->
 restrict_to_parity_sector: |+><+|^{(x)L} becomes the uniform
 positive-parity seed (reduced_initial_state, 2^L amplitudes), and the
-composed dephasing channel (build_nn_channel, build_ir_channel) becomes
+channel (build_nn_channel, build_ir_channel), a product of factors
+(1-p) id + p Z_i Z_j over the site pairs of dephasing_pairs, becomes
 prefactor * exp(-tau h) on it.  Criterion 1 checks that chain for L <= 6.
 
 Full-space operations are capped at L <= 7 (4^7 = 16384 amplitudes); they
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, check_taus
+from .errors import ArgumentError, DomainError
 from .models import ModelKind, ModelSpec
 
 FULL_SPACE_MAX_LENGTH = 7
@@ -62,7 +63,7 @@ class KrausChannel:
         for w, support in terms:
             if not isinstance(support, (int, np.integer)) or not 0 <= support < 2**self.length:
                 raise ArgumentError(
-                    f"Z-support {support!r} is not an integer below 2^{self.length}"
+                    f"Z-support {support} is not an integer below 2^{self.length}"
                 )
             if not w > 0:
                 raise ArgumentError("Kraus weights must be strictly positive")
@@ -143,7 +144,7 @@ def channel_diagonal(channel):
 def tau_from_p(p):
     """Imaginary time tau = -ln(1-2p)/2 of a dephasing strength p in [0, 1/2)."""
     if not 0 <= p < 0.5:
-        raise DomainError(f"p must lie in [0, 1/2), got {p!r}")
+        raise DomainError(f"p must lie in [0, 1/2), got {float(p)!r}")
     return -0.5 * math.log1p(-2.0 * p)
 
 
@@ -182,14 +183,28 @@ def reduced_initial_state(model):
     return np.full(2**model.length, 2.0 ** (-model.length / 2.0))
 
 
+def dephasing_pairs(model):
+    """Site pairs (i, j), i < j, of the model's two-site ZZ dephasing
+    factors: the L-1 bonds for NN, every pair in row-major order for IR."""
+    sites = range(model.length)
+    if model.kind is ModelKind.NN:
+        return [(i, i + 1) for i in sites[:-1]]
+    return [(i, j) for i in sites for j in sites[i + 1 :]]
+
+
+def dephasing_supports(model):
+    """The Z-support of each dephasing factor: bits i and j of pair (i, j)."""
+    return [(1 << i) | (1 << j) for i, j in dephasing_pairs(model)]
+
+
 def build_nn_channel(length, p):
     """The composed NN bond channel as an explicit Kraus sum.
 
-    Expands Prod_i [(1-p) id + p ZZ_i] into 2^{L-1} Z-support terms
-    (bond supports XOR freely, so every subset of bonds gives a distinct
-    support).  Intended for the full doubled-space validation path.
+    Expands Prod_bonds [(1-p) id + p ZZ] into 2^{L-1} Z-support terms, one
+    per bond subset in integer order (bond supports XOR freely, so every
+    subset gives a distinct support).  For the full-space validation path.
     """
-    ModelSpec(kind=ModelKind.NN, length=length)  # validates L >= 2
+    model = ModelSpec(kind=ModelKind.NN, length=length)  # validates L >= 2
     check_full_length(length)
     tau_from_p(p)  # validates p in [0, 1/2)
     bonds = length - 1
@@ -197,28 +212,26 @@ def build_nn_channel(length, p):
     by_count = np.array([p**k * (1.0 - p) ** (bonds - k) for k in range(bonds + 1)])
     weights = by_count[np.bitwise_count(subsets)]
     kept = weights != 0.0
-    supports = (subsets ^ (subsets << 1))[kept]
+    in_subset = subsets[:, None] >> np.arange(bonds) & 1
+    supports = np.bitwise_xor.reduce(in_subset * dephasing_supports(model), axis=1)[kept]
     return KrausChannel(length, tuple(zip(weights[kept].tolist(), supports.tolist())))
 
 
-def build_ir_channel(length, tau):
+def build_ir_channel(length, p):
     """The composed infinite-range pair channel as an explicit Kraus sum.
 
-    Each pair (i, j) applies (w+ id + w- Z_i Z_j) with
-    w(+/-) = (1 +/- e^{-2 tau/L})/2; the product over all pairs is
-    convolved in the space of Z-supports (at most 2^L distinct terms).
+    Each pair (i, j) applies ((1-p) id + p Z_i Z_j), which p =
+    (1 - e^{-2 tau/L})/2 makes e^{-tau H} overall; the product over all
+    pairs is convolved in the space of Z-supports (at most 2^L distinct
+    terms, since pair supports coincide).
     """
-    ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
+    model = ModelSpec(kind=ModelKind.IR, length=length)  # validates L >= 2, even
     check_full_length(length)
-    check_taus(tau)
-    w_plus = 0.5 * (1.0 + math.exp(-2.0 * tau / length))
-    w_minus = 0.5 * (1.0 - math.exp(-2.0 * tau / length))
+    tau_from_p(p)  # validates p in [0, 1/2)
     weights = np.zeros(2**length)
     weights[0] = 1.0
     supports = np.arange(2**length)
-    for i in range(length):
-        for j in range(i + 1, length):
-            mask = (1 << i) | (1 << j)
-            weights = w_plus * weights + w_minus * weights[supports ^ mask]
+    for mask in dephasing_supports(model):
+        weights = (1.0 - p) * weights + p * weights[supports ^ mask]
     terms = tuple((float(weights[s]), s) for s in range(2**length) if weights[s] > 0.0)
     return KrausChannel(length, terms)

@@ -109,8 +109,8 @@ class TridiagonalOperator:
         ):
             if not abs(found - expected) <= SPECTRUM_RTOL * scale:
                 raise ArgumentError(
-                    f"spectrum does not match the operator: {name} = {found!r}, "
-                    f"trace gives {expected!r}"
+                    f"spectrum does not match the operator: {name} = {float(found)!r}, "
+                    f"trace gives {float(expected)!r}"
                 )
         object.__setattr__(self, "spectrum", spectrum)
 

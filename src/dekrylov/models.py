@@ -6,7 +6,8 @@ Two dephasing channels on an open chain of L qubits are covered:
       E_i[rho] = (1-p) rho + p Z_i Z_{i+1} rho Z_i Z_{i+1}, i = 0..L-2,
       equal to e^{-(L-1) tau} e^{-tau H} with tau = -ln(1-2p)/2;
 
-  IR: infinite-range dephasing over all pairs, exactly e^{-tau H}.
+  IR: infinite-range dephasing, each pair i < j dephased with probability
+      p as above, exactly e^{-tau H} with tau = -(L/2) ln(1-2p).
 
 Both effective Hamiltonians commute with the layer-swap parities of the
 doubled space, and on the positive-parity sector (tau^z product basis,

@@ -2,7 +2,7 @@
 exact integer moments, closed-form limits.
 
 Ground truth for the rest of the package: per-site spins and the dense
-reduced diagonal, full 4^L channel application, one two-pass
+reduced diagonal, 4^L channels at per-factor dephasing p, one two-pass
 Gram-Schmidt over the powers {H^n |rho_init>} for the Krylov basis, the
 Kramers-Wannier dual, the n-error-state reading of the Krylov vectors,
 the exact survival moments of both models and the area- and volume-law
@@ -88,89 +88,82 @@ def doubled_hamiltonian_diagonal(model):
     return reduced_diagonal(model)[mismatch]
 
 
-def _per_factor_diagonals(model, p_or_tau):
-    """(factors, 4^L) superoperator diagonals, one row per bond (NN) or
-    pair i < j in row-major order (IR).
+def _per_factor_diagonals(model, p):
+    """(factors, 4^L) superoperator diagonals (1-p) + p z_i z_j, one row
+    per pair (i, j) of doubled.dephasing_pairs.
 
     Z-type Kraus terms make every factor diagonal; the full channel is
     the matrix product of the factors, i.e. the elementwise product of
     these rows.
     """
-    length = model.length
-    zz = site_spins(length)[_layer_mismatch(length)].T
-    if model.kind is ModelKind.NN:
-        p = p_or_tau  # in [0, 1/2): channel_vs_exponential reads tau_from_p(p) first
-        return (1.0 - p) + p * zz[:-1] * zz[1:]
-    tau = check_taus(p_or_tau)
-    w_plus = 0.5 * (1.0 + np.exp(-2.0 * tau / length))
-    w_minus = 0.5 * (1.0 - np.exp(-2.0 * tau / length))
-    i, j = np.triu_indices(length, 1)
-    return w_plus + w_minus * zz[i] * zz[j]
+    zz = site_spins(model.length)[_layer_mismatch(model.length)].T
+    i, j = np.array(doubled.dephasing_pairs(model)).T
+    return (1.0 - p) + p * zz[i] * zz[j]  # p checked by _tau_and_prefactor first
 
 
-def channel_vs_exponential(model, p_or_tau):
+def channel_vs_exponential(model, p):
     """Max-abs deviation between the channel and its exponential form.
 
+    Each factor (bond for NN, pair for IR) dephases with probability p.
     The channel superoperator is assembled as the explicit product over
-    bond (NN) / pair (IR) factors; the exponential side is
-    prefactor * exp(-tau H) with H the diagonal doubled Hamiltonian,
-    exponentiated elementwise.  Z-type Kraus operators make the channel
-    diagonal by construction; the tests check its diagonal
-    (doubled.channel_diagonal) against a np.kron Z-string oracle, and
-    kraus_sum_vs_exponential compares it with the same target.  For NN,
-    tau = -ln(1-2p)/2, the prefactor e^{-(L-1) tau}; for IR the mapping
-    has no prefactor.
+    the factors; the exponential side is prefactor * exp(-tau H) with H
+    the diagonal doubled Hamiltonian, exponentiated elementwise.  Z-type
+    Kraus operators make the channel diagonal by construction; the tests
+    check its diagonal (doubled.channel_diagonal) against a np.kron
+    Z-string oracle, and kraus_sum_vs_exponential compares it with the
+    same target.
     """
-    tau, prefactor = _tau_and_prefactor(model, p_or_tau)
-    product = np.multiply.reduce(_per_factor_diagonals(model, p_or_tau), axis=0)
+    tau, prefactor = _tau_and_prefactor(model, p)
+    product = np.multiply.reduce(_per_factor_diagonals(model, p), axis=0)
     target = prefactor * np.exp(-tau * doubled_hamiltonian_diagonal(model))
     return float(np.max(np.abs(product - target)))
 
 
-def _tau_and_prefactor(model, p_or_tau):
-    """(tau, prefactor) of the channel = prefactor * exp(-tau H) mapping."""
+def _tau_and_prefactor(model, p):
+    """(tau, prefactor) of channel = prefactor * exp(-tau H) at per-factor p:
+    doubled.tau_from_p(p) and e^{-(L-1) tau} for NN, L times it and 1 for IR."""
+    tau = doubled.tau_from_p(p)
     if model.kind is ModelKind.NN:
-        tau = doubled.tau_from_p(p_or_tau)
         return tau, np.exp(-(model.length - 1) * tau)
-    return p_or_tau, 1.0
+    return model.length * tau, 1.0
 
 
-def _composed_channel(model, p_or_tau):
+def _composed_channel(model, p):
     """The model's composed channel as an explicit Kraus sum."""
     if model.kind is ModelKind.NN:
-        return doubled.build_nn_channel(model.length, p_or_tau)
-    return doubled.build_ir_channel(model.length, p_or_tau)
+        return doubled.build_nn_channel(model.length, p)
+    return doubled.build_ir_channel(model.length, p)
 
 
-def kraus_sum_vs_exponential(model, p_or_tau):
+def kraus_sum_vs_exponential(model, p):
     """Max-abs deviation of the explicit Kraus sum from prefactor * exp(-tau H).
 
-    The superoperator diagonal of the composed channel (build_nn_channel /
-    build_ir_channel, then doubled.channel_diagonal) against the doubled
-    Hamiltonian's exponential; tau and the prefactor are those of
-    channel_vs_exponential.
+    The superoperator diagonal of the composed channel at per-factor
+    dephasing p (build_nn_channel / build_ir_channel, then
+    doubled.channel_diagonal) against the doubled Hamiltonian's
+    exponential; tau and the prefactor are those of _tau_and_prefactor.
     """
-    tau, prefactor = _tau_and_prefactor(model, p_or_tau)
-    diagonal = doubled.channel_diagonal(_composed_channel(model, p_or_tau))
+    tau, prefactor = _tau_and_prefactor(model, p)
+    diagonal = doubled.channel_diagonal(_composed_channel(model, p))
     target = prefactor * np.exp(-tau * doubled_hamiltonian_diagonal(model))
     return float(np.max(np.abs(diagonal - target)))
 
 
-def vectorized_map_vs_exponential(model, p_or_tau):
+def vectorized_map_vs_exponential(model, p):
     """Max-abs deviation of the literal rho -> |rho>> route from exp(-tau h).
 
     Vectorizes rho_init = |+><+|^{(x)L}, applies the composed Kraus
-    channel (build_nn_channel / build_ir_channel) in the doubled space,
-    restricts the image to the positive-parity sector, and compares it
-    with prefactor * exp(-tau h) on the uniform seed, h the reduced
-    diagonal; tau and the prefactor are those of channel_vs_exponential.
+    channel at per-factor dephasing p in the doubled space, restricts the
+    image to the positive-parity sector, and compares it with
+    prefactor * exp(-tau h) on the uniform seed, h the reduced diagonal;
+    tau and the prefactor are those of _tau_and_prefactor.
     """
     length = model.length
     rho_init = np.full((2**length, 2**length), 2.0**-length)
     image = doubled.restrict_to_parity_sector(
-        doubled.apply_channel(_composed_channel(model, p_or_tau), doubled.vectorize(rho_init))
+        doubled.apply_channel(_composed_channel(model, p), doubled.vectorize(rho_init))
     )
-    tau, prefactor = _tau_and_prefactor(model, p_or_tau)
+    tau, prefactor = _tau_and_prefactor(model, p)
     seed = doubled.reduced_initial_state(model)
     target = prefactor * np.exp(-tau * reduced_diagonal(model)) * seed
     return float(np.max(np.abs(image - target)))
@@ -262,25 +255,14 @@ def kw_transform_nn(length):
     all-up link state.  The Krylov space generated from v0 matches the
     NN chain's: same Lanczos coefficients, dimension exactly L.
     """
-    if not 2 <= length <= REDUCED_MAX_LENGTH:
-        raise ArgumentError(f"Kramers-Wannier image needs 2 <= L <= {REDUCED_MAX_LENGTH}")
+    ModelSpec(kind=ModelKind.NN, length=length)  # validates L >= 2
+    if length > REDUCED_MAX_LENGTH:
+        raise ArgumentError(f"Kramers-Wannier image is capped at L <= {REDUCED_MAX_LENGTH}")
     links = length - 1
     flips = np.arange(2**links) ^ (1 << np.arange(links))[:, None]
     initial = np.zeros(2**links)
     initial[0] = 1.0
     return (lambda vec: -vec[flips].sum(axis=0)), initial
-
-
-def _error_operator_masks(model):
-    """Z-support masks of the single-error operators (bonds or pairs)."""
-    length = model.length
-    if model.kind is ModelKind.NN:
-        return [0b11 << bond for bond in range(length - 1)]
-    return [
-        (1 << i) | (1 << j)
-        for i in range(length)
-        for j in range(i + 1, length)
-    ]
 
 
 def error_state_interpretation_check(model):
@@ -302,7 +284,7 @@ def error_state_interpretation_check(model):
             f"error-state check is capped at L <= {ERROR_STATE_MAX_LENGTH}"
         )
     basis = dense_krylov(model).basis
-    masks = _error_operator_masks(model)
+    masks = doubled.dephasing_supports(model)
     states = np.arange(2**length)
 
     def walsh(supports):
@@ -385,7 +367,7 @@ def area_law_psi(n, tau):
     if np.any(n < 0):
         raise ArgumentError("n must be nonnegative")
     if check_taus(tau) >= 0.5:
-        raise DomainError(f"area-law profile requires 0 <= tau < 1/2, got {tau!r}")
+        raise DomainError(f"area-law profile requires 0 <= tau < 1/2, got {float(tau)!r}")
     if tau == 0.0:
         psi = (n == 0).astype(float)
     else:
@@ -403,7 +385,7 @@ def area_law_psi(n, tau):
 def area_law_k(tau):
     """Area-law Krylov complexity K = tau^2 / (2(1-2 tau)), 0 <= tau < 1/2."""
     if check_taus(tau) >= 0.5:
-        raise DomainError(f"area-law K requires 0 <= tau < 1/2, got {tau!r}")
+        raise DomainError(f"area-law K requires 0 <= tau < 1/2, got {float(tau)!r}")
     return tau * tau / (2.0 * (1.0 - 2.0 * tau))
 
 

@@ -67,7 +67,9 @@ def _twice_spin(s, max_two_s):
     """2s of an integer or half-integer spin 0 <= s <= max_two_s / 2."""
     two_s = 2.0 * s  # NaN fails the first comparison, before round()
     if not (0 <= two_s <= max_two_s and abs(two_s - round(two_s)) <= 1e-9):
-        raise ArgumentError(f"s must be integer or half-integer in [0, {max_two_s // 2}]: {s!r}")
+        raise ArgumentError(
+            f"s must be integer or half-integer in [0, {max_two_s // 2}]: {float(s)!r}"
+        )
     return round(two_s)
 
 

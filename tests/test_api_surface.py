@@ -176,9 +176,7 @@ def test_the_tau_rule_has_one_home():
         "evolve": ("renyi2_dense", "ir_magnetization_sums"),
         "wigner": ("psi_ir_exact_profile",),
         "lintri": ("KrylovState", "expm_from_eig"),
-        "doubled": ("build_ir_channel",),
         "oracle": (
-            "_per_factor_diagonals",
             "expm_elementwise_vs_generic",
             "area_law_psi",
             "area_law_k",

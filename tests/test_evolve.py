@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dekrylov import doubled, evolve, oracle
+from dekrylov import doubled, evolve, lintri, oracle, wigner
 from dekrylov.errors import TAU_MAX, ArgumentError
 from dekrylov.evolve import (
     complexity,
@@ -361,10 +361,6 @@ NAN_TAU_GUARDS = {
     "expm_from_eig": lambda tau: expm_from_eig(
         analytic_lanczos(ModelSpec(ModelKind.IR, 8)).tridiag, [0.5, tau]
     ),
-    "build_ir_channel": lambda tau: doubled.build_ir_channel(4, tau),
-    "channel_vs_exponential": lambda tau: oracle.channel_vs_exponential(
-        ModelSpec(ModelKind.IR, 4), tau
-    ),
     "expm_elementwise_vs_generic": lambda tau: oracle.expm_elementwise_vs_generic(
         ModelSpec(ModelKind.NN, 3), tau
     ),
@@ -384,6 +380,27 @@ def test_a_nan_tau_is_refused_as_a_negative_one_is(guard):
         text = f"tau: values must be {bound}, got {tau!r}"
         with pytest.raises(ArgumentError, match=f"^{re.escape(text)}$"):
             NAN_TAU_GUARDS[guard](tau)
+
+
+PLAIN_VALUE_ERRORS = {
+    "Z-support": lambda: doubled.KrausChannel(2, ((1.0, np.int64(4)),)),
+    "tau_from_p": lambda: doubled.tau_from_p(np.float64(0.7)),
+    "spectrum_mismatch": lambda: lintri.TridiagonalOperator(
+        diag=np.zeros(2), offdiag=np.ones(1), spectrum=np.array([-1.0, 3.0])
+    ),
+    "area_law_psi": lambda: oracle.area_law_psi(2, np.float64(0.7)),
+    "area_law_k": lambda: oracle.area_law_k(np.float64(0.7)),
+    "twice_spin": lambda: wigner._twice_spin(np.float64(0.3), 40),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PLAIN_VALUE_ERRORS))
+def test_error_texts_print_plain_values(site):
+    """A numpy scalar from the caller is printed as the plain number, not as
+    numpy 2's repr np.float64(...)."""
+    with pytest.raises(ArgumentError) as raised:
+        PLAIN_VALUE_ERRORS[site]()
+    assert "np." not in str(raised.value), str(raised.value)
 
 
 def test_ir_complexity_approaches_its_limits_as_one_over_l():

@@ -31,6 +31,7 @@ from dekrylov.oracle import (
     area_law_psi,
     channel_vs_exponential,
     dense_krylov,
+    kraus_sum_vs_exponential,
     kw_transform_nn,
     psi_ir_asymptotic_profile,
     reduced_diagonal,
@@ -254,6 +255,14 @@ def test_kramers_wannier_route_reproduces_nn_coefficients():
         assert_allclose(result.b, closed.tridiag.offdiag, atol=1e-12)
 
 
+def test_kramers_wannier_length_rules():
+    """L >= 2 is ModelSpec's rule, and L is capped in the other caps' words."""
+    with pytest.raises(ArgumentError, match="^length must be at least 2$"):
+        kw_transform_nn(1)
+    with pytest.raises(ArgumentError, match="^Kramers-Wannier image is capped at L <= 14$"):
+        kw_transform_nn(15)
+
+
 def test_lanczos_check_allocates_no_dense_dual_matrix():
     """Criterion 2 at L = 12 peaks below 8 MB of traced allocations; the
     dense 2^11 x 2^11 dual matrix alone would take 33.5 MB."""
@@ -439,7 +448,7 @@ def test_channel_term_counts_and_support_parity():
         nn = build_nn_channel(length, 0.2)
         assert len(nn.terms) == 2 ** (length - 1)
     for length in (4, 6):
-        ir = build_ir_channel(length, 0.7)
+        ir = build_ir_channel(length, -math.expm1(-2.0 * 0.7 / length) / 2.0)  # tau = 0.7
         assert len(ir.terms) == 2 ** (length - 1)
         assert all(support.bit_count() % 2 == 0 for _, support in ir.terms)
         assert all(w >= 0 for w, _ in ir.terms)
@@ -459,15 +468,19 @@ def test_channel_equals_elementwise_exponential(kind, half, arg):
 
 
 def test_channel_parameter_domains():
-    """A p outside [0, 1/2) is one DomainError on every route to the NN channel."""
+    """A p outside [0, 1/2) is one DomainError on every route to either
+    model's channel."""
     nn = ModelSpec(ModelKind.NN, 3)
+    ir = ModelSpec(ModelKind.IR, 4)
     for route in (
         lambda p: build_nn_channel(3, p),
         lambda p: channel_vs_exponential(nn, p),
         lambda p: vectorized_map_vs_exponential(nn, p),
+        lambda p: build_ir_channel(4, p),
+        lambda p: channel_vs_exponential(ir, p),
+        lambda p: vectorized_map_vs_exponential(ir, p),
+        lambda p: kraus_sum_vs_exponential(ir, p),
     ):
         for p in (0.5, -0.1, math.nan):
             with pytest.raises(DomainError, match=r"p must lie in \[0, 1/2\)"):
                 route(p)
-    with pytest.raises(ArgumentError):
-        build_ir_channel(4, -0.1)

@@ -1,11 +1,13 @@
 """From-scratch dense oracles against the production routes."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from dekrylov import oracle
+from dekrylov import doubled, oracle
 from dekrylov.doubled import (
     apply_channel,
     build_ir_channel,
@@ -29,15 +31,18 @@ from dekrylov.oracle import (
 )
 
 
+def ir_pair_p(tau, length):
+    """The per-pair dephasing p = (1 - e^{-2 tau/L})/2 of IR imaginary time tau."""
+    return -math.expm1(-2.0 * tau / length) / 2.0
+
+
 def test_channel_is_exponential_across_models_and_rates():
-    for kind, args in (
-        (ModelKind.NN, (0.0, 0.05, 0.2, 0.45)),
-        (ModelKind.IR, (0.0, 0.1, 0.6, 2.0)),
-    ):
-        for length in (2, 4, 6):
-            for arg in args:
-                spec = ModelSpec(kind, length)
-                assert channel_vs_exponential(spec, arg) < 1e-12
+    for length in (2, 4, 6):
+        for p in (0.0, 0.05, 0.2, 0.45):
+            assert channel_vs_exponential(ModelSpec(ModelKind.NN, length), p) < 1e-12
+        for tau in (0.0, 0.1, 0.6, 2.0):
+            p = ir_pair_p(tau, length)
+            assert channel_vs_exponential(ModelSpec(ModelKind.IR, length), p) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 64])
@@ -118,7 +123,7 @@ def test_repeated_channel_equals_reduced_imaginary_time_flow():
     parity sector, reproduces elementwise exp(-n tau h) on the uniform seed."""
     cases = (
         (build_nn_channel(3, 0.25), ModelSpec(ModelKind.NN, 3), tau_from_p(0.25)),
-        (build_ir_channel(4, 0.6), ModelSpec(ModelKind.IR, 4), 0.6),
+        (build_ir_channel(4, ir_pair_p(0.6, 4)), ModelSpec(ModelKind.IR, 4), 0.6),
     )
     for channel, spec, tau in cases:
         length = spec.length
@@ -153,6 +158,33 @@ def test_error_state_check_reports_the_first_failing_vector(monkeypatch):
         broken = LanczosResult(a=full.a, b=full.b, basis=basis, terminated=True)
         monkeypatch.setattr(oracle, "dense_krylov", lambda model, broken=broken: broken)
         assert error_state_interpretation_check(spec) == failing
+
+
+CHANNEL_ROUTES = (
+    channel_vs_exponential,
+    oracle.kraus_sum_vs_exponential,
+    oracle.vectorized_map_vs_exponential,
+)
+
+
+def test_every_channel_route_maps_ir_through_tau_from_p(monkeypatch):
+    """IR, like NN, reaches tau only through doubled.tau_from_p: stretching
+    the map's tau by 1e-6 moves each route off the exponential."""
+    spec, p = ModelSpec(ModelKind.IR, 4), ir_pair_p(0.7, 4)
+    assert max(route(spec, p) for route in CHANNEL_ROUTES) < 1e-12
+    exact = doubled.tau_from_p
+    monkeypatch.setattr(doubled, "tau_from_p", lambda p: exact(p) * (1.0 + 1e-6))
+    for route in CHANNEL_ROUTES:
+        assert route(spec, p) > 1e-12, route.__name__
+
+
+def test_error_state_check_reads_the_factor_list(monkeypatch):
+    """With its last factor dropped from doubled.dephasing_pairs, the
+    single-error span misses part of |K_1>, for bonds and for pairs."""
+    pairs = doubled.dephasing_pairs
+    monkeypatch.setattr(doubled, "dephasing_pairs", lambda model: pairs(model)[:-1])
+    for kind in (ModelKind.NN, ModelKind.IR):
+        assert error_state_interpretation_check(ModelSpec(kind, 4)) == 1
 
 
 def test_oracle_length_caps():
