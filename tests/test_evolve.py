@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dekrylov import doubled, evolve, lintri, oracle, wigner
-from dekrylov.errors import TAU_MAX, ArgumentError
+from dekrylov.errors import TAU_MAX, ArgumentError, DomainError
 from dekrylov.evolve import (
     complexity,
     ir_magnetization_sums,
@@ -380,6 +380,25 @@ def test_a_nan_tau_is_refused_as_a_negative_one_is(guard):
         text = f"tau: values must be {bound}, got {tau!r}"
         with pytest.raises(ArgumentError, match=f"^{re.escape(text)}$"):
             NAN_TAU_GUARDS[guard](tau)
+
+
+NAN_P_GUARDS = {
+    "build_ir_channel": lambda p: doubled.build_ir_channel(4, p),
+    "channel_vs_exponential": lambda p: oracle.channel_vs_exponential(
+        ModelSpec(ModelKind.IR, 4), p
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(NAN_P_GUARDS))
+def test_a_nan_p_is_refused_as_a_negative_one_is(guard):
+    """The IR channel routes take the per-pair dephasing p and guard it with
+    doubled.tau_from_p: a negative, NaN or infinite p, and p = 1/2, each
+    raise one DomainError with the same text."""
+    for p in (-0.1, math.nan, math.inf, -math.inf, 0.5):
+        text = f"p must lie in [0, 1/2), got {p!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            NAN_P_GUARDS[guard](p)
 
 
 PLAIN_VALUE_ERRORS = {
